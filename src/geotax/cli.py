@@ -152,17 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pipeline_config(args, experiment: str, extra: dict) -> Config:
-    values = {
-        "experiment": experiment,
-        "seed": str(args.seed),
-        "threads": str(args.threads),
-        "io.csv_header": str(args.csv_header).lower(),
-    }
-    values.update({k: str(v) for k, v in extra.items() if v is not None})
-    return Config(values, source="<cli>")
-
-
 def _cmd_gen(args) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -254,93 +243,6 @@ def _cmd_perturb(args) -> int:
     return EXIT_OK
 
 
-def _cmd_stability(args) -> int:
-    extra = {
-        "stability.clean": args.clean,
-        "stability.deltas": args.deltas,
-        "stability.n_splits": args.splits,
-        "stability.max_samples": args.max_samples,
-        "stability.n_bootstrap": args.bootstrap,
-        "stability.composite_variant": args.composite_variant,
-    }
-    for item in args.pert:
-        if "=" not in item:
-            raise ConfigError(f"--pert expects NAME=PATH, got {item!r}")
-        name, path = item.split("=", 1)
-        extra[f"stability.pert.{name}"] = path
-    run_pipeline(_pipeline_config(args, "stability", extra), args.out_dir)
-    print(f"stability report in {args.out_dir}")
-    return EXIT_OK
-
-
-def _cmd_procrustes(args) -> int:
-    extra = {
-        "procrustes.clean": args.clean,
-        "procrustes.pert": args.pert,
-        "procrustes.export_rotation": str(args.export_rotation).lower(),
-    }
-    run_pipeline(_pipeline_config(args, "procrustes", extra), args.out_dir)
-    print(f"procrustes report in {args.out_dir}")
-    return EXIT_OK
-
-
-def _cmd_walk(args) -> int:
-    extra = {
-        "walk.mode": args.mode,
-        "walk.fasta": args.fasta,
-        "walk.n_mutations": args.n_mutations,
-        "walk.length": args.length,
-        "walk.n_steps": args.steps,
-    }
-    run_pipeline(_pipeline_config(args, "walk", extra), args.out_dir)
-    print(f"walk written to {args.out_dir}")
-    return EXIT_OK
-
-
-def _cmd_lipschitz(args) -> int:
-    extra = {"lipschitz.embeddings": args.embeddings, "lipschitz.metric": args.metric}
-    run_pipeline(_pipeline_config(args, "lipschitz", extra), args.out_dir)
-    print(f"profile in {args.out_dir}")
-    return EXIT_OK
-
-
-def _cmd_mine(args) -> int:
-    if not args.features and not args.features_fasta:
-        raise ConfigError("mine needs --features or --features-fasta")
-    extra = {
-        "mine.features": args.features,
-        "mine.features_fasta": args.features_fasta,
-        "mine.feature_kind": args.feature_kind,
-        "mine.embeddings": args.embeddings,
-        "mine.seeds": args.seeds,
-        "mine.epochs": args.epochs,
-        "mine.condition": args.condition,
-    }
-    run_pipeline(_pipeline_config(args, "mine", extra), args.out_dir)
-    print(f"MI report in {args.out_dir}")
-    return EXIT_OK
-
-
-def _cmd_mine_sanity(args) -> int:
-    extra = {"mine.n": args.n, "mine.seeds": args.seeds}
-    run_pipeline(_pipeline_config(args, "mine-sanity", extra), args.out_dir)
-    print(f"sanity report in {args.out_dir}")
-    return EXIT_OK
-
-
-def _cmd_texture(args) -> int:
-    extra = {
-        "texture.fasta": args.fasta,
-        "texture.n": args.n,
-        "texture.length": args.length,
-        "stability.n_splits": args.splits,
-        "stability.n_bootstrap": args.bootstrap,
-    }
-    run_pipeline(_pipeline_config(args, "texture", extra), args.out_dir)
-    print(f"texture table in {args.out_dir}")
-    return EXIT_OK
-
-
 def _cmd_probe(args) -> int:
     emb = load_matrix(args.embeddings)
     labels = np.loadtxt(args.labels, delimiter=",", dtype=np.int64, ndmin=1)
@@ -387,10 +289,62 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _cmd_vq_sweep(args) -> int:
-    extra = {"vq.data": args.data, "vq.k_values": args.k_values, "vq.sigma": args.sigma}
-    run_pipeline(_pipeline_config(args, "vq-sweep", extra), args.out_dir)
-    print(f"sweep in {args.out_dir}")
+# argparse dest -> config key for the subcommands that only configure a
+# pipeline run, in the order the keys are written into the config (and so
+# into the report's config echo).  Unset (None) options are left out.
+PIPELINE_COMMON = {"seed": "seed", "threads": "threads", "csv_header": "io.csv_header"}
+PIPELINES = {
+    "stability": ("stability report in", {
+        "clean": "stability.clean", "deltas": "stability.deltas",
+        "splits": "stability.n_splits", "max_samples": "stability.max_samples",
+        "bootstrap": "stability.n_bootstrap",
+        "composite_variant": "stability.composite_variant",
+    }),
+    "procrustes": ("procrustes report in", {
+        "clean": "procrustes.clean", "pert": "procrustes.pert",
+        "export_rotation": "procrustes.export_rotation",
+    }),
+    "walk": ("walk written to", {
+        "mode": "walk.mode", "fasta": "walk.fasta", "n_mutations": "walk.n_mutations",
+        "length": "walk.length", "steps": "walk.n_steps",
+    }),
+    "lipschitz": ("profile in", {
+        "embeddings": "lipschitz.embeddings", "metric": "lipschitz.metric",
+    }),
+    "mine": ("MI report in", {
+        "features": "mine.features", "features_fasta": "mine.features_fasta",
+        "feature_kind": "mine.feature_kind", "embeddings": "mine.embeddings",
+        "seeds": "mine.seeds", "epochs": "mine.epochs", "condition": "mine.condition",
+    }),
+    "mine-sanity": ("sanity report in", {"n": "mine.n", "seeds": "mine.seeds"}),
+    "texture": ("texture table in", {
+        "fasta": "texture.fasta", "n": "texture.n", "length": "texture.length",
+        "splits": "stability.n_splits", "bootstrap": "stability.n_bootstrap",
+    }),
+    "vq-sweep": ("sweep in", {
+        "data": "vq.data", "k_values": "vq.k_values", "sigma": "vq.sigma",
+    }),
+}
+
+
+def _cmd_pipeline(args) -> int:
+    """Copy the subcommand's options into a config and run the pipeline."""
+    if args.command == "mine" and not (args.features or args.features_fasta):
+        raise ConfigError("mine needs --features or --features-fasta")
+    message, fields = PIPELINES[args.command]
+    values = {"experiment": args.command}
+    for dest, key in [*PIPELINE_COMMON.items(), *fields.items()]:
+        value = getattr(args, dest)
+        if value is not None:
+            values[key] = str(value).lower() if isinstance(value, bool) else str(value)
+    if args.command == "stability":
+        for item in args.pert:
+            if "=" not in item:
+                raise ConfigError(f"--pert expects NAME=PATH, got {item!r}")
+            name, path = item.split("=", 1)
+            values[f"stability.pert.{name}"] = path
+    run_pipeline(Config(values, source="<cli>"), args.out_dir)
+    print(f"{message} {args.out_dir}")
     return EXIT_OK
 
 
@@ -398,17 +352,10 @@ COMMANDS = {
     "gen": _cmd_gen,
     "discretize": _cmd_discretize,
     "perturb": _cmd_perturb,
-    "stability": _cmd_stability,
-    "procrustes": _cmd_procrustes,
-    "walk": _cmd_walk,
-    "lipschitz": _cmd_lipschitz,
-    "mine": _cmd_mine,
-    "mine-sanity": _cmd_mine_sanity,
-    "texture": _cmd_texture,
     "probe": _cmd_probe,
     "fetch": _cmd_fetch,
     "report": _cmd_report,
-    "vq-sweep": _cmd_vq_sweep,
+    **dict.fromkeys(PIPELINES, _cmd_pipeline),
 }
 
 

@@ -50,6 +50,17 @@ class EmbeddingMatrix:
         lab = None if self.labels is None else self.labels[rows]
         return EmbeddingMatrix(self.data[rows], lab)
 
+    @classmethod
+    def coerce(cls, x) -> "EmbeddingMatrix":
+        """``x`` itself if it is an embedding matrix, else one built from it."""
+        return x if isinstance(x, EmbeddingMatrix) else cls(x)
+
+
+def as_array(x) -> np.ndarray:
+    """The float64 array behind ``x``: an embedding matrix's data, or ``x``
+    converted without validation."""
+    return x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -91,7 +102,7 @@ def cosine_rdm(x: EmbeddingMatrix | np.ndarray) -> DistanceMatrix:
     entry(i, j) = 1 - <x_i, x_j> / (|x_i| |x_j|).  Raises
     ``ZeroNormRowError`` on rows with norm below 1e-300.
     """
-    data = x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64)
+    data = as_array(x)
     norms = np.linalg.norm(data, axis=1)
     bad = np.nonzero(norms < ZERO_NORM_FLOOR)[0]
     if bad.size:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RankDeficientError
-from .embedding import EmbeddingMatrix
+from .embedding import EmbeddingMatrix, as_array
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ def pca_project(x: EmbeddingMatrix | np.ndarray, k: int) -> PCAResult:
     Requesting k > min(n, d) raises; k exceeding the numerical rank
     returns the available components with ``rank_deficient`` set.
     """
-    data = x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64)
+    data = as_array(x)
     n, d = data.shape
     if not 1 <= k <= min(n, d):
         raise RankDeficientError(f"k={k} outside 1..min(n,d)={min(n, d)}")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
+
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -44,7 +46,12 @@ class SeedSpec:
 
     def __post_init__(self):
         if not 0 <= int(self.seed) <= _U64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ConfigError(f"seed {self.seed} must fit in 64 bits (0 to 2**64 - 1)")
+
+    @classmethod
+    def coerce(cls, seed: "SeedSpec | int") -> "SeedSpec":
+        """``seed`` itself if it is a spec, else ``SeedSpec(int(seed))``."""
+        return seed if isinstance(seed, SeedSpec) else cls(int(seed))
 
     def derive(self, tag: str | int) -> "SeedSpec":
         return SeedSpec(self.seed, f"{self.stream}/{tag}")
@@ -61,6 +68,4 @@ def rng_create(spec: SeedSpec | int) -> np.random.Generator:
     numpy versions within the supported range.  Passing a bare int is
     shorthand for ``SeedSpec(seed)``.
     """
-    if isinstance(spec, (int, np.integer)):
-        spec = SeedSpec(int(spec))
-    return np.random.Generator(np.random.Philox(key=spec.key()))
+    return np.random.Generator(np.random.Philox(key=SeedSpec.coerce(spec).key()))

@@ -181,7 +181,7 @@ def _integrate_lorenz(state: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
 
 def lorenz_initial_state(spec: SeedSpec | int) -> np.ndarray:
     """On-attractor state: randomly perturbed IC plus a discarded transient."""
-    rng = rng_create(spec if isinstance(spec, SeedSpec) else SeedSpec(spec))
+    rng = rng_create(spec)
     state = np.array([1.0, 1.0, 1.0]) + rng.uniform(-0.5, 0.5, size=3)
     for _ in range(LORENZ_TRANSIENT):
         state = _rk4_step(state, LORENZ_DT)

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..core.rng import SeedSpec, rng_create
 from ..errors import DataError, NonFiniteLossError
+from ..procrustes import sigmoid
 
 
 @dataclass(frozen=True)
@@ -177,8 +178,7 @@ def mlp_train_regression(
         y = y[:, None]
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("training data must be finite")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
-    rng = rng_create(spec.derive("mlp-regression"))
+    rng = rng_create(SeedSpec.coerce(seed).derive("mlp-regression"))
     net = MLP(x.shape[1], cfg.hidden, y.shape[1], rng)
     opt = Adam(net.theta.size, cfg.lr)
     trace = []
@@ -214,8 +214,7 @@ def train_binary_classifier(
     """
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels01, dtype=np.float64).reshape(-1, 1)
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
-    rng = rng_create(spec.derive("mlp-classifier"))
+    rng = rng_create(SeedSpec.coerce(seed).derive("mlp-classifier"))
     n = x.shape[0]
     perm = rng.permutation(n)
     n_val = max(1, int(round(val_fraction * n)))
@@ -243,12 +242,3 @@ def train_binary_classifier(
                 break
     net.restore(best_theta)
     return net
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.embedding import EmbeddingMatrix
+from ..core.embedding import as_array
 from ..core.rng import SeedSpec, rng_create
 from ..errors import SingleClassError
 from ..procrustes import stratified_folds
@@ -40,14 +40,14 @@ def mlp_probe_cv(
     Training uses early stopping with a 15% validation split, patience 20,
     learning rate 1e-3.
     """
-    data = x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64)
+    data = as_array(x)
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
     if classes.size != 2:
         raise SingleClassError(f"need exactly 2 classes, got {classes.size}")
     if min((labels == c).sum() for c in classes) < folds:
         raise SingleClassError("each class needs at least `folds` samples")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
+    spec = SeedSpec.coerce(seed)
     rng = rng_create(spec.derive("probe-folds"))
     cfg = probe_config(arch)
     y01 = (labels == classes[1]).astype(np.float64)

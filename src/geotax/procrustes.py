@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.embedding import EmbeddingMatrix
+from .core.embedding import EmbeddingMatrix, as_array
 from .core.rng import SeedSpec, rng_create
 from .errors import DegenerateInputError, ShapeMismatchError, SingleClassError
 
@@ -43,14 +43,10 @@ class RegimeLabel:
     rho_percent: float
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64)
-
-
 def procrustes_align(x_clean, x_pert) -> ProcrustesResult:
     """Optimal orthogonal + isotropic-scale alignment of perturbed onto clean."""
-    xc = _as_array(x_clean)
-    xp = _as_array(x_pert)
+    xc = as_array(x_clean)
+    xp = as_array(x_pert)
     if xc.shape != xp.shape:
         raise ShapeMismatchError(f"{xc.shape} vs {xp.shape}")
     n = xc.shape[0]
@@ -113,8 +109,8 @@ def frozen_head_agreement(logits_clean, logits_pert) -> tuple[float, float]:
 
     Ties in the top-1 go to the lowest index.
     """
-    lc = _as_array(logits_clean)
-    lp = _as_array(logits_pert)
+    lc = as_array(logits_clean)
+    lp = as_array(logits_pert)
     if lc.shape != lp.shape:
         raise ShapeMismatchError(f"{lc.shape} vs {lp.shape}")
     agree = float((np.argmax(lc, axis=1) == np.argmax(lp, axis=1)).mean())
@@ -127,7 +123,7 @@ def frozen_head_agreement(logits_clean, logits_pert) -> tuple[float, float]:
 # -- frozen linear classifier ------------------------------------------------
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -155,7 +151,7 @@ def logistic_fit(
     y_pm = np.where(y > 0, 1.0, -1.0)
     for _ in range(max_iter):
         z = x @ w + b
-        p = _sigmoid(z)                      # P(y=+1)
+        p = sigmoid(z)                       # P(y=+1)
         grad_z = p - (y_pm + 1.0) / 2.0      # dNLL/dz
         grad_w = x.T @ grad_z + lam * w
         grad_b = grad_z.sum()
@@ -207,14 +203,14 @@ def frozen_head_classifier(
     Logistic regression with C = 1.0 convention (penalty weight 1/C),
     iteration cap 1000, gradient tolerance 1e-8.  Returns (mean, std).
     """
-    data = _as_array(x)
+    data = as_array(x)
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
     if classes.size != 2:
         raise SingleClassError(f"need exactly 2 classes, got {classes.size}")
     if min((labels == c0).sum() for c0 in classes) < folds:
         raise SingleClassError("each class needs at least `folds` samples")
-    rng = rng_create(seed if isinstance(seed, SeedSpec) else SeedSpec(seed))
+    rng = rng_create(seed)
     y01 = (labels == classes[1]).astype(np.float64)
     accs = []
     for test_idx in stratified_folds(labels, folds, rng):

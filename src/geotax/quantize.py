@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core.embedding import EmbeddingMatrix
+from .core.embedding import EmbeddingMatrix, as_array
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import SymbolSequence, bins_alphabet
 from .errors import BadSymbolError, DataError, SingularFitError, TooFewPointsError
@@ -57,7 +57,7 @@ def uniform_codebook(lo: np.ndarray, hi: np.ndarray, k: int) -> Codebook:
 
 
 def _as_points(data) -> np.ndarray:
-    arr = data.data if isinstance(data, EmbeddingMatrix) else np.asarray(data, dtype=np.float64)
+    arr = as_array(data)
     if arr.ndim == 1:
         arr = arr[:, None]
     return arr
@@ -106,7 +106,7 @@ def kmeans_fit(
     n = points.shape[0]
     if n < k:
         raise TooFewPointsError(f"n={n} < K={k}")
-    rng = rng_create(seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed)))
+    rng = rng_create(seed)
     if init_centroids is not None:
         prev = np.asarray(init_centroids, dtype=np.float64)
         if prev.shape[0] >= k:
@@ -182,7 +182,7 @@ def boundary_crossing_rate(
     if sigma <= 0:
         raise DataError("sigma must be positive")
     pts = _as_points(data)
-    rng = rng_create(seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed)))
+    rng = rng_create(seed)
     base = encode(codebook, pts).symbols
     crossed = 0
     for _ in range(trials):
@@ -283,7 +283,7 @@ def vq_double_bind_sweep(
     between the decoded clean and decoded perturbed point sets.
     """
     pts = _as_points(data)
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
+    spec = SeedSpec.coerce(seed)
     rng = rng_create(spec.derive("sweep-noise"))
     noisy = pts + sigma * rng.standard_normal(pts.shape)
     mses, dists = [], []

@@ -251,7 +251,7 @@ def _run_mine(cfg: Config, seed: int, out: Path) -> dict:
     else:
         x = load(cfg.require("mine.features")).data
     z = load(cfg.require("mine.embeddings")).data
-    seeds = _parse_seeds(cfg.get("mine.seeds"))
+    seeds = _int_list(cfg, "mine.seeds", DEFAULT_SEEDS)
     mlp_cfg = MLPConfig(
         epochs=cfg.get_int("mine.epochs", 500),
         lr=cfg.get_float("mine.lr", 1e-4),
@@ -271,7 +271,7 @@ def _run_mine(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _run_mine_sanity(cfg: Config, seed: int, out: Path) -> dict:
-    seeds = _parse_seeds(cfg.get("mine.seeds"))
+    seeds = _int_list(cfg, "mine.seeds", DEFAULT_SEEDS)
     cases = sanity_suite(
         n=cfg.get_int("mine.n", 2000),
         seeds=seeds,
@@ -339,9 +339,7 @@ def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
     else:
         traj = gen_lorenz(SeedSpec(seed, "vq-lorenz"), cfg.get_int("vq.n", 2000))
         data = traj.values
-    k_values = tuple(
-        int(k) for k in cfg.get("vq.k_values", "32,64,128,256,512,1024").split(",")
-    )
+    k_values = _int_list(cfg, "vq.k_values", (32, 64, 128, 256, 512, 1024))
     curve = vq_double_bind_sweep(
         data,
         k_values,
@@ -359,10 +357,13 @@ def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
     }
 
 
-def _parse_seeds(raw: str | None) -> tuple:
+def _int_list(cfg: Config, key: str, default: tuple) -> tuple:
+    raw = cfg.get(key)
     if not raw:
-        return DEFAULT_SEEDS
+        return default
     try:
         return tuple(int(s) for s in raw.split(","))
     except ValueError as exc:
-        raise ConfigError(f"mine.seeds: {raw!r} is not a comma-separated integer list") from exc
+        raise ConfigError(
+            f"{cfg.source}: key {key!r}: {raw!r} is not a comma-separated integer list"
+        ) from exc

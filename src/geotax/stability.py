@@ -21,6 +21,7 @@ from .core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_block
 from .core.rng import SeedSpec, rng_create
 from .core.stats import rankdata, spearman_checked
 from .errors import (
+    ConfigError,
     LengthMismatchError,
     ShapeMismatchError,
     TooFewFeaturesError,
@@ -43,11 +44,11 @@ class SplitConfig:
 
     def __post_init__(self):
         if self.n_splits < 1:
-            raise ValueError("n_splits must be >= 1")
+            raise ConfigError("n_splits must be >= 1")
         if self.max_samples < 10:
-            raise ValueError("max_samples must be >= 10")
+            raise ConfigError("max_samples must be >= 10")
         if self.composite_variant not in ("anchor", "perturbation"):
-            raise ValueError("composite_variant must be 'anchor' or 'perturbation'")
+            raise ConfigError("composite_variant must be 'anchor' or 'perturbation'")
 
     def anchors_for(self, n: int) -> int:
         if self.anchor_count is not None:
@@ -57,16 +58,17 @@ class SplitConfig:
 
 def rdm_similarity(x_clean, x_pert) -> float:
     """Spearman correlation between vectorized clean and perturbed RDMs."""
-    xc = _as_matrix(x_clean)
-    xp = _as_matrix(x_pert)
+    xc = EmbeddingMatrix.coerce(x_clean)
+    xp = EmbeddingMatrix.coerce(x_pert)
     if xc.n != xp.n:
         raise ShapeMismatchError("clean and perturbed sample counts differ")
-    rho, _ = spearman_checked(cosine_rdm(xc).vector(), cosine_rdm(xp).vector())
+    return _rdm_agreement(xc, xp)
+
+
+def _rdm_agreement(a, b) -> float:
+    # RDM entries are paired positionally
+    rho, _ = spearman_checked(cosine_rdm(a).vector(), cosine_rdm(b).vector())
     return rho
-
-
-def _as_matrix(x) -> EmbeddingMatrix:
-    return x if isinstance(x, EmbeddingMatrix) else EmbeddingMatrix(np.asarray(x))
 
 
 def _disjoint_halves(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -74,6 +76,22 @@ def _disjoint_halves(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.n
     perm = rng.permutation(n)
     half = n // 2
     return perm[:half], perm[half : 2 * half]
+
+
+def _mean_over_splits(n_splits: int, forced_splits, draw, score) -> float:
+    """Mean of ``score(a, b)`` over ``n_splits`` index pairs (a, b).
+
+    Pairs cycle through ``forced_splits`` when given; otherwise each comes
+    from ``draw()``, in split order.
+    """
+    scores = []
+    for k in range(n_splits):
+        if forced_splits is not None:
+            a, b = (np.asarray(idx) for idx in forced_splits[k % len(forced_splits)])
+        else:
+            a, b = draw()
+        scores.append(score(a, b))
+    return float(np.mean(scores))
 
 
 def sample_split(
@@ -89,22 +107,16 @@ def sample_split(
     (idx1, idx2) pairs for the random draws, which is how constructed
     correspondences (e.g. duplicated datasets) are tested.
     """
-    xm = _as_matrix(x)
+    xm = EmbeddingMatrix.coerce(x)
     if xm.n < 4:
         raise TooFewSamplesError("sample split needs n >= 4")
     rng = _rng(seed, "sample-split")
-    scores = []
-    for k in range(cfg.n_splits):
-        if forced_splits is not None:
-            idx1, idx2 = forced_splits[k % len(forced_splits)]
-            idx1, idx2 = np.asarray(idx1), np.asarray(idx2)
-        else:
-            idx1, idx2 = _disjoint_halves(xm.n, rng)
-        d1 = cosine_rdm(xm.data[idx1]).vector()
-        d2 = cosine_rdm(xm.data[idx2]).vector()
-        rho, _ = spearman_checked(d1, d2)
-        scores.append(rho)
-    return float(np.mean(scores))
+    return _mean_over_splits(
+        cfg.n_splits,
+        forced_splits,
+        lambda: _disjoint_halves(xm.n, rng),
+        lambda idx1, idx2: _rdm_agreement(xm.data[idx1], xm.data[idx2]),
+    )
 
 
 def feature_split(
@@ -114,22 +126,16 @@ def feature_split(
     forced_splits=None,
 ) -> float:
     """Mean agreement between full-sample RDMs on disjoint feature halves."""
-    xm = _as_matrix(x)
+    xm = EmbeddingMatrix.coerce(x)
     if xm.d < 4:
         raise TooFewFeaturesError("feature split needs d >= 4")
     rng = _rng(seed, "feature-split")
-    scores = []
-    for k in range(cfg.n_splits):
-        if forced_splits is not None:
-            f1, f2 = forced_splits[k % len(forced_splits)]
-            f1, f2 = np.asarray(f1), np.asarray(f2)
-        else:
-            f1, f2 = _disjoint_halves(xm.d, rng)
-        d1 = cosine_rdm(xm.data[:, f1]).vector()
-        d2 = cosine_rdm(xm.data[:, f2]).vector()
-        rho, _ = spearman_checked(d1, d2)
-        scores.append(rho)
-    return float(np.mean(scores))
+    return _mean_over_splits(
+        cfg.n_splits,
+        forced_splits,
+        lambda: _disjoint_halves(xm.d, rng),
+        lambda f1, f2: _rdm_agreement(xm.data[:, f1], xm.data[:, f2]),
+    )
 
 
 def anchor_stability(
@@ -144,7 +150,7 @@ def anchor_stability(
     vectorized anchor-distance blocks of two disjoint non-anchor subsets
     (optionally rank-normalized row-wise).
     """
-    xm = _as_matrix(x)
+    xm = EmbeddingMatrix.coerce(x)
     m = cfg.anchors_for(xm.n)
     if xm.n < m + 4:
         raise TooFewSamplesError(f"anchor stability needs n >= anchors + 4 = {m + 4}")
@@ -152,30 +158,30 @@ def anchor_stability(
     anchor_idx = rng.choice(xm.n, size=m, replace=False)
     rest = np.setdiff1d(np.arange(xm.n), anchor_idx)
     anchors = xm.data[anchor_idx]
-    scores = []
-    for k in range(cfg.n_splits):
-        if forced_splits is not None:
-            s1, s2 = forced_splits[k % len(forced_splits)]
-            s1, s2 = np.asarray(s1), np.asarray(s2)
-        else:
-            h1, h2 = _disjoint_halves(rest.size, rng)
-            s1, s2 = rest[h1], rest[h2]
-        b1 = cross_distance_block(anchors, xm.data[s1])
-        b2 = cross_distance_block(anchors, xm.data[s2])
+
+    def draw():
+        h1, h2 = _disjoint_halves(rest.size, rng)
+        return rest[h1], rest[h2]
+
+    def profile(rows: np.ndarray) -> np.ndarray:
+        block = cross_distance_block(anchors, xm.data[rows])
         if cfg.rank_normalize_anchors:
-            b1 = np.vstack([rankdata(row) for row in b1])
-            b2 = np.vstack([rankdata(row) for row in b2])
-        rho, _ = spearman_checked(b1.ravel(), b2.ravel())
-        scores.append(rho)
-    return float(np.mean(scores))
+            block = np.vstack([rankdata(row) for row in block])
+        return block.ravel()
+
+    def score(s1, s2) -> float:
+        rho, _ = spearman_checked(profile(s1), profile(s2))
+        return rho
+
+    return _mean_over_splits(cfg.n_splits, forced_splits, draw, score)
 
 
 def perturbation_stability(input_deltas, x_clean, x_pert) -> float:
     """Rank correlation between input perturbation magnitude and
     embedding-space displacement."""
     deltas = np.asarray(input_deltas, dtype=np.float64)
-    xc = _as_matrix(x_clean)
-    xp = _as_matrix(x_pert)
+    xc = EmbeddingMatrix.coerce(x_clean)
+    xp = EmbeddingMatrix.coerce(x_pert)
     if xc.data.shape != xp.data.shape:
         raise ShapeMismatchError("clean and perturbed shapes differ")
     if deltas.shape != (xc.n,):
@@ -187,16 +193,15 @@ def perturbation_stability(input_deltas, x_clean, x_pert) -> float:
 
 def perturbation_magnitude(x_clean, x_pert) -> float:
     """Mean row-wise L2 displacement between clean and perturbed embeddings."""
-    xc = _as_matrix(x_clean)
-    xp = _as_matrix(x_pert)
+    xc = EmbeddingMatrix.coerce(x_clean)
+    xp = EmbeddingMatrix.coerce(x_pert)
     if xc.data.shape != xp.data.shape:
         raise ShapeMismatchError("clean and perturbed shapes differ")
     return float(np.linalg.norm(xc.data - xp.data, axis=1).mean())
 
 
 def _rng(seed, tag: str) -> np.random.Generator:
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
-    return rng_create(spec.derive(tag))
+    return rng_create(SeedSpec.coerce(seed).derive(tag))
 
 
 @dataclass(frozen=True)
@@ -266,11 +271,11 @@ def evaluate(
     perturbation-independent); RDM similarity and the perturbation metrics
     compare the pair.  Fixed seeds give byte-identical reports.
     """
-    xc = _as_matrix(x_clean)
-    xp = _as_matrix(x_pert)
+    xc = EmbeddingMatrix.coerce(x_clean)
+    xp = EmbeddingMatrix.coerce(x_pert)
     if xc.data.shape != xp.data.shape:
         raise ShapeMismatchError("clean and perturbed shapes differ")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
+    spec = SeedSpec.coerce(seed)
     sub_rng = rng_create(spec.derive("subsample"))
     keep = _stratified_subsample(xc.labels, xc.n, cfg.max_samples, sub_rng)
     xc = xc.take(keep)

@@ -74,7 +74,7 @@ def dinucleotide_shuffle(seq: SymbolSequence, seed: SeedSpec | int = SeedSpec())
     n = len(seq)
     if n < 2:
         raise DataError("need length >= 2")
-    rng = rng_create(seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed)))
+    rng = rng_create(seed)
     idx = seq.symbols
     edges: list[list[int]] = [[] for _ in range(4)]
     for a, b in zip(idx[:-1], idx[1:]):
@@ -151,7 +151,7 @@ def gen_markov(model: MarkovModel, length: int, seed: SeedSpec | int = SeedSpec(
     """Sample a sequence from the chain."""
     if length < 1:
         raise DataError("length must be >= 1")
-    rng = rng_create(seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed)))
+    rng = rng_create(seed)
     out = np.empty(length, dtype=np.int64)
     cum_init = np.cumsum(model.initial)
     cum_trans = np.cumsum(model.transitions, axis=1)
@@ -216,7 +216,7 @@ def make_frozen_encoder(
     isometry, so RC stability now depends on per-sequence compositional
     diversity, the mechanism the texture test isolates.
     """
-    rng = rng_create(seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed)))
+    rng = rng_create(seed)
     d_in = 4 * n_windows
     w1 = rng.standard_normal((d_in, hidden)) / np.sqrt(d_in)
     b1 = 0.1 * rng.standard_normal(hidden)
@@ -233,8 +233,7 @@ def heterogeneous_corpus(n: int, length: int, seed: SeedSpec | int = SeedSpec())
     """Synthetic stand-in for real genomic diversity: each sequence draws
     its own base composition (Dirichlet), so per-sequence fingerprints vary
     the way AT-rich, GC-rich and repeat-heavy regions do."""
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
-    rng = rng_create(spec.derive("hetero-corpus"))
+    rng = rng_create(SeedSpec.coerce(seed).derive("hetero-corpus"))
     out = []
     for _ in range(n):
         probs = rng.dirichlet(np.full(4, 2.0))
@@ -269,7 +268,7 @@ def four_condition_experiment(
     corpus = list(corpus)
     if not corpus:
         raise DataError("empty corpus")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
+    spec = SeedSpec.coerce(seed)
     embedder = embedder or make_frozen_encoder(spec.derive("encoder"))
     cfg = split_config or SplitConfig()
     rng = rng_create(spec.derive("conditions"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core.embedding import EmbeddingMatrix, ZERO_NORM_FLOOR
+from .core.embedding import EmbeddingMatrix, ZERO_NORM_FLOOR, as_array
 from .core.pca import PCAResult, pca_project
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
@@ -101,8 +101,7 @@ def build_mutation_walk(
         raise RegionTooSmallError(
             f"core region holds {pool.size} candidate sites < {n_mutations}"
         )
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
-    rng = rng_create(spec.derive("mutation-walk"))
+    rng = rng_create(SeedSpec.coerce(seed).derive("mutation-walk"))
     positions = rng.choice(pool, size=n_mutations, replace=False)
     draw = rng.integers(0, 3, size=n_mutations)
     ref = wildtype.symbols[positions]
@@ -168,9 +167,7 @@ def _summarize(values: np.ndarray, metric: str, from_start: np.ndarray) -> Lipsc
 
 
 def _rows(embeddings) -> np.ndarray:
-    arr = embeddings.data if isinstance(embeddings, EmbeddingMatrix) else np.asarray(
-        embeddings, dtype=np.float64
-    )
+    arr = as_array(embeddings)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise DataError("need an ordered matrix with >= 2 rows")
     return arr

@@ -1,0 +1,176 @@
+"""The config each pipeline subcommand hands to ``run_pipeline``, and the
+exit code of bad seeds and settings.
+
+``Config.dump()`` keeps insertion order and is written into ``report.json``
+as ``provenance.config_echo``, so the key order below is part of the
+report bytes.
+"""
+
+import numpy as np
+import pytest
+
+import geotax.cli as cli
+from geotax.core.embedding import EmbeddingMatrix
+from geotax.core.io import write_embeddings
+from geotax.core.rng import SeedSpec, rng_create
+
+CONFIG_CASES = {
+    "stability": (
+        ["--seed", "7", "--threads", "2", "stability", "--clean", "c.emb1",
+         "--pert", "b=p2.emb1", "--pert", "a=p1.emb1", "--splits", "4"],
+        "experiment = stability\nseed = 7\nthreads = 2\nio.csv_header = false\n"
+        "stability.clean = c.emb1\nstability.n_splits = 4\nstability.max_samples = 2500\n"
+        "stability.n_bootstrap = 5\nstability.composite_variant = anchor\n"
+        "stability.pert.b = p2.emb1\nstability.pert.a = p1.emb1\n",
+        "stability report in",
+    ),
+    "stability-deltas": (
+        ["--csv-header", "stability", "--clean", "c.csv", "--pert", "x=p.csv",
+         "--deltas", "d.csv", "--max-samples", "100", "--bootstrap", "1",
+         "--composite-variant", "perturbation"],
+        "experiment = stability\nseed = 320\nthreads = 1\nio.csv_header = true\n"
+        "stability.clean = c.csv\nstability.deltas = d.csv\nstability.n_splits = 30\n"
+        "stability.max_samples = 100\nstability.n_bootstrap = 1\n"
+        "stability.composite_variant = perturbation\nstability.pert.x = p.csv\n",
+        "stability report in",
+    ),
+    "procrustes": (
+        ["procrustes", "--clean", "c.emb1", "--pert", "p.emb1"],
+        "experiment = procrustes\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "procrustes.clean = c.emb1\nprocrustes.pert = p.emb1\n"
+        "procrustes.export_rotation = false\n",
+        "procrustes report in",
+    ),
+    "procrustes-export": (
+        ["--csv-header", "procrustes", "--clean", "c.csv", "--pert", "p.csv",
+         "--export-rotation"],
+        "experiment = procrustes\nseed = 320\nthreads = 1\nio.csv_header = true\n"
+        "procrustes.clean = c.csv\nprocrustes.pert = p.csv\nprocrustes.export_rotation = true\n",
+        "procrustes report in",
+    ),
+    "walk": (
+        ["walk"],
+        "experiment = walk\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "walk.mode = mutation\nwalk.n_mutations = 120\nwalk.length = 2000\nwalk.n_steps = 101\n",
+        "walk written to",
+    ),
+    "walk-fasta": (
+        ["--seed", "9", "walk", "--mode", "interpolation", "--fasta", "w.fasta",
+         "--n-mutations", "5", "--length", "50", "--steps", "11"],
+        "experiment = walk\nseed = 9\nthreads = 1\nio.csv_header = false\n"
+        "walk.mode = interpolation\nwalk.fasta = w.fasta\nwalk.n_mutations = 5\n"
+        "walk.length = 50\nwalk.n_steps = 11\n",
+        "walk written to",
+    ),
+    "lipschitz": (
+        ["lipschitz", "--embeddings", "e.emb1", "--metric", "l2"],
+        "experiment = lipschitz\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "lipschitz.embeddings = e.emb1\nlipschitz.metric = l2\n",
+        "profile in",
+    ),
+    "mine": (
+        ["mine", "--features", "x.emb1", "--embeddings", "z.emb1"],
+        "experiment = mine\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "mine.features = x.emb1\nmine.feature_kind = dna\nmine.embeddings = z.emb1\n"
+        "mine.epochs = 500\nmine.condition = model\n",
+        "MI report in",
+    ),
+    "mine-fasta": (
+        ["--threads", "3", "mine", "--features-fasta", "f.fasta", "--feature-kind",
+         "protein", "--embeddings", "z.emb1", "--seeds", "1,2", "--epochs", "7",
+         "--condition", "Shuffled"],
+        "experiment = mine\nseed = 320\nthreads = 3\nio.csv_header = false\n"
+        "mine.features_fasta = f.fasta\nmine.feature_kind = protein\nmine.embeddings = z.emb1\n"
+        "mine.seeds = 1,2\nmine.epochs = 7\nmine.condition = Shuffled\n",
+        "MI report in",
+    ),
+    "mine-sanity": (
+        ["mine-sanity"],
+        "experiment = mine-sanity\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "mine.n = 2000\n",
+        "sanity report in",
+    ),
+    "mine-sanity-seeds": (
+        ["mine-sanity", "--n", "64", "--seeds", "320,420"],
+        "experiment = mine-sanity\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "mine.n = 64\nmine.seeds = 320,420\n",
+        "sanity report in",
+    ),
+    "texture": (
+        ["texture"],
+        "experiment = texture\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "texture.n = 200\ntexture.length = 400\nstability.n_splits = 10\n"
+        "stability.n_bootstrap = 1\n",
+        "texture table in",
+    ),
+    "texture-fasta": (
+        ["texture", "--fasta", "t.fasta", "--n", "10", "--length", "40",
+         "--splits", "2", "--bootstrap", "3"],
+        "experiment = texture\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "texture.fasta = t.fasta\ntexture.n = 10\ntexture.length = 40\n"
+        "stability.n_splits = 2\nstability.n_bootstrap = 3\n",
+        "texture table in",
+    ),
+    "vq-sweep": (
+        ["vq-sweep"],
+        "experiment = vq-sweep\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "vq.k_values = 32,64,128,256,512,1024\nvq.sigma = 0.05\n",
+        "sweep in",
+    ),
+    "vq-sweep-data": (
+        ["--seed", "0", "vq-sweep", "--data", "v.emb1", "--k-values", "4,8,16",
+         "--sigma", "0.5"],
+        "experiment = vq-sweep\nseed = 0\nthreads = 1\nio.csv_header = false\n"
+        "vq.data = v.emb1\nvq.k_values = 4,8,16\nvq.sigma = 0.5\n",
+        "sweep in",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_cli_pipeline_config_echo(case, tmp_path, monkeypatch, capsys):
+    argv, expected, message = CONFIG_CASES[case]
+    calls = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda cfg, out: calls.append((cfg, out)))
+    out_dir = tmp_path / "run"
+    assert cli.main(["--out-dir", str(out_dir), *argv]) == 0
+    (cfg, out), = calls
+    assert cfg.dump() == expected
+    assert cfg.source == "<cli>"
+    assert out == out_dir
+    assert capsys.readouterr().out == f"{message} {out_dir}\n"
+
+
+def test_cli_mine_without_features_is_config_error(monkeypatch):
+    monkeypatch.setattr(cli, "run_pipeline", lambda cfg, out: pytest.fail("must not run"))
+    assert cli.main(["mine", "--embeddings", "z.emb1"]) == 2
+
+
+@pytest.fixture
+def pair(tmp_path):
+    rng = rng_create(SeedSpec(320, "cli-exit"))
+    x = rng.standard_normal((40, 6))
+    clean, pert = tmp_path / "clean.emb1", tmp_path / "pert.emb1"
+    write_embeddings(clean, EmbeddingMatrix(x))
+    write_embeddings(pert, EmbeddingMatrix(x + 0.05 * rng.standard_normal(x.shape)))
+    return clean, pert
+
+
+BAD_SETTINGS = {
+    "negative-seed": ["--seed", "-1", "stability"],
+    "seed-over-64-bits": ["--seed", "18446744073709551616", "vq-sweep"],
+    "zero-splits": ["stability", "--splits", "0"],
+    "max-samples-below-10": ["stability", "--max-samples", "5"],
+    "texture-zero-splits": ["texture", "--n", "10", "--length", "40", "--splits", "0"],
+    "k-values-not-integers": ["vq-sweep", "--k-values", "4,x"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+def test_cli_bad_seed_and_split_settings_exit_2(case, pair, tmp_path, capsys):
+    argv = list(BAD_SETTINGS[case])
+    if "stability" in argv:
+        clean, pert = pair
+        argv += ["--clean", str(clean), "--pert", f"noise={pert}"]
+    assert cli.main(["--out-dir", str(tmp_path / "run"), *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

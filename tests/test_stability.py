@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from geotax.core.embedding import EmbeddingMatrix
+from geotax.core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_block
 from geotax.core.rng import SeedSpec, rng_create
-from geotax.core.stats import spearman
+from geotax.core.stats import rankdata, spearman
 from geotax.errors import ShapeMismatchError, TooFewSamplesError
 from geotax.stability import (
     SplitConfig,
@@ -51,9 +51,51 @@ def iid_sample_split_oracle(x, n_splits, seed):
 
 
 def naive_rdm_similarity_fast(a, b):
-    from geotax.core.embedding import cosine_rdm
-
     return spearman(cosine_rdm(a).vector(), cosine_rdm(b).vector())
+
+
+# Exact draw-order oracles: each re-derives the metric's seed stream and
+# makes the same permutation/choice calls in the same order, so its score
+# must equal the metric's bit for bit.
+
+
+def _oracle_halves(rng, n):
+    perm = rng.permutation(n)
+    return perm[: n // 2], perm[n // 2 : 2 * (n // 2)]
+
+
+def sample_split_oracle(x, n_splits, s):
+    rng = rng_create(SeedSpec(s).derive("sample-split"))
+    scores = []
+    for _ in range(n_splits):
+        a, b = _oracle_halves(rng, x.shape[0])
+        scores.append(spearman(cosine_rdm(x[a]).vector(), cosine_rdm(x[b]).vector()))
+    return float(np.mean(scores))
+
+
+def feature_split_oracle(x, n_splits, s):
+    rng = rng_create(SeedSpec(s).derive("feature-split"))
+    scores = []
+    for _ in range(n_splits):
+        a, b = _oracle_halves(rng, x.shape[1])
+        scores.append(spearman(cosine_rdm(x[:, a]).vector(), cosine_rdm(x[:, b]).vector()))
+    return float(np.mean(scores))
+
+
+def anchor_stability_oracle(x, n_splits, s, n_anchors, rank_normalize):
+    rng = rng_create(SeedSpec(s).derive("anchor"))
+    anchor_idx = rng.choice(x.shape[0], size=n_anchors, replace=False)
+    rest = np.setdiff1d(np.arange(x.shape[0]), anchor_idx)
+    scores = []
+    for _ in range(n_splits):
+        profiles = []
+        for half in _oracle_halves(rng, rest.size):
+            block = cross_distance_block(x[anchor_idx], x[rest[half]])
+            if rank_normalize:
+                block = np.vstack([rankdata(row) for row in block])
+            profiles.append(block.ravel())
+        scores.append(spearman(*profiles))
+    return float(np.mean(scores))
 
 
 # -- rdm similarity ------------------------------------------------------
@@ -114,6 +156,20 @@ def test_sample_split_iid_matches_reimplementation_oracle():
     mine = sample_split(x, cfg, SeedSpec(11))
     oracle = iid_sample_split_oracle(x, 10, seed=99)
     assert mine == pytest.approx(oracle, abs=0.1)
+
+
+@pytest.mark.parametrize("s", [0, 320])
+def test_split_metrics_match_exact_draw_order_oracles(s):
+    # odd n and d exercise the dropped last element of each permutation
+    x = rng_create(SeedSpec(320, "draw-order")).standard_normal((41, 9))
+    cfg = SplitConfig(n_splits=4, n_bootstrap=1)
+    assert sample_split(x, cfg, s) == sample_split_oracle(x, 4, s)
+    assert feature_split(x, cfg, SeedSpec(s)) == feature_split_oracle(x, 4, s)
+    for rank_normalize in (False, True):
+        acfg = SplitConfig(n_splits=4, n_bootstrap=1, rank_normalize_anchors=rank_normalize)
+        assert anchor_stability(x, acfg, s) == anchor_stability_oracle(
+            x, 4, s, acfg.anchors_for(41), rank_normalize
+        )
 
 
 def test_sample_split_too_few():
