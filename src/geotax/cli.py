@@ -232,8 +232,12 @@ def _cmd_perturb(args) -> int:
             if len(parts) != 4:
                 raise ConfigError(f"{args.manifest}:{i + 1}: expected input,kind,rate,seed")
             path, kind, rate, seed = parts
+            try:
+                rate, seed = float(rate), int(seed)
+            except ValueError:
+                raise ConfigError(f"{args.manifest}:{i + 1}: bad rate or seed") from None
             output = args.out_dir / f"{Path(path).stem}.{kind}.{i}{Path(path).suffix or '.emb1'}"
-            _perturb_one(Path(path), kind, float(rate), args.magnitude, int(seed), output)
+            _perturb_one(Path(path), kind, rate, args.magnitude, seed, output)
         print(f"applied {len(lines)} manifest rows into {args.out_dir}")
         return EXIT_OK
     if not (args.input and args.kind and args.output):
@@ -245,7 +249,10 @@ def _cmd_perturb(args) -> int:
 
 def _cmd_probe(args) -> int:
     emb = load_matrix(args.embeddings)
-    labels = np.loadtxt(args.labels, delimiter=",", dtype=np.int64, ndmin=1)
+    try:
+        labels = np.loadtxt(args.labels, delimiter=",", dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise DataError(f"{args.labels}: labels must be integers ({exc})") from None
     if args.arch == "linear":
         mean, std = frozen_head_classifier(emb, labels, args.folds, SeedSpec(args.seed, "probe"))
     else:

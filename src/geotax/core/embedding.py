@@ -62,6 +62,12 @@ def as_array(x) -> np.ndarray:
     return x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64)
 
 
+def as_columns(x) -> np.ndarray:
+    """``as_array(x)`` with a 1-D input read as one column of samples."""
+    arr = as_array(x)
+    return arr[:, None] if arr.ndim == 1 else arr
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Condensed pairwise distances: upper triangle of a symmetric matrix."""

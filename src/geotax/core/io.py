@@ -81,7 +81,10 @@ def read_embeddings_csv(path: str | Path, header: bool = False) -> EmbeddingMatr
             line = line.strip()
             if not line:
                 continue
-            vals = [float(v) for v in line.split(",")]
+            try:
+                vals = [float(v) for v in line.split(",")]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric field") from None
             if d is None:
                 d = len(vals)
             elif len(vals) != d:

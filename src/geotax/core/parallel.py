@@ -6,26 +6,20 @@ output is independent of worker count and completion order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def ordered_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    workers: int = 1,
-    processes: bool = False,
-) -> list[R]:
-    """Map preserving input order.  ``processes=True`` fans out to worker
-    processes (fn and items must be picklable), which is what CPU-bound
-    seed sweeps use; threads suit I/O-bound work."""
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
+    """Map preserving input order.  With more than one worker and item the
+    calls fan out to worker processes, so fn and items must be picklable;
+    otherwise they run inline in this process."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    pool_cls = ProcessPoolExecutor if processes else ThreadPoolExecutor
-    with pool_cls(max_workers=min(workers, len(items))) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         futures = [pool.submit(fn, it) for it in items]
         return [f.result() for f in futures]

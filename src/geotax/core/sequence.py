@@ -24,12 +24,6 @@ class Alphabet:
         if self.letters is not None and len(self.letters) != self.size:
             raise ValueError("letters length must equal size")
 
-    def index_of(self, ch: str) -> int:
-        if self.letters is None or ch not in self.letters:
-            err = BadResidueError if self.name == "protein" else BadBaseError
-            raise err(f"symbol {ch!r} not in alphabet {self.name}")
-        return self.letters.index(ch)
-
 
 DNA = Alphabet("dna", 4, DNA_LETTERS)
 PROTEIN = Alphabet("protein", 20, PROTEIN_LETTERS)
@@ -66,7 +60,8 @@ class SymbolSequence:
         lut = np.full(128, -1, dtype=np.int64)
         for i, ch in enumerate(alphabet.letters):
             lut[ord(ch)] = i
-        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        # each non-ASCII character becomes one "?", which no alphabet holds
+        codes = np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.uint8)
         idx = lut[codes]
         if (idx < 0).any():
             bad = text[int(np.argmax(idx < 0))]

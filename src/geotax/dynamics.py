@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core.embedding import as_columns
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import SymbolSequence, bins_alphabet
 from .errors import (
@@ -58,9 +59,7 @@ class Trajectory:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim == 1:
-            vals = vals[:, None]
+        vals = as_columns(self.values)
         if vals.ndim != 2 or vals.shape[0] < 2:
             raise DataError("trajectory needs at least 2 samples")
         if not np.isfinite(vals).all():

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.embedding import as_columns
 from ..core.parallel import ordered_map
 from ..core.pca import pca_project
 from ..core.rng import SeedSpec, rng_create
@@ -154,23 +155,20 @@ def _run_args(args) -> MIRun:
     return _run_single(*args)
 
 
-def _run_seeds(x, z, cfg, seeds, workers) -> list[MIRun]:
-    tasks = [(x, z, cfg, s) for s in seeds]
-    return ordered_map(_run_args, tasks, workers, processes=True)
-
-
 def _aggregate(runs: list[MIRun]) -> MIEstimate:
     est = np.array([r.estimate for r in runs])
     return MIEstimate(tuple(runs), float(est.mean()), float(est.std()))
 
 
+def _estimates(groups: list[list[tuple]], workers: int) -> list[MIEstimate]:
+    """Train every (x, z, cfg, seed) task of every group in one fan-out;
+    one aggregate estimate per group, in group order."""
+    runs = iter(ordered_map(_run_args, [task for group in groups for task in group], workers))
+    return [_aggregate([next(runs) for _ in group]) for group in groups]
+
+
 def _prepare(x, z, pca_dim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if z.ndim == 1:
-        z = z[:, None]
+    x, z = as_columns(x), as_columns(z)
     if x.shape[0] != z.shape[0]:
         raise DataError("feature and embedding sample counts differ")
     if pca_dim is not None:
@@ -178,6 +176,18 @@ def _prepare(x, z, pca_dim: int | None) -> tuple[np.ndarray, np.ndarray]:
         if k < z.shape[1]:
             z = pca_project(z, k).projected.data
     return zscore(x), zscore(z)
+
+
+def _baseline_tasks(x, d, cfg, seeds) -> list[tuple]:
+    xs = as_columns(zscore(x))
+    zs = [rng_create(SeedSpec(s, "baseline-z")).standard_normal((xs.shape[0], d)) for s in seeds]
+    return [(xs, zscore(z), cfg, s) for z, s in zip(zs, seeds)]
+
+
+def _ceiling_tasks(x, noise_sigma, cfg, seeds) -> list[tuple]:
+    xs = as_columns(x)
+    eps = [rng_create(SeedSpec(s, "ceiling-noise")).standard_normal(xs.shape) for s in seeds]
+    return [(zscore(xs), zscore(xs + noise_sigma * e), cfg, s) for e, s in zip(eps, seeds)]
 
 
 def mine_estimate(
@@ -194,7 +204,7 @@ def mine_estimate(
     inputs are z-scored per feature before concatenation.
     """
     xs, zs = _prepare(x, z, pca_dim)
-    return _aggregate(_run_seeds(xs, zs, cfg, seeds, workers))
+    return _estimates([[(xs, zs, cfg, s) for s in seeds]], workers)[0]
 
 
 def random_baseline(
@@ -208,14 +218,7 @@ def random_baseline(
 
     This is the finite-sample bias floor: by construction the true MI is 0.
     """
-    xs = zscore(np.asarray(x, dtype=np.float64))
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    tasks = []
-    for seed in seeds:
-        z = rng_create(SeedSpec(seed, "baseline-z")).standard_normal((xs.shape[0], d))
-        tasks.append((xs, zscore(z), cfg, seed))
-    return _aggregate(ordered_map(_run_args, tasks, workers, processes=True))
+    return _estimates([_baseline_tasks(x, d, cfg, seeds)], workers)[0]
 
 
 def ceiling_calibration(
@@ -226,14 +229,7 @@ def ceiling_calibration(
     workers: int = 1,
 ) -> MIEstimate:
     """MINE of X against X + N(0, sigma^2 I): the recoverable maximum."""
-    xs = np.asarray(x, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    tasks = []
-    for seed in seeds:
-        eps = rng_create(SeedSpec(seed, "ceiling-noise")).standard_normal(xs.shape)
-        tasks.append((zscore(xs), zscore(xs + noise_sigma * eps), cfg, seed))
-    return _aggregate(ordered_map(_run_args, tasks, workers, processes=True))
+    return _estimates([_ceiling_tasks(x, noise_sigma, cfg, seeds)], workers)[0]
 
 
 def excess_mi_report(
@@ -245,11 +241,17 @@ def excess_mi_report(
     noise_sigma: float = 0.1,
     workers: int = 1,
 ) -> MIEstimate:
-    """Model estimate with matched baseline and ceiling attached."""
+    """Model estimate with matched baseline and ceiling attached; the
+    model, baseline and ceiling networks share one fan-out."""
     xs, zs = _prepare(x, z, pca_dim)
-    model = _aggregate(_run_seeds(xs, zs, cfg, seeds, workers))
-    base = random_baseline(x, zs.shape[1], cfg, seeds, workers)
-    ceil = ceiling_calibration(x, noise_sigma, cfg, seeds, workers)
+    model, base, ceil = _estimates(
+        [
+            [(xs, zs, cfg, s) for s in seeds],
+            _baseline_tasks(x, zs.shape[1], cfg, seeds),
+            _ceiling_tasks(x, noise_sigma, cfg, seeds),
+        ],
+        workers,
+    )
     return MIEstimate(model.runs, model.mean, model.std, base.mean, ceil.mean)
 
 
@@ -287,17 +289,15 @@ def sanity_suite(
 
     Passes when |estimate - I| < max(0.15, 0.3 I) for every rho.
     """
-    tasks = []
+    groups = []
     for rho in rhos:
         rng = rng_create(SeedSpec(data_seed, f"sanity-data/{rho}"))
         x = rng.standard_normal(n)
         y = rho * x + np.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
-        for seed in seeds:
-            tasks.append((zscore(x[:, None]), zscore(y[:, None]), cfg, seed))
-    runs = ordered_map(_run_args, tasks, workers, processes=True)
+        xs, ys = zscore(as_columns(x)), zscore(as_columns(y))
+        groups.append([(xs, ys, cfg, s) for s in seeds])
     cases = []
-    for i, rho in enumerate(rhos):
-        est = _aggregate(runs[i * len(seeds) : (i + 1) * len(seeds)])
+    for rho, est in zip(rhos, _estimates(groups, workers)):
         true = gaussian_mi(rho)
         tol = sanity_tolerance(true)
         cases.append(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.embedding import as_columns
 from ..core.rng import SeedSpec, rng_create
 from ..errors import DataError, NonFiniteLossError
 from ..procrustes import sigmoid
@@ -173,9 +174,7 @@ def mlp_train_regression(
 ) -> tuple[MLP, list[float]]:
     """Minibatch MSE training.  Returns the network and the loss trace."""
     x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
+    y = as_columns(targets)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("training data must be finite")
     rng = rng_create(SeedSpec.coerce(seed).derive("mlp-regression"))

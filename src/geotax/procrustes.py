@@ -15,7 +15,7 @@ import numpy as np
 
 from .core.embedding import EmbeddingMatrix, as_array
 from .core.rng import SeedSpec, rng_create
-from .errors import DegenerateInputError, ShapeMismatchError, SingleClassError
+from .errors import ConfigError, DegenerateInputError, ShapeMismatchError, SingleClassError
 
 BRITTLE_GLASS_MAX = 2.0     # reduction percent below -> internal fracture
 UNTETHERED_GEL_MIN = 4.0    # reduction percent above -> coherent global drift
@@ -191,6 +191,34 @@ def stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator) -
     return [np.nonzero(assignments == f)[0] for f in range(folds)]
 
 
+def stratified_cv_accuracy(
+    x, labels, folds: int, rng: np.random.Generator, fit_score
+) -> tuple[float, float]:
+    """Stratified k-fold CV accuracy (mean, std) of a binary classifier.
+
+    ``fit_score(i, x_train, y_train, x_test)`` fits fold ``i`` on 0/1 labels
+    (1 = the larger class label) and returns test decision values; >= 0 predicts 1.
+    """
+    if folds < 2:
+        raise ConfigError(f"cross-validation needs at least 2 folds, got {folds}")
+    data = as_array(x)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (data.shape[0],):
+        raise ShapeMismatchError(f"{labels.size} labels for {data.shape[0]} samples")
+    classes = np.unique(labels)
+    if classes.size != 2:
+        raise SingleClassError(f"need exactly 2 classes, got {classes.size}")
+    if min((labels == c).sum() for c in classes) < folds:
+        raise SingleClassError("each class needs at least `folds` samples")
+    y01 = (labels == classes[1]).astype(np.float64)
+    accs = []
+    for i, test_idx in enumerate(stratified_folds(labels, folds, rng)):
+        train = ~np.isin(np.arange(labels.size), test_idx)
+        pred = fit_score(i, data[train], y01[train], data[test_idx]) >= 0.0
+        accs.append((pred == (y01[test_idx] > 0)).mean())
+    return float(np.mean(accs)), float(np.std(accs))
+
+
 def frozen_head_classifier(
     x: EmbeddingMatrix | np.ndarray,
     labels: np.ndarray,
@@ -203,21 +231,9 @@ def frozen_head_classifier(
     Logistic regression with C = 1.0 convention (penalty weight 1/C),
     iteration cap 1000, gradient tolerance 1e-8.  Returns (mean, std).
     """
-    data = as_array(x)
-    labels = np.asarray(labels, dtype=np.int64)
-    classes = np.unique(labels)
-    if classes.size != 2:
-        raise SingleClassError(f"need exactly 2 classes, got {classes.size}")
-    if min((labels == c0).sum() for c0 in classes) < folds:
-        raise SingleClassError("each class needs at least `folds` samples")
-    rng = rng_create(seed)
-    y01 = (labels == classes[1]).astype(np.float64)
-    accs = []
-    for test_idx in stratified_folds(labels, folds, rng):
-        mask = np.ones(labels.size, dtype=bool)
-        mask[test_idx] = False
-        w, b = logistic_fit(data[mask], y01[mask], c=c)
-        pred = (data[test_idx] @ w + b) >= 0
-        accs.append(float((pred == (y01[test_idx] > 0)).mean()))
-    accs = np.asarray(accs)
-    return float(accs.mean()), float(accs.std())
+
+    def fit_score(i, x_train, y_train, x_test):
+        w, b = logistic_fit(x_train, y_train, c=c)
+        return x_test @ w + b
+
+    return stratified_cv_accuracy(x, labels, folds, rng_create(seed), fit_score)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core.embedding import EmbeddingMatrix, as_array
+from .core.embedding import EmbeddingMatrix, as_columns
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import SymbolSequence, bins_alphabet
 from .errors import BadSymbolError, DataError, SingularFitError, TooFewPointsError
@@ -56,13 +56,6 @@ def uniform_codebook(lo: np.ndarray, hi: np.ndarray, k: int) -> Codebook:
     return Codebook(centers, "uniform")
 
 
-def _as_points(data) -> np.ndarray:
-    arr = as_array(data)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
-
-
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # ||p - c||^2 expanded; clamp tiny negatives from cancellation
     d2 = (
@@ -102,7 +95,7 @@ def kmeans_fit(
     seeds the fit from an existing codebook (extra slots drawn k-means++
     style), which is how nested sweeps keep reconstruction error monotone.
     """
-    points = _as_points(data)
+    points = as_columns(data)
     n = points.shape[0]
     if n < k:
         raise TooFewPointsError(f"n={n} < K={k}")
@@ -150,7 +143,7 @@ def kmeans_fit(
 
 def encode(codebook: Codebook, points) -> SymbolSequence:
     """Nearest-centroid assignment; ties go to the lowest index."""
-    pts = _as_points(points)
+    pts = as_columns(points)
     if pts.shape[1] != codebook.dim:
         raise DataError("point dimension does not match codebook")
     assign = np.argmin(_sq_distances(pts, codebook.centroids), axis=1)
@@ -165,7 +158,7 @@ def decode(codebook: Codebook, symbols: SymbolSequence | np.ndarray) -> np.ndarr
 
 
 def reconstruction_mse(codebook: Codebook, data) -> float:
-    pts = _as_points(data)
+    pts = as_columns(data)
     recon = decode(codebook, encode(codebook, pts))
     return float(((pts - recon) ** 2).mean())
 
@@ -181,7 +174,7 @@ def boundary_crossing_rate(
     to a different symbol.  Denser Voronoi boundaries (larger K) raise it."""
     if sigma <= 0:
         raise DataError("sigma must be positive")
-    pts = _as_points(data)
+    pts = as_columns(data)
     rng = rng_create(seed)
     base = encode(codebook, pts).symbols
     crossed = 0
@@ -282,7 +275,7 @@ def vq_double_bind_sweep(
     (never in symbol index space); distortion is the Procrustes residual
     between the decoded clean and decoded perturbed point sets.
     """
-    pts = _as_points(data)
+    pts = as_columns(data)
     spec = SeedSpec.coerce(seed)
     rng = rng_create(spec.derive("sweep-noise"))
     noisy = pts + sigma * rng.standard_normal(pts.shape)

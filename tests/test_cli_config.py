@@ -174,3 +174,64 @@ def test_cli_bad_seed_and_split_settings_exit_2(case, pair, tmp_path, capsys):
         argv += ["--clean", str(clean), "--pert", f"noise={pert}"]
     assert cli.main(["--out-dir", str(tmp_path / "run"), *argv]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.fixture
+def probe_inputs(tmp_path):
+    rng = rng_create(SeedSpec(320, "cli-probe-exit"))
+    emb = tmp_path / "emb.emb1"
+    write_embeddings(emb, EmbeddingMatrix(rng.standard_normal((20, 3))))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n" * 10)
+    return emb, labels
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+@pytest.mark.parametrize("folds", ["0", "1"])
+def test_cli_probe_folds_below_2_exit_2(arch, folds, probe_inputs, capsys):
+    emb, labels = probe_inputs
+    argv = ["probe", "--embeddings", str(emb), "--labels", str(labels),
+            "--arch", arch, "--folds", folds]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
+def test_cli_probe_non_integer_label_exit_3(probe_inputs, capsys):
+    emb, labels = probe_inputs
+    labels.write_text("0\nfoo\n")
+    assert cli.main(["probe", "--embeddings", str(emb), "--labels", str(labels)]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {labels}: ")
+
+
+def test_cli_probe_label_count_mismatch_exit_3(probe_inputs, capsys):
+    emb, labels = probe_inputs
+    labels.write_text("0\n1\n" * 5)
+    assert cli.main(["probe", "--embeddings", str(emb), "--labels", str(labels)]) == 3
+    assert capsys.readouterr().err == "data error: 10 labels for 20 samples\n"
+
+
+def test_cli_perturb_manifest_bad_rate_exit_2(pair, tmp_path, capsys):
+    clean, _ = pair
+    manifest = tmp_path / "man.csv"
+    manifest.write_text(f"{clean},value_noise,0.1,1\n{clean},value_noise,x,1\n")
+    argv = ["--out-dir", str(tmp_path / "out"), "perturb", "--manifest", str(manifest)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {manifest}:2: ")
+
+
+def test_cli_csv_non_numeric_field_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n3,x\n")
+    argv = ["--out-dir", str(tmp_path / "run"), "lipschitz", "--embeddings", str(bad)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {bad}:2: ")
+
+
+def test_cli_fasta_non_ascii_exit_3(tmp_path, capsys):
+    fasta = tmp_path / "w.fasta"
+    fasta.write_text(">a\nACéGT" + "ACGT" * 600 + "\n", encoding="utf-8")
+    argv = ["--out-dir", str(tmp_path / "run"), "walk", "--fasta", str(fasta)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "data error: symbol 'É' not in alphabet dna\n"

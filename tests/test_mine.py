@@ -6,10 +6,12 @@ from geotax.errors import SingleClassError
 from geotax.mine.estimator import (
     _run_single,
     dv_bound,
+    excess_mi_report,
     gaussian_mi,
     logmeanexp,
     mine_estimate,
     random_baseline,
+    sanity_suite,
     sanity_tolerance,
     zscore,
 )
@@ -209,6 +211,36 @@ def test_estimate_deterministic_per_seed():
     assert a.per_seed == b.per_seed
 
 
+# Exact outputs of tiny runs, pinned so that a refactor of the fan-out
+# cannot change a bit of any estimate, whatever the worker count.
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_excess_mi_report_pinned(workers):
+    rng = rng_create(SeedSpec(320, "pin-excess"))
+    x = rng.standard_normal(120)
+    z = np.column_stack([x + 0.5 * rng.standard_normal(120), rng.standard_normal(120)])
+    cfg = MLPConfig(hidden=(16,), epochs=3)
+    est = excess_mi_report(x, z, cfg, (1, 2), pca_dim=None, workers=workers)
+    assert est.per_seed == (-0.5353284033889595, -1.2581535209422365)
+    assert est.mean == -0.896740962165598
+    assert est.baseline == -0.9122695563244663
+    assert est.ceiling == -1.0582076466372419
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sanity_suite_pinned(workers):
+    cfg = MLPConfig(hidden=(16,), epochs=5)
+    cases = sanity_suite(n=64, seeds=(320,), cfg=cfg, workers=workers)
+    assert [(c.rho, c.estimate, c.std, c.passed) for c in cases] == [
+        (0.0, -0.7503306630709274, 0.0, False),
+        (0.3, -0.8446020522096682, 0.0, False),
+        (0.6, -0.8845915609057439, 0.0, False),
+        (0.9, -0.9289973437569288, 0.0, False),
+    ]
+    assert [c.true_mi for c in cases] == [gaussian_mi(c.rho) for c in cases]
+
+
 # -- probes ----------------------------------------------------------------------
 
 
@@ -241,6 +273,20 @@ def test_probe_deterministic():
     a = mlp_probe_cv(x, labels, "mlp", folds=3, seed=SeedSpec(55))
     b = mlp_probe_cv(x, labels, "mlp", folds=3, seed=SeedSpec(55))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "noise, linear, mlp",
+    [
+        (0.2, (0.5988065457577653, 0.07837156605737775), (1.0, 0.0)),
+        (0.8, (0.5416927246195539, 0.029508833993938024),
+         (0.7761673962893475, 0.06767425694333974)),
+    ],
+)
+def test_probes_pinned(noise, linear, mlp):
+    x, labels = xor_dataset(n=120, noise=noise)
+    assert frozen_head_classifier(x, labels, folds=3, seed=SeedSpec(55)) == linear
+    assert mlp_probe_cv(x, labels, "mlp", folds=3, seed=SeedSpec(55)) == mlp
 
 
 def test_probe_single_class():
