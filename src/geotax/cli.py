@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import __version__
 from .core.embedding import EmbeddingMatrix
 from .core.io import load_matrix, write_embeddings
 from .core.rng import SeedSpec, rng_create
-from .core.sequence import DNA, SymbolSequence
+from .core.sequence import DNA
 from .dynamics import (
     GlobalRange,
     Trajectory,
@@ -183,23 +184,20 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _read_range(path: Path) -> GlobalRange:
-    mat = load_matrix(path)
-    if mat.n != 2:
-        raise DataError(f"{path}: range file must hold exactly 2 rows (min, max)")
-    return GlobalRange(mat.data[0], mat.data[1])
-
-
 def _cmd_discretize(args) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    load = partial(load_matrix, csv_header=args.csv_header)
     if args.range_file:
-        grange = _read_range(args.range_file)
+        mat = load(args.range_file)
+        if mat.n != 2:
+            raise DataError(f"{args.range_file}: range file must hold exactly 2 rows (min, max)")
+        grange = GlobalRange(mat.data[0], mat.data[1])
     else:
-        trajs = [Trajectory(load_matrix(p).data, 1.0) for p in args.input]
+        trajs = [Trajectory(load(p).data, 1.0) for p in args.input]
         grange = fit_global_range(trajs)
     for path in args.input:
-        traj = Trajectory(load_matrix(path).data, 1.0)
+        traj = Trajectory(load(path).data, 1.0)
         seq = discretize(traj, grange, args.bins)
         target = out / (Path(path).stem + ".sym.csv")
         target.write_text(",".join(str(s) for s in seq.symbols) + "\n")
@@ -207,18 +205,17 @@ def _cmd_discretize(args) -> int:
     return EXIT_OK
 
 
-def _perturb_one(input_path: Path, kind: str, rate: float, magnitude: float,
-                 seed: int, output: Path) -> None:
-    spec = PerturbationSpec(kind, rate, magnitude, SeedSpec(seed, f"perturb/{kind}"))
+def _perturb_one(args, input_path: Path, kind: str, rate: float, seed: int,
+                 output: Path) -> None:
+    spec = PerturbationSpec(kind, rate, args.magnitude, SeedSpec(seed, f"perturb/{kind}"))
     if input_path.suffix in (".fa", ".fasta"):
-        records = parse_fasta(input_path)
-        out_records = []
-        for rec in records:
-            seq = SymbolSequence.from_string(rec.sequence.upper(), DNA)
-            out_records.append(FastaRecord(rec.header, apply_perturbation(seq, spec).to_string()))
+        out_records = [
+            FastaRecord(rec.header, apply_perturbation(rec.decode(DNA), spec).to_string())
+            for rec in parse_fasta(input_path)
+        ]
         write_fasta(out_records, output)
     else:
-        traj = Trajectory(load_matrix(input_path).data, 1.0)
+        traj = Trajectory(load_matrix(input_path, csv_header=args.csv_header).data, 1.0)
         result = apply_perturbation(traj, spec)
         write_embeddings(output, EmbeddingMatrix(result.values))
 
@@ -237,18 +234,18 @@ def _cmd_perturb(args) -> int:
             except ValueError:
                 raise ConfigError(f"{args.manifest}:{i + 1}: bad rate or seed") from None
             output = args.out_dir / f"{Path(path).stem}.{kind}.{i}{Path(path).suffix or '.emb1'}"
-            _perturb_one(Path(path), kind, rate, args.magnitude, seed, output)
+            _perturb_one(args, Path(path), kind, rate, seed, output)
         print(f"applied {len(lines)} manifest rows into {args.out_dir}")
         return EXIT_OK
     if not (args.input and args.kind and args.output):
         raise ConfigError("perturb needs --input/--kind/--output or --manifest")
-    _perturb_one(args.input, args.kind, args.rate, args.magnitude, args.seed, args.output)
+    _perturb_one(args, args.input, args.kind, args.rate, args.seed, args.output)
     print(f"wrote {args.output}")
     return EXIT_OK
 
 
 def _cmd_probe(args) -> int:
-    emb = load_matrix(args.embeddings)
+    emb = load_matrix(args.embeddings, csv_header=args.csv_header)
     try:
         labels = np.loadtxt(args.labels, delimiter=",", dtype=np.int64, ndmin=1)
     except ValueError as exc:

@@ -1,43 +1,1 @@
 """Shared numeric primitives: matrices, RNG, rank statistics, PCA, file I/O."""
-
-from .embedding import DistanceMatrix, EmbeddingMatrix, cosine_rdm, cross_distance_block
-from .io import (
-    load_matrix,
-    read_embeddings,
-    read_embeddings_csv,
-    write_embeddings,
-    write_embeddings_csv,
-)
-from .pca import PCAResult, pca_project
-from .parallel import ordered_map
-from .rng import DEFAULT_SEED, SeedSpec, fnv1a64, rng_create
-from .sequence import DNA, PROTEIN, Alphabet, SymbolSequence, bins_alphabet
-from .stats import pearson, rankdata, spearman, spearman_checked
-
-__all__ = [
-    "Alphabet",
-    "DEFAULT_SEED",
-    "DNA",
-    "DistanceMatrix",
-    "EmbeddingMatrix",
-    "PCAResult",
-    "PROTEIN",
-    "SeedSpec",
-    "SymbolSequence",
-    "bins_alphabet",
-    "cosine_rdm",
-    "cross_distance_block",
-    "fnv1a64",
-    "load_matrix",
-    "ordered_map",
-    "pca_project",
-    "pearson",
-    "rankdata",
-    "read_embeddings",
-    "read_embeddings_csv",
-    "rng_create",
-    "spearman",
-    "spearman_checked",
-    "write_embeddings",
-    "write_embeddings_csv",
-]

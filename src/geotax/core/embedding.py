@@ -102,33 +102,33 @@ class DistanceMatrix:
         return self.values
 
 
+def unit_rows(x) -> np.ndarray:
+    """The rows of ``x`` scaled to unit L2 norm.  Raises ``ZeroNormRowError``
+    on the first row with norm below 1e-300."""
+    data = as_array(x)
+    norms = np.linalg.norm(data, axis=1)
+    bad = np.nonzero(norms < ZERO_NORM_FLOOR)[0]
+    if bad.size:
+        raise ZeroNormRowError(int(bad[0]))
+    return data / norms[:, None]
+
+
 def cosine_rdm(x: EmbeddingMatrix | np.ndarray) -> DistanceMatrix:
     """Pairwise cosine-distance dissimilarity matrix, entries in [0, 2].
 
     entry(i, j) = 1 - <x_i, x_j> / (|x_i| |x_j|).  Raises
     ``ZeroNormRowError`` on rows with norm below 1e-300.
     """
-    data = as_array(x)
-    norms = np.linalg.norm(data, axis=1)
-    bad = np.nonzero(norms < ZERO_NORM_FLOOR)[0]
-    if bad.size:
-        raise ZeroNormRowError(int(bad[0]))
-    unit = data / norms[:, None]
+    unit = unit_rows(x)
     sim = unit @ unit.T
     np.clip(sim, -1.0, 1.0, out=sim)
-    n = data.shape[0]
+    n = unit.shape[0]
     iu = np.triu_indices(n, k=1)
     return DistanceMatrix(n, 1.0 - sim[iu])
 
 
 def cross_distance_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine distances from each row of ``a`` to each row of ``b`` (m x n)."""
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    for norms in (na, nb):
-        bad = np.nonzero(norms < ZERO_NORM_FLOOR)[0]
-        if bad.size:
-            raise ZeroNormRowError(int(bad[0]))
-    sim = (a / na[:, None]) @ (b / nb[:, None]).T
+    sim = unit_rows(a) @ unit_rows(b).T  # a is checked first
     np.clip(sim, -1.0, 1.0, out=sim)
     return 1.0 - sim

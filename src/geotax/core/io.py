@@ -2,7 +2,8 @@
 
 Binary "EMB1": magic bytes ``EMB1``, u32 little-endian n, u32 little-endian
 d, then n*d little-endian f32 values row-major, then a u8 label flag and,
-when the flag is 1, n u32 labels.  The binary round trip is bit-exact.
+when the flag is 1, n u32 labels.  The flag may be left out (no labels);
+bytes after the label block are an error.  The binary round trip is bit-exact.
 CSV stores 17 significant digits (exact for float64) with no header by
 default.
 """
@@ -59,8 +60,13 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
             if len(raw) < off + 4 * n:
                 raise TruncatedFileError(f"{path}: label block truncated")
             labels = np.frombuffer(raw, dtype="<u4", count=n, offset=off).astype(np.int64)
+            off += 4 * n
         elif flag != 0:
             raise DataError(f"{path}: bad label flag {flag}")
+        if len(raw) > off:
+            raise DimensionMismatchError(
+                f"{path}: {len(raw) - off} trailing bytes after the label block"
+            )
     return EmbeddingMatrix(data.astype(np.float64), labels)
 
 

@@ -1,4 +1,5 @@
-"""Discrete sequences over declared alphabets (DNA, protein, integer bins)."""
+"""Discrete sequences over declared alphabets (DNA, protein, integer bins)
+and their exact sliding-window k-mer counts."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import BadBaseError, BadResidueError
+from ..errors import BadBaseError, BadResidueError, DataError
 
 DNA_LETTERS = "ACGT"
 PROTEIN_LETTERS = "ACDEFGHIKLMNPQRSTVWY"
@@ -23,6 +24,11 @@ class Alphabet:
     def __post_init__(self):
         if self.letters is not None and len(self.letters) != self.size:
             raise ValueError("letters length must equal size")
+
+    def error(self, message: str) -> DataError:
+        """The error for input outside this alphabet: ``BadResidueError``
+        for protein, ``BadBaseError`` for every other alphabet."""
+        return (BadResidueError if self.name == "protein" else BadBaseError)(message)
 
 
 DNA = Alphabet("dna", 4, DNA_LETTERS)
@@ -65,9 +71,14 @@ class SymbolSequence:
         idx = lut[codes]
         if (idx < 0).any():
             bad = text[int(np.argmax(idx < 0))]
-            err = BadResidueError if alphabet.name == "protein" else BadBaseError
-            raise err(f"symbol {bad!r} not in alphabet {alphabet.name}")
+            raise alphabet.error(f"symbol {bad!r} not in alphabet {alphabet.name}")
         return cls(idx, alphabet)
+
+    def require(self, alphabet: Alphabet, message: str) -> None:
+        """Raise ``alphabet``'s error with ``message`` unless this sequence
+        is over ``alphabet``."""
+        if self.alphabet.name != alphabet.name:
+            raise alphabet.error(message)
 
     def to_string(self) -> str:
         if self.alphabet.letters is None:
@@ -76,3 +87,31 @@ class SymbolSequence:
 
     def replace(self, symbols: np.ndarray) -> "SymbolSequence":
         return SymbolSequence(symbols, self.alphabet, dict(self.meta))
+
+
+@dataclass(frozen=True)
+class KmerHistogram:
+    """Exact sliding-window k-mer counts, ranked lexicographically (A<C<G<T)."""
+
+    k: int
+    counts: np.ndarray
+    total: int
+
+    def frequencies(self) -> np.ndarray:
+        return self.counts / max(self.total, 1)
+
+
+def kmer_ranks(seq: SymbolSequence, k: int) -> np.ndarray:
+    idx = seq.symbols
+    if idx.size < k:
+        raise DataError(f"sequence shorter than k={k}")
+    size = seq.alphabet.size
+    ranks = np.zeros(idx.size - k + 1, dtype=np.int64)
+    for j in range(k):
+        ranks = ranks * size + idx[j : idx.size - k + 1 + j]
+    return ranks
+
+
+def kmer_histogram(seq: SymbolSequence, k: int) -> KmerHistogram:
+    counts = np.bincount(kmer_ranks(seq, k), minlength=seq.alphabet.size**k)
+    return KmerHistogram(k, counts, len(seq) - k + 1)

@@ -1,30 +1,2 @@
 """Data ingestion: FASTA parsing, genome REST client with caching,
 flat key=value configuration, and the deterministic result cache."""
-
-from .cache import ENV_CACHE_DIR, ResultCache, cache_key, canonical_key_string, default_cache_dir
-from .config import Config
-from .fasta import FastaRecord, parse_fasta, write_fasta
-from .fetch import (
-    FetchSpec,
-    RecordingTransport,
-    fetch_genome,
-    sample_windows,
-    synthetic_sequence,
-)
-
-__all__ = [
-    "Config",
-    "ENV_CACHE_DIR",
-    "FastaRecord",
-    "FetchSpec",
-    "RecordingTransport",
-    "ResultCache",
-    "cache_key",
-    "canonical_key_string",
-    "default_cache_dir",
-    "fetch_genome",
-    "parse_fasta",
-    "sample_windows",
-    "synthetic_sequence",
-    "write_fasta",
-]

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..core.sequence import Alphabet, SymbolSequence
 from ..errors import MalformedHeaderError, MalformedRecordError
 
 
@@ -13,6 +14,10 @@ from ..errors import MalformedHeaderError, MalformedRecordError
 class FastaRecord:
     header: str     # text after '>', without the newline
     sequence: str
+
+    def decode(self, alphabet: Alphabet) -> SymbolSequence:
+        """The sequence, upper-cased, as symbols over ``alphabet``."""
+        return SymbolSequence.from_string(self.sequence.upper(), alphabet)
 
 
 def parse_fasta(path: str | Path) -> list[FastaRecord]:
@@ -28,23 +33,26 @@ def parse_fasta(path: str | Path) -> list[FastaRecord]:
             raise MalformedRecordError(f"record {header!r} has an empty sequence")
         records.append(FastaRecord(header, seq))
 
-    with open(path, "r", newline=None) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            if line.startswith(">"):
-                flush()
-                header = line[1:].strip()
-                if not header:
-                    raise MalformedHeaderError(f"{path}:{lineno}: empty header")
-                chunks = []
-            else:
-                if header is None:
-                    raise MalformedHeaderError(
-                        f"{path}:{lineno}: sequence data before any header"
-                    )
-                chunks.append(line.strip())
+    try:
+        with open(path, "r", encoding="utf-8", newline=None) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                if line.startswith(">"):
+                    flush()
+                    header = line[1:].strip()
+                    if not header:
+                        raise MalformedHeaderError(f"{path}:{lineno}: empty header")
+                    chunks = []
+                else:
+                    if header is None:
+                        raise MalformedHeaderError(
+                            f"{path}:{lineno}: sequence data before any header"
+                        )
+                    chunks.append(line.strip())
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(f"{path}: not UTF-8 text ({exc.reason})") from None
     flush()
     if not records:
         raise MalformedRecordError(f"{path}: no FASTA records")

@@ -1,59 +1,2 @@
 """Mutual information estimation stack: MLP engine, DV-bound estimator,
 bias correction, ceiling calibration, sanity checks, and nonlinear probes."""
-
-from .estimator import (
-    DEFAULT_SEEDS,
-    MIEstimate,
-    MIRun,
-    SanityCase,
-    ceiling_calibration,
-    dv_bound,
-    excess_mi_report,
-    gaussian_mi,
-    logmeanexp,
-    mine_estimate,
-    random_baseline,
-    sanity_suite,
-    sanity_tolerance,
-    zscore,
-)
-from .features import (
-    DNA_FEATURE_DIM,
-    KYTE_DOOLITTLE,
-    PROTEIN_FEATURE_DIM,
-    dna_features,
-    protein_features,
-)
-from .mlp import MLP, Adam, MLPConfig, clip_gradient, mlp_train_regression, train_binary_classifier
-from .probes import PROBE_ARCHS, mlp_probe_cv, probe_config
-
-__all__ = [
-    "Adam",
-    "DEFAULT_SEEDS",
-    "DNA_FEATURE_DIM",
-    "KYTE_DOOLITTLE",
-    "MIEstimate",
-    "MIRun",
-    "MLP",
-    "MLPConfig",
-    "PROBE_ARCHS",
-    "PROTEIN_FEATURE_DIM",
-    "SanityCase",
-    "ceiling_calibration",
-    "clip_gradient",
-    "dna_features",
-    "dv_bound",
-    "excess_mi_report",
-    "gaussian_mi",
-    "logmeanexp",
-    "mine_estimate",
-    "mlp_probe_cv",
-    "mlp_train_regression",
-    "probe_config",
-    "protein_features",
-    "random_baseline",
-    "sanity_suite",
-    "sanity_tolerance",
-    "train_binary_classifier",
-    "zscore",
-]

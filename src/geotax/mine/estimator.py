@@ -20,7 +20,7 @@ from ..core.embedding import as_columns
 from ..core.parallel import ordered_map
 from ..core.pca import pca_project
 from ..core.rng import SeedSpec, rng_create
-from ..errors import DataError, NonFiniteLossError
+from ..errors import ConfigError, DataError, NonFiniteLossError
 from .mlp import MLP, Adam, MLPConfig, clip_gradient
 
 DEFAULT_SEEDS = (320, 420, 520, 620, 720)
@@ -221,17 +221,6 @@ def random_baseline(
     return _estimates([_baseline_tasks(x, d, cfg, seeds)], workers)[0]
 
 
-def ceiling_calibration(
-    x,
-    noise_sigma: float = 0.1,
-    cfg: MLPConfig = MLPConfig(),
-    seeds: tuple = DEFAULT_SEEDS,
-    workers: int = 1,
-) -> MIEstimate:
-    """MINE of X against X + N(0, sigma^2 I): the recoverable maximum."""
-    return _estimates([_ceiling_tasks(x, noise_sigma, cfg, seeds)], workers)[0]
-
-
 def excess_mi_report(
     x,
     z,
@@ -289,6 +278,8 @@ def sanity_suite(
 
     Passes when |estimate - I| < max(0.15, 0.3 I) for every rho.
     """
+    if n < 2:
+        raise ConfigError(f"sanity suite needs n >= 2 samples to train on, got {n}")
     groups = []
     for rho in rhos:
         rng = rng_create(SeedSpec(data_seed, f"sanity-data/{rho}"))

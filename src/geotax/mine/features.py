@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.sequence import DNA, PROTEIN, PROTEIN_LETTERS, SymbolSequence
-from ..errors import BadBaseError, BadResidueError, DataError
+from ..core.sequence import DNA, PROTEIN, PROTEIN_LETTERS, SymbolSequence, kmer_histogram
+from ..errors import DataError
+from ..ingest.fasta import parse_fasta
 
 # Kyte & Doolittle hydropathy index, standard published scale.
 KYTE_DOOLITTLE = {
@@ -22,41 +23,28 @@ KYTE_DOOLITTLE = {
 }
 _KD_VECTOR = np.array([KYTE_DOOLITTLE[a] for a in PROTEIN_LETTERS])
 
-DNA_FEATURE_DIM = 17
-PROTEIN_FEATURE_DIM = 25
-
-
-def _dna_indices(seq: SymbolSequence | str) -> np.ndarray:
-    if isinstance(seq, str):
-        seq = SymbolSequence.from_string(seq, DNA)
-    if seq.alphabet.name != "dna":
-        raise BadBaseError("DNA features need the DNA alphabet")
-    return seq.symbols
-
 
 def dna_features(seq: SymbolSequence | str) -> np.ndarray:
     """17-vector: GC content then dinucleotide frequencies in AA..TT order."""
-    idx = _dna_indices(seq)
+    if isinstance(seq, str):
+        seq = SymbolSequence.from_string(seq, DNA)
+    seq.require(DNA, "DNA features need the DNA alphabet")
+    idx = seq.symbols
     n = idx.size
     if n < 2:
         raise DataError("need at least 2 bases")
     gc = float(((idx == 1) | (idx == 2)).mean())  # C or G
-    pair_rank = idx[:-1] * 4 + idx[1:]
-    counts = np.bincount(pair_rank, minlength=16).astype(np.float64)
+    counts = kmer_histogram(seq, 2).counts.astype(np.float64)
     return np.concatenate([[gc], counts / (n - 1)])
 
 
 def features_from_fasta(path, kind: str = "dna", species: int = 0) -> np.ndarray:
     """Compositional feature matrix for every record in a FASTA file."""
-    from ..ingest.fasta import parse_fasta
-
     records = parse_fasta(path)
     if kind == "dna":
-        return np.vstack([dna_features(r.sequence.upper()) for r in records])
+        return np.vstack([dna_features(r.decode(DNA)) for r in records])
     if kind == "protein":
-        return np.vstack(
-            [protein_features(r.sequence.upper(), species) for r in records]
-        )
+        return np.vstack([protein_features(r.decode(PROTEIN), species) for r in records])
     raise DataError(f"unknown feature kind {kind!r}")
 
 
@@ -64,8 +52,7 @@ def protein_features(seq: SymbolSequence | str, species: int = 0) -> np.ndarray:
     """25-vector of compositional protein features (see module docstring)."""
     if isinstance(seq, str):
         seq = SymbolSequence.from_string(seq, PROTEIN)
-    if seq.alphabet.name != "protein":
-        raise BadResidueError("protein features need the protein alphabet")
+    seq.require(PROTEIN, "protein features need the protein alphabet")
     if species not in (0, 1):
         raise DataError("species indicator must be 0 or 1")
     idx = seq.symbols

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.embedding import as_columns
 from ..core.rng import SeedSpec, rng_create
-from ..errors import DataError, NonFiniteLossError
+from ..errors import ConfigError, DataError, NonFiniteLossError
 from ..procrustes import sigmoid
 
 
@@ -33,9 +33,13 @@ class MLPConfig:
 
     def __post_init__(self):
         if not all(w >= 1 for w in self.hidden):
-            raise DataError("hidden widths must be >= 1")
+            raise ConfigError("hidden widths must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
-            raise DataError("dropout must lie in [0, 1)")
+            raise ConfigError("dropout must lie in [0, 1)")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 class MLP:

@@ -16,14 +16,7 @@ import numpy as np
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
 from .dynamics import GlobalRange, Trajectory
-from .errors import (
-    AlphabetTooSmallError,
-    BadBaseError,
-    DataError,
-    TargetTooShortError,
-)
-
-STANDARD_RATES = (0.01, 0.02, 0.05, 0.10)
+from .errors import AlphabetTooSmallError, DataError, TargetTooShortError
 
 
 @dataclass(frozen=True)
@@ -117,15 +110,13 @@ _DNA_COMPLEMENT = np.array([3, 2, 1, 0], dtype=np.int64)  # A<->T, C<->G
 
 
 def complement(seq: SymbolSequence) -> SymbolSequence:
-    if seq.alphabet.name != "dna":
-        raise BadBaseError("complement defined for the DNA alphabet only")
+    seq.require(DNA, "complement defined for the DNA alphabet only")
     return seq.replace(_DNA_COMPLEMENT[seq.symbols])
 
 
 def reverse_complement(seq: SymbolSequence) -> SymbolSequence:
     """Reverse order then complement each base; an involution."""
-    if seq.alphabet.name != "dna":
-        raise BadBaseError("reverse complement defined for the DNA alphabet only")
+    seq.require(DNA, "reverse complement defined for the DNA alphabet only")
     return seq.replace(_DNA_COMPLEMENT[seq.symbols[::-1]])
 
 

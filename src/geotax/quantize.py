@@ -129,6 +129,7 @@ def kmeans_fit(
                 far = int(np.argmax(d2[np.arange(n), assign]))
                 centroids[j] = points[far]
                 assign[far] = j
+        del d2  # free before the next distance matrix is computed
         if prev_inertia < np.inf and prev_inertia > 0:
             if abs(prev_inertia - inertia) / prev_inertia < KMEANS_REL_TOL:
                 break

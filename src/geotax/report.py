@@ -10,6 +10,7 @@ timestamps for exactly that reason.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +185,7 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
     if mode == "mutation":
         fasta = cfg.get("walk.fasta")
         if fasta:
-            wt = SymbolSequence.from_string(parse_fasta(fasta)[0].sequence.upper(), DNA)
+            wt = parse_fasta(fasta)[0].decode(DNA)
         else:
             length = cfg.get_int("walk.length", 2000)
             wt = SymbolSequence(
@@ -285,17 +286,7 @@ def _run_mine_sanity(cfg: Config, seed: int, out: Path) -> dict:
         )
     (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
     return {
-        "cases": [
-            {
-                "rho": c.rho,
-                "true_mi": c.true_mi,
-                "estimate": c.estimate,
-                "std": c.std,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-            }
-            for c in cases
-        ],
+        "cases": [asdict(c) for c in cases],
         "all_passed": all(c.passed for c in cases),
     }
 
@@ -303,9 +294,7 @@ def _run_mine_sanity(cfg: Config, seed: int, out: Path) -> dict:
 def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
     fasta = cfg.get("texture.fasta")
     if fasta:
-        corpus = [
-            SymbolSequence.from_string(rec.sequence.upper(), DNA) for rec in parse_fasta(fasta)
-        ]
+        corpus = [rec.decode(DNA) for rec in parse_fasta(fasta)]
     else:
         corpus = heterogeneous_corpus(
             cfg.get_int("texture.n", 200),
@@ -319,17 +308,7 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
     for r in rows:
         csv_lines.append(f"{r.condition},{r.rc_rdm:.6f},{r.rc_composite:.6f},{r.recovery:.6f}")
     (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
-    return {
-        "conditions": [
-            {
-                "condition": r.condition,
-                "rc_rdm": r.rc_rdm,
-                "rc_composite": r.rc_composite,
-                "recovery": r.recovery,
-            }
-            for r in rows
-        ]
-    }
+    return {"conditions": [asdict(r) for r in rows]}
 
 
 def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:

@@ -13,7 +13,7 @@ bootstrap means with full provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -214,12 +214,7 @@ class StabilityReport:
     provenance: dict = field(compare=False, default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "metrics": dict(self.metrics),
-            "bootstrap_std": dict(self.bootstrap_std),
-            "composite": self.composite,
-            "provenance": dict(self.provenance),
-        }
+        return asdict(self)
 
 
 def _stratified_subsample(

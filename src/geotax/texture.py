@@ -1,6 +1,6 @@
-"""Sequence-texture controls: k-mer histograms, dinucleotide-preserving
-shuffles, first-order Markov generation, forward/RC composition checks,
-and the recovery-fraction statistic.
+"""Sequence-texture controls: dinucleotide-preserving shuffles,
+first-order Markov generation, forward/RC k-mer composition checks, and
+the recovery-fraction statistic.
 
 The four-condition experiment these support: real sequences, uniform
 random, population-texture-matched Markov, and per-sequence
@@ -15,37 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core.rng import SeedSpec, rng_create
-from .core.sequence import DNA, SymbolSequence
-from .errors import BadBaseError, DataError, DegenerateGapError
+from .core.sequence import DNA, SymbolSequence, kmer_histogram
+from .errors import DataError, DegenerateGapError
 from .perturb import reverse_complement
-
-
-@dataclass(frozen=True)
-class KmerHistogram:
-    """Exact sliding-window k-mer counts, ranked lexicographically (A<C<G<T)."""
-
-    k: int
-    counts: np.ndarray
-    total: int
-
-    def frequencies(self) -> np.ndarray:
-        return self.counts / max(self.total, 1)
-
-
-def kmer_ranks(seq: SymbolSequence, k: int) -> np.ndarray:
-    idx = seq.symbols
-    if idx.size < k:
-        raise DataError(f"sequence shorter than k={k}")
-    size = seq.alphabet.size
-    ranks = np.zeros(idx.size - k + 1, dtype=np.int64)
-    for j in range(k):
-        ranks = ranks * size + idx[j : idx.size - k + 1 + j]
-    return ranks
-
-
-def kmer_histogram(seq: SymbolSequence, k: int) -> KmerHistogram:
-    counts = np.bincount(kmer_ranks(seq, k), minlength=seq.alphabet.size**k)
-    return KmerHistogram(k, counts, len(seq) - k + 1)
 
 
 def rc_permutation(k: int) -> np.ndarray:
@@ -69,8 +41,7 @@ def dinucleotide_shuffle(seq: SymbolSequence, seed: SeedSpec | int = SeedSpec())
     shuffled, which guarantees the Eulerian walk completes (the input
     itself is a witness that a path exists).
     """
-    if seq.alphabet.name != "dna":
-        raise BadBaseError("dinucleotide shuffle is defined over the DNA alphabet")
+    seq.require(DNA, "dinucleotide shuffle is defined over the DNA alphabet")
     n = len(seq)
     if n < 2:
         raise DataError("need length >= 2")
@@ -130,12 +101,10 @@ def fit_markov(sequences) -> MarkovModel:
     base_counts = np.zeros(4)
     pair_counts = np.zeros((4, 4))
     for seq in sequences:
-        if seq.alphabet.name != "dna":
-            raise BadBaseError("markov fit is defined over the DNA alphabet")
-        idx = seq.symbols
-        base_counts += np.bincount(idx, minlength=4)
-        if idx.size >= 2:
-            np.add.at(pair_counts, (idx[:-1], idx[1:]), 1.0)
+        seq.require(DNA, "markov fit is defined over the DNA alphabet")
+        base_counts += np.bincount(seq.symbols, minlength=4)
+        if len(seq) >= 2:
+            pair_counts += kmer_histogram(seq, 2).counts.reshape(4, 4)
     if base_counts.sum() == 0:
         raise DataError("corpus has no symbols")
     initial = base_counts / base_counts.sum()

@@ -12,17 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core.embedding import EmbeddingMatrix, ZERO_NORM_FLOOR, as_array
+from .core.embedding import EmbeddingMatrix, as_array, unit_rows
 from .core.pca import PCAResult, pca_project
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
 from .dynamics import GlobalRange, Trajectory, discretize
 from .errors import (
+    ConfigError,
     DataError,
     LengthMismatchError,
     RegionTooSmallError,
     TooShortError,
-    ZeroNormRowError,
 )
 
 
@@ -84,8 +84,9 @@ def build_mutation_walk(
     step in a seed-shuffled order, and the landmark's step index recorded.
     Consecutive steps differ at exactly one position.
     """
-    if wildtype.alphabet.name != "dna":
-        raise DataError("mutation walks are defined over the DNA alphabet")
+    if n_mutations < 0:
+        raise ConfigError(f"mutation count must be >= 0, got {n_mutations}")
+    wildtype.require(DNA, "mutation walks are defined over the DNA alphabet")
     lo, hi = core_region
     if not (0 <= lo < hi <= len(wildtype)):
         raise RegionTooSmallError("core region outside sequence")
@@ -186,12 +187,7 @@ def lipschitz_cosine(embeddings) -> LipschitzProfile:
 
     ``from_start`` carries the cumulative cosine drift from step 0.
     """
-    e = _rows(embeddings)
-    norms = np.linalg.norm(e, axis=1)
-    bad = np.nonzero(norms < ZERO_NORM_FLOOR)[0]
-    if bad.size:
-        raise ZeroNormRowError(int(bad[0]))
-    unit = e / norms[:, None]
+    unit = unit_rows(_rows(embeddings))
     values = 1.0 - np.clip((unit[1:] * unit[:-1]).sum(axis=1), -1.0, 1.0)
     from_start = 1.0 - np.clip(unit @ unit[0], -1.0, 1.0)
     return _summarize(values, "cosine", from_start)

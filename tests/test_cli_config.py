@@ -11,7 +11,7 @@ import pytest
 
 import geotax.cli as cli
 from geotax.core.embedding import EmbeddingMatrix
-from geotax.core.io import write_embeddings
+from geotax.core.io import write_embeddings, write_embeddings_csv
 from geotax.core.rng import SeedSpec, rng_create
 
 CONFIG_CASES = {
@@ -235,3 +235,91 @@ def test_cli_fasta_non_ascii_exit_3(tmp_path, capsys):
     argv = ["--out-dir", str(tmp_path / "run"), "walk", "--fasta", str(fasta)]
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == "data error: symbol 'É' not in alphabet dna\n"
+
+
+UNTRAINABLE = {
+    "mine-zero-epochs": ["mine", "--seeds", "1", "--epochs", "0"],
+    "mine-sanity-one-sample": ["mine-sanity", "--n", "1"],
+    "mine-sanity-no-samples": ["mine-sanity", "--n", "0"],
+    "walk-negative-mutations": ["walk", "--length", "100", "--n-mutations", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNTRAINABLE))
+def test_cli_settings_that_cannot_train_or_walk_exit_2(case, pair, tmp_path, capsys):
+    argv = list(UNTRAINABLE[case])
+    if argv[0] == "mine":
+        clean, pert = pair
+        argv += ["--features", str(clean), "--embeddings", str(pert)]
+    run = tmp_path / "run"
+    assert cli.main(["--out-dir", str(run), *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (run / "report.json").exists()
+
+
+def test_cli_fasta_not_utf8_exit_3(tmp_path, capsys):
+    fasta = tmp_path / "latin.fasta"
+    fasta.write_bytes(b">a\nAC\xe9GT\n")
+    argv = ["--out-dir", str(tmp_path / "run"), "walk", "--fasta", str(fasta)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {fasta}: not UTF-8 text")
+
+
+def test_cli_emb1_trailing_bytes_exit_3(pair, tmp_path, capsys):
+    clean, _ = pair
+    clean.write_bytes(clean.read_bytes() + b"junk")
+    argv = ["--out-dir", str(tmp_path / "run"), "lipschitz", "--embeddings", str(clean)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {clean}: 4 trailing bytes after the label block\n"
+    )
+
+
+@pytest.fixture
+def csv_pair(tmp_path):
+    """The same matrix as a plain CSV and as a CSV with a header line."""
+    rng = rng_create(SeedSpec(320, "cli-csv-header"))
+    x = rng.standard_normal((20, 3))
+    plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
+    write_embeddings_csv(plain, EmbeddingMatrix(x))
+    headed.write_text("a,b,c\n" + plain.read_text())
+    return x, plain, headed
+
+
+def test_cli_csv_header_reaches_probe(csv_pair, tmp_path, capsys):
+    x, plain, headed = csv_pair
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(f"{int(v > 0)}\n" for v in x[:, 0]))
+    outs = []
+    for flags, path in (([], plain), (["--csv-header"], headed)):
+        argv = [*flags, "probe", "--embeddings", str(path), "--labels", str(labels)]
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_cli_csv_header_reaches_discretize_and_perturb(csv_pair, tmp_path):
+    x, plain, headed = csv_pair
+    range_plain, range_headed = tmp_path / "range.csv", tmp_path / "range_h.csv"
+    write_embeddings_csv(range_plain, EmbeddingMatrix(np.vstack([x.min(0), x.max(0)])))
+    range_headed.write_text("lo,hi,mid\n" + range_plain.read_text())
+    written = []
+    for flags, path, grange in (
+        ([], plain, range_plain),
+        (["--csv-header"], headed, range_headed),
+    ):
+        runs = {
+            "fit": ["discretize", "--input", str(path)],
+            "range": ["discretize", "--input", str(path), "--range", str(grange)],
+            "perturb": ["perturb", "--input", str(path), "--kind", "value_noise",
+                        "--output", str(tmp_path / f"{path.stem}.noisy.emb1")],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / f"{path.stem}-{name}"
+            assert cli.main([*flags, "--out-dir", str(out), *argv]) == 0
+        written.append([
+            (tmp_path / f"{path.stem}-fit" / f"{path.stem}.sym.csv").read_bytes(),
+            (tmp_path / f"{path.stem}-range" / f"{path.stem}.sym.csv").read_bytes(),
+            (tmp_path / f"{path.stem}.noisy.emb1").read_bytes(),
+        ])
+    assert written[0] == written[1]

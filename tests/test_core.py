@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geotax.core.embedding import EmbeddingMatrix, cosine_rdm
+from geotax.core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_block, unit_rows
 from geotax.core.io import (
     read_embeddings,
     read_embeddings_csv,
@@ -15,9 +15,13 @@ from geotax.core.io import (
 )
 from geotax.core.pca import pca_project
 from geotax.core.rng import SeedSpec, rng_create
+from geotax.core.sequence import DNA, PROTEIN, SymbolSequence
 from geotax.core.stats import rankdata, spearman, spearman_checked
 from geotax.errors import (
+    BadBaseError,
     BadMagicError,
+    BadResidueError,
+    DimensionMismatchError,
     RankDeficientError,
     TruncatedFileError,
     ZeroNormRowError,
@@ -51,6 +55,24 @@ def spearman_oracle(a, b):
 
 
 # -- cosine RDM ----------------------------------------------------------
+
+
+def test_unit_rows_scales_to_unit_norm(rng):
+    x = rng.standard_normal((5, 3))
+    unit = unit_rows(EmbeddingMatrix(x))
+    assert np.allclose(np.linalg.norm(unit, axis=1), 1.0)
+    assert (unit == x / np.linalg.norm(x, axis=1)[:, None]).all()
+
+
+def test_cross_distance_block_reports_first_bad_row_of_a_first():
+    a = np.array([[1.0, 0.0], [0.0, 0.0]])
+    b = np.array([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ZeroNormRowError) as err:
+        cross_distance_block(a, b)
+    assert err.value.row == 1
+    with pytest.raises(ZeroNormRowError) as err:
+        cross_distance_block(a[:1], b)
+    assert err.value.row == 0
 
 
 def test_cosine_rdm_identity_orthogonal_antipodal():
@@ -243,6 +265,24 @@ def test_emb1_truncated(tmp_path, rng):
         read_embeddings(path)
 
 
+@pytest.mark.parametrize("labels", [None, np.array([0, 1, 1])])
+def test_emb1_trailing_bytes_rejected(tmp_path, rng, labels):
+    path = tmp_path / "m.emb1"
+    write_embeddings(path, EmbeddingMatrix(rng.standard_normal((3, 2)), labels))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(DimensionMismatchError, match="1 trailing bytes"):
+        read_embeddings(path)
+
+
+def test_emb1_without_label_flag_accepted(tmp_path, rng):
+    x = EmbeddingMatrix(rng.standard_normal((3, 2)).astype(np.float32).astype(np.float64))
+    path = tmp_path / "m.emb1"
+    write_embeddings(path, x)
+    path.write_bytes(path.read_bytes()[:-1])  # drop the label flag
+    back = read_embeddings(path)
+    assert (back.data == x.data).all() and back.labels is None
+
+
 def test_emb1_bad_magic(tmp_path):
     path = tmp_path / "m.emb1"
     path.write_bytes(b"NOPE" + b"\0" * 16)
@@ -264,3 +304,18 @@ def test_csv_header_skip(tmp_path):
     back = read_embeddings_csv(path, header=True)
     assert back.n == 2 and back.d == 2
     assert back.data[1, 1] == 4.0
+
+
+# -- sequences -----------------------------------------------------------
+
+
+def test_require_raises_the_required_alphabets_error():
+    dna = SymbolSequence.from_string("ACGT", DNA)
+    protein = SymbolSequence.from_string("ACDK", PROTEIN)
+    dna.require(DNA, "unused")
+    with pytest.raises(BadBaseError, match="needs DNA"):
+        protein.require(DNA, "needs DNA")
+    with pytest.raises(BadResidueError, match="needs protein"):
+        dna.require(PROTEIN, "needs protein")
+    with pytest.raises(BadResidueError, match="symbol 'B' not in alphabet protein"):
+        SymbolSequence.from_string("ACB", PROTEIN)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from geotax.core.rng import SeedSpec
+from geotax.core.sequence import DNA, PROTEIN
 from geotax.errors import (
+    BadBaseError,
     ConfigError,
     HttpError,
     MalformedHeaderError,
@@ -65,6 +67,21 @@ def test_fasta_data_before_header(tmp_path):
     path.write_text("ACGT\n>rec\nACGT\n")
     with pytest.raises(MalformedHeaderError):
         parse_fasta(path)
+
+
+def test_fasta_non_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin.fasta"
+    path.write_bytes(b">a\nAC\xe9GT\n")
+    with pytest.raises(MalformedRecordError, match=f"{path}: not UTF-8 text"):
+        parse_fasta(path)
+
+
+def test_fasta_record_decode_upper_cases():
+    rec = FastaRecord("r", "acgT")
+    assert rec.decode(DNA).to_string() == "ACGT"
+    assert FastaRecord("p", "mkwv").decode(PROTEIN).to_string() == "MKWV"
+    with pytest.raises(BadBaseError, match="symbol 'N' not in alphabet dna"):
+        FastaRecord("r", "acgtn").decode(DNA)
 
 
 # -- cache --------------------------------------------------------------------

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from geotax.core.rng import SeedSpec, rng_create
-from geotax.errors import SingleClassError
+from geotax.core.sequence import DNA, PROTEIN, SymbolSequence
+from geotax.errors import BadBaseError, BadResidueError, ConfigError, SingleClassError
 from geotax.mine.estimator import (
     _run_single,
     dv_bound,
@@ -72,6 +73,22 @@ def central_difference_check(net, loss_fn, n_probes=10, h=1e-6, seed=0):
         rel = abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]), 1e-8)
         worst = max(worst, rel)
     return worst
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"hidden": (0,)}, {"dropout": 1.0}, {"epochs": 0}, {"batch_size": 0}],
+    ids=["hidden", "dropout", "epochs", "batch_size"],
+)
+def test_mlp_config_rejects_untrainable_settings(kwargs):
+    with pytest.raises(ConfigError):
+        MLPConfig(**kwargs)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_sanity_suite_rejects_fewer_than_2_samples(n):
+    with pytest.raises(ConfigError):
+        sanity_suite(n=n, seeds=(1,))
 
 
 @pytest.mark.parametrize("hidden", GRADCHECK_ARCHS)
@@ -306,6 +323,21 @@ def test_dna_features_gc_and_dinucleotides():
     expected[[1, 6, 11]] = 1 / 3  # AC, CG, GT
     assert np.allclose(feats[1:], expected)
     assert feats.shape == (17,)
+
+
+def test_dna_features_match_pair_rank_oracle(rng):
+    idx = rng.integers(0, 4, 301)
+    pairs = np.bincount(idx[:-1] * 4 + idx[1:], minlength=16) / 300
+    gc = ((idx == 1) | (idx == 2)).mean()
+    feats = dna_features(SymbolSequence(idx, DNA))
+    assert (feats == np.concatenate([[gc], pairs])).all()
+
+
+def test_features_reject_the_wrong_alphabet():
+    with pytest.raises(BadBaseError):
+        dna_features(SymbolSequence.from_string("ACDK", PROTEIN))
+    with pytest.raises(BadResidueError):
+        protein_features(SymbolSequence.from_string("ACGT", DNA))
 
 
 def test_protein_features_poly_lysine():

@@ -99,6 +99,19 @@ def test_fit_markov_alternating_corpus():
     assert model.transitions[1, 0] == pytest.approx(1.0)
 
 
+def test_fit_markov_pair_counts_match_scatter_add_oracle(rng):
+    corpus = [random_dna(rng, n) for n in (1, 2, 7, 300)]
+    pairs = np.zeros((4, 4))
+    bases = np.zeros(4)
+    for seq in corpus:
+        idx = seq.symbols
+        bases += np.bincount(idx, minlength=4)
+        np.add.at(pairs, (idx[:-1], idx[1:]), 1.0)
+    model = fit_markov(corpus)
+    assert (model.initial == bases / bases.sum()).all()
+    assert (model.transitions == pairs / pairs.sum(axis=1)[:, None]).all()
+
+
 def test_markov_refit_recovers_transitions():
     # law-of-large-numbers oracle: refit on generated output approaches the
     # generating transition matrix entrywise

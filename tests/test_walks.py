@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from geotax.core.rng import SeedSpec
-from geotax.core.sequence import DNA, SymbolSequence
+from geotax.core.sequence import DNA, PROTEIN, SymbolSequence
 from geotax.dynamics import GlobalRange, Trajectory, discretize
-from geotax.errors import RankDeficientError, RegionTooSmallError, TooShortError
+from geotax.errors import (
+    BadBaseError,
+    ConfigError,
+    RankDeficientError,
+    RegionTooSmallError,
+    TooShortError,
+)
 from geotax.walks import (
     build_interpolation_walk,
     build_mutation_walk,
@@ -95,6 +101,17 @@ def test_mutation_walk_region_too_small(rng):
     wt = wildtype(rng, 100)
     with pytest.raises(RegionTooSmallError):
         build_mutation_walk(wt, 50, (10, 30), SeedSpec(1))
+
+
+def test_mutation_walk_rejects_negative_count(rng):
+    with pytest.raises(ConfigError):
+        build_mutation_walk(wildtype(rng, 100), -1, (10, 90), SeedSpec(1))
+
+
+def test_mutation_walk_needs_dna():
+    protein = SymbolSequence.from_string("ACDEFGHIKL" * 10, PROTEIN)
+    with pytest.raises(BadBaseError):
+        build_mutation_walk(protein, 1, (10, 90), SeedSpec(1))
 
 
 # -- lipschitz profiles ----------------------------------------------------------
