@@ -247,7 +247,8 @@ def _cmd_perturb(args) -> int:
 def _cmd_probe(args) -> int:
     emb = load_matrix(args.embeddings, csv_header=args.csv_header)
     try:
-        labels = np.loadtxt(args.labels, delimiter=",", dtype=np.int64, ndmin=1)
+        labels = np.loadtxt(args.labels, delimiter=",", dtype=np.int64, ndmin=1,
+                            skiprows=int(args.csv_header))
     except ValueError as exc:
         raise DataError(f"{args.labels}: labels must be integers ({exc})") from None
     if args.arch == "linear":

@@ -8,19 +8,19 @@ from ..errors import LengthMismatchError
 
 
 def rankdata(a: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged (the standard Spearman convention)."""
+    """1-based ranks with ties averaged (the standard Spearman convention).
+
+    Input must be finite.  Each run of tied values gets the mean of the
+    ranks it spans, whatever order the sort leaves the run in.
+    """
     a = np.asarray(a, dtype=np.float64)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size, dtype=np.float64)
+    order = np.argsort(a)
     sorted_a = a[order]
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        # average of ranks i+1 .. j+1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
+    ends = np.r_[starts[1:], a.size]  # one past each run's last position
+    ranks = np.empty(a.size, dtype=np.float64)
+    # average of ranks start+1 .. end
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 

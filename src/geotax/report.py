@@ -13,8 +13,6 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .core.io import load_matrix, write_embeddings
 from .core.embedding import EmbeddingMatrix
@@ -22,7 +20,7 @@ from .core.rng import SeedSpec
 from .core.sequence import DNA, SymbolSequence
 from .dynamics import fit_global_range, gen_lorenz, gen_oscillator, sample_oscillator_params
 from .core.rng import rng_create
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .ingest.config import Config
 from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
 from .mine.estimator import DEFAULT_SEEDS, excess_mi_report, sanity_suite
@@ -123,7 +121,12 @@ def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
     deltas_path = cfg.get("stability.deltas")
     deltas = None
     if deltas_path:
-        deltas = np.loadtxt(deltas_path, delimiter=",", ndmin=1)
+        column = load(deltas_path)
+        if column.d != 1:
+            raise DimensionMismatchError(
+                f"{deltas_path}: deltas need one value per row, not {column.d} columns"
+            )
+        deltas = column.data[:, 0]
     rows = {}
     ndjson_lines = []
     csv_lines = [STABILITY_CSV_HEADER]

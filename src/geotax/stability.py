@@ -270,12 +270,17 @@ def evaluate(
     xp = EmbeddingMatrix.coerce(x_pert)
     if xc.data.shape != xp.data.shape:
         raise ShapeMismatchError("clean and perturbed shapes differ")
+    deltas = None if input_deltas is None else np.asarray(input_deltas, dtype=np.float64)
+    if deltas is not None and deltas.shape != (xc.n,):
+        raise LengthMismatchError(
+            f"one input delta per clean row required: {deltas.shape} for {xc.n} rows"
+        )
     spec = SeedSpec.coerce(seed)
     sub_rng = rng_create(spec.derive("subsample"))
     keep = _stratified_subsample(xc.labels, xc.n, cfg.max_samples, sub_rng)
     xc = xc.take(keep)
     xp = xp.take(keep)
-    deltas = None if input_deltas is None else np.asarray(input_deltas, dtype=np.float64)[keep]
+    deltas = None if deltas is None else deltas[keep]
 
     def one_round(rows: np.ndarray, tag: str) -> dict:
         c = xc.take(rows)

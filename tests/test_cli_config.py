@@ -6,6 +6,8 @@ as ``provenance.config_echo``, so the key order below is part of the
 report bytes.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -288,11 +290,12 @@ def csv_pair(tmp_path):
 
 def test_cli_csv_header_reaches_probe(csv_pair, tmp_path, capsys):
     x, plain, headed = csv_pair
-    labels = tmp_path / "labels.csv"
+    labels, labels_headed = tmp_path / "labels.csv", tmp_path / "labels_h.csv"
     labels.write_text("".join(f"{int(v > 0)}\n" for v in x[:, 0]))
+    labels_headed.write_text("label\n" + labels.read_text())
     outs = []
-    for flags, path in (([], plain), (["--csv-header"], headed)):
-        argv = [*flags, "probe", "--embeddings", str(path), "--labels", str(labels)]
+    for flags, path, lab in (([], plain, labels), (["--csv-header"], headed, labels_headed)):
+        argv = [*flags, "probe", "--embeddings", str(path), "--labels", str(lab)]
         assert cli.main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
@@ -323,3 +326,54 @@ def test_cli_csv_header_reaches_discretize_and_perturb(csv_pair, tmp_path):
             (tmp_path / f"{path.stem}.noisy.emb1").read_bytes(),
         ])
     assert written[0] == written[1]
+
+
+def test_cli_csv_header_reaches_probe_labels(probe_inputs, tmp_path, capsys):
+    emb, labels = probe_inputs
+    headed = tmp_path / "labels_h.csv"
+    headed.write_text("label\n" + labels.read_text())
+    outs = []
+    for flags, lab in (([], labels), (["--csv-header"], headed)):
+        assert cli.main([*flags, "probe", "--embeddings", str(emb), "--labels", str(lab)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def _stability_with_deltas(pair, deltas, out, *flags):
+    clean, pert = pair
+    argv = [*flags, "--out-dir", str(out), "stability", "--clean", str(clean),
+            "--pert", f"noise={pert}", "--deltas", str(deltas),
+            "--splits", "2", "--bootstrap", "1", "--composite-variant", "perturbation"]
+    return cli.main(argv)
+
+
+def test_cli_csv_header_reaches_stability_deltas(pair, tmp_path):
+    plain, headed = tmp_path / "deltas.csv", tmp_path / "deltas_h.csv"
+    rng = rng_create(SeedSpec(320, "cli-deltas"))
+    plain.write_text("".join(f"{v:.17g}\n" for v in rng.uniform(0.1, 1.0, 40)))
+    headed.write_text("delta\n" + plain.read_text())
+    assert _stability_with_deltas(pair, plain, tmp_path / "plain") == 0
+    assert _stability_with_deltas(pair, headed, tmp_path / "headed", "--csv-header") == 0
+    for name in ("report.csv", "report.ndjson"):
+        assert (tmp_path / "plain" / name).read_bytes() == (
+            tmp_path / "headed" / name
+        ).read_bytes()
+    results = [json.loads((tmp_path / run / "report.json").read_text())["results"]
+               for run in ("plain", "headed")]
+    assert results[0] == results[1]
+
+
+BAD_DELTAS = {
+    "short": "0.5\n" * 39,
+    "long": "0.5\n" * 41,
+    "nan": "0.5\n" * 20 + "nan\n" + "0.5\n" * 19,
+    "two-columns": "0.5,0.5\n" * 40,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DELTAS))
+def test_cli_stability_bad_deltas_exit_3(case, pair, tmp_path, capsys):
+    deltas = tmp_path / "deltas.csv"
+    deltas.write_text(BAD_DELTAS[case])
+    assert _stability_with_deltas(pair, deltas, tmp_path / "run") == 3
+    assert capsys.readouterr().err.startswith("data error: ")

@@ -44,6 +44,23 @@ def rank_oracle(a):
     return ranks
 
 
+def rankdata_loop_oracle(a):
+    """Stable-sort ranks with a pure-Python walk over each run of ties."""
+    a = np.asarray(a, dtype=np.float64)
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(a.size, dtype=np.float64)
+    sorted_a = a[order]
+    i = 0
+    while i < a.size:
+        j = i
+        while j + 1 < a.size and sorted_a[j + 1] == sorted_a[i]:
+            j += 1
+        # average of ranks i+1 .. j+1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def spearman_oracle(a, b):
     ra, rb = rank_oracle(a), rank_oracle(b)
     ra = ra - ra.mean()
@@ -137,6 +154,37 @@ def test_spearman_constant_returns_zero_with_flag():
 
 def test_rankdata_average_ties():
     assert rankdata(np.array([10.0, 20.0, 20.0, 30.0])).tolist() == [1.0, 2.5, 2.5, 4.0]
+
+
+def assert_same_rank_bytes(values):
+    got = rankdata(values)
+    assert got.dtype == np.float64
+    assert got.tobytes() == rankdata_loop_oracle(values).tobytes()
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-3, 3), max_size=60),
+        st.lists(st.sampled_from([-0.0, 0.0, -1.0, 1.0]), max_size=30),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_rankdata_bytes_equal_loop_oracle(values):
+    assert_same_rank_bytes(np.array(values, dtype=np.float64))
+
+
+@pytest.mark.parametrize(
+    "values", [[], [5.0], [2.0, 2.0], [2.0, 1.0], [0.0, -0.0], [-0.0, 1.0, 0.0, -0.0]]
+)
+def test_rankdata_bytes_equal_loop_oracle_small(values):
+    assert_same_rank_bytes(np.array(values, dtype=np.float64))
+
+
+def test_rankdata_bytes_equal_loop_oracle_on_tied_rdm(rng):
+    # 200 rows over 16 patterns: 19,900 RDM entries in long tied runs
+    x = rng.integers(1, 3, size=(200, 4)).astype(float)
+    assert_same_rank_bytes(cosine_rdm(x).vector())
 
 
 @given(

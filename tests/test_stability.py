@@ -6,7 +6,11 @@ import pytest
 from geotax.core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_block
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.stats import rankdata, spearman
-from geotax.errors import ShapeMismatchError, TooFewSamplesError
+from geotax.errors import (
+    LengthMismatchError,
+    ShapeMismatchError,
+    TooFewSamplesError,
+)
 from geotax.stability import (
     SplitConfig,
     anchor_stability,
@@ -349,3 +353,53 @@ def test_evaluate_main_text_composite_variant(rng):
 def test_evaluate_shape_mismatch(rng):
     with pytest.raises(ShapeMismatchError):
         evaluate(rng.standard_normal((10, 4)), rng.standard_normal((10, 5)))
+
+
+# Values captured from the loop-based ranker on quantised data, where RDM
+# entries, anchor rows and deltas all hold long runs of ties: a change in
+# how ties are ranked moves them.  Shared metrics: (bootstrap mean, std).
+TIED_SHARED = {
+    "rdm_similarity": (0.38199404197847353, 0.024423192639666108),
+    "sample_split": (-0.03748264402038636, 0.04333205334363013),
+    "feature_split": (0.06362178415819564, 0.046836283405668415),
+    "perturbation_magnitude": (1.7108859085955852, 0.019345160608437828),
+    "perturbation_stability": (0.23826938628654196, 0.07255228595476435),
+}
+# (rank_normalize_anchors, composite_variant) -> anchor mean, anchor std, composite
+TIED_CASES = {
+    (False, "anchor"): (0.003396196550497846, 0.15620597024490152, 0.10288234466669516),
+    (True, "anchor"): (0.018670544432712467, 0.12387257432225199, 0.10670093163724882),
+    (False, "perturbation"): (
+        0.003396196550497846, 0.15620597024490152, 0.16160064210070618
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIED_CASES))
+def test_evaluate_on_tied_data_matches_golden_values(case):
+    rank_normalize, variant = case
+    rng = rng_create(SeedSpec(320, "tied-golden"))
+    x = rng.integers(1, 3, size=(48, 6)).astype(float)
+    xp = x + rng.integers(0, 2, size=(48, 6))
+    deltas = rng.integers(0, 3, size=48).astype(float)
+    labels = np.repeat([0, 1, 2], 16)
+    cfg = SplitConfig(
+        n_splits=3, n_bootstrap=2, rank_normalize_anchors=rank_normalize,
+        composite_variant=variant,
+    )
+    report = evaluate(
+        EmbeddingMatrix(x, labels), EmbeddingMatrix(xp, labels), deltas, cfg, SeedSpec(7)
+    )
+    anchor_mean, anchor_std, composite = TIED_CASES[case]
+    expected = {**TIED_SHARED, "anchor_stability": (anchor_mean, anchor_std)}
+    assert report.metrics == {k: mean for k, (mean, _) in expected.items()}
+    assert report.bootstrap_std == {k: std for k, (_, std) in expected.items()}
+    assert report.composite == composite
+
+
+@pytest.mark.parametrize("size", [47, 49])
+def test_evaluate_rejects_deltas_of_wrong_length(size, rng):
+    x = rng.standard_normal((48, 6))
+    with pytest.raises(LengthMismatchError):
+        evaluate(x, x, np.ones(size), SplitConfig(n_splits=2, n_bootstrap=1))
+
