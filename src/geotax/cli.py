@@ -149,6 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path)
     p.add_argument("--k-values", type=str, default="32,64,128,256,512,1024")
     p.add_argument("--sigma", type=float, default=0.05)
+    p.add_argument("--intrinsic-dim", type=float, default=None,
+                   help="d_M of the Shannon D(R) column (default 2.06, the Lorenz attractor)")
 
     return parser
 
@@ -328,6 +330,7 @@ PIPELINES = {
     }),
     "vq-sweep": ("sweep in", {
         "data": "vq.data", "k_values": "vq.k_values", "sigma": "vq.sigma",
+        "intrinsic_dim": "vq.intrinsic_dim",
     }),
 }
 

@@ -67,7 +67,7 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
             raise DimensionMismatchError(
                 f"{path}: {len(raw) - off} trailing bytes after the label block"
             )
-    return EmbeddingMatrix(data.astype(np.float64), labels)
+    return _matrix(path, data.astype(np.float64), labels)
 
 
 def write_embeddings_csv(path: str | Path, x: EmbeddingMatrix) -> None:
@@ -98,7 +98,16 @@ def read_embeddings_csv(path: str | Path, header: bool = False) -> EmbeddingMatr
             rows.append(vals)
     if not rows:
         raise TruncatedFileError(f"{path}: no data rows")
-    return EmbeddingMatrix(np.array(rows, dtype=np.float64))
+    return _matrix(path, np.array(rows, dtype=np.float64))
+
+
+def _matrix(path: str | Path, data: np.ndarray, labels=None) -> EmbeddingMatrix:
+    """The embedding matrix read from ``path``; a rejected matrix (such as
+    one with non-finite values) is reported with the file's name."""
+    try:
+        return EmbeddingMatrix(data, labels)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_matrix(path: str | Path, csv_header: bool = False) -> EmbeddingMatrix:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import LengthMismatchError
+from ..errors import DataError, LengthMismatchError
 
 
 def rankdata(a: np.ndarray) -> np.ndarray:
@@ -39,7 +39,8 @@ def spearman_checked(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     """Spearman rho plus a degeneracy flag.
 
     Constant input returns (0.0, True) instead of raising: bootstrap splits
-    can produce constant slices and the harness must keep running.
+    can produce constant slices and the harness must keep running.  NaN or
+    inf input raises ``DataError``, since ``rankdata`` needs finite values.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -47,6 +48,8 @@ def spearman_checked(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
         raise LengthMismatchError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.ndim != 1 or a.size < 3:
         raise LengthMismatchError("spearman needs 1-D vectors of length >= 3")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("spearman input contains non-finite values")
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         return 0.0, True
     return pearson(rankdata(a), rankdata(b)), False

@@ -239,16 +239,6 @@ def discretize(traj: Trajectory, grange: GlobalRange, n_bins: int = 256) -> Symb
     return seq
 
 
-def undiscretize(
-    seq: SymbolSequence, grange: GlobalRange, n_bins: int = 256, channels: int | None = None
-) -> Trajectory:
-    """Map bins back to bin centers (inverse up to half a bin width)."""
-    m = channels or seq.meta.get("channels", 1)
-    vals = seq.symbols.reshape(-1, m).astype(np.float64)
-    centers = grange.minimum + (vals + 0.5) / n_bins * grange.width
-    return Trajectory(centers, float(seq.meta.get("dt", 1.0)), "reconstructed")
-
-
 # -- dynamical fidelity ----------------------------------------------------
 
 LLE_MIN_WINDOW = 50

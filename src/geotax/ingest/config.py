@@ -2,8 +2,7 @@
 
 Sections come from dotted key prefixes (``stability.n_splits = 30``);
 ``#`` starts a comment; blank lines are ignored.  Errors carry line
-numbers.  The format is trivially parseable and diff-friendly, and it
-round-trips the perturbation and generation specs for sidecar metadata.
+numbers.  The format is trivially parseable and diff-friendly.
 """
 
 from __future__ import annotations

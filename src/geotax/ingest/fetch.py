@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from ..core.rng import SeedSpec, rng_create
 from ..core.sequence import DNA, SymbolSequence
 from ..errors import (
@@ -27,7 +25,6 @@ from .cache import ResultCache, cache_key
 
 GENOME_API = "https://api.genome.ucsc.edu/getData/sequence"
 MAX_N_FRACTION = 0.05
-TELOMERIC_MARGIN = 0.10
 
 Transport = Callable[[str], tuple[int, bytes]]
 
@@ -138,26 +135,6 @@ def fetch_genome(
             f"endpoint served {len(text)} bases for a {spec.length}-base span"
         )
     return _apply_n_policy(text, spec)
-
-
-def sample_windows(
-    chrom_length: int,
-    window: int,
-    count: int,
-    seed: SeedSpec,
-    margin: float = TELOMERIC_MARGIN,
-) -> list[tuple[int, int]]:
-    """Uniform window starts inside the chromosome body, excluding the
-    telomeric margins at both ends."""
-    if not 0.0 <= margin < 0.5:
-        raise ConfigError("margin must lie in [0, 0.5)")
-    lo = int(chrom_length * margin)
-    hi = int(chrom_length * (1.0 - margin)) - window
-    if hi <= lo:
-        raise DataError("chromosome too short for the requested window and margin")
-    rng = rng_create(seed.derive("windows"))
-    starts = np.sort(rng.integers(lo, hi, size=count))
-    return [(int(s), int(s) + window) for s in starts]
 
 
 class RecordingTransport:

@@ -39,27 +39,6 @@ def n_positions(rate: float, length: int) -> int:
     return min(length, math.ceil(rate * length))
 
 
-def spec_to_config(spec: PerturbationSpec) -> dict[str, str]:
-    """Flatten a spec into key=value pairs for sidecar/config files."""
-    return {
-        "perturb.kind": spec.kind,
-        "perturb.rate": repr(spec.rate),
-        "perturb.magnitude": repr(spec.magnitude),
-        "perturb.seed": str(spec.seed.seed),
-        "perturb.stream": spec.seed.stream,
-    }
-
-
-def spec_from_config(values: dict[str, str]) -> PerturbationSpec:
-    return PerturbationSpec(
-        kind=values["perturb.kind"],
-        rate=float(values.get("perturb.rate", 0.0)),
-        magnitude=float(values.get("perturb.magnitude", 1.0)),
-        seed=SeedSpec(int(values.get("perturb.seed", 320)),
-                      values.get("perturb.stream", "main")),
-    )
-
-
 def value_noise(
     traj: Trajectory, spec: PerturbationSpec, grange: GlobalRange | None = None
 ) -> Trajectory:

@@ -1,6 +1,6 @@
 """Codebooks and the quantization double bind.
 
-Uniform and learned (k-means) codebooks, reconstruction error,
+Learned (k-means) codebooks, reconstruction error,
 perturbation re-encoding, boundary-crossing estimation, the 1/log K
 distortion fit, and Shannon rate-distortion reference curves.
 """
@@ -11,10 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core.embedding import EmbeddingMatrix, as_columns
+from .core.embedding import as_columns
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import SymbolSequence, bins_alphabet
-from .errors import BadSymbolError, DataError, SingularFitError, TooFewPointsError
+from .errors import (
+    BadSymbolError,
+    ConfigError,
+    DataError,
+    SingularFitError,
+    TooFewPointsError,
+)
 from .procrustes import procrustes_align
 
 KMEANS_MAX_ITER = 300
@@ -26,7 +32,6 @@ class Codebook:
     """K centroids defining a nearest-neighbour (Voronoi) tokenizer."""
 
     centroids: np.ndarray          # K x m
-    method: str                    # uniform | kmeans
     inertia: float = 0.0
     inertia_trace: tuple = field(default=(), compare=False)
 
@@ -46,14 +51,6 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
-
-
-def uniform_codebook(lo: np.ndarray, hi: np.ndarray, k: int) -> Codebook:
-    """Bin-center grid along each channel (the uniform-binning baseline)."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-    centers = lo + (np.arange(k)[:, None] + 0.5) / k * (hi - lo)
-    return Codebook(centers, "uniform")
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -139,7 +136,7 @@ def kmeans_fit(
     d2 = _sq_distances(points, centroids)
     final = exact_inertia(np.argmin(d2, axis=1))
     trace.append(final)
-    return Codebook(centroids, "kmeans", final, tuple(trace))
+    return Codebook(centroids, final, tuple(trace))
 
 
 def encode(codebook: Codebook, points) -> SymbolSequence:
@@ -216,37 +213,6 @@ def rd_bound_codebook(sigma2: float, d_m: float, k: int) -> float:
     return rd_bound(sigma2, d_m, np.log2(k))
 
 
-def save_codebook(codebook: Codebook, path) -> None:
-    """EMB1 centroid matrix plus a flat key=value method sidecar."""
-    from pathlib import Path
-
-    from .core.io import write_embeddings
-
-    path = Path(path)
-    write_embeddings(path, EmbeddingMatrix(codebook.centroids))
-    sidecar = path.with_suffix(path.suffix + ".meta")
-    sidecar.write_text(
-        f"method = {codebook.method}\nk = {codebook.k}\ninertia = {codebook.inertia!r}\n"
-    )
-
-
-def load_codebook(path) -> Codebook:
-    from pathlib import Path
-
-    from .core.io import read_embeddings
-    from .ingest.config import Config
-
-    path = Path(path)
-    centroids = read_embeddings(path).data
-    sidecar = path.with_suffix(path.suffix + ".meta")
-    method, inertia = "kmeans", 0.0
-    if sidecar.exists():
-        meta = Config.load(sidecar)
-        method = meta.get("method", "kmeans")
-        inertia = meta.get_float("inertia", 0.0)
-    return Codebook(centroids, method, inertia)
-
-
 @dataclass(frozen=True)
 class RDCurve:
     """Codebook sweep rows plus the 1/ln K distortion fit."""
@@ -267,28 +233,35 @@ def vq_double_bind_sweep(
     k_values=(32, 64, 128, 256, 512, 1024),
     sigma: float = 0.05,
     seed: SeedSpec | int = SeedSpec(),
-    nested: bool = True,
 ) -> RDCurve:
     """Fit codebooks across K, measuring reconstruction MSE against
     perturbation-induced geometric distortion.
 
-    Perturbations are applied in continuous input space and re-encoded
-    (never in symbol index space); distortion is the Procrustes residual
-    between the decoded clean and decoded perturbed point sets.
+    Codebooks are nested: each K starts from the previous K's centroids, so
+    reconstruction error is monotone in K.  Perturbations are applied in
+    continuous input space and re-encoded (never in symbol index space);
+    distortion is the Procrustes residual between the decoded clean and
+    decoded perturbed point sets.  A sigma that is not finite and positive,
+    or a K below 2, is a ``ConfigError``.
     """
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"sigma must be finite and > 0, got {sigma}")
+    ks = sorted(k_values)
+    if ks and ks[0] < 2:
+        raise ConfigError(f"every K must be >= 2, got {ks[0]}")
     pts = as_columns(data)
     spec = SeedSpec.coerce(seed)
     rng = rng_create(spec.derive("sweep-noise"))
     noisy = pts + sigma * rng.standard_normal(pts.shape)
     mses, dists = [], []
     prev = None
-    for i, k in enumerate(sorted(k_values)):
-        cb = kmeans_fit(pts, k, spec.derive(f"k{k}"), init_centroids=prev if nested else None)
+    for k in ks:
+        cb = kmeans_fit(pts, k, spec.derive(f"k{k}"), init_centroids=prev)
         prev = cb.centroids
         mses.append(reconstruction_mse(cb, pts))
         clean_dec = decode(cb, encode(cb, pts))
         pert_dec = decode(cb, encode(cb, noisy))
         res = procrustes_align(clean_dec, pert_dec)
         dists.append(res.aligned_error)
-    a, b, r2 = fit_inverse_log(sorted(k_values), dists)
-    return RDCurve(tuple(sorted(k_values)), tuple(mses), tuple(dists), a, b, r2)
+    a, b, r2 = fit_inverse_log(ks, dists)
+    return RDCurve(tuple(ks), tuple(mses), tuple(dists), a, b, r2)

@@ -10,6 +10,7 @@ timestamps for exactly that reason.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .mine.estimator import DEFAULT_SEEDS, excess_mi_report, sanity_suite
 from .mine.features import features_from_fasta
 from .mine.mlp import MLPConfig
 from .procrustes import classify_regime, procrustes_align
-from .quantize import vq_double_bind_sweep
+from .quantize import rd_bound_codebook, vq_double_bind_sweep
 from .stability import SplitConfig, evaluate
 from .texture import four_condition_experiment, heterogeneous_corpus
 from .walks import (
@@ -315,6 +316,10 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
+    # d_M of the Shannon reference; 2.06 is the Lorenz attractor's dimension
+    d_m = cfg.get_float("vq.intrinsic_dim", 2.06)
+    if not (math.isfinite(d_m) and d_m > 0):
+        raise ConfigError(f"{cfg.source}: vq.intrinsic_dim must be finite and > 0, got {d_m}")
     source = cfg.get("vq.data")
     if source:
         data = _loader(cfg)(source).data
@@ -327,15 +332,17 @@ def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
         k_values,
         sigma=cfg.get_float("vq.sigma", 0.05),
         seed=SeedSpec(seed, "vq"),
-        nested=cfg.get_bool("vq.nested", True),
     )
-    csv_lines = ["K,recon_mse,procrustes_D"]
-    for k, mse, d in curve.rows():
-        csv_lines.append(f"{k},{mse:.10g},{d:.10g}")
+    var = float(data.var())
+    rows = [[k, mse, d, rd_bound_codebook(var, d_m, k)] for k, mse, d in curve.rows()]
+    csv_lines = ["K,recon_mse,procrustes_D,shannon_D"]
+    for k, mse, d, shannon in rows:
+        csv_lines.append(f"{k},{mse:.10g},{d:.10g},{shannon:.10g}")
     (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
     return {
-        "rows": [list(r) for r in curve.rows()],
+        "rows": rows,
         "fit": {"a": curve.fit_intercept, "b": curve.fit_slope, "r2": curve.fit_r2},
+        "intrinsic_dim": d_m,
     }
 
 

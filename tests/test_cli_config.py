@@ -6,7 +6,9 @@ as ``provenance.config_echo``, so the key order below is part of the
 report bytes.
 """
 
+import argparse
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -143,6 +145,18 @@ def test_cli_pipeline_config_echo(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == f"{message} {out_dir}\n"
 
 
+def test_pipeline_table_covers_every_parser_option():
+    """An option the parser accepts but ``PIPELINES`` omits would never reach
+    the config, so each pipeline subcommand's dests must match its table."""
+    parser = cli.build_parser()
+    subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, (_, fields) in cli.PIPELINES.items():
+        dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+        if command == "stability":
+            dests.discard("pert")  # NAME=PATH pairs become stability.pert.<name> keys
+        assert dests == set(fields), command
+
+
 def test_cli_mine_without_features_is_config_error(monkeypatch):
     monkeypatch.setattr(cli, "run_pipeline", lambda cfg, out: pytest.fail("must not run"))
     assert cli.main(["mine", "--embeddings", "z.emb1"]) == 2
@@ -165,6 +179,12 @@ BAD_SETTINGS = {
     "max-samples-below-10": ["stability", "--max-samples", "5"],
     "texture-zero-splits": ["texture", "--n", "10", "--length", "40", "--splits", "0"],
     "k-values-not-integers": ["vq-sweep", "--k-values", "4,x"],
+    "k-values-zero": ["vq-sweep", "--k-values", "0,8,16"],
+    "k-values-one": ["vq-sweep", "--k-values", "1,2,4"],
+    "sigma-nan": ["vq-sweep", "--sigma", "nan"],
+    "sigma-inf": ["vq-sweep", "--sigma", "inf"],
+    "sigma-zero": ["vq-sweep", "--sigma", "0"],
+    "intrinsic-dim-nan": ["vq-sweep", "--intrinsic-dim", "nan"],
 }
 
 
@@ -377,3 +397,27 @@ def test_cli_stability_bad_deltas_exit_3(case, pair, tmp_path, capsys):
     deltas.write_text(BAD_DELTAS[case])
     assert _stability_with_deltas(pair, deltas, tmp_path / "run") == 3
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+NON_FINITE_INPUTS = {
+    "emb1": b"EMB1" + struct.pack("<II", 2, 2) + np.array([1, 2, 3, np.nan], "<f4").tobytes(),
+    "csv": b"1.0,2.0\n3.0,nan\n",
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(NON_FINITE_INPUTS))
+def test_cli_non_finite_embeddings_exit_3_naming_the_file(suffix, tmp_path, capsys):
+    path = tmp_path / f"nf.{suffix}"
+    path.write_bytes(NON_FINITE_INPUTS[suffix])
+    assert cli.main(["--out-dir", str(tmp_path / "run"), "lipschitz",
+                     "--embeddings", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err and "non-finite" in err
+
+
+def test_cli_non_finite_deltas_exit_3_naming_the_file(pair, tmp_path, capsys):
+    deltas = tmp_path / "nf_deltas.csv"
+    deltas.write_text(BAD_DELTAS["nan"])
+    assert _stability_with_deltas(pair, deltas, tmp_path / "run") == 3
+    err = capsys.readouterr().err
+    assert str(deltas) in err and "non-finite" in err

@@ -8,7 +8,9 @@ from geotax.cli import main
 from geotax.core.embedding import EmbeddingMatrix
 from geotax.core.io import write_embeddings
 from geotax.core.rng import SeedSpec, rng_create
+from geotax.dynamics import gen_lorenz
 from geotax.ingest.config import Config
+from geotax.quantize import rd_bound_codebook
 from geotax.report import rerun_from_provenance, run_pipeline
 
 
@@ -216,8 +218,36 @@ def test_cli_vq_sweep(tmp_path):
     assert main(["--seed", "320", "--out-dir", str(out),
                  "vq-sweep", "--k-values", "8,16,32"]) == 0
     lines = (out / "report.csv").read_text().splitlines()
-    assert lines[0] == "K,recon_mse,procrustes_D"
+    assert lines[0] == "K,recon_mse,procrustes_D,shannon_D"
     assert len(lines) == 4
+    # literals from before the nested flag and the codebook method were removed
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert [row[:3] for row in results["rows"]] == [
+        [8, 9.446260527420073, 0.6236731120385823],
+        [16, 4.124008129080286, 0.5201668906391353],
+        [32, 2.1070294662317997, 0.4684456221089574],
+    ]
+    assert results["fit"] == {
+        "a": 0.23136664668003423, "b": 0.8124738109947955, "r2": 0.9977991632870556,
+    }
+
+
+def test_cli_vq_sweep_shannon_column(tmp_path):
+    var = float(gen_lorenz(SeedSpec(320, "vq-lorenz"), 2000).values.var())
+    reports = {}
+    for d_m, flags in ((2.06, []), (3.0, ["--intrinsic-dim", "3"])):
+        out = tmp_path / str(d_m)
+        assert main(["--out-dir", str(out), "vq-sweep", "--k-values", "4,8,16", *flags]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["intrinsic_dim"] == d_m
+        assert [row[3] for row in results["rows"]] == [
+            rd_bound_codebook(var, d_m, k) for k in (4, 8, 16)
+        ]
+        csv_rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+        assert [row[3] for row in csv_rows[1:]] == [f"{row[3]:.10g}" for row in results["rows"]]
+        reports[d_m] = results
+    assert [row[:3] for row in reports[2.06]["rows"]] == [row[:3] for row in reports[3.0]["rows"]]
+    assert main(["--out-dir", str(tmp_path / "bad"), "vq-sweep", "--intrinsic-dim", "0"]) == 2
 
 
 def test_cli_probe(tmp_path, capsys):

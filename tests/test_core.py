@@ -21,6 +21,7 @@ from geotax.errors import (
     BadBaseError,
     BadMagicError,
     BadResidueError,
+    DataError,
     DimensionMismatchError,
     RankDeficientError,
     TruncatedFileError,
@@ -150,6 +151,16 @@ def test_spearman_oracle_equivalence_with_ties():
 def test_spearman_constant_returns_zero_with_flag():
     rho, degenerate = spearman_checked(np.ones(5), np.arange(5.0))
     assert rho == 0.0 and degenerate
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spearman_rejects_non_finite_input(bad):
+    b = np.arange(10.0)
+    b[3] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        spearman_checked(np.arange(10.0), b)
+    with pytest.raises(DataError, match="non-finite"):
+        spearman_checked(b, np.arange(10.0))
 
 
 def test_rankdata_average_ties():

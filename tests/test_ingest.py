@@ -20,7 +20,6 @@ from geotax.ingest.fetch import (
     FetchSpec,
     RecordingTransport,
     fetch_genome,
-    sample_windows,
     synthetic_sequence,
 )
 
@@ -208,14 +207,6 @@ def test_synthetic_fetch_deterministic():
     b = fetch_genome(spec)
     assert (a.symbols == b.symbols).all()
     assert len(a) == 500
-
-
-def test_sample_windows_respects_margin():
-    windows = sample_windows(1_000_000, 1000, 50, SeedSpec(320), margin=0.10)
-    for start, end in windows:
-        assert start >= 100_000
-        assert end <= 900_000
-        assert end - start == 1000
 
 
 def test_synthetic_sequence_matches_seed():

@@ -1,5 +1,5 @@
-"""Serialization seams: codebook sidecars, perturbation-spec config
-round-trips, walk export, FASTA feature extraction, MI report emission."""
+"""Serialization seams: walk export, FASTA feature extraction, MI report
+emission."""
 
 import json
 
@@ -13,26 +13,7 @@ from geotax.core.sequence import DNA, SymbolSequence
 from geotax.dynamics import GlobalRange, Trajectory
 from geotax.ingest.fasta import FastaRecord, write_fasta
 from geotax.mine.features import features_from_fasta
-from geotax.perturb import PerturbationSpec, spec_from_config, spec_to_config
-from geotax.quantize import kmeans_fit, load_codebook, save_codebook
 from geotax.walks import build_interpolation_walk, walk_to_matrix
-
-
-def test_codebook_sidecar_round_trip(tmp_path, rng):
-    cb = kmeans_fit(rng.standard_normal((80, 3)), 6, SeedSpec(1))
-    path = tmp_path / "codebook.emb1"
-    save_codebook(cb, path)
-    back = load_codebook(path)
-    assert back.method == "kmeans"
-    assert np.abs(back.centroids - cb.centroids).max() < 1e-6  # f32 storage
-    assert (path.parent / "codebook.emb1.meta").exists()
-
-
-def test_perturbation_spec_config_round_trip():
-    spec = PerturbationSpec("substitute", 0.05, 1.0, SeedSpec(777, "suite/a"))
-    values = spec_to_config(spec)
-    back = spec_from_config(values)
-    assert back == spec
 
 
 def test_walk_matrix_export(tmp_path, rng):

@@ -13,7 +13,6 @@ from geotax.quantize import (
     rd_bound,
     rd_bound_codebook,
     reconstruction_mse,
-    uniform_codebook,
     vq_double_bind_sweep,
 )
 
@@ -78,12 +77,12 @@ def test_decode_encode_idempotent_on_centroids(rng):
 
 
 def test_encode_tie_goes_to_lowest_index():
-    cb = Codebook(np.array([[0.0], [2.0]]), "uniform")
+    cb = Codebook(np.array([[0.0], [2.0]]))
     assert encode(cb, np.array([[1.0]])).symbols[0] == 0
 
 
 def test_decode_bad_symbol():
-    cb = Codebook(np.array([[0.0], [2.0]]), "uniform")
+    cb = Codebook(np.array([[0.0], [2.0]]))
     with pytest.raises(BadSymbolError):
         decode(cb, np.array([5]))
 
@@ -101,7 +100,7 @@ def test_uniform_codebook_quantization_noise_law():
     rng = rng_create(SeedSpec(320, "qnoise"))
     data = rng.uniform(0.0, 1.0, size=(200_000, 1))
     k = 16
-    cb = uniform_codebook(np.array([0.0]), np.array([1.0]), k)
+    cb = Codebook((np.arange(k)[:, None] + 0.5) / k)  # bin centres on [0, 1]
     delta = 1.0 / k
     assert reconstruction_mse(cb, data) == pytest.approx(delta**2 / 12, rel=0.02)
 

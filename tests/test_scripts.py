@@ -21,15 +21,6 @@ def run_script(name: str, *args: str, cwd: Path) -> str:
     return proc.stdout
 
 
-def test_run_vq_double_bind_prints_sweep_and_shannon_column(tmp_path):
-    out = run_script("run_vq_double_bind.py", "--n", "300", "--k-values", "8,16,32",
-                     cwd=tmp_path)
-    lines = out.splitlines()
-    assert lines[0].split() == ["K", "recon", "MSE", "proc", "D", "Shannon", "D(R)"]
-    assert [line.split()[0] for line in lines[1:4]] == ["8", "16", "32"]
-    assert "fit: D =" in out
-
-
 def test_run_walk_profiles_writes_both_encoder_paths(tmp_path):
     out_dir = tmp_path / "profiles"
     out = run_script("run_walk_profiles.py", "--pairs", "2", "--steps", "11",

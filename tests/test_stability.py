@@ -7,6 +7,7 @@ from geotax.core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_bl
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.stats import rankdata, spearman
 from geotax.errors import (
+    DataError,
     LengthMismatchError,
     ShapeMismatchError,
     TooFewSamplesError,
@@ -259,6 +260,16 @@ def test_perturbation_stability_linear_displacement(rng):
 def test_perturbation_stability_zero_deltas_degenerate(rng):
     x = rng.standard_normal((20, 4))
     assert perturbation_stability(np.zeros(20), x, x) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_perturbation_stability_rejects_non_finite_deltas(rng, bad):
+    x = rng.standard_normal((30, 5))
+    xp = x + 0.2 * rng.standard_normal((30, 5))
+    deltas = rng.uniform(0, 1, 30)
+    deltas[[4, 17]] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        perturbation_stability(deltas, x, xp)
 
 
 def test_perturbation_stability_matches_rank_oracle(rng):
