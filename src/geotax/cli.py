@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .core.embedding import EmbeddingMatrix
-from .core.io import load_matrix, write_embeddings
+from .core.io import load_matrix, read_text, write_embeddings
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA
 from .dynamics import (
@@ -225,7 +225,7 @@ def _perturb_one(args, input_path: Path, kind: str, rate: float, seed: int,
 def _cmd_perturb(args) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.manifest:
-        lines = args.manifest.read_text().strip().splitlines()
+        lines = read_text(args.manifest, ConfigError).strip().splitlines()
         for i, line in enumerate(lines):
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 4:
@@ -276,8 +276,7 @@ def _cmd_fetch(args) -> int:
         n_policy=args.n_policy,
         seed=SeedSpec(args.seed, "fetch"),
     )
-    cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-    seq = fetch_genome(spec, cache=cache)
+    seq = fetch_genome(spec, cache=ResultCache(args.cache_dir))
     header = f"{args.assembly}:{args.chrom}:{args.start}-{args.end}" \
         if args.source == "genome-rest" else f"synthetic seed={args.seed}"
     write_fasta([FastaRecord(header, seq.to_string())], args.output)

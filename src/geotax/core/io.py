@@ -77,25 +77,33 @@ def write_embeddings_csv(path: str | Path, x: EmbeddingMatrix) -> None:
             fh.write("\n")
 
 
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file; other bytes raise ``error`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_embeddings_csv(path: str | Path, header: bool = False) -> EmbeddingMatrix:
     rows = []
     d = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vals = [float(v) for v in line.split(",")]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric field") from None
-            if d is None:
-                d = len(vals)
-            elif len(vals) != d:
-                raise DimensionMismatchError(f"{path}:{lineno}: ragged row")
-            rows.append(vals)
+    # read_text translates \r\n and \r, so "\n" splits the lines a text file yields
+    for lineno, line in enumerate(read_text(path, DataError).split("\n"), start=1):
+        if header and lineno == 1:
+            continue
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            vals = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric field") from None
+        if d is None:
+            d = len(vals)
+        elif len(vals) != d:
+            raise DimensionMismatchError(f"{path}:{lineno}: ragged row")
+        rows.append(vals)
     if not rows:
         raise TruncatedFileError(f"{path}: no data rows")
     return _matrix(path, np.array(rows, dtype=np.float64))

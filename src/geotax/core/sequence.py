@@ -3,7 +3,7 @@ and their exact sliding-window k-mer counts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class SymbolSequence:
 
     symbols: np.ndarray
     alphabet: Alphabet
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         sym = np.asarray(self.symbols, dtype=np.int64)
@@ -86,7 +85,7 @@ class SymbolSequence:
         return "".join(self.alphabet.letters[i] for i in self.symbols)
 
     def replace(self, symbols: np.ndarray) -> "SymbolSequence":
-        return SymbolSequence(symbols, self.alphabet, dict(self.meta))
+        return SymbolSequence(symbols, self.alphabet)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ dynamical-fidelity checks (largest Lyapunov exponent, butterfly test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,14 +19,17 @@ from .errors import (
     SaturatedTooEarlyError,
 )
 
-# Canonical Lorenz-63 parameters.  The source material never states them;
-# these values are recorded in every report header.
+# Canonical Lorenz-63 parameters.  The source material never states them,
+# so the textbook values are used.  RK4 at step LORENZ_DT stays on the
+# attractor; steps above 0.02 no longer integrate it faithfully.
 LORENZ_SIGMA = 10.0
 LORENZ_RHO = 28.0
 LORENZ_BETA = 8.0 / 3.0
 LORENZ_DT = 0.01
 LORENZ_TRANSIENT = 1000
 BLOWUP_LIMIT = 1e6
+# Oscillator and waveform series cover t in [0, TIME_SPAN).
+TIME_SPAN = 4.0
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,6 @@ class Trajectory:
 
     values: np.ndarray
     dt: float
-    system: str = "generic"
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         vals = as_columns(self.values)
@@ -101,20 +102,14 @@ class GlobalRange:
         return self.maximum - self.minimum
 
 
-def time_grid(n_steps: int, t_span: tuple[float, float]) -> np.ndarray:
-    t0, t1 = t_span
-    return t0 + (t1 - t0) * np.arange(n_steps) / n_steps
+def time_grid(n_steps: int) -> np.ndarray:
+    return TIME_SPAN * np.arange(n_steps) / n_steps
 
 
-def gen_oscillator(
-    params: OscillatorParams,
-    n_steps: int = 512,
-    t_span: tuple[float, float] = (0.0, 4.0),
-) -> Trajectory:
-    t = time_grid(n_steps, t_span)
+def gen_oscillator(params: OscillatorParams, n_steps: int = 512) -> Trajectory:
+    t = time_grid(n_steps)
     x = params.amplitude * np.exp(-params.damping * t) * np.cos(params.omega * t + params.phase)
-    dt = (t_span[1] - t_span[0]) / n_steps
-    return Trajectory(x, dt, "oscillator", {"params": params})
+    return Trajectory(x, TIME_SPAN / n_steps)
 
 
 def waveform_from_components(
@@ -122,31 +117,22 @@ def waveform_from_components(
     omegas: Sequence[float],
     phases: Sequence[float],
     n_steps: int = 512,
-    t_span: tuple[float, float] = (0.0, 4.0),
 ) -> Trajectory:
-    t = time_grid(n_steps, t_span)
+    t = time_grid(n_steps)
     x = np.zeros_like(t)
     for a, w, p in zip(amplitudes, omegas, phases):
         x += a * np.cos(w * t + p)
-    dt = (t_span[1] - t_span[0]) / n_steps
-    return Trajectory(x, dt, "waveform")
+    return Trajectory(x, TIME_SPAN / n_steps)
 
 
-def gen_waveform(
-    spec: SeedSpec | int,
-    n_components: int = 3,
-    n_steps: int = 512,
-    t_span: tuple[float, float] = (0.0, 4.0),
-) -> Trajectory:
+def gen_waveform(spec: SeedSpec | int, n_components: int = 3, n_steps: int = 512) -> Trajectory:
     """Superposed sines with per-component amplitude/frequency/phase drawn
     from the oscillator ranges, without damping."""
     rng = rng_create(spec)
     amps = rng.uniform(0.5, 2.0, size=n_components)
     omegas = rng.uniform(2.0, 20.0, size=n_components)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_components)
-    traj = waveform_from_components(amps, omegas, phases, n_steps, t_span)
-    traj.meta["n_components"] = n_components
-    return traj
+    return waveform_from_components(amps, omegas, phases, n_steps)
 
 
 def _lorenz_deriv(state: np.ndarray) -> np.ndarray:
@@ -168,14 +154,14 @@ def _rk4_step(state: np.ndarray, dt: float) -> np.ndarray:
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_lorenz(state: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
+def _integrate_lorenz(state: np.ndarray, n_steps: int) -> Trajectory:
     out = np.empty((n_steps, 3))
     for i in range(n_steps):
         out[i] = state
-        state = _rk4_step(state, dt)
+        state = _rk4_step(state, LORENZ_DT)
         if np.abs(state).max() > BLOWUP_LIMIT:
             raise BlowUpError(f"lorenz integration diverged at step {i}")
-    return out
+    return Trajectory(out, LORENZ_DT)
 
 
 def lorenz_initial_state(spec: SeedSpec | int) -> np.ndarray:
@@ -187,27 +173,18 @@ def lorenz_initial_state(spec: SeedSpec | int) -> np.ndarray:
     return state
 
 
-def gen_lorenz(spec: SeedSpec | int, n_steps: int = 512, dt: float = LORENZ_DT) -> Trajectory:
-    if dt > 0.02:
-        raise DataError("dt must be <= 0.02 for a faithful RK4 Lorenz integration")
-    state = lorenz_initial_state(spec)
-    return Trajectory(_integrate_lorenz(state, n_steps, dt), dt, "lorenz")
+def gen_lorenz(spec: SeedSpec | int, n_steps: int = 512) -> Trajectory:
+    return _integrate_lorenz(lorenz_initial_state(spec), n_steps)
 
 
 def lorenz_twins(
-    spec: SeedSpec | int,
-    n_steps: int,
-    dt: float = LORENZ_DT,
-    delta: float = 1e-9,
+    spec: SeedSpec | int, n_steps: int, delta: float = 1e-9
 ) -> tuple[Trajectory, Trajectory]:
     """Two trajectories from the same on-attractor state, offset by delta in x."""
-    if dt > 0.02:
-        raise DataError("dt must be <= 0.02 for a faithful RK4 Lorenz integration")
     state = lorenz_initial_state(spec)
-    a = Trajectory(_integrate_lorenz(state.copy(), n_steps, dt), dt, "lorenz")
+    a = _integrate_lorenz(state.copy(), n_steps)
     state[0] += delta
-    b = Trajectory(_integrate_lorenz(state, n_steps, dt), dt, "lorenz")
-    return a, b
+    return a, _integrate_lorenz(state, n_steps)
 
 
 # -- two-pass discretization ---------------------------------------------
@@ -233,10 +210,7 @@ def discretize(traj: Trajectory, grange: GlobalRange, n_bins: int = 256) -> Symb
         raise DataError("range channel count does not match trajectory")
     scaled = (traj.values - grange.minimum) / grange.width * n_bins
     bins = np.clip(np.floor(scaled), 0, n_bins - 1).astype(np.int64)
-    seq = SymbolSequence(bins.reshape(-1), bins_alphabet(n_bins))
-    seq.meta["channels"] = traj.channels
-    seq.meta["dt"] = traj.dt
-    return seq
+    return SymbolSequence(bins.reshape(-1), bins_alphabet(n_bins))
 
 
 # -- dynamical fidelity ----------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from ..core.io import read_text
 from ..errors import ConfigError
 
 
@@ -24,6 +25,8 @@ class Config:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            if "\0" in line:
+                raise ConfigError(f"{source}:{lineno}: NUL byte in {raw!r}")
             if "=" not in line:
                 raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
@@ -38,7 +41,7 @@ class Config:
 
     @classmethod
     def load(cls, path: str | Path) -> "Config":
-        return cls.parse(Path(path).read_text(), str(path))
+        return cls.parse(read_text(path, ConfigError), str(path))
 
     def dump(self) -> str:
         return "".join(f"{k} = {self.values[k]}\n" for k in self.values)
@@ -71,10 +74,11 @@ class Config:
         except ValueError as exc:
             raise ConfigError(f"{self.source}: key {key!r}: {raw!r} is not a number") from exc
 
-    def get_bool(self, key: str, default: bool = False) -> bool:
+    def get_bool(self, key: str) -> bool:
+        """The key's boolean value; False when the key is absent."""
         raw = self.values.get(key)
         if raw is None:
-            return default
+            return False
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True

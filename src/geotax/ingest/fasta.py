@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..core.io import read_text
 from ..core.sequence import Alphabet, SymbolSequence
 from ..errors import MalformedHeaderError, MalformedRecordError
 
@@ -33,26 +34,19 @@ def parse_fasta(path: str | Path) -> list[FastaRecord]:
             raise MalformedRecordError(f"record {header!r} has an empty sequence")
         records.append(FastaRecord(header, seq))
 
-    try:
-        with open(path, "r", encoding="utf-8", newline=None) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                if line.startswith(">"):
-                    flush()
-                    header = line[1:].strip()
-                    if not header:
-                        raise MalformedHeaderError(f"{path}:{lineno}: empty header")
-                    chunks = []
-                else:
-                    if header is None:
-                        raise MalformedHeaderError(
-                            f"{path}:{lineno}: sequence data before any header"
-                        )
-                    chunks.append(line.strip())
-    except UnicodeDecodeError as exc:
-        raise MalformedRecordError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(read_text(path, MalformedRecordError).split("\n"), start=1):
+        if not line:
+            continue
+        if line.startswith(">"):
+            flush()
+            header = line[1:].strip()
+            if not header:
+                raise MalformedHeaderError(f"{path}:{lineno}: empty header")
+            chunks = []
+        else:
+            if header is None:
+                raise MalformedHeaderError(f"{path}:{lineno}: sequence data before any header")
+            chunks.append(line.strip())
     flush()
     if not records:
         raise MalformedRecordError(f"{path}: no FASTA records")

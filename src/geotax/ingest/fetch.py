@@ -33,20 +33,17 @@ Transport = Callable[[str], tuple[int, bytes]]
 class FetchSpec:
     """Where a sequence comes from and how ambiguity is handled."""
 
-    source: str = "genome-rest"        # genome-rest | local-fasta | synthetic
+    source: str = "genome-rest"        # genome-rest | synthetic
     assembly: str = "hg38"
     chromosome: str = "chr22"
     start: int = 0
     end: int = 0
-    max_n_fraction: float = MAX_N_FRACTION
     n_policy: str = "reject"           # reject | replace
     seed: SeedSpec = field(default_factory=SeedSpec)
 
     def __post_init__(self):
         if self.source in ("genome-rest",) and self.end <= self.start:
             raise ConfigError("fetch span needs end > start")
-        if not 0.0 <= self.max_n_fraction <= 1.0:
-            raise ConfigError("max_n_fraction must lie in [0, 1]")
         if self.n_policy not in ("reject", "replace"):
             raise ConfigError("n_policy must be 'reject' or 'replace'")
 
@@ -67,9 +64,9 @@ def _apply_n_policy(text: str, spec: FetchSpec) -> SymbolSequence:
     n_count = sum(1 for ch in text if ch not in "ACGT")
     if n_count:
         frac = n_count / len(text)
-        if spec.n_policy == "reject" and frac > spec.max_n_fraction:
+        if spec.n_policy == "reject" and frac > MAX_N_FRACTION:
             raise TooManyAmbiguousError(
-                f"{frac:.1%} ambiguous bases exceeds the {spec.max_n_fraction:.0%} budget"
+                f"{frac:.1%} ambiguous bases exceeds the {MAX_N_FRACTION:.0%} budget"
             )
         rng = rng_create(spec.seed.derive("n-replace"))
         letters = list(text)
@@ -138,18 +135,12 @@ def fetch_genome(
 
 
 class RecordingTransport:
-    """Test seam: serves canned responses and counts network calls."""
+    """Test seam: serves one canned response and records network calls."""
 
-    def __init__(self, responses: dict[str, tuple[int, bytes]] | None = None,
-                 default: tuple[int, bytes] | None = None):
-        self.responses = responses or {}
+    def __init__(self, default: tuple[int, bytes]):
         self.default = default
         self.calls: list[str] = []
 
     def __call__(self, url: str) -> tuple[int, bytes]:
         self.calls.append(url)
-        if url in self.responses:
-            return self.responses[url]
-        if self.default is not None:
-            return self.default
-        return 404, b"not found"
+        return self.default

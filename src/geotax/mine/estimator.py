@@ -28,6 +28,7 @@ SANITY_CONFIG = MLPConfig(hidden=(128, 64), epochs=300)
 PCA_COMPONENTS = 50
 TAIL_FRACTION = 0.10
 TRACE_STRIDE = 10      # pre-tail evaluation stride (diagnostics only)
+CEILING_NOISE_SIGMA = 0.1   # noise on the ceiling run's copy of X
 
 
 def zscore(x: np.ndarray) -> np.ndarray:
@@ -184,10 +185,12 @@ def _baseline_tasks(x, d, cfg, seeds) -> list[tuple]:
     return [(xs, zscore(z), cfg, s) for z, s in zip(zs, seeds)]
 
 
-def _ceiling_tasks(x, noise_sigma, cfg, seeds) -> list[tuple]:
+def _ceiling_tasks(x, cfg, seeds) -> list[tuple]:
     xs = as_columns(x)
     eps = [rng_create(SeedSpec(s, "ceiling-noise")).standard_normal(xs.shape) for s in seeds]
-    return [(zscore(xs), zscore(xs + noise_sigma * e), cfg, s) for e, s in zip(eps, seeds)]
+    return [
+        (zscore(xs), zscore(xs + CEILING_NOISE_SIGMA * e), cfg, s) for e, s in zip(eps, seeds)
+    ]
 
 
 def mine_estimate(
@@ -196,7 +199,6 @@ def mine_estimate(
     cfg: MLPConfig = MLPConfig(),
     seeds: tuple = DEFAULT_SEEDS,
     pca_dim: int | None = PCA_COMPONENTS,
-    workers: int = 1,
 ) -> MIEstimate:
     """Aggregate DV estimate of I(X; Z) over independent seeded runs.
 
@@ -204,7 +206,7 @@ def mine_estimate(
     inputs are z-scored per feature before concatenation.
     """
     xs, zs = _prepare(x, z, pca_dim)
-    return _estimates([[(xs, zs, cfg, s) for s in seeds]], workers)[0]
+    return _estimates([[(xs, zs, cfg, s) for s in seeds]], 1)[0]
 
 
 def random_baseline(
@@ -212,13 +214,12 @@ def random_baseline(
     d: int = PCA_COMPONENTS,
     cfg: MLPConfig = MLPConfig(),
     seeds: tuple = DEFAULT_SEEDS,
-    workers: int = 1,
 ) -> MIEstimate:
     """MINE against fresh standard-normal embeddings of matched dimension.
 
     This is the finite-sample bias floor: by construction the true MI is 0.
     """
-    return _estimates([_baseline_tasks(x, d, cfg, seeds)], workers)[0]
+    return _estimates([_baseline_tasks(x, d, cfg, seeds)], 1)[0]
 
 
 def excess_mi_report(
@@ -227,7 +228,6 @@ def excess_mi_report(
     cfg: MLPConfig = MLPConfig(),
     seeds: tuple = DEFAULT_SEEDS,
     pca_dim: int | None = PCA_COMPONENTS,
-    noise_sigma: float = 0.1,
     workers: int = 1,
 ) -> MIEstimate:
     """Model estimate with matched baseline and ceiling attached; the
@@ -237,7 +237,7 @@ def excess_mi_report(
         [
             [(xs, zs, cfg, s) for s in seeds],
             _baseline_tasks(x, zs.shape[1], cfg, seeds),
-            _ceiling_tasks(x, noise_sigma, cfg, seeds),
+            _ceiling_tasks(x, cfg, seeds),
         ],
         workers,
     )

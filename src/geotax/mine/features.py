@@ -38,13 +38,13 @@ def dna_features(seq: SymbolSequence | str) -> np.ndarray:
     return np.concatenate([[gc], counts / (n - 1)])
 
 
-def features_from_fasta(path, kind: str = "dna", species: int = 0) -> np.ndarray:
+def features_from_fasta(path, kind: str = "dna") -> np.ndarray:
     """Compositional feature matrix for every record in a FASTA file."""
     records = parse_fasta(path)
     if kind == "dna":
         return np.vstack([dna_features(r.decode(DNA)) for r in records])
     if kind == "protein":
-        return np.vstack([protein_features(r.decode(PROTEIN), species) for r in records])
+        return np.vstack([protein_features(r.decode(PROTEIN)) for r in records])
     raise DataError(f"unknown feature kind {kind!r}")
 
 

@@ -19,6 +19,13 @@ from ..core.rng import SeedSpec, rng_create
 from ..errors import ConfigError, DataError, NonFiniteLossError
 from ..procrustes import sigmoid
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# Classifier early stopping: held-out share and epochs without improvement.
+VAL_FRACTION = 0.15
+PATIENCE = 20
+
 
 @dataclass(frozen=True)
 class MLPConfig:
@@ -45,9 +52,7 @@ class MLPConfig:
 class MLP:
     """Fully connected ReLU network with a linear output layer."""
 
-    def __init__(self, in_dim: int, hidden: tuple, out_dim: int = 1,
-                 rng: np.random.Generator | None = None):
-        rng = rng or rng_create(SeedSpec())
+    def __init__(self, in_dim: int, hidden: tuple, out_dim: int, rng: np.random.Generator):
         dims = [in_dim, *hidden, out_dim]
         self.dims = dims
         total = sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))
@@ -144,25 +149,21 @@ def clip_gradient(grad: np.ndarray, bound: float) -> np.ndarray:
 class Adam:
     """Adam on a flat parameter vector (beta1=0.9, beta2=0.999)."""
 
-    def __init__(self, size: int, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        theta -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
+        theta -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
 
 
 def _check_finite(value: float, context: str) -> None:
@@ -207,20 +208,18 @@ def train_binary_classifier(
     labels01: np.ndarray,
     cfg: MLPConfig,
     seed: SeedSpec | int = SeedSpec(),
-    val_fraction: float = 0.15,
-    patience: int = 20,
 ) -> MLP:
     """Logistic-loss training with early stopping on a validation split.
 
-    Keeps the best-validation weights; stops after ``patience`` epochs
-    without improvement.
+    Holds out ``VAL_FRACTION`` of the samples, keeps the best-validation
+    weights, and stops after ``PATIENCE`` epochs without improvement.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels01, dtype=np.float64).reshape(-1, 1)
     rng = rng_create(SeedSpec.coerce(seed).derive("mlp-classifier"))
     n = x.shape[0]
     perm = rng.permutation(n)
-    n_val = max(1, int(round(val_fraction * n)))
+    n_val = max(1, int(round(VAL_FRACTION * n)))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     y_val_pm = np.where(y[val_idx] > 0, 1.0, -1.0)
     net = MLP(x.shape[1], cfg.hidden, 1, rng)
@@ -241,7 +240,7 @@ def train_binary_classifier(
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= PATIENCE:
                 break
     net.restore(best_theta)
     return net

@@ -40,9 +40,7 @@ def mlp_probe_cv(
     cfg = probe_config(arch)
 
     def fit_score(i, x_train, y_train, x_test):
-        net = train_binary_classifier(
-            x_train, y_train, cfg, spec.derive(f"fold{i}"), val_fraction=0.15, patience=20
-        )
+        net = train_binary_classifier(x_train, y_train, cfg, spec.derive(f"fold{i}"))
         return net.predict(x_test).ravel()
 
     fold_rng = rng_create(spec.derive("probe-folds"))

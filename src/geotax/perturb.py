@@ -24,7 +24,7 @@ class PerturbationSpec:
     """What to do, how much of the input to touch, and under which seed."""
 
     kind: str                    # value_noise | time_reverse | substitute |
-                                 # reverse_complement | reverse | pad
+                                 # reverse_complement | reverse
     rate: float = 0.0            # fraction of positions in [0, 1]
     magnitude: float = 1.0       # noise scale (fraction of global range)
     seed: SeedSpec = SeedSpec()
@@ -50,7 +50,7 @@ def value_noise(
     """
     count = n_positions(spec.rate, traj.length)
     if count == 0 or spec.magnitude == 0.0:
-        return Trajectory(traj.values, traj.dt, traj.system, dict(traj.meta))
+        return traj
     if grange is None:
         width = np.ptp(traj.values, axis=0)
         width[width == 0] = 1.0
@@ -62,9 +62,7 @@ def value_noise(
     pos = rng.choice(traj.length, size=count, replace=False)
     out = traj.values.copy()
     out[pos] += rng.standard_normal((count, traj.channels)) * spec.magnitude * width
-    meta = dict(traj.meta)
-    meta["perturbed_positions"] = np.sort(pos).tolist()
-    return Trajectory(out, traj.dt, traj.system, meta)
+    return Trajectory(out, traj.dt)
 
 
 def substitute(seq: SymbolSequence, spec: PerturbationSpec) -> SymbolSequence:
@@ -73,16 +71,14 @@ def substitute(seq: SymbolSequence, spec: PerturbationSpec) -> SymbolSequence:
         raise AlphabetTooSmallError("substitution needs an alphabet of size >= 2")
     count = n_positions(spec.rate, len(seq))
     if count == 0:
-        return seq.replace(seq.symbols)
+        return seq
     rng = rng_create(spec.seed.derive("substitute"))
     pos = rng.choice(len(seq), size=count, replace=False)
     out = seq.symbols.copy()
     # draw from size-1 alternatives, then shift past the original symbol
     draw = rng.integers(0, seq.alphabet.size - 1, size=count)
     out[pos] = np.where(draw >= out[pos], draw + 1, draw)
-    new = seq.replace(out)
-    new.meta["perturbed_positions"] = np.sort(pos).tolist()
-    return new
+    return seq.replace(out)
 
 
 _DNA_COMPLEMENT = np.array([3, 2, 1, 0], dtype=np.int64)  # A<->T, C<->G
@@ -102,7 +98,7 @@ def reverse_complement(seq: SymbolSequence) -> SymbolSequence:
 def time_reverse(x: Trajectory | SymbolSequence):
     """Index reversal; involutive; works on either input type."""
     if isinstance(x, Trajectory):
-        return Trajectory(x.values[::-1], x.dt, x.system, dict(x.meta))
+        return Trajectory(x.values[::-1], x.dt)
     return x.replace(x.symbols[::-1])
 
 
@@ -136,17 +132,13 @@ def pad_random(
     return PaddedSequence(seq.replace(out), left, len(seq))
 
 
-def apply_perturbation(
-    x: Trajectory | SymbolSequence,
-    spec: PerturbationSpec,
-    grange: GlobalRange | None = None,
-):
+def apply_perturbation(x: Trajectory | SymbolSequence, spec: PerturbationSpec):
     """Dispatch a spec onto the matching operation."""
     kind = spec.kind
     if kind == "value_noise":
         if not isinstance(x, Trajectory):
             raise DataError("value_noise needs a continuous trajectory")
-        return value_noise(x, spec, grange)
+        return value_noise(x, spec)
     if kind in ("time_reverse", "reverse"):
         return time_reverse(x)
     if kind == "substitute":

@@ -31,11 +31,6 @@ class ProcrustesResult:
     scale: float
     exact_match: bool
 
-    @property
-    def rho(self) -> float:
-        """Reduction as a fraction in [0, 1]."""
-        return self.reduction_percent / 100.0
-
 
 @dataclass(frozen=True)
 class RegimeLabel:
@@ -122,6 +117,12 @@ def frozen_head_agreement(logits_clean, logits_pert) -> tuple[float, float]:
 
 # -- frozen linear classifier ------------------------------------------------
 
+# L2 penalty weight 1/C with the C = 1.0 convention, Newton iteration cap and
+# gradient-norm tolerance of the frozen linear classifier.
+LOGISTIC_PENALTY = 1.0
+LOGISTIC_MAX_ITER = 1000
+LOGISTIC_TOL = 1e-8
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -132,42 +133,36 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def logistic_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    c: float = 1.0,
-    max_iter: int = 1000,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, float]:
+def logistic_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """L2-regularized logistic regression by damped Newton iteration.
 
     Minimizes sum_i log(1 + exp(-y_i z_i)) + (1/(2C)) ||w||^2 with the
     intercept unpenalized; deterministic, full batch.  Returns (w, b).
     """
     n, d = x.shape
-    lam = 1.0 / c
     w = np.zeros(d)
     b = 0.0
     y_pm = np.where(y > 0, 1.0, -1.0)
-    for _ in range(max_iter):
+    for _ in range(LOGISTIC_MAX_ITER):
         z = x @ w + b
         p = sigmoid(z)                       # P(y=+1)
         grad_z = p - (y_pm + 1.0) / 2.0      # dNLL/dz
-        grad_w = x.T @ grad_z + lam * w
+        grad_w = x.T @ grad_z + LOGISTIC_PENALTY * w
         grad_b = grad_z.sum()
         gnorm = np.sqrt((grad_w * grad_w).sum() + grad_b * grad_b)
-        if gnorm < tol:
+        if gnorm < LOGISTIC_TOL:
             break
         r = np.maximum(p * (1.0 - p), 1e-12)
         xa = np.concatenate([x, np.ones((n, 1))], axis=1)
         h = (xa * r[:, None]).T @ xa
-        h[:d, :d] += lam * np.eye(d)
+        h[:d, :d] += LOGISTIC_PENALTY * np.eye(d)
         h[np.arange(d + 1), np.arange(d + 1)] += 1e-10  # damping
         step = np.linalg.solve(h, np.concatenate([grad_w, [grad_b]]))
         # backtracking on the penalized objective
         def objective(wv, bv):
             zv = x @ wv + bv
-            return float(np.logaddexp(0.0, -y_pm * zv).sum() + 0.5 * lam * (wv * wv).sum())
+            penalty = 0.5 * LOGISTIC_PENALTY * (wv * wv).sum()
+            return float(np.logaddexp(0.0, -y_pm * zv).sum() + penalty)
 
         base = objective(w, b)
         alpha = 1.0
@@ -224,7 +219,6 @@ def frozen_head_classifier(
     labels: np.ndarray,
     folds: int = 5,
     seed: SeedSpec | int = SeedSpec(),
-    c: float = 1.0,
 ) -> tuple[float, float]:
     """Stratified k-fold CV accuracy of the frozen linear classifier.
 
@@ -233,7 +227,7 @@ def frozen_head_classifier(
     """
 
     def fit_score(i, x_train, y_train, x_test):
-        w, b = logistic_fit(x_train, y_train, c=c)
+        w, b = logistic_fit(x_train, y_train)
         return x_test @ w + b
 
     return stratified_cv_accuracy(x, labels, folds, rng_create(seed), fit_score)

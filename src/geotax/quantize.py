@@ -242,12 +242,17 @@ def vq_double_bind_sweep(
     continuous input space and re-encoded (never in symbol index space);
     distortion is the Procrustes residual between the decoded clean and
     decoded perturbed point sets.  A sigma that is not finite and positive,
-    or a K below 2, is a ``ConfigError``.
+    a repeated K, fewer than 3 K values (the 1/ln K fit needs 3) or a K
+    below 2 is a ``ConfigError``, raised before any codebook is fit.
     """
     if not (np.isfinite(sigma) and sigma > 0):
         raise ConfigError(f"sigma must be finite and > 0, got {sigma}")
     ks = sorted(k_values)
-    if ks and ks[0] < 2:
+    if len(set(ks)) != len(ks):
+        raise ConfigError(f"K values must be distinct, got {list(k_values)}")
+    if len(ks) < 3:
+        raise ConfigError(f"the 1/ln K fit needs >= 3 K values, got {len(ks)}")
+    if ks[0] < 2:
         raise ConfigError(f"every K must be >= 2, got {ks[0]}")
     pts = as_columns(data)
     spec = SeedSpec.coerce(seed)

@@ -15,13 +15,13 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .core.io import load_matrix, write_embeddings
+from .core.io import load_matrix, read_text, write_embeddings
 from .core.embedding import EmbeddingMatrix
 from .core.rng import SeedSpec
 from .core.sequence import DNA, SymbolSequence
 from .dynamics import fit_global_range, gen_lorenz, gen_oscillator, sample_oscillator_params
 from .core.rng import rng_create
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DataError, DimensionMismatchError, LengthMismatchError
 from .ingest.config import Config
 from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
 from .mine.estimator import DEFAULT_SEEDS, excess_mi_report, sanity_suite
@@ -52,7 +52,7 @@ def _split_config(cfg: Config) -> SplitConfig:
         max_samples=cfg.get_int("stability.max_samples", 2500),
         n_bootstrap=cfg.get_int("stability.n_bootstrap", 5),
         anchor_count=cfg.get_int("stability.anchor_count", None),
-        rank_normalize_anchors=cfg.get_bool("stability.rank_normalize_anchors", False),
+        rank_normalize_anchors=cfg.get_bool("stability.rank_normalize_anchors"),
         composite_variant=cfg.get("stability.composite_variant", "anchor"),
     )
 
@@ -66,7 +66,7 @@ def _provenance(cfg: Config, seed: int) -> dict:
 
 
 def _loader(cfg: Config):
-    header = cfg.get_bool("io.csv_header", False)
+    header = cfg.get_bool("io.csv_header")
     return lambda path: load_matrix(path, csv_header=header)
 
 
@@ -103,8 +103,12 @@ def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
 
 def rerun_from_provenance(report_path: str | Path, out_dir: str | Path) -> Path:
     """Re-execute a run from its embedded provenance block."""
-    report = json.loads(Path(report_path).read_text())
-    echo = report["provenance"]["config_echo"]
+    try:
+        echo = json.loads(read_text(report_path, DataError))["provenance"]["config_echo"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{report_path}: not a report with a provenance block ({exc!r})") from None
+    if not isinstance(echo, str):
+        raise DataError(f"{report_path}: provenance config_echo is not text")
     cfg = Config.parse(echo, source=f"{report_path}#provenance")
     return run_pipeline(cfg, out_dir)
 
@@ -126,6 +130,10 @@ def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
         if column.d != 1:
             raise DimensionMismatchError(
                 f"{deltas_path}: deltas need one value per row, not {column.d} columns"
+            )
+        if column.n != clean.n:
+            raise LengthMismatchError(
+                f"{deltas_path}: one delta per clean row required: {column.n} rows for {clean.n}"
             )
         deltas = column.data[:, 0]
     rows = {}
@@ -153,7 +161,7 @@ def _run_procrustes(cfg: Config, seed: int, out: Path) -> dict:
     pert = load(cfg.require("procrustes.pert"))
     res = procrustes_align(clean, pert)
     regime = classify_regime(res)
-    if cfg.get_bool("procrustes.export_rotation", False):
+    if cfg.get_bool("procrustes.export_rotation"):
         write_embeddings(out / "rotation.emb1", EmbeddingMatrix(res.rotation))
     return {
         "raw_error": res.raw_error,

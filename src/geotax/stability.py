@@ -264,8 +264,12 @@ def evaluate(
 
     Internal split metrics are computed on the clean matrix (they are
     perturbation-independent); RDM similarity and the perturbation metrics
-    compare the pair.  Fixed seeds give byte-identical reports.
+    compare the pair.  Fixed seeds give byte-identical reports.  The
+    perturbation-variant composite without ``input_deltas`` is a
+    ``ConfigError``, raised before any work.
     """
+    if cfg.composite_variant == "perturbation" and input_deltas is None:
+        raise ConfigError("the perturbation-variant composite needs input deltas")
     xc = EmbeddingMatrix.coerce(x_clean)
     xp = EmbeddingMatrix.coerce(x_pert)
     if xc.data.shape != xp.data.shape:
@@ -315,10 +319,6 @@ def evaluate(
     else:
         # main-text variant: perturbation stability replaces anchor stability
         parts = ("rdm_similarity", "sample_split", "feature_split", "perturbation_stability")
-        if "perturbation_stability" not in metrics:
-            raise LengthMismatchError(
-                "perturbation-variant composite needs input_deltas"
-            )
     composite = float(np.mean([metrics[k] for k in parts]))
     provenance = {
         "seed": spec.seed,

@@ -170,12 +170,13 @@ def composition_profile_embedding(seq: SymbolSequence, n_windows: int = 8) -> np
     return feats.reshape(-1)
 
 
-def make_frozen_encoder(
-    seed: SeedSpec | int = SeedSpec(),
-    n_windows: int = 8,
-    hidden: int = 64,
-    d_out: int = 32,
-):
+# Frozen encoder shape: composition windows, random ReLU features, output width.
+ENCODER_WINDOWS = 8
+ENCODER_HIDDEN = 64
+ENCODER_DIM = 32
+
+
+def make_frozen_encoder(seed: SeedSpec | int = SeedSpec()):
     """Frozen random-feature encoder over windowed composition profiles.
 
     A pure composition profile is exactly RC-equivariant (reverse complement
@@ -186,13 +187,13 @@ def make_frozen_encoder(
     diversity, the mechanism the texture test isolates.
     """
     rng = rng_create(seed)
-    d_in = 4 * n_windows
-    w1 = rng.standard_normal((d_in, hidden)) / np.sqrt(d_in)
-    b1 = 0.1 * rng.standard_normal(hidden)
-    w2 = rng.standard_normal((hidden, d_out)) / np.sqrt(hidden)
+    d_in = 4 * ENCODER_WINDOWS
+    w1 = rng.standard_normal((d_in, ENCODER_HIDDEN)) / np.sqrt(d_in)
+    b1 = 0.1 * rng.standard_normal(ENCODER_HIDDEN)
+    w2 = rng.standard_normal((ENCODER_HIDDEN, ENCODER_DIM)) / np.sqrt(ENCODER_HIDDEN)
 
     def encode(seq: SymbolSequence) -> np.ndarray:
-        profile = composition_profile_embedding(seq, n_windows)
+        profile = composition_profile_embedding(seq, ENCODER_WINDOWS)
         return np.maximum(profile @ w1 + b1, 0.0) @ w2
 
     return encode
@@ -221,16 +222,15 @@ class TextureConditionRow:
 def four_condition_experiment(
     corpus,
     seed: SeedSpec | int = SeedSpec(),
-    embedder=None,
     split_config=None,
 ) -> list[TextureConditionRow]:
     """The four-condition RC texture test over a sequence corpus.
 
     Conditions: the corpus itself (real), uniform random, population-texture
     Markov, and per-sequence dinucleotide-shuffled.  Each condition embeds
-    forward and reverse-complement sequences through ``embedder`` (default:
-    the windowed-composition proxy), scores RC stability with the harness,
-    and reports the fraction of the real-random RC RDM gap recovered.
+    forward and reverse-complement sequences through the frozen encoder,
+    scores RC stability with the harness, and reports the fraction of the
+    real-random RC RDM gap recovered.
     """
     from .stability import SplitConfig, evaluate, rdm_similarity
 
@@ -238,7 +238,7 @@ def four_condition_experiment(
     if not corpus:
         raise DataError("empty corpus")
     spec = SeedSpec.coerce(seed)
-    embedder = embedder or make_frozen_encoder(spec.derive("encoder"))
+    embedder = make_frozen_encoder(spec.derive("encoder"))
     cfg = split_config or SplitConfig()
     rng = rng_create(spec.derive("conditions"))
     lengths = [len(s) for s in corpus]

@@ -50,7 +50,6 @@ def build_interpolation_walk(
     traj_b: Trajectory,
     grange: GlobalRange,
     n_steps: int = 101,
-    n_bins: int = 256,
 ) -> Walk:
     """Discretized linear interpolation (1-alpha) A + alpha B, alpha in [0,1].
 
@@ -64,7 +63,7 @@ def build_interpolation_walk(
     for i in range(n_steps):
         alpha = i / (n_steps - 1)
         blend = (1.0 - alpha) * traj_a.values + alpha * traj_b.values
-        steps.append(discretize(Trajectory(blend, traj_a.dt, traj_a.system), grange, n_bins))
+        steps.append(discretize(Trajectory(blend, traj_a.dt), grange))
         alphas.append(alpha)
     return Walk(tuple(steps), tuple(alphas), "interpolation")
 
@@ -208,6 +207,10 @@ def mean_lipschitz(profiles) -> float:
 
 # -- PCA trajectory export ----------------------------------------------------
 
+SVG_WIDTH = 640
+SVG_HEIGHT = 480
+SVG_MARGIN = 20
+
 
 def pca_trajectory(embeddings, k: int = 3) -> tuple[PCAResult, str]:
     """Project an embedding path to k components and render an SVG polyline.
@@ -222,9 +225,7 @@ def pca_trajectory(embeddings, k: int = 3) -> tuple[PCAResult, str]:
     return result, svg
 
 
-def render_path_svg(
-    x: np.ndarray, y: np.ndarray, width: int = 640, height: int = 480, margin: int = 20
-) -> str:
+def render_path_svg(x: np.ndarray, y: np.ndarray) -> str:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     spans = []
@@ -234,12 +235,12 @@ def render_path_svg(
             lo, hi = lo - 0.5, hi + 0.5
         spans.append((lo, hi))
     (x0, x1), (y0, y1) = spans
-    px = margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
-    py = height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
+    px = SVG_MARGIN + (x - x0) / (x1 - x0) * (SVG_WIDTH - 2 * SVG_MARGIN)
+    py = SVG_HEIGHT - SVG_MARGIN - (y - y0) / (y1 - y0) * (SVG_HEIGHT - 2 * SVG_MARGIN)
     pts = " ".join(f"{a:.6f},{b:.6f}" for a, b in zip(px, py))
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">'
         f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
         f'<circle cx="{px[0]:.6f}" cy="{py[0]:.6f}" r="4" fill="#2ca02c"/>'
         f'<circle cx="{px[-1]:.6f}" cy="{py[-1]:.6f}" r="4" fill="#d62728"/>'

@@ -181,6 +181,9 @@ BAD_SETTINGS = {
     "k-values-not-integers": ["vq-sweep", "--k-values", "4,x"],
     "k-values-zero": ["vq-sweep", "--k-values", "0,8,16"],
     "k-values-one": ["vq-sweep", "--k-values", "1,2,4"],
+    "k-values-repeated": ["vq-sweep", "--k-values", "8,16,16,32"],
+    "k-values-repeated-only-two-distinct": ["vq-sweep", "--k-values", "8,8,16"],
+    "k-values-only-two": ["vq-sweep", "--k-values", "8,16"],
     "sigma-nan": ["vq-sweep", "--sigma", "nan"],
     "sigma-inf": ["vq-sweep", "--sigma", "inf"],
     "sigma-zero": ["vq-sweep", "--sigma", "0"],
@@ -421,3 +424,68 @@ def test_cli_non_finite_deltas_exit_3_naming_the_file(pair, tmp_path, capsys):
     assert _stability_with_deltas(pair, deltas, tmp_path / "run") == 3
     err = capsys.readouterr().err
     assert str(deltas) in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("case", ["short", "long"])
+def test_cli_wrong_length_deltas_exit_3_naming_the_file(case, pair, tmp_path, capsys):
+    deltas = tmp_path / "deltas.csv"
+    deltas.write_text(BAD_DELTAS[case])
+    assert _stability_with_deltas(pair, deltas, tmp_path / "run") == 3
+    rows = 39 if case == "short" else 41
+    assert capsys.readouterr().err == (
+        f"data error: {deltas}: one delta per clean row required: {rows} rows for 40\n"
+    )
+
+
+def test_cli_perturbation_variant_without_deltas_exit_2(pair, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "geotax.stability._stratified_subsample", lambda *a: pytest.fail("harness ran")
+    )
+    clean, pert = pair
+    run = tmp_path / "run"
+    argv = ["--out-dir", str(run), "stability", "--clean", str(clean),
+            "--pert", f"noise={pert}", "--composite-variant", "perturbation"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (run / "report.json").exists()
+
+
+def test_cli_csv_not_utf8_exit_3(tmp_path, capsys):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"1.0,2.0\n3.0,4.\xe9\n")
+    argv = ["--out-dir", str(tmp_path / "run"), "lipschitz", "--embeddings", str(bad)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {bad}: not UTF-8 text")
+
+
+def test_cli_report_config_not_utf8_exit_2(tmp_path, capsys):
+    config = tmp_path / "latin.cfg"
+    config.write_bytes(b"experiment = lipschitz\n# r\xe9sum\xe9\n")
+    argv = ["--config", str(config), "--out-dir", str(tmp_path / "run"), "report"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {config}: not UTF-8 text")
+
+
+MALFORMED_REPORTS = {
+    "not-json": b"experiment = lipschitz\n",
+    "no-provenance": b"{}",
+    "not-utf8": b'{"provenance": {"config_echo": "experiment = lipschitz \xe9"}}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_cli_report_rerun_malformed_report_exit_3(case, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_bytes(MALFORMED_REPORTS[case])
+    argv = ["--out-dir", str(tmp_path / "run"), "report", "--rerun", str(report)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {report}: ")
+
+
+def test_cli_perturb_manifest_not_utf8_exit_2(pair, tmp_path, capsys):
+    clean, _ = pair
+    manifest = tmp_path / "man.csv"
+    manifest.write_bytes(f"{clean},value_noise,0.1,1\n".encode() + b"\xe9\n")
+    argv = ["--out-dir", str(tmp_path / "out"), "perturb", "--manifest", str(manifest)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {manifest}: not UTF-8 text")

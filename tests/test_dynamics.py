@@ -174,8 +174,8 @@ def damped_spiral_twins(gamma=0.8, omega=6.0, delta=1e-4, n=600, dt=0.01):
     t = np.arange(n) * dt
     base = np.stack([np.exp(-gamma * t) * np.cos(omega * t),
                      np.exp(-gamma * t) * np.sin(omega * t)], axis=1)
-    a = Trajectory(base, dt, "oscillator")
-    b = Trajectory((1.0 + delta) * base, dt, "oscillator")
+    a = Trajectory(base, dt)
+    b = Trajectory((1.0 + delta) * base, dt)
     return a, b
 
 

@@ -7,6 +7,7 @@ from geotax.core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_bl
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.stats import rankdata, spearman
 from geotax.errors import (
+    ConfigError,
     DataError,
     LengthMismatchError,
     ShapeMismatchError,
@@ -414,3 +415,13 @@ def test_evaluate_rejects_deltas_of_wrong_length(size, rng):
     with pytest.raises(LengthMismatchError):
         evaluate(x, x, np.ones(size), SplitConfig(n_splits=2, n_bootstrap=1))
 
+
+
+def test_evaluate_perturbation_variant_without_deltas_is_config_error(rng, monkeypatch):
+    monkeypatch.setattr(
+        "geotax.stability._stratified_subsample", lambda *a: pytest.fail("harness ran")
+    )
+    x = rng.standard_normal((48, 6))
+    cfg = SplitConfig(n_splits=2, n_bootstrap=1, composite_variant="perturbation")
+    with pytest.raises(ConfigError, match="needs input deltas"):
+        evaluate(x, x, None, cfg)
