@@ -231,6 +231,8 @@ def _cmd_perturb(args) -> int:
             if len(parts) != 4:
                 raise ConfigError(f"{args.manifest}:{i + 1}: expected input,kind,rate,seed")
             path, kind, rate, seed = parts
+            if "\x00" in path:
+                raise ConfigError(f"{args.manifest}:{i + 1}: NUL byte in {line!r}")
             try:
                 rate, seed = float(rate), int(seed)
             except ValueError:

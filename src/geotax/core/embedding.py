@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError, ZeroNormRowError
+from ..errors import DataError
 
 ZERO_NORM_FLOOR = 1e-300
 
@@ -103,13 +103,13 @@ class DistanceMatrix:
 
 
 def unit_rows(x) -> np.ndarray:
-    """The rows of ``x`` scaled to unit L2 norm.  Raises ``ZeroNormRowError``
-    on the first row with norm below 1e-300."""
+    """The rows of ``x`` scaled to unit L2 norm.  Raises ``DataError``
+    naming the first row with norm below 1e-300."""
     data = as_array(x)
     norms = np.linalg.norm(data, axis=1)
     bad = np.nonzero(norms < ZERO_NORM_FLOOR)[0]
     if bad.size:
-        raise ZeroNormRowError(int(bad[0]))
+        raise DataError(f"row {int(bad[0])} has zero norm")
     return data / norms[:, None]
 
 
@@ -117,7 +117,7 @@ def cosine_rdm(x: EmbeddingMatrix | np.ndarray) -> DistanceMatrix:
     """Pairwise cosine-distance dissimilarity matrix, entries in [0, 2].
 
     entry(i, j) = 1 - <x_i, x_j> / (|x_i| |x_j|).  Raises
-    ``ZeroNormRowError`` on rows with norm below 1e-300.
+    ``DataError`` on rows with norm below 1e-300.
     """
     unit = unit_rows(x)
     sim = unit @ unit.T

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadMagicError, DataError, DimensionMismatchError, TruncatedFileError
+from ..errors import DataError
 from .embedding import EmbeddingMatrix
 
 MAGIC = b"EMB1"
@@ -40,16 +40,16 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if len(raw) < 4 or raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: expected magic {MAGIC!r}")
+        raise DataError(f"{path}: expected magic {MAGIC!r}")
     if len(raw) < 12:
-        raise TruncatedFileError(f"{path}: header truncated")
+        raise DataError(f"{path}: header truncated")
     n, d = struct.unpack_from("<II", raw, 4)
     if n < 1 or d < 1:
-        raise DimensionMismatchError(f"{path}: declared shape {n}x{d}")
+        raise DataError(f"{path}: declared shape {n}x{d}")
     off = 12
     need = n * d * 4
     if len(raw) < off + need:
-        raise TruncatedFileError(f"{path}: payload truncated")
+        raise DataError(f"{path}: payload truncated")
     data = np.frombuffer(raw, dtype="<f4", count=n * d, offset=off).reshape(n, d)
     off += need
     labels = None
@@ -58,15 +58,13 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
         off += 1
         if flag == 1:
             if len(raw) < off + 4 * n:
-                raise TruncatedFileError(f"{path}: label block truncated")
+                raise DataError(f"{path}: label block truncated")
             labels = np.frombuffer(raw, dtype="<u4", count=n, offset=off).astype(np.int64)
             off += 4 * n
         elif flag != 0:
             raise DataError(f"{path}: bad label flag {flag}")
         if len(raw) > off:
-            raise DimensionMismatchError(
-                f"{path}: {len(raw) - off} trailing bytes after the label block"
-            )
+            raise DataError(f"{path}: {len(raw) - off} trailing bytes after the label block")
     return _matrix(path, data.astype(np.float64), labels)
 
 
@@ -102,10 +100,10 @@ def read_embeddings_csv(path: str | Path, header: bool = False) -> EmbeddingMatr
         if d is None:
             d = len(vals)
         elif len(vals) != d:
-            raise DimensionMismatchError(f"{path}:{lineno}: ragged row")
+            raise DataError(f"{path}:{lineno}: ragged row")
         rows.append(vals)
     if not rows:
-        raise TruncatedFileError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     return _matrix(path, np.array(rows, dtype=np.float64))
 
 

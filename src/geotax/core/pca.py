@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import RankDeficientError
+from ..errors import DataError
 from .embedding import EmbeddingMatrix, as_array
 
 
@@ -36,7 +36,7 @@ def pca_project(x: EmbeddingMatrix | np.ndarray, k: int) -> PCAResult:
     data = as_array(x)
     n, d = data.shape
     if not 1 <= k <= min(n, d):
-        raise RankDeficientError(f"k={k} outside 1..min(n,d)={min(n, d)}")
+        raise DataError(f"k={k} outside 1..min(n,d)={min(n, d)}")
     mean = data.mean(axis=0)
     centered = data - mean
     _, s, vt = np.linalg.svd(centered, full_matrices=False)

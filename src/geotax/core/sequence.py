@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BadBaseError, BadResidueError, DataError
+from ..errors import DataError
 
 DNA_LETTERS = "ACGT"
 PROTEIN_LETTERS = "ACDEFGHIKLMNPQRSTVWY"
@@ -23,12 +23,7 @@ class Alphabet:
 
     def __post_init__(self):
         if self.letters is not None and len(self.letters) != self.size:
-            raise ValueError("letters length must equal size")
-
-    def error(self, message: str) -> DataError:
-        """The error for input outside this alphabet: ``BadResidueError``
-        for protein, ``BadBaseError`` for every other alphabet."""
-        return (BadResidueError if self.name == "protein" else BadBaseError)(message)
+            raise DataError("letters length must equal size")
 
 
 DNA = Alphabet("dna", 4, DNA_LETTERS)
@@ -51,9 +46,9 @@ class SymbolSequence:
         sym.setflags(write=False)
         object.__setattr__(self, "symbols", sym)
         if sym.ndim != 1:
-            raise ValueError("symbols must be 1-D")
+            raise DataError("symbols must be 1-D")
         if sym.size and (sym.min() < 0 or sym.max() >= self.alphabet.size):
-            raise BadBaseError("symbol index outside alphabet")
+            raise DataError("symbol index outside alphabet")
 
     def __len__(self) -> int:
         return int(self.symbols.size)
@@ -61,7 +56,7 @@ class SymbolSequence:
     @classmethod
     def from_string(cls, text: str, alphabet: Alphabet = DNA) -> "SymbolSequence":
         if alphabet.letters is None:
-            raise ValueError("from_string needs a lettered alphabet")
+            raise DataError("from_string needs a lettered alphabet")
         lut = np.full(128, -1, dtype=np.int64)
         for i, ch in enumerate(alphabet.letters):
             lut[ord(ch)] = i
@@ -70,18 +65,18 @@ class SymbolSequence:
         idx = lut[codes]
         if (idx < 0).any():
             bad = text[int(np.argmax(idx < 0))]
-            raise alphabet.error(f"symbol {bad!r} not in alphabet {alphabet.name}")
+            raise DataError(f"symbol {bad!r} not in alphabet {alphabet.name}")
         return cls(idx, alphabet)
 
     def require(self, alphabet: Alphabet, message: str) -> None:
-        """Raise ``alphabet``'s error with ``message`` unless this sequence
-        is over ``alphabet``."""
+        """Raise ``DataError`` with ``message`` unless this sequence is over
+        ``alphabet``."""
         if self.alphabet.name != alphabet.name:
-            raise alphabet.error(message)
+            raise DataError(message)
 
     def to_string(self) -> str:
         if self.alphabet.letters is None:
-            raise ValueError("alphabet has no letters")
+            raise DataError("alphabet has no letters")
         return "".join(self.alphabet.letters[i] for i in self.symbols)
 
     def replace(self, symbols: np.ndarray) -> "SymbolSequence":

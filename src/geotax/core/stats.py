@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataError, LengthMismatchError
+from ..errors import DataError
 
 
 def rankdata(a: np.ndarray) -> np.ndarray:
@@ -45,9 +45,9 @@ def spearman_checked(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise LengthMismatchError(f"length mismatch: {a.shape} vs {b.shape}")
+        raise DataError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.ndim != 1 or a.size < 3:
-        raise LengthMismatchError("spearman needs 1-D vectors of length >= 3")
+        raise DataError("spearman needs 1-D vectors of length >= 3")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("spearman input contains non-finite values")
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:

@@ -12,12 +12,7 @@ import numpy as np
 from .core.embedding import as_columns
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import SymbolSequence, bins_alphabet
-from .errors import (
-    BlowUpError,
-    DataError,
-    DegenerateRangeError,
-    SaturatedTooEarlyError,
-)
+from .errors import DataError
 
 # Canonical Lorenz-63 parameters.  The source material never states them,
 # so the textbook values are used.  RK4 at step LORENZ_DT stays on the
@@ -91,7 +86,7 @@ class GlobalRange:
         if lo.shape != hi.shape:
             raise DataError("range min/max shape mismatch")
         if not (hi > lo).all():
-            raise DegenerateRangeError("max must exceed min in every channel")
+            raise DataError("max must exceed min in every channel")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "minimum", lo)
@@ -160,7 +155,7 @@ def _integrate_lorenz(state: np.ndarray, n_steps: int) -> Trajectory:
         out[i] = state
         state = _rk4_step(state, LORENZ_DT)
         if np.abs(state).max() > BLOWUP_LIMIT:
-            raise BlowUpError(f"lorenz integration diverged at step {i}")
+            raise DataError(f"lorenz integration diverged at step {i}")
     return Trajectory(out, LORENZ_DT)
 
 
@@ -248,9 +243,7 @@ def estimate_lle(traj_a: Trajectory, traj_b: Trajectory) -> LLEResult:
         end = int(np.argmax(sep >= 0.1 * sep_max)) + 1
         end = max(end, 2)
     if end < LLE_MIN_WINDOW:
-        raise SaturatedTooEarlyError(
-            f"linear window {end} steps < {LLE_MIN_WINDOW}; reduce the initial offset"
-        )
+        raise DataError(f"linear window {end} steps < {LLE_MIN_WINDOW}; reduce the initial offset")
     if np.ptp(log_sep[:end]) == 0.0:
         return LLEResult(0.0, (0, end), log_sep)   # constant separation
     t = np.arange(end) * traj_a.dt

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-Three broad families map onto CLI exit codes: ``ConfigError`` -> 2,
-``DataError`` -> 3, ``NetworkError`` -> 4.
+Every failure is one of three families, and each maps onto a CLI exit
+code: ``ConfigError`` -> 2, ``DataError`` -> 3, ``NetworkError`` -> 4.
+The message names the cause (file and line, row, or the bad value); no
+caller tells causes apart by type.
 """
 
 
@@ -19,147 +21,3 @@ class DataError(GeotaxError):
 
 class NetworkError(GeotaxError):
     """Remote fetch failed and no cache entry was available."""
-
-
-# -- core ---------------------------------------------------------------
-
-class ZeroNormRowError(DataError):
-    """A row with (near-)zero norm where a direction is required."""
-
-    def __init__(self, row: int):
-        self.row = row
-        super().__init__(f"row {row} has zero norm")
-
-
-class DegenerateInputError(DataError):
-    """Input carries no usable variation (constant vector, all-zero matrix)."""
-
-
-class RankDeficientError(DataError):
-    """More components requested than min(n, d) admits."""
-
-
-class BadMagicError(DataError):
-    """File does not start with the expected magic bytes."""
-
-
-class TruncatedFileError(DataError):
-    """File ended before the declared payload was complete."""
-
-
-class DimensionMismatchError(DataError):
-    """Shapes declared in a header disagree with the payload or caller."""
-
-
-# -- dynamics -----------------------------------------------------------
-
-class BlowUpError(DataError):
-    """Integration diverged past the sanity bound."""
-
-
-class SaturatedTooEarlyError(DataError):
-    """Divergence saturated before a usable fit window accumulated."""
-
-
-class DegenerateRangeError(DataError):
-    """A channel has max <= min; no discretization grid exists."""
-
-
-# -- quantize -----------------------------------------------------------
-
-class TooFewPointsError(DataError):
-    """Fewer data points than requested codes."""
-
-
-class BadSymbolError(DataError):
-    """Symbol index outside the codebook/alphabet."""
-
-
-class SingularFitError(DataError):
-    """Least-squares design matrix is singular (too few distinct abscissae)."""
-
-
-# -- perturb ------------------------------------------------------------
-
-class AlphabetTooSmallError(DataError):
-    """Substitution needs at least two symbols to choose from."""
-
-
-class BadBaseError(DataError):
-    """Symbol not a member of the declared alphabet."""
-
-
-class BadResidueError(DataError):
-    """Residue not one of the 20 standard amino acids."""
-
-
-class TargetTooShortError(DataError):
-    """Padding target shorter than the input sequence."""
-
-
-# -- stability ----------------------------------------------------------
-
-class TooFewSamplesError(DataError):
-    """Not enough rows for the requested split scheme."""
-
-
-class TooFewFeaturesError(DataError):
-    """Not enough columns for the requested split scheme."""
-
-
-class LengthMismatchError(DataError):
-    """Paired inputs differ in length."""
-
-
-# -- procrustes / probes ------------------------------------------------
-
-class ShapeMismatchError(DataError):
-    """Paired matrices differ in shape."""
-
-
-class SingleClassError(DataError):
-    """Classification task received fewer than two classes."""
-
-
-# -- walks --------------------------------------------------------------
-
-class RegionTooSmallError(DataError):
-    """Mutation core region cannot host the requested number of sites."""
-
-
-class TooShortError(DataError):
-    """Profile too short for the requested statistic."""
-
-
-# -- mine ---------------------------------------------------------------
-
-class NonFiniteLossError(DataError):
-    """Training loss left the finite range."""
-
-
-# -- texture ------------------------------------------------------------
-
-class DegenerateGapError(DataError):
-    """Recovery fraction undefined: real and random anchors coincide."""
-
-
-# -- ingest -------------------------------------------------------------
-
-class MalformedHeaderError(DataError):
-    """FASTA header line malformed."""
-
-
-class MalformedRecordError(DataError):
-    """FASTA record empty or structurally invalid."""
-
-
-class HttpError(NetworkError):
-    """Non-success HTTP status from the remote endpoint."""
-
-
-class RangeUnavailableError(NetworkError):
-    """Requested genomic span not served by the endpoint."""
-
-
-class TooManyAmbiguousError(DataError):
-    """Sequence exceeds the ambiguous-base budget under the reject policy."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from ..core.io import read_text
 from ..core.sequence import Alphabet, SymbolSequence
-from ..errors import MalformedHeaderError, MalformedRecordError
+from ..errors import DataError
 
 
 @dataclass(frozen=True)
@@ -31,25 +31,25 @@ def parse_fasta(path: str | Path) -> list[FastaRecord]:
             return
         seq = "".join(chunks)
         if not seq:
-            raise MalformedRecordError(f"record {header!r} has an empty sequence")
+            raise DataError(f"record {header!r} has an empty sequence")
         records.append(FastaRecord(header, seq))
 
-    for lineno, line in enumerate(read_text(path, MalformedRecordError).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path, DataError).split("\n"), start=1):
         if not line:
             continue
         if line.startswith(">"):
             flush()
             header = line[1:].strip()
             if not header:
-                raise MalformedHeaderError(f"{path}:{lineno}: empty header")
+                raise DataError(f"{path}:{lineno}: empty header")
             chunks = []
         else:
             if header is None:
-                raise MalformedHeaderError(f"{path}:{lineno}: sequence data before any header")
+                raise DataError(f"{path}:{lineno}: sequence data before any header")
             chunks.append(line.strip())
     flush()
     if not records:
-        raise MalformedRecordError(f"{path}: no FASTA records")
+        raise DataError(f"{path}: no FASTA records")
     return records
 
 

@@ -14,13 +14,7 @@ from typing import Callable
 
 from ..core.rng import SeedSpec, rng_create
 from ..core.sequence import DNA, SymbolSequence
-from ..errors import (
-    ConfigError,
-    DataError,
-    HttpError,
-    RangeUnavailableError,
-    TooManyAmbiguousError,
-)
+from ..errors import ConfigError, DataError, NetworkError
 from .cache import ResultCache, cache_key
 
 GENOME_API = "https://api.genome.ucsc.edu/getData/sequence"
@@ -65,9 +59,7 @@ def _apply_n_policy(text: str, spec: FetchSpec) -> SymbolSequence:
     if n_count:
         frac = n_count / len(text)
         if spec.n_policy == "reject" and frac > MAX_N_FRACTION:
-            raise TooManyAmbiguousError(
-                f"{frac:.1%} ambiguous bases exceeds the {MAX_N_FRACTION:.0%} budget"
-            )
+            raise DataError(f"{frac:.1%} ambiguous bases exceeds the {MAX_N_FRACTION:.0%} budget")
         rng = rng_create(spec.seed.derive("n-replace"))
         letters = list(text)
         for i, ch in enumerate(letters):
@@ -116,9 +108,9 @@ def fetch_genome(
         try:
             status, body = transport(url)
         except OSError as exc:  # requests errors subclass IOError
-            raise HttpError(f"fetch failed: {exc}") from exc
+            raise NetworkError(f"fetch failed: {exc}") from exc
         if status != 200:
-            raise HttpError(f"genome endpoint returned {status}")
+            raise NetworkError(f"genome endpoint returned {status}")
         raw = body
         if cache is not None:
             cache.put(key, raw)
@@ -128,9 +120,7 @@ def fetch_genome(
     except (ValueError, KeyError) as exc:
         raise DataError("unrecognized genome endpoint payload") from exc
     if len(text) != spec.length:
-        raise RangeUnavailableError(
-            f"endpoint served {len(text)} bases for a {spec.length}-base span"
-        )
+        raise NetworkError(f"endpoint served {len(text)} bases for a {spec.length}-base span")
     return _apply_n_policy(text, spec)
 
 

@@ -20,7 +20,7 @@ from ..core.embedding import as_columns
 from ..core.parallel import ordered_map
 from ..core.pca import pca_project
 from ..core.rng import SeedSpec, rng_create
-from ..errors import ConfigError, DataError, NonFiniteLossError
+from ..errors import ConfigError, DataError
 from .mlp import MLP, Adam, MLPConfig, clip_gradient
 
 DEFAULT_SEEDS = (320, 420, 520, 620, 720)
@@ -144,7 +144,7 @@ def _run_single(x: np.ndarray, z: np.ndarray, cfg: MLPConfig, seed: int) -> MIRu
         if epoch >= tail_start:
             value = full_bound()
             if not np.isfinite(value):
-                raise NonFiniteLossError(f"DV bound diverged at epoch {epoch}")
+                raise DataError(f"DV bound diverged at epoch {epoch}")
             tail_values.append(value)
             trace.append((epoch, value))
         elif epoch % TRACE_STRIDE == 0:

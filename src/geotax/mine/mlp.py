@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.embedding import as_columns
 from ..core.rng import SeedSpec, rng_create
-from ..errors import ConfigError, DataError, NonFiniteLossError
+from ..errors import ConfigError, DataError
 from ..procrustes import sigmoid
 
 ADAM_BETA1 = 0.9
@@ -168,7 +168,7 @@ class Adam:
 
 def _check_finite(value: float, context: str) -> None:
     if not np.isfinite(value):
-        raise NonFiniteLossError(f"{context}: loss left the finite range")
+        raise DataError(f"{context}: loss left the finite range")
 
 
 def mlp_train_regression(

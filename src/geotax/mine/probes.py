@@ -8,6 +8,7 @@ are at chance, the representation is genuinely uninformative.
 from __future__ import annotations
 
 from ..core.rng import SeedSpec, rng_create
+from ..errors import ConfigError
 from ..procrustes import stratified_cv_accuracy
 from .mlp import MLPConfig, train_binary_classifier
 
@@ -20,7 +21,7 @@ PROBE_CONFIG = dict(dropout=0.0, lr=1e-3, epochs=200, batch_size=64)
 
 def probe_config(arch: str) -> MLPConfig:
     if arch not in PROBE_ARCHS:
-        raise ValueError(f"unknown probe arch {arch!r}; choose from {sorted(PROBE_ARCHS)}")
+        raise ConfigError(f"unknown probe arch {arch!r}; choose from {sorted(PROBE_ARCHS)}")
     return MLPConfig(hidden=PROBE_ARCHS[arch], **PROBE_CONFIG)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
 from .dynamics import GlobalRange, Trajectory
-from .errors import AlphabetTooSmallError, DataError, TargetTooShortError
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def value_noise(
 def substitute(seq: SymbolSequence, spec: PerturbationSpec) -> SymbolSequence:
     """Replace ceil(rate*L) positions by a uniformly random different symbol."""
     if seq.alphabet.size < 2:
-        raise AlphabetTooSmallError("substitution needs an alphabet of size >= 2")
+        raise DataError("substitution needs an alphabet of size >= 2")
     count = n_positions(spec.rate, len(seq))
     if count == 0:
         return seq
@@ -115,7 +115,7 @@ def pad_random(
     """Pad with i.i.d. uniform symbols to target_len, preserving the signal
     region verbatim at a recorded offset.  side: left | right | both."""
     if target_len < len(seq):
-        raise TargetTooShortError(f"target {target_len} < sequence length {len(seq)}")
+        raise DataError(f"target {target_len} < sequence length {len(seq)}")
     extra = target_len - len(seq)
     if side == "left":
         left = extra

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core.embedding import EmbeddingMatrix, as_array
 from .core.rng import SeedSpec, rng_create
-from .errors import ConfigError, DegenerateInputError, ShapeMismatchError, SingleClassError
+from .errors import ConfigError, DataError
 
 BRITTLE_GLASS_MAX = 2.0     # reduction percent below -> internal fracture
 UNTETHERED_GEL_MIN = 4.0    # reduction percent above -> coherent global drift
@@ -43,10 +43,10 @@ def procrustes_align(x_clean, x_pert) -> ProcrustesResult:
     xc = as_array(x_clean)
     xp = as_array(x_pert)
     if xc.shape != xp.shape:
-        raise ShapeMismatchError(f"{xc.shape} vs {xp.shape}")
+        raise DataError(f"{xc.shape} vs {xp.shape}")
     n = xc.shape[0]
     if n < 2:
-        raise DegenerateInputError("need at least 2 samples")
+        raise DataError("need at least 2 samples")
     xc = xc - xc.mean(axis=0)
     xp = xp - xp.mean(axis=0)
     sq = np.sqrt(n)
@@ -54,12 +54,12 @@ def procrustes_align(x_clean, x_pert) -> ProcrustesResult:
     nc = float(np.linalg.norm(xc))
     npn = float(np.linalg.norm(xp))
     if nc == 0.0 and npn == 0.0:
-        raise DegenerateInputError("both centered matrices are all-zero")
+        raise DataError("both centered matrices are all-zero")
     if raw == 0.0:
         # identical inputs: batch pipelines must not crash on unperturbed controls
         return ProcrustesResult(0.0, 0.0, 0.0, 100.0, np.eye(xc.shape[1]), 1.0, True)
     if nc == 0.0 or npn == 0.0:
-        raise DegenerateInputError("one centered matrix is all-zero")
+        raise DataError("one centered matrix is all-zero")
     u, _, vt = np.linalg.svd((xp / npn).T @ (xc / nc))
     # Optimal orthogonal map for row-major right-multiplication Xp @ R.
     rotation = u @ vt
@@ -107,7 +107,7 @@ def frozen_head_agreement(logits_clean, logits_pert) -> tuple[float, float]:
     lc = as_array(logits_clean)
     lp = as_array(logits_pert)
     if lc.shape != lp.shape:
-        raise ShapeMismatchError(f"{lc.shape} vs {lp.shape}")
+        raise DataError(f"{lc.shape} vs {lp.shape}")
     agree = float((np.argmax(lc, axis=1) == np.argmax(lp, axis=1)).mean())
     log_pc = _log_softmax(lc)
     log_pp = _log_softmax(lp)
@@ -199,12 +199,12 @@ def stratified_cv_accuracy(
     data = as_array(x)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (data.shape[0],):
-        raise ShapeMismatchError(f"{labels.size} labels for {data.shape[0]} samples")
+        raise DataError(f"{labels.size} labels for {data.shape[0]} samples")
     classes = np.unique(labels)
     if classes.size != 2:
-        raise SingleClassError(f"need exactly 2 classes, got {classes.size}")
+        raise DataError(f"need exactly 2 classes, got {classes.size}")
     if min((labels == c).sum() for c in classes) < folds:
-        raise SingleClassError("each class needs at least `folds` samples")
+        raise DataError("each class needs at least `folds` samples")
     y01 = (labels == classes[1]).astype(np.float64)
     accs = []
     for i, test_idx in enumerate(stratified_folds(labels, folds, rng)):

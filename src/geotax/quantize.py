@@ -14,13 +14,7 @@ import numpy as np
 from .core.embedding import as_columns
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import SymbolSequence, bins_alphabet
-from .errors import (
-    BadSymbolError,
-    ConfigError,
-    DataError,
-    SingularFitError,
-    TooFewPointsError,
-)
+from .errors import ConfigError, DataError
 from .procrustes import procrustes_align
 
 KMEANS_MAX_ITER = 300
@@ -95,7 +89,7 @@ def kmeans_fit(
     points = as_columns(data)
     n = points.shape[0]
     if n < k:
-        raise TooFewPointsError(f"n={n} < K={k}")
+        raise DataError(f"n={n} < K={k}")
     rng = rng_create(seed)
     if init_centroids is not None:
         prev = np.asarray(init_centroids, dtype=np.float64)
@@ -151,7 +145,7 @@ def encode(codebook: Codebook, points) -> SymbolSequence:
 def decode(codebook: Codebook, symbols: SymbolSequence | np.ndarray) -> np.ndarray:
     idx = symbols.symbols if isinstance(symbols, SymbolSequence) else np.asarray(symbols)
     if idx.size and (idx.min() < 0 or idx.max() >= codebook.k):
-        raise BadSymbolError("symbol outside codebook range")
+        raise DataError("symbol outside codebook range")
     return codebook.centroids[idx]
 
 
@@ -187,7 +181,7 @@ def fit_inverse_log(k_values, d_values) -> tuple[float, float, float]:
     k = np.asarray(k_values, dtype=np.float64)
     d = np.asarray(d_values, dtype=np.float64)
     if np.unique(k).size < 3:
-        raise SingularFitError("need >= 3 distinct K values")
+        raise DataError("need >= 3 distinct K values")
     x = 1.0 / np.log(k)
     design = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(design, d, rcond=None)
@@ -195,7 +189,7 @@ def fit_inverse_log(k_values, d_values) -> tuple[float, float, float]:
     ss_res = float((resid * resid).sum())
     ss_tot = float(((d - d.mean()) ** 2).sum())
     if ss_tot == 0.0:
-        raise SingularFitError("distortion values are constant")
+        raise DataError("distortion values are constant")
     r2 = 1.0 - ss_res / ss_tot
     return float(coef[0]), float(coef[1]), r2
 

@@ -21,7 +21,7 @@ from .core.rng import SeedSpec
 from .core.sequence import DNA, SymbolSequence
 from .dynamics import fit_global_range, gen_lorenz, gen_oscillator, sample_oscillator_params
 from .core.rng import rng_create
-from .errors import ConfigError, DataError, DimensionMismatchError, LengthMismatchError
+from .errors import ConfigError, DataError
 from .ingest.config import Config
 from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
 from .mine.estimator import DEFAULT_SEEDS, excess_mi_report, sanity_suite
@@ -46,11 +46,13 @@ def dump_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _split_config(cfg: Config) -> SplitConfig:
+def _split_config(cfg: Config, n_splits: int = 30, n_bootstrap: int = 5) -> SplitConfig:
+    """The harness settings a config declares; ``n_splits`` and
+    ``n_bootstrap`` are the experiment's defaults for keys it leaves out."""
     return SplitConfig(
-        n_splits=cfg.get_int("stability.n_splits", 30),
+        n_splits=cfg.get_int("stability.n_splits", n_splits),
         max_samples=cfg.get_int("stability.max_samples", 2500),
-        n_bootstrap=cfg.get_int("stability.n_bootstrap", 5),
+        n_bootstrap=cfg.get_int("stability.n_bootstrap", n_bootstrap),
         anchor_count=cfg.get_int("stability.anchor_count", None),
         rank_normalize_anchors=cfg.get_bool("stability.rank_normalize_anchors"),
         composite_variant=cfg.get("stability.composite_variant", "anchor"),
@@ -128,11 +130,11 @@ def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
     if deltas_path:
         column = load(deltas_path)
         if column.d != 1:
-            raise DimensionMismatchError(
+            raise DataError(
                 f"{deltas_path}: deltas need one value per row, not {column.d} columns"
             )
         if column.n != clean.n:
-            raise LengthMismatchError(
+            raise DataError(
                 f"{deltas_path}: one delta per clean row required: {column.n} rows for {clean.n}"
             )
         deltas = column.data[:, 0]
@@ -313,9 +315,9 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
             cfg.get_int("texture.length", 400),
             SeedSpec(seed, "texture-corpus"),
         )
-    rows = four_condition_experiment(
-        corpus, SeedSpec(seed, "texture"), split_config=_split_config(cfg)
-    )
+    # the texture subcommand's defaults, so a config file runs what the CLI runs
+    split_config = _split_config(cfg, n_splits=10, n_bootstrap=1)
+    rows = four_condition_experiment(corpus, SeedSpec(seed, "texture"), split_config=split_config)
     csv_lines = ["Condition,RC RDM,RC Composite,Recovery"]
     for r in rows:
         csv_lines.append(f"{r.condition},{r.rc_rdm:.6f},{r.rc_composite:.6f},{r.recovery:.6f}")

@@ -20,13 +20,7 @@ import numpy as np
 from .core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_block
 from .core.rng import SeedSpec, rng_create
 from .core.stats import rankdata, spearman_checked
-from .errors import (
-    ConfigError,
-    LengthMismatchError,
-    ShapeMismatchError,
-    TooFewFeaturesError,
-    TooFewSamplesError,
-)
+from .errors import ConfigError, DataError
 
 CORE_METRICS = ("rdm_similarity", "sample_split", "feature_split", "anchor_stability")
 
@@ -61,7 +55,7 @@ def rdm_similarity(x_clean, x_pert) -> float:
     xc = EmbeddingMatrix.coerce(x_clean)
     xp = EmbeddingMatrix.coerce(x_pert)
     if xc.n != xp.n:
-        raise ShapeMismatchError("clean and perturbed sample counts differ")
+        raise DataError("clean and perturbed sample counts differ")
     return _rdm_agreement(xc, xp)
 
 
@@ -109,7 +103,7 @@ def sample_split(
     """
     xm = EmbeddingMatrix.coerce(x)
     if xm.n < 4:
-        raise TooFewSamplesError("sample split needs n >= 4")
+        raise DataError("sample split needs n >= 4")
     rng = _rng(seed, "sample-split")
     return _mean_over_splits(
         cfg.n_splits,
@@ -128,7 +122,7 @@ def feature_split(
     """Mean agreement between full-sample RDMs on disjoint feature halves."""
     xm = EmbeddingMatrix.coerce(x)
     if xm.d < 4:
-        raise TooFewFeaturesError("feature split needs d >= 4")
+        raise DataError("feature split needs d >= 4")
     rng = _rng(seed, "feature-split")
     return _mean_over_splits(
         cfg.n_splits,
@@ -153,7 +147,7 @@ def anchor_stability(
     xm = EmbeddingMatrix.coerce(x)
     m = cfg.anchors_for(xm.n)
     if xm.n < m + 4:
-        raise TooFewSamplesError(f"anchor stability needs n >= anchors + 4 = {m + 4}")
+        raise DataError(f"anchor stability needs n >= anchors + 4 = {m + 4}")
     rng = _rng(seed, "anchor")
     anchor_idx = rng.choice(xm.n, size=m, replace=False)
     rest = np.setdiff1d(np.arange(xm.n), anchor_idx)
@@ -183,9 +177,9 @@ def perturbation_stability(input_deltas, x_clean, x_pert) -> float:
     xc = EmbeddingMatrix.coerce(x_clean)
     xp = EmbeddingMatrix.coerce(x_pert)
     if xc.data.shape != xp.data.shape:
-        raise ShapeMismatchError("clean and perturbed shapes differ")
+        raise DataError("clean and perturbed shapes differ")
     if deltas.shape != (xc.n,):
-        raise LengthMismatchError("one input delta per sample required")
+        raise DataError("one input delta per sample required")
     disp = np.linalg.norm(xc.data - xp.data, axis=1)
     rho, _ = spearman_checked(deltas, disp)
     return rho
@@ -196,7 +190,7 @@ def perturbation_magnitude(x_clean, x_pert) -> float:
     xc = EmbeddingMatrix.coerce(x_clean)
     xp = EmbeddingMatrix.coerce(x_pert)
     if xc.data.shape != xp.data.shape:
-        raise ShapeMismatchError("clean and perturbed shapes differ")
+        raise DataError("clean and perturbed shapes differ")
     return float(np.linalg.norm(xc.data - xp.data, axis=1).mean())
 
 
@@ -273,12 +267,10 @@ def evaluate(
     xc = EmbeddingMatrix.coerce(x_clean)
     xp = EmbeddingMatrix.coerce(x_pert)
     if xc.data.shape != xp.data.shape:
-        raise ShapeMismatchError("clean and perturbed shapes differ")
+        raise DataError("clean and perturbed shapes differ")
     deltas = None if input_deltas is None else np.asarray(input_deltas, dtype=np.float64)
     if deltas is not None and deltas.shape != (xc.n,):
-        raise LengthMismatchError(
-            f"one input delta per clean row required: {deltas.shape} for {xc.n} rows"
-        )
+        raise DataError(f"one input delta per clean row required: {deltas.shape} for {xc.n} rows")
     spec = SeedSpec.coerce(seed)
     sub_rng = rng_create(spec.derive("subsample"))
     keep = _stratified_subsample(xc.labels, xc.n, cfg.max_samples, sub_rng)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence, kmer_histogram
-from .errors import DataError, DegenerateGapError
+from .errors import DataError
 from .perturb import reverse_complement
 
 
@@ -148,7 +148,7 @@ def recovery_fraction(real: float, condition: float, random: float) -> float:
     (condition - random) / (real - random)."""
     gap = real - random
     if gap == 0.0:
-        raise DegenerateGapError("real and random anchors coincide")
+        raise DataError("real and random anchors coincide")
     return (condition - random) / gap
 
 

@@ -17,13 +17,7 @@ from .core.pca import PCAResult, pca_project
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
 from .dynamics import GlobalRange, Trajectory, discretize
-from .errors import (
-    ConfigError,
-    DataError,
-    LengthMismatchError,
-    RegionTooSmallError,
-    TooShortError,
-)
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,7 @@ def build_interpolation_walk(
     Endpoints equal the standalone discretizations of A and B exactly.
     """
     if traj_a.values.shape != traj_b.values.shape:
-        raise LengthMismatchError("interpolation endpoints must share shape")
+        raise DataError("interpolation endpoints must share shape")
     if n_steps < 2:
         raise DataError("need at least 2 interpolation steps")
     steps, alphas = [], []
@@ -88,19 +82,17 @@ def build_mutation_walk(
     wildtype.require(DNA, "mutation walks are defined over the DNA alphabet")
     lo, hi = core_region
     if not (0 <= lo < hi <= len(wildtype)):
-        raise RegionTooSmallError("core region outside sequence")
+        raise DataError("core region outside sequence")
     pool = np.arange(lo, hi)
     if landmark is not None:
         lm_pos, lm_base = landmark
         if not lo <= lm_pos < hi:
-            raise RegionTooSmallError("landmark outside core region")
+            raise DataError("landmark outside core region")
         if not 0 <= lm_base < 4 or lm_base == wildtype.symbols[lm_pos]:
             raise DataError("landmark base must differ from the reference base")
         pool = pool[pool != lm_pos]
     if n_mutations > pool.size:
-        raise RegionTooSmallError(
-            f"core region holds {pool.size} candidate sites < {n_mutations}"
-        )
+        raise DataError(f"core region holds {pool.size} candidate sites < {n_mutations}")
     rng = rng_create(SeedSpec.coerce(seed).derive("mutation-walk"))
     positions = rng.choice(pool, size=n_mutations, replace=False)
     draw = rng.integers(0, 3, size=n_mutations)
@@ -153,7 +145,7 @@ def detect_spikes(values: np.ndarray) -> tuple:
     """Indices strictly exceeding mean + 2 population standard deviations."""
     values = np.asarray(values, dtype=np.float64)
     if values.size < SPIKE_MIN_VALUES:
-        raise TooShortError(f"need >= {SPIKE_MIN_VALUES} profile values")
+        raise DataError(f"need >= {SPIKE_MIN_VALUES} profile values")
     threshold = values.mean() + 2.0 * values.std()
     return tuple(int(i) for i in np.nonzero(values > threshold)[0])
 

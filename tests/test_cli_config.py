@@ -8,7 +8,9 @@ report bytes.
 
 import argparse
 import json
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,18 @@ def test_cli_perturb_manifest_bad_rate_exit_2(pair, tmp_path, capsys):
     argv = ["--out-dir", str(tmp_path / "out"), "perturb", "--manifest", str(manifest)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {manifest}:2: ")
+
+
+def test_cli_perturb_manifest_nul_path_exit_2(pair, tmp_path, capsys):
+    clean, _ = pair
+    manifest = tmp_path / "man.csv"
+    manifest.write_bytes(f"{clean},value_noise,0.1,1\n".encode()
+                         + b"a\x00.emb1,value_noise,0.1,1\n")
+    argv = ["--out-dir", str(tmp_path / "out"), "perturb", "--manifest", str(manifest)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {manifest}:2: NUL byte in 'a\\x00.emb1,value_noise,0.1,1'\n"
+    )
 
 
 def test_cli_csv_non_numeric_field_exit_3(tmp_path, capsys):
@@ -489,3 +503,14 @@ def test_cli_perturb_manifest_not_utf8_exit_2(pair, tmp_path, capsys):
     argv = ["--out-dir", str(tmp_path / "out"), "perturb", "--manifest", str(manifest)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {manifest}: not UTF-8 text")
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("geotax ")]
+    assert len(lines) == 15
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert parser.parse_args(argv).command in argv, line

@@ -1,6 +1,6 @@
 """Exit-code fuzz: byte-mutated inputs reach ``cli.main`` through
-``lipschitz`` and ``report``, and every run ends in 0, 2 or 3, never in an
-exception.
+``lipschitz``, ``report``, ``walk`` and ``perturb``, and every run ends in
+0, 2 or 3, never in an exception.
 
 Inputs are tiny fixtures written under fixed relative names in a fresh
 directory per example, so the mutated bytes, and with ``derandomize`` the
@@ -26,6 +26,8 @@ EMB1 = (b"EMB1" + struct.pack("<II", *WALK.shape) + WALK.astype("<f4").tobytes()
         + struct.pack("<B", 0))
 CSV = "".join(",".join(f"{v:g}" for v in row) + "\n" for row in WALK).encode()
 CONFIG = b"experiment = lipschitz\nlipschitz.embeddings = walk.emb1\nlipschitz.metric = l2\n"
+FASTA = b">wt\n" + b"ACGGTCAT" * 5 + b"\n"
+MANIFEST = b"walk.emb1,value_noise,0.1,1\nw.fasta,substitute,0.1,2\n"
 REPORT = json.dumps(
     {"experiment": "lipschitz",
      "provenance": {"config_echo": CONFIG.decode(), "seed": 320}},
@@ -38,8 +40,13 @@ TARGETS = {
     "csv": ("walk.csv", ["lipschitz", "--embeddings", "walk.csv", "--metric", "l2"]),
     "config": ("exp.cfg", ["--config", "exp.cfg", "report"]),
     "report": ("report.json", ["report", "--rerun", "report.json"]),
+    "fasta-walk": ("w.fasta", ["walk", "--fasta", "w.fasta", "--n-mutations", "4"]),
+    "fasta-perturb": ("w.fasta", ["perturb", "--input", "w.fasta", "--kind", "substitute",
+                                  "--rate", "0.1", "--output", "out.fasta"]),
+    "manifest": ("man.csv", ["perturb", "--manifest", "man.csv"]),
 }
-FIXTURES = {"emb1": EMB1, "csv": CSV, "config": CONFIG, "report": REPORT}
+FIXTURES = {"emb1": EMB1, "csv": CSV, "config": CONFIG, "report": REPORT,
+            "fasta-walk": FASTA, "fasta-perturb": FASTA, "manifest": MANIFEST}
 
 MUTATIONS = st.lists(
     st.tuples(
@@ -87,6 +94,8 @@ def test_cli_mutated_input_exits_0_2_or_3(fixture, mutations):
     with fresh_directory():
         with open("walk.emb1", "wb") as fh:
             fh.write(EMB1)
+        with open("w.fasta", "wb") as fh:
+            fh.write(FASTA)
         with open(target, "wb") as fh:
             fh.write(mutate(FIXTURES[fixture], mutations))
         assert cli.main(["--out-dir", "run", *argv]) in (0, 2, 3)

@@ -92,6 +92,17 @@ def test_texture_pipeline_desk_corpus(tmp_path):
     assert recoveries["dinuc_shuffled"] > recoveries["markov"]
 
 
+def test_texture_config_file_runs_the_cli_split_defaults(tmp_path):
+    cfg_path = tmp_path / "tex.cfg"
+    cfg_path.write_text("experiment = texture\ntexture.n = 30\ntexture.length = 80\n")
+    assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "cfg"), "report"]) == 0
+    assert main(["--out-dir", str(tmp_path / "cli"), "texture", "--n", "30",
+                 "--length", "80"]) == 0
+    results = [json.loads((tmp_path / run / "report.json").read_text())["results"]
+               for run in ("cfg", "cli")]
+    assert results[0] == results[1]
+
+
 def test_unknown_experiment_is_config_error(tmp_path):
     from geotax.errors import ConfigError
 

@@ -18,7 +18,7 @@ from geotax.dynamics import (
     _rk4_step,
     lorenz_initial_state,
 )
-from geotax.errors import DegenerateRangeError, SaturatedTooEarlyError
+from geotax.errors import DataError
 
 # Benettin-rescaling oracle value for the canonical Lorenz parameters,
 # recorded from a 200k-step run (dt=0.01, d0=1e-8); the literature value
@@ -122,7 +122,7 @@ def test_fit_global_range_envelope():
 
 def test_fit_global_range_constant_is_degenerate():
     t = Trajectory(np.array([[1.0], [1.0]]), 1.0)
-    with pytest.raises(DegenerateRangeError):
+    with pytest.raises(DataError, match="max must exceed min in every channel"):
         fit_global_range([t])
 
 
@@ -196,7 +196,7 @@ def test_lle_time_reversal_flips_sign():
 def test_lle_saturated_too_early():
     # offset at attractor scale: no pre-saturation growth window
     a, b = lorenz_twins(SeedSpec(320, "lle-sat"), 300, delta=10.0)
-    with pytest.raises(SaturatedTooEarlyError):
+    with pytest.raises(DataError, match="reduce the initial offset"):
         estimate_lle(a, b)
 
 

@@ -5,14 +5,7 @@ import pytest
 
 from geotax.core.rng import SeedSpec
 from geotax.core.sequence import DNA, PROTEIN
-from geotax.errors import (
-    BadBaseError,
-    ConfigError,
-    HttpError,
-    MalformedHeaderError,
-    MalformedRecordError,
-    TooManyAmbiguousError,
-)
+from geotax.errors import ConfigError, DataError, NetworkError
 from geotax.ingest.cache import ResultCache, cache_key, canonical_key_string
 from geotax.ingest.config import Config
 from geotax.ingest.fasta import FastaRecord, parse_fasta, write_fasta
@@ -57,21 +50,21 @@ def test_fasta_multi_record_round_trip(tmp_path):
 def test_fasta_empty_record_rejected(tmp_path):
     path = tmp_path / "bad.fasta"
     path.write_text(">only-header\n>another\nACGT\n")
-    with pytest.raises(MalformedRecordError):
+    with pytest.raises(DataError, match="record 'only-header' has an empty sequence"):
         parse_fasta(path)
 
 
 def test_fasta_data_before_header(tmp_path):
     path = tmp_path / "bad.fasta"
     path.write_text("ACGT\n>rec\nACGT\n")
-    with pytest.raises(MalformedHeaderError):
+    with pytest.raises(DataError, match=f"{path}:1: sequence data before any header"):
         parse_fasta(path)
 
 
 def test_fasta_non_utf8_names_the_file(tmp_path):
     path = tmp_path / "latin.fasta"
     path.write_bytes(b">a\nAC\xe9GT\n")
-    with pytest.raises(MalformedRecordError, match=f"{path}: not UTF-8 text"):
+    with pytest.raises(DataError, match=f"{path}: not UTF-8 text"):
         parse_fasta(path)
 
 
@@ -79,7 +72,7 @@ def test_fasta_record_decode_upper_cases():
     rec = FastaRecord("r", "acgT")
     assert rec.decode(DNA).to_string() == "ACGT"
     assert FastaRecord("p", "mkwv").decode(PROTEIN).to_string() == "MKWV"
-    with pytest.raises(BadBaseError, match="symbol 'N' not in alphabet dna"):
+    with pytest.raises(DataError, match="symbol 'N' not in alphabet dna"):
         FastaRecord("r", "acgtn").decode(DNA)
 
 
@@ -171,7 +164,7 @@ def test_fetch_cache_hit_equals_cold_run(tmp_path):
 def test_fetch_rejects_too_many_ambiguous():
     dna = "N" * 10 + "ACGT" * 25  # ~9% N
     spec = FetchSpec(chromosome="chr2", start=0, end=110)
-    with pytest.raises(TooManyAmbiguousError):
+    with pytest.raises(DataError, match="9.1% ambiguous bases exceeds the 5% budget"):
         fetch_genome(spec, RecordingTransport(default=genome_response(dna)))
 
 
@@ -188,7 +181,7 @@ def test_fetch_replace_policy_is_seeded():
 
 def test_fetch_http_error():
     spec = FetchSpec(chromosome="chr3", start=0, end=10)
-    with pytest.raises(HttpError):
+    with pytest.raises(NetworkError, match="genome endpoint returned 503"):
         fetch_genome(spec, RecordingTransport(default=(503, b"")))
 
 
@@ -197,7 +190,7 @@ def test_fetch_connection_failure_maps_to_network_error():
         raise ConnectionError("refused")
 
     spec = FetchSpec(chromosome="chr3", start=0, end=10)
-    with pytest.raises(HttpError):
+    with pytest.raises(NetworkError, match="fetch failed: refused"):
         fetch_genome(spec, broken_transport)
 
 

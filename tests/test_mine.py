@@ -3,7 +3,7 @@ import pytest
 
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.sequence import DNA, PROTEIN, SymbolSequence
-from geotax.errors import BadBaseError, BadResidueError, ConfigError, SingleClassError
+from geotax.errors import ConfigError, DataError
 from geotax.mine.estimator import (
     _run_single,
     dv_bound,
@@ -18,7 +18,7 @@ from geotax.mine.estimator import (
 )
 from geotax.mine.features import dna_features, protein_features
 from geotax.mine.mlp import MLP, MLPConfig, clip_gradient, mlp_train_regression
-from geotax.mine.probes import mlp_probe_cv
+from geotax.mine.probes import mlp_probe_cv, probe_config
 from geotax.procrustes import frozen_head_classifier
 
 # the statistics network plus the two probe architectures
@@ -307,8 +307,13 @@ def test_probes_pinned(noise, linear, mlp):
 
 
 def test_probe_single_class():
-    with pytest.raises(SingleClassError):
+    with pytest.raises(DataError, match="need exactly 2 classes, got 1"):
         mlp_probe_cv(np.ones((10, 2)), np.zeros(10, dtype=int), "mlp")
+
+
+def test_probe_unknown_arch_is_config_error():
+    with pytest.raises(ConfigError, match="unknown probe arch 'tiny'"):
+        probe_config("tiny")
 
 
 # -- features ---------------------------------------------------------------------
@@ -334,9 +339,9 @@ def test_dna_features_match_pair_rank_oracle(rng):
 
 
 def test_features_reject_the_wrong_alphabet():
-    with pytest.raises(BadBaseError):
+    with pytest.raises(DataError, match="DNA features need the DNA alphabet"):
         dna_features(SymbolSequence.from_string("ACDK", PROTEIN))
-    with pytest.raises(BadResidueError):
+    with pytest.raises(DataError, match="protein features need the protein alphabet"):
         protein_features(SymbolSequence.from_string("ACGT", DNA))
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.sequence import DNA, SymbolSequence, Alphabet, bins_alphabet
 from geotax.dynamics import GlobalRange, Trajectory
-from geotax.errors import AlphabetTooSmallError, TargetTooShortError
+from geotax.errors import DataError
 from geotax.perturb import (
     PerturbationSpec,
     n_positions,
@@ -96,7 +96,7 @@ def test_substitute_exact_count_none_equal():
 
 def test_substitute_alphabet_too_small():
     seq = SymbolSequence(np.zeros(5, dtype=np.int64), bins_alphabet(1))
-    with pytest.raises(AlphabetTooSmallError):
+    with pytest.raises(DataError, match="substitution needs an alphabet of size >= 2"):
         substitute(seq, PerturbationSpec("substitute", rate=0.5))
 
 
@@ -160,7 +160,7 @@ def test_pad_preserves_signal_slice():
 
 
 def test_pad_target_too_short():
-    with pytest.raises(TargetTooShortError):
+    with pytest.raises(DataError, match="target 3 < sequence length 4"):
         pad_random(dna("ACGT"), 3, "right", SeedSpec(1))
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geotax.core.rng import SeedSpec, rng_create
-from geotax.errors import DegenerateInputError, ShapeMismatchError, SingleClassError
+from geotax.errors import DataError
 from geotax.procrustes import (
     classify_regime,
     frozen_head_agreement,
@@ -106,12 +106,12 @@ def test_small_noise_ratio_near_one(rng):
 
 def test_degenerate_all_zero():
     x = np.ones((5, 3))  # all rows equal: centered matrix is zero
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DataError, match="one centered matrix is all-zero"):
         procrustes_align(x, 2 * np.ones((5, 3)) + np.arange(15).reshape(5, 3))
 
 
 def test_shape_mismatch(rng):
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match=r"\(5, 3\) vs \(5, 4\)"):
         procrustes_align(rng.standard_normal((5, 3)), rng.standard_normal((5, 4)))
 
 
@@ -214,5 +214,5 @@ def test_classifier_duplicated_dataset_stable():
 
 
 def test_classifier_single_class():
-    with pytest.raises(SingleClassError):
+    with pytest.raises(DataError, match="need exactly 2 classes, got 1"):
         frozen_head_classifier(np.ones((10, 3)), np.zeros(10, dtype=int))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geotax.core.rng import SeedSpec, rng_create
-from geotax.errors import BadSymbolError, SingularFitError, TooFewPointsError
+from geotax.errors import DataError
 from geotax.quantize import (
     Codebook,
     boundary_crossing_rate,
@@ -50,7 +50,7 @@ def test_kmeans_deterministic(rng):
 
 
 def test_kmeans_too_few_points(rng):
-    with pytest.raises(TooFewPointsError):
+    with pytest.raises(DataError, match="n=3 < K=4"):
         kmeans_fit(rng.standard_normal((3, 2)), 4)
 
 
@@ -83,7 +83,7 @@ def test_encode_tie_goes_to_lowest_index():
 
 def test_decode_bad_symbol():
     cb = Codebook(np.array([[0.0], [2.0]]))
-    with pytest.raises(BadSymbolError):
+    with pytest.raises(DataError, match="symbol outside codebook range"):
         decode(cb, np.array([5]))
 
 
@@ -208,7 +208,7 @@ def test_fit_inverse_log_noisy_r2():
 
 
 def test_fit_inverse_log_needs_three_distinct():
-    with pytest.raises(SingularFitError):
+    with pytest.raises(DataError, match="need >= 3 distinct K values"):
         fit_inverse_log([32, 32, 64], [0.1, 0.1, 0.2])
 
 

@@ -6,13 +6,7 @@ import pytest
 from geotax.core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_block
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.stats import rankdata, spearman
-from geotax.errors import (
-    ConfigError,
-    DataError,
-    LengthMismatchError,
-    ShapeMismatchError,
-    TooFewSamplesError,
-)
+from geotax.errors import ConfigError, DataError
 from geotax.stability import (
     SplitConfig,
     anchor_stability,
@@ -179,7 +173,7 @@ def test_split_metrics_match_exact_draw_order_oracles(s):
 
 
 def test_sample_split_too_few():
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(DataError, match="sample split needs n >= 4"):
         sample_split(np.ones((3, 5)), SplitConfig(n_splits=1))
 
 
@@ -363,7 +357,7 @@ def test_evaluate_main_text_composite_variant(rng):
 
 
 def test_evaluate_shape_mismatch(rng):
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match="clean and perturbed shapes differ"):
         evaluate(rng.standard_normal((10, 4)), rng.standard_normal((10, 5)))
 
 
@@ -412,7 +406,8 @@ def test_evaluate_on_tied_data_matches_golden_values(case):
 @pytest.mark.parametrize("size", [47, 49])
 def test_evaluate_rejects_deltas_of_wrong_length(size, rng):
     x = rng.standard_normal((48, 6))
-    with pytest.raises(LengthMismatchError):
+    message = rf"one input delta per clean row required: \({size},\) for 48 rows"
+    with pytest.raises(DataError, match=message):
         evaluate(x, x, np.ones(size), SplitConfig(n_splits=2, n_bootstrap=1))
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.sequence import DNA, SymbolSequence
-from geotax.errors import DegenerateGapError
+from geotax.errors import DataError
 from geotax.perturb import reverse_complement
 from geotax.texture import (
     MarkovModel,
@@ -190,7 +190,7 @@ def test_recovery_fraction_table_values():
 
 def test_recovery_fraction_trivials():
     assert recovery_fraction(0.9, 0.9, 0.1) == pytest.approx(1.0)
-    with pytest.raises(DegenerateGapError):
+    with pytest.raises(DataError, match="real and random anchors coincide"):
         recovery_fraction(0.5, 0.4, 0.5)
 
 

@@ -4,13 +4,7 @@ import pytest
 from geotax.core.rng import SeedSpec
 from geotax.core.sequence import DNA, PROTEIN, SymbolSequence
 from geotax.dynamics import GlobalRange, Trajectory, discretize
-from geotax.errors import (
-    BadBaseError,
-    ConfigError,
-    RankDeficientError,
-    RegionTooSmallError,
-    TooShortError,
-)
+from geotax.errors import ConfigError, DataError
 from geotax.walks import (
     build_interpolation_walk,
     build_mutation_walk,
@@ -99,7 +93,7 @@ def test_mutation_walk_deterministic_and_landmark(rng):
 
 def test_mutation_walk_region_too_small(rng):
     wt = wildtype(rng, 100)
-    with pytest.raises(RegionTooSmallError):
+    with pytest.raises(DataError, match="core region holds 20 candidate sites < 50"):
         build_mutation_walk(wt, 50, (10, 30), SeedSpec(1))
 
 
@@ -110,7 +104,7 @@ def test_mutation_walk_rejects_negative_count(rng):
 
 def test_mutation_walk_needs_dna():
     protein = SymbolSequence.from_string("ACDEFGHIKL" * 10, PROTEIN)
-    with pytest.raises(BadBaseError):
+    with pytest.raises(DataError, match="mutation walks are defined over the DNA alphabet"):
         build_mutation_walk(protein, 1, (10, 90), SeedSpec(1))
 
 
@@ -176,7 +170,7 @@ def test_detect_spikes_trivials():
     values = np.ones(100)
     values[42] = 50.0
     assert detect_spikes(values) == (42,)
-    with pytest.raises(TooShortError):
+    with pytest.raises(DataError, match="need >= 3 profile values"):
         detect_spikes(np.array([1.0, 2.0]))
 
 
@@ -211,5 +205,5 @@ def test_pca_trajectory_deterministic_svg(rng):
 
 
 def test_pca_trajectory_k_exceeds_dims(rng):
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(DataError, match=r"k=3 outside 1\.\.min\(n,d\)=2"):
         pca_trajectory(rng.standard_normal((10, 2)), k=3)
