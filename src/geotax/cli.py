@@ -156,6 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    for flag, value, least in (("--n", args.n, 1), ("--length", args.length, 2),
+                               ("--components", args.components, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     trajs: list[Trajectory] = []
@@ -238,7 +242,10 @@ def _cmd_perturb(args) -> int:
             except ValueError:
                 raise ConfigError(f"{args.manifest}:{i + 1}: bad rate or seed") from None
             output = args.out_dir / f"{Path(path).stem}.{kind}.{i}{Path(path).suffix or '.emb1'}"
-            _perturb_one(args, Path(path), kind, rate, seed, output)
+            try:
+                _perturb_one(args, Path(path), kind, rate, seed, output)
+            except ConfigError as exc:
+                raise ConfigError(f"{args.manifest}:{i + 1}: {exc}") from None
         print(f"applied {len(lines)} manifest rows into {args.out_dir}")
         return EXIT_OK
     if not (args.input and args.kind and args.output):
@@ -371,6 +378,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse turns an attached "--" (``--n=--``) into [] without calling type=
+    if [] in vars(args).values():
+        parser.error("'--' is not an option value")
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -56,14 +56,19 @@ class Config:
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
+    def get_int(
+        self, key: str, default: int | None = None, minimum: int | None = None
+    ) -> int | None:
         raw = self.values.get(key)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError as exc:
             raise ConfigError(f"{self.source}: key {key!r}: {raw!r} is not an integer") from exc
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{self.source}: key {key!r}: {value} is below {minimum}")
+        return value
 
     def get_float(self, key: str, default: float | None = None) -> float | None:
         raw = self.values.get(key)

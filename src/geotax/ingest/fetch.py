@@ -36,6 +36,8 @@ class FetchSpec:
     seed: SeedSpec = field(default_factory=SeedSpec)
 
     def __post_init__(self):
+        if self.start < 0 or self.end < 0:
+            raise ConfigError(f"fetch span must not be negative, got {self.start}-{self.end}")
         if self.source in ("genome-rest",) and self.end <= self.start:
             raise ConfigError("fetch span needs end > start")
         if self.n_policy not in ("reject", "replace"):

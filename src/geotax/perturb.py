@@ -16,7 +16,7 @@ import numpy as np
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
 from .dynamics import GlobalRange, Trajectory
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,11 @@ class PerturbationSpec:
     seed: SeedSpec = SeedSpec()
 
     def __post_init__(self):
+        # rate and magnitude are the `perturb` flags of the same names
         if not 0.0 <= self.rate <= 1.0:
-            raise DataError("rate must lie in [0, 1]")
+            raise ConfigError(f"--rate must lie in [0, 1], got {self.rate}")
+        if not (math.isfinite(self.magnitude) and self.magnitude >= 0.0):
+            raise ConfigError(f"--magnitude must be finite and >= 0, got {self.magnitude}")
 
 
 def n_positions(rate: float, length: int) -> int:

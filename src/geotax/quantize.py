@@ -47,14 +47,16 @@ class Codebook:
         return self.centroids.shape[1]
 
 
-def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||p - c||^2 expanded; clamp tiny negatives from cancellation
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _sq_distances(
+    points: np.ndarray, centroids: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    # ||p - c||^2 expanded; clamp tiny negatives from cancellation.  ``out``
+    # (n x K) is filled in place, so a fit reuses one buffer per iteration.
+    d2 = np.matmul(points, centroids.T, out=out)
+    d2 *= 2.0
+    np.subtract((points * points).sum(axis=1)[:, None], d2, out=d2)
+    d2 += (centroids * centroids).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -70,6 +72,48 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             centroids[j] = points[np.searchsorted(np.cumsum(d2 / total), rng.random())]
         d2 = np.minimum(d2, _sq_distances(points, centroids[j : j + 1]).ravel())
     return centroids
+
+
+def _update_centroids(
+    points: np.ndarray, assign: np.ndarray, d2: np.ndarray, centroids: np.ndarray
+) -> None:
+    """One Lloyd update of ``centroids`` in place.
+
+    Visiting clusters 0..K-1 in order, a non-empty cluster moves to the mean
+    of its points, and an empty one takes the point farthest from its
+    current centroid (by ``d2``), which then belongs to it.  Only the steals
+    are replayed in order: a point stolen before its own cluster's turn
+    leaves that cluster's mean, and every mean is a per-column ``bincount``
+    over the points that stay.  That sums each cluster's rows in index
+    order, as ``points[mask].mean(axis=0)`` does for two or more columns,
+    so the centroids are the same bytes.
+    """
+    k = centroids.shape[0]
+    counts = np.bincount(assign, minlength=k)
+    labels, rows, steals = assign, points, []
+    if not counts.all():
+        current = assign.copy()
+        dist = d2[np.arange(assign.size), assign]
+        keep = np.ones(assign.size, dtype=bool)
+        j = 0
+        while (empty := np.flatnonzero(counts[j:] == 0)).size:
+            j += int(empty[0])
+            far = int(np.argmax(dist))
+            # a point still in a cluster after j is in its own, unvisited one
+            if current[far] > j:
+                keep[far] = False
+            counts[current[far]] -= 1
+            counts[j] += 1
+            current[far] = j
+            dist[far] = d2[far, j]
+            steals.append((j, far))
+        labels, rows = assign[keep], points[keep]
+        # clusters that stole keep no points; their rows are overwritten below
+        counts = np.maximum(np.bincount(labels, minlength=k), 1)
+    for c in range(centroids.shape[1]):
+        centroids[:, c] = np.bincount(labels, weights=rows[:, c], minlength=k) / counts
+    for j, far in steals:
+        centroids[j] = points[far]
 
 
 def kmeans_fit(
@@ -107,28 +151,20 @@ def kmeans_fit(
 
     trace = []
     prev_inertia = np.inf
+    d2 = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _sq_distances(points, centroids)
+        _sq_distances(points, centroids, out=d2)
         assign = np.argmin(d2, axis=1)
         inertia = exact_inertia(assign)
         trace.append(inertia)
-        for j in range(k):
-            mask = assign == j
-            if mask.any():
-                centroids[j] = points[mask].mean(axis=0)
-            else:
-                far = int(np.argmax(d2[np.arange(n), assign]))
-                centroids[j] = points[far]
-                assign[far] = j
-        del d2  # free before the next distance matrix is computed
+        _update_centroids(points, assign, d2, centroids)
         if prev_inertia < np.inf and prev_inertia > 0:
             if abs(prev_inertia - inertia) / prev_inertia < KMEANS_REL_TOL:
                 break
         elif inertia == 0.0:
             break
         prev_inertia = inertia
-    d2 = _sq_distances(points, centroids)
-    final = exact_inertia(np.argmin(d2, axis=1))
+    final = exact_inertia(np.argmin(_sq_distances(points, centroids, out=d2), axis=1))
     trace.append(final)
     return Codebook(centroids, final, tuple(trace))
 
@@ -257,8 +293,8 @@ def vq_double_bind_sweep(
     for k in ks:
         cb = kmeans_fit(pts, k, spec.derive(f"k{k}"), init_centroids=prev)
         prev = cb.centroids
-        mses.append(reconstruction_mse(cb, pts))
         clean_dec = decode(cb, encode(cb, pts))
+        mses.append(float(((pts - clean_dec) ** 2).mean()))
         pert_dec = decode(cb, encode(cb, noisy))
         res = procrustes_align(clean_dec, pert_dec)
         dists.append(res.aligned_error)

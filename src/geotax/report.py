@@ -201,7 +201,7 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
         if fasta:
             wt = parse_fasta(fasta)[0].decode(DNA)
         else:
-            length = cfg.get_int("walk.length", 2000)
+            length = cfg.get_int("walk.length", 2000, minimum=1)
             wt = SymbolSequence(
                 rng_create(SeedSpec(seed, "walk-wt")).integers(0, 4, size=length), DNA
             )
@@ -272,7 +272,7 @@ def _run_mine(cfg: Config, seed: int, out: Path) -> dict:
         lr=cfg.get_float("mine.lr", 1e-4),
     )
     est = excess_mi_report(
-        x, z, mlp_cfg, seeds, workers=cfg.get_int("threads", 1)
+        x, z, mlp_cfg, seeds, workers=cfg.get_int("threads", 1, minimum=1)
     )
     condition = cfg.get("mine.condition", "model")
     (out / "report.csv").write_text(
@@ -291,7 +291,7 @@ def _run_mine_sanity(cfg: Config, seed: int, out: Path) -> dict:
         n=cfg.get_int("mine.n", 2000),
         seeds=seeds,
         data_seed=seed,
-        workers=cfg.get_int("threads", 1),
+        workers=cfg.get_int("threads", 1, minimum=1),
     )
     csv_lines = ["rho,true_mi,estimate,std,tolerance,passed"]
     for c in cases:
@@ -312,7 +312,7 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
     else:
         corpus = heterogeneous_corpus(
             cfg.get_int("texture.n", 200),
-            cfg.get_int("texture.length", 400),
+            cfg.get_int("texture.length", 400, minimum=1),
             SeedSpec(seed, "texture-corpus"),
         )
     # the texture subcommand's defaults, so a config file runs what the CLI runs
@@ -358,7 +358,7 @@ def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
 
 def _int_list(cfg: Config, key: str, default: tuple) -> tuple:
     raw = cfg.get(key)
-    if not raw:
+    if raw is None:
         return default
     try:
         return tuple(int(s) for s in raw.split(","))

@@ -41,6 +41,8 @@ class SplitConfig:
             raise ConfigError("n_splits must be >= 1")
         if self.max_samples < 10:
             raise ConfigError("max_samples must be >= 10")
+        if self.n_bootstrap < 1:
+            raise ConfigError("n_bootstrap must be >= 1")
         if self.composite_variant not in ("anchor", "perturbation"):
             raise ConfigError("composite_variant must be 'anchor' or 'perturbation'")
 

@@ -190,6 +190,15 @@ BAD_SETTINGS = {
     "sigma-inf": ["vq-sweep", "--sigma", "inf"],
     "sigma-zero": ["vq-sweep", "--sigma", "0"],
     "intrinsic-dim-nan": ["vq-sweep", "--intrinsic-dim", "nan"],
+    "k-values-empty": ["vq-sweep", "--k-values", ""],
+    "zero-bootstrap": ["stability", "--bootstrap", "0"],
+    "texture-negative-bootstrap": ["texture", "--n", "10", "--length", "40", "--bootstrap", "-1"],
+    "texture-negative-length": ["texture", "--length", "-1"],
+    "walk-negative-length": ["walk", "--length", "-1"],
+    "gen-negative-length": ["gen", "--system", "lorenz", "--length", "-1"],
+    "gen-zero-components": ["gen", "--system", "waveform", "--components", "0"],
+    "zero-threads": ["--threads", "0", "mine-sanity", "--n", "16", "--seeds", "1"],
+    "seeds-empty": ["mine-sanity", "--n", "16", "--seeds", ""],
 }
 
 
@@ -246,6 +255,30 @@ def test_cli_perturb_manifest_bad_rate_exit_2(pair, tmp_path, capsys):
     argv = ["--out-dir", str(tmp_path / "out"), "perturb", "--manifest", str(manifest)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {manifest}:2: ")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rate", "2"), ("--rate", "-1"), ("--rate", "nan"),
+    ("--magnitude", "nan"), ("--magnitude", "inf"), ("--magnitude", "-0.5"),
+])
+def test_cli_perturb_bad_flag_value_exit_2(flag, value, pair, tmp_path, capsys):
+    clean, _ = pair
+    argv = ["perturb", "--input", str(clean), "--kind", "value_noise", flag, value,
+            "--output", str(tmp_path / "out.emb1")]
+    assert cli.main(["--out-dir", str(tmp_path / "run"), *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must ")
+    assert not (tmp_path / "out.emb1").exists()
+
+
+def test_cli_perturb_manifest_rate_out_of_range_exit_2(pair, tmp_path, capsys):
+    clean, _ = pair
+    manifest = tmp_path / "man.csv"
+    manifest.write_text(f"{clean},value_noise,0.1,1\n{clean},value_noise,2,1\n")
+    argv = ["--out-dir", str(tmp_path / "out"), "perturb", "--manifest", str(manifest)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {manifest}:2: --rate must lie in [0, 1], got 2.0\n"
+    )
 
 
 def test_cli_perturb_manifest_nul_path_exit_2(pair, tmp_path, capsys):

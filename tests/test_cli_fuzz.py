@@ -1,6 +1,7 @@
 """Exit-code fuzz: byte-mutated inputs reach ``cli.main`` through
 ``lipschitz``, ``report``, ``walk`` and ``perturb``, and every run ends in
-0, 2 or 3, never in an exception.
+0, 2 or 3, never in an exception.  Out-of-range, non-finite and
+non-numeric values of each subcommand's numeric flags end in 2 or 3.
 
 Inputs are tiny fixtures written under fixed relative names in a fresh
 directory per example, so the mutated bytes, and with ``derandomize`` the
@@ -19,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geotax.cli as cli
+from geotax.core.embedding import EmbeddingMatrix
+from geotax.core.io import write_embeddings
 
 WALK = np.array([[0.0, 1.0, 2.0], [1.0, 1.5, 2.0], [2.0, 1.0, 2.5], [2.5, 0.0, 3.0],
                  [3.0, -1.0, 3.0]])
@@ -99,3 +102,130 @@ def test_cli_mutated_input_exits_0_2_or_3(fixture, mutations):
         with open(target, "wb") as fh:
             fh.write(mutate(FIXTURES[fixture], mutations))
         assert cli.main(["--out-dir", "run", *argv]) in (0, 2, 3)
+
+
+# -- flag values ------------------------------------------------------------------
+
+RNG = np.random.default_rng(320)
+MATRICES = {name: RNG.standard_normal(shape) for name, shape in (
+    ("c.emb1", (40, 6)), ("p.emb1", (40, 6)), ("f.emb1", (40, 2)), ("z.emb1", (40, 3)),
+    ("v.emb1", (40, 3)))}
+
+# runs that exit 0 as they stand; each case below breaks exactly one flag
+FLAG_BASES = {
+    "gen": ["gen", "--system", "waveform", "--n", "2", "--length", "20"],
+    "discretize": ["discretize", "--input", "walk.emb1"],
+    "perturb": ["perturb", "--input", "walk.emb1", "--kind", "value_noise", "--output", "o.emb1"],
+    "stability": ["stability", "--clean", "c.emb1", "--pert", "p=p.emb1", "--splits", "2",
+                  "--max-samples", "20", "--bootstrap", "1"],
+    "walk": ["walk", "--n-mutations", "4", "--length", "60"],
+    "walk-interpolation": ["walk", "--mode", "interpolation", "--steps", "5"],
+    "mine": ["mine", "--features", "f.emb1", "--embeddings", "z.emb1", "--seeds", "1",
+             "--epochs", "2"],
+    "mine-sanity": ["mine-sanity", "--n", "32", "--seeds", "1"],
+    "texture": ["texture", "--n", "10", "--length", "40", "--splits", "2"],
+    "probe": ["probe", "--embeddings", "c.emb1", "--labels", "labels.csv"],
+    # the synthetic source never opens a connection
+    "fetch": ["fetch", "--source", "synthetic", "--output", "o.fa", "--end", "50"],
+    "vq-sweep": ["vq-sweep", "--data", "v.emb1", "--k-values", "2,4,8", "--sigma", "0.5"],
+}
+
+NOT_A_NUMBER = st.sampled_from(["", "x", "one", "0x1f", "1,2", "--", "1e"])
+NOT_AN_INT = st.one_of(NOT_A_NUMBER, st.sampled_from(["nan", "inf", "-inf", "1.5", "2e3"]))
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])
+
+
+def below(least):
+    return st.one_of(st.integers(-2**70, least - 1).map(str), NOT_AN_INT)
+
+
+def int_list(bad):
+    """Comma-separated integers with one element out of range or not an integer."""
+    good = st.lists(st.integers(2, 6).map(str), max_size=3)
+    bad = st.one_of(bad.map(str), st.sampled_from(["", "x", "0x1f", "--", "nan", "1.5"]))
+    return st.tuples(good, bad, good).map(
+        lambda t: ",".join([*t[0], t[1], *t[2]]))
+
+
+NOT_POSITIVE = st.one_of(
+    st.one_of(st.floats(max_value=-1e-300), st.just(0.0), st.just(-0.0)).map(repr),
+    NON_FINITE, NOT_A_NUMBER)
+
+
+FLAG_CASES = {
+    ("gen", "--n"): below(1),
+    ("gen", "--length"): below(2),
+    ("gen", "--components"): below(1),
+    ("discretize", "--bins"): below(1),
+    ("perturb", "--rate"): st.one_of(
+        st.floats(max_value=-1e-300).map(repr),
+        st.floats(min_value=1.0, exclude_min=True).map(repr), NON_FINITE, NOT_A_NUMBER),
+    ("perturb", "--magnitude"): st.one_of(
+        st.floats(max_value=-1e-300).map(repr), NON_FINITE, NOT_A_NUMBER),
+    ("stability", "--splits"): below(1),
+    ("stability", "--max-samples"): below(10),
+    ("stability", "--bootstrap"): below(1),
+    ("walk", "--n-mutations"): below(0),
+    ("walk", "--length"): below(1),
+    ("walk-interpolation", "--steps"): below(2),
+    ("mine", "--epochs"): below(1),
+    ("mine", "--seeds"): int_list(
+        st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))),
+    ("mine-sanity", "--n"): below(2),
+    ("mine-sanity", "--seeds"): int_list(st.integers(max_value=-1)),
+    ("mine-sanity", "--threads"): below(1),
+    ("mine-sanity", "--seed"): st.one_of(
+        st.integers(max_value=-1).map(str), st.integers(min_value=2**64).map(str), NOT_AN_INT),
+    ("texture", "--n"): below(1),
+    ("texture", "--length"): below(1),
+    ("texture", "--splits"): below(1),
+    ("texture", "--bootstrap"): below(1),
+    ("probe", "--folds"): st.one_of(below(2), st.integers(41, 2**40).map(str)),
+    # small, so that without the span check the sequence stays small too
+    ("fetch", "--start"): st.one_of(st.integers(-1000, -1).map(str), NOT_AN_INT),
+    ("fetch", "--end"): below(0),
+    ("vq-sweep", "--k-values"): int_list(st.integers(max_value=1)),
+    ("vq-sweep", "--sigma"): NOT_POSITIVE,
+    ("vq-sweep", "--intrinsic-dim"): NOT_POSITIVE,
+}
+GLOBAL_FLAGS = ("--seed", "--threads")
+
+
+def write_flag_fixtures():
+    with open("walk.emb1", "wb") as fh:
+        fh.write(EMB1)
+    for name, x in MATRICES.items():
+        write_embeddings(name, EmbeddingMatrix(x))
+    with open("labels.csv", "w") as fh:
+        fh.write("0\n1\n" * 20)
+
+
+def exit_code(argv):
+    """``cli.main``'s return value, or the code argparse exits with."""
+    try:
+        return cli.main(["--out-dir", "run", *argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("base", sorted(FLAG_BASES))
+def test_cli_flag_fuzz_bases_exit_0(base):
+    with fresh_directory():
+        write_flag_fixtures()
+        assert exit_code(FLAG_BASES[base]) == 0
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_CASES), ids="{0[0]}{0[1]}".format)
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_bad_flag_value_exits_2_or_3(case, data):
+    base, flag = case
+    value = data.draw(FLAG_CASES[case], label=flag)
+    argv = list(FLAG_BASES[base])
+    if flag in GLOBAL_FLAGS:
+        argv = [f"{flag}={value}", *argv]
+    else:
+        argv.append(f"{flag}={value}")
+    with fresh_directory():
+        write_flag_fixtures()
+        assert exit_code(argv) in (2, 3)

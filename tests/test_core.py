@@ -1,3 +1,4 @@
+import ctypes
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from geotax.core.io import (
     write_embeddings,
     write_embeddings_csv,
 )
+from geotax.core.parallel import ordered_map
 from geotax.core.pca import pca_project
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.sequence import DNA, PROTEIN, Alphabet, SymbolSequence, bins_alphabet
@@ -284,6 +286,28 @@ def test_seedspec_derive_changes_stream():
     spec = SeedSpec(320, "main")
     assert spec.derive("child").stream == "main/child"
     assert spec.derive("child").key() != spec.key()
+
+
+# -- parallel fan-out ------------------------------------------------------
+
+
+def openblas_threads(_item=None):
+    """numpy's bundled OpenBLAS thread count, or None without that library."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas64_*.so")):
+        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
+
+
+def test_ordered_map_workers_run_single_threaded_blas():
+    before = openblas_threads()
+    if before is None:
+        pytest.skip("numpy has no bundled scipy-openblas")
+    assert ordered_map(openblas_threads, range(4), workers=2) == [1, 1, 1, 1]
+    assert openblas_threads() == before
 
 
 # -- I/O -----------------------------------------------------------------

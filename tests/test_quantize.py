@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import geotax.cli as cli
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.errors import DataError
 from geotax.quantize import (
     Codebook,
+    _update_centroids,
     boundary_crossing_rate,
     decode,
     encode,
@@ -60,6 +64,106 @@ def test_kmeans_inertia_trace_monotone(rng):
         cb = kmeans_fit(pts, 10, SeedSpec(trial))
         trace = np.array(cb.inertia_trace)
         assert (np.diff(trace) <= 1e-9 * trace[0]).all()
+
+
+# -- centroid update ------------------------------------------------------------
+
+
+def lloyd_update_loop_oracle(points, assign, d2, k):
+    """The in-order cluster loop: a non-empty cluster takes its mean, an
+    empty one steals the point farthest from its current centroid."""
+    assign = assign.copy()
+    n = assign.size
+    centroids = np.empty((k, points.shape[1]))
+    for j in range(k):
+        mask = assign == j
+        if mask.any():
+            centroids[j] = points[mask].mean(axis=0)
+        else:
+            far = int(np.argmax(d2[np.arange(n), assign]))
+            centroids[j] = points[far]
+            assign[far] = j
+    return centroids
+
+
+def updated(points, assign, d2, k):
+    centroids = np.full((k, points.shape[1]), np.nan)
+    _update_centroids(points, assign, d2, centroids)
+    return centroids
+
+
+def random_update_case(rng, m):
+    """Assignments onto a random subset of the clusters (often most of them
+    empty), with continuous or heavily tied distances."""
+    k = int(rng.integers(2, 120))
+    n = int(rng.integers(k, 3 * k + 5))
+    used = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+    assign = used[rng.integers(0, used.size, size=n)]
+    if rng.random() < 0.5:
+        d2 = rng.integers(0, 3, size=(n, k)).astype(float)
+    else:
+        d2 = rng.random((n, k))
+    return rng.standard_normal((n, m)), assign, d2, k
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 257])
+def test_update_bytes_equal_loop_oracle(m):
+    rng = rng_create(SeedSpec(320, f"lloyd-update-{m}"))
+    for _ in range(40):
+        points, assign, d2, k = random_update_case(rng, m)
+        before = assign.copy()
+        got = updated(points, assign, d2, k)
+        assert got.tobytes() == lloyd_update_loop_oracle(points, assign, d2, k).tobytes()
+        assert (assign == before).all()
+
+
+def test_update_one_column_close_to_loop_oracle():
+    # a (cnt, 1) mean sums its contiguous column pairwise, bincount in order
+    rng = rng_create(SeedSpec(320, "lloyd-update-1"))
+    for _ in range(40):
+        points, assign, d2, k = random_update_case(rng, 1)
+        np.testing.assert_allclose(updated(points, assign, d2, k),
+                                   lloyd_update_loop_oracle(points, assign, d2, k),
+                                   rtol=1e-12)
+
+
+def test_update_point_stolen_twice_and_cluster_emptied_by_a_steal():
+    points = np.arange(10.0).reshape(5, 2)
+    assign = np.array([3, 3, 3, 3, 2])
+    d2 = np.zeros((5, 4))
+    d2[4] = [9.0, 0.0, 9.0, 0.0]
+    d2[0, 3] = 5.0
+    got = updated(points, assign, d2, 4)
+    # 0 steals point 4 from 2, and 1 steals it from 0; 2, now empty, steals
+    # point 0 from 3, which keeps points 1 to 3
+    assert got.tobytes() == lloyd_update_loop_oracle(points, assign, d2, 4).tobytes()
+    assert got[:3].tolist() == [points[4].tolist()] * 2 + [points[0].tolist()]
+    assert (got[3] == points[1:4].mean(axis=0)).all()
+
+
+def test_update_steal_removes_point_from_its_unvisited_cluster():
+    points = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 7.0]])
+    assign = np.array([1, 1, 1])
+    d2 = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 3.0]])
+    got = updated(points, assign, d2, 2)
+    assert got.tolist() == [[5.0, 7.0], [0.5, 0.5]]
+    assert got.tobytes() == lloyd_update_loop_oracle(points, assign, d2, 2).tobytes()
+
+
+# report.json of the sweep below, taken before the update was vectorised;
+# 11 of its 54 Lloyd iterations start with an empty cluster
+VQ_3_COLUMN_REPORT_SHA256 = "2590606e68c353e6bda000b08d121a9102f21fd36bb7dbc9af29d124505327bf"
+
+
+def test_vq_sweep_report_from_3_column_file_unchanged(tmp_path, monkeypatch):
+    x = rng_create(SeedSpec(320, "vq-golden")).standard_normal((600, 3))
+    monkeypatch.chdir(tmp_path)
+    with open("data.csv", "w") as fh:
+        fh.writelines(",".join(f"{v:.1f}" for v in row) + "\n" for row in x)
+    argv = ["--out-dir", "run", "vq-sweep", "--data", "data.csv", "--k-values", "16,64,256"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
+    assert digest == VQ_3_COLUMN_REPORT_SHA256
 
 
 # -- encode / decode -----------------------------------------------------------
