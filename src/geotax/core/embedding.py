@@ -68,6 +68,13 @@ def as_columns(x) -> np.ndarray:
     return arr[:, None] if arr.ndim == 1 else arr
 
 
+def _upper_triangle(n: int) -> np.ndarray:
+    """Boolean n x n mask of the strict upper triangle.  Indexing with it
+    gathers in row-major order, the condensed order, without the two
+    index arrays of ``np.triu_indices``."""
+    return np.triu(np.ones((n, n), dtype=bool), k=1)
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Condensed pairwise distances: upper triangle of a symmetric matrix."""
@@ -94,8 +101,7 @@ class DistanceMatrix:
 
     def full(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n, k=1)
-        out[iu] = self.values
+        out[_upper_triangle(self.n)] = self.values
         return out + out.T
 
     def vector(self) -> np.ndarray:
@@ -123,8 +129,7 @@ def cosine_rdm(x: EmbeddingMatrix | np.ndarray) -> DistanceMatrix:
     sim = unit @ unit.T
     np.clip(sim, -1.0, 1.0, out=sim)
     n = unit.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return DistanceMatrix(n, 1.0 - sim[iu])
+    return DistanceMatrix(n, 1.0 - sim[_upper_triangle(n)])
 
 
 def cross_distance_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -38,8 +38,8 @@ class FetchSpec:
     def __post_init__(self):
         if self.start < 0 or self.end < 0:
             raise ConfigError(f"fetch span must not be negative, got {self.start}-{self.end}")
-        if self.source in ("genome-rest",) and self.end <= self.start:
-            raise ConfigError("fetch span needs end > start")
+        if self.end <= self.start:
+            raise ConfigError(f"fetch span needs end > start, got {self.start}-{self.end}")
         if self.n_policy not in ("reject", "replace"):
             raise ConfigError("n_policy must be 'reject' or 'replace'")
 
@@ -88,7 +88,7 @@ def fetch_genome(
     changes never require refetching.
     """
     if spec.source == "synthetic":
-        return synthetic_sequence(max(spec.length, 1), spec.seed)
+        return synthetic_sequence(spec.length, spec.seed)
     if spec.source != "genome-rest":
         raise ConfigError(f"fetch_genome cannot serve source {spec.source!r}")
     key = cache_key(

@@ -163,8 +163,12 @@ def _aggregate(runs: list[MIRun]) -> MIEstimate:
 
 def _estimates(groups: list[list[tuple]], workers: int) -> list[MIEstimate]:
     """Train every (x, z, cfg, seed) task of every group in one fan-out;
-    one aggregate estimate per group, in group order."""
-    runs = iter(ordered_map(_run_args, [task for group in groups for task in group], workers))
+    one aggregate estimate per group, in group order.  Every seed is
+    checked before the first network trains."""
+    tasks = [task for group in groups for task in group]
+    for task in tasks:
+        SeedSpec(task[3], "mine-run")
+    runs = iter(ordered_map(_run_args, tasks, workers))
     return [_aggregate([next(runs) for _ in group]) for group in groups]
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import geotax.cli as cli
+import geotax.mine.estimator as estimator
 from geotax.core.embedding import EmbeddingMatrix
 from geotax.core.io import write_embeddings, write_embeddings_csv
 from geotax.core.rng import SeedSpec, rng_create
@@ -327,6 +328,28 @@ def test_cli_settings_that_cannot_train_or_walk_exit_2(case, pair, tmp_path, cap
     assert cli.main(["--out-dir", str(run), *argv]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (run / "report.json").exists()
+
+
+def test_cli_mine_sanity_bad_seed_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(estimator, "_run_single", lambda *args: trained.append(args))
+    run = tmp_path / "run"
+    argv = ["--out-dir", str(run), "mine-sanity", "--n", "32", "--seeds", "320,-1"]
+    assert cli.main(argv) == 2
+    assert "seed -1 must fit in 64 bits" in capsys.readouterr().err
+    assert trained == []
+    assert not (run / "report.json").exists()
+
+
+@pytest.mark.parametrize("span", [("60", "50"), ("0", "0")], ids=["reversed", "empty"])
+def test_cli_fetch_synthetic_empty_or_reversed_span_exit_2(span, tmp_path, capsys):
+    start, end = span
+    output = tmp_path / "o.fa"
+    argv = ["fetch", "--source", "synthetic", "--start", start, "--end", end,
+            "--output", str(output)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not output.exists()
 
 
 def test_cli_fasta_not_utf8_exit_3(tmp_path, capsys):

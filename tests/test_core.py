@@ -310,6 +310,30 @@ def test_ordered_map_workers_run_single_threaded_blas():
     assert openblas_threads() == before
 
 
+def test_ordered_map_inline_runs_single_threaded_blas_and_restores():
+    before = openblas_threads()
+    if before is None:
+        pytest.skip("numpy has no bundled scipy-openblas")
+    assert ordered_map(openblas_threads, range(3), workers=1) == [1, 1, 1]
+    assert openblas_threads() == before
+    # one item runs inline whatever the worker count
+    assert ordered_map(openblas_threads, [0], workers=2) == [1]
+    assert openblas_threads() == before
+
+
+def test_ordered_map_inline_restores_blas_threads_when_fn_raises():
+    before = openblas_threads()
+    if before is None:
+        pytest.skip("numpy has no bundled scipy-openblas")
+
+    def fail(_item):
+        raise DataError("boom")
+
+    with pytest.raises(DataError):
+        ordered_map(fail, range(2), workers=1)
+    assert openblas_threads() == before
+
+
 # -- I/O -----------------------------------------------------------------
 
 
