@@ -22,6 +22,7 @@ from .core.io import load_matrix, read_text, write_embeddings
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA
 from .dynamics import (
+    MAX_BINS,
     GlobalRange,
     Trajectory,
     discretize,
@@ -191,6 +192,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
+    if not 1 <= args.bins <= MAX_BINS:
+        raise ConfigError(f"--bins must lie in [1, 2**53], got {args.bins}")
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     load = partial(load_matrix, csv_header=args.csv_header)

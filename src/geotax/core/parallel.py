@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -74,6 +73,9 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> l
     if workers <= 1 or len(items) <= 1:
         with single_thread_blas():
             return [fn(it) for it in items]
+    # imported here: the pool machinery costs every CLI start-up otherwise
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(items)),
                              initializer=_pin_blas) as pool:
         futures = [pool.submit(fn, it) for it in items]

@@ -194,6 +194,11 @@ def fit_global_range(dataset: Sequence[Trajectory]) -> GlobalRange:
     return GlobalRange(lo, hi)
 
 
+# The most bins ``discretize`` takes: up to 2**53, n_bins - 1 is exact in
+# float64, so the clamped bin index casts to int64 without overflow.
+MAX_BINS = 2**53
+
+
 def discretize(traj: Trajectory, grange: GlobalRange, n_bins: int = 256) -> SymbolSequence:
     """Uniform binning: bin(v) = clamp(floor((v-min)/(max-min)*n_bins), 0, n_bins-1).
 

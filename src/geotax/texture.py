@@ -47,25 +47,20 @@ def dinucleotide_shuffle(seq: SymbolSequence, seed: SeedSpec | int = SeedSpec())
         raise DataError("need length >= 2")
     rng = rng_create(seed)
     idx = seq.symbols
-    edges: list[list[int]] = [[] for _ in range(4)]
-    for a, b in zip(idx[:-1], idx[1:]):
-        edges[a].append(int(b))
+    src, dst = idx[:-1], idx[1:]
+    # each base's successors in sequence order, reversed so pop() walks
+    # them; the walk takes all n - 1 edges, so it ends with every stack empty
+    stacks: list[list[int]] = []
     for base in range(4):
-        lst = edges[base]
-        if len(lst) > 1:
-            head = np.array(lst[:-1])
-            rng.shuffle(head)
-            edges[base] = [int(v) for v in head] + [lst[-1]]
-    out = np.empty(n, dtype=np.int64)
-    out[0] = idx[0]
-    cursors = [0, 0, 0, 0]
+        succ = dst[src == base]
+        if succ.size > 1:
+            rng.shuffle(succ[:-1])
+        stacks.append(succ.tolist()[::-1])
     cur = int(idx[0])
-    for i in range(1, n):
-        nxt = edges[cur][cursors[cur]]
-        cursors[cur] += 1
-        out[i] = nxt
-        cur = nxt
-    assert all(cursors[b] == len(edges[b]) for b in range(4)), "Eulerian walk left edges unused"
+    out = [cur]
+    for _ in range(n - 1):
+        cur = stacks[cur].pop()
+        out.append(cur)
     return SymbolSequence(out, DNA)
 
 
@@ -117,18 +112,24 @@ def fit_markov(sequences) -> MarkovModel:
 
 
 def gen_markov(model: MarkovModel, length: int, seed: SeedSpec | int = SeedSpec()) -> SymbolSequence:
-    """Sample a sequence from the chain."""
+    """Sample a sequence from the chain, one uniform draw per base.
+
+    A draw above a row's cumulative total (rows may sum to 1 - 1e-12)
+    picks base 3, at every position.
+    """
     if length < 1:
         raise DataError("length must be >= 1")
     rng = rng_create(seed)
-    out = np.empty(length, dtype=np.int64)
-    cum_init = np.cumsum(model.initial)
-    cum_trans = np.cumsum(model.transitions, axis=1)
     draws = rng.random(length)
-    out[0] = np.searchsorted(cum_init, draws[0])
-    for i in range(1, length):
-        out[i] = np.searchsorted(cum_trans[out[i - 1]], draws[i])
-    np.clip(out, 0, 3, out=out)
+    cur = min(int(np.searchsorted(np.cumsum(model.initial), draws[0])), 3)
+    # successor[i][b]: the base after b at position i + 1
+    cum_trans = np.cumsum(model.transitions, axis=1)
+    successor = np.minimum(
+        [np.searchsorted(row, draws[1:]) for row in cum_trans], 3).T.tolist()
+    out = [cur]
+    for row in successor:
+        cur = row[cur]
+        out.append(cur)
     return SymbolSequence(out, DNA)
 
 
@@ -159,15 +160,14 @@ def composition_profile_embedding(seq: SymbolSequence, n_windows: int = 8) -> np
     histogram-dominated encoder does, while retaining enough positional
     signal that reverse complement is not a trivial invariance.
     """
+    seq.require(DNA, "composition profile is defined over the DNA alphabet")
     idx = seq.symbols
     if idx.size < n_windows:
         raise DataError("sequence shorter than the window count")
-    bounds = np.linspace(0, idx.size, n_windows + 1).astype(np.int64)
-    feats = np.empty((n_windows, 4))
-    for w in range(n_windows):
-        window = idx[bounds[w] : bounds[w + 1]]
-        feats[w] = np.bincount(window, minlength=4) / window.size
-    return feats.reshape(-1)
+    sizes = np.diff(np.linspace(0, idx.size, n_windows + 1).astype(np.int64))
+    window = np.repeat(np.arange(n_windows), sizes)
+    counts = np.bincount(window * 4 + idx, minlength=4 * n_windows).reshape(n_windows, 4)
+    return (counts / sizes[:, None]).reshape(-1)
 
 
 # Frozen encoder shape: composition windows, random ReLU features, output width.

@@ -10,6 +10,7 @@ import argparse
 import json
 import shlex
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,28 @@ def test_cli_perturb_manifest_nul_path_exit_2(pair, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: {manifest}:2: NUL byte in 'a\\x00.emb1,value_noise,0.1,1'\n"
     )
+
+
+@pytest.mark.parametrize("bins", [0, -3, 2**53 + 1, 9223372036854775807])
+def test_cli_discretize_bins_out_of_range_exit_2(bins, pair, tmp_path, capsys):
+    clean, _ = pair
+    out = tmp_path / "sym"
+    argv = ["--out-dir", str(out), "discretize", "--input", str(clean), "--bins", str(bins)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: --bins must lie in [1, 2**53], got {bins}\n"
+    assert not out.exists()
+
+
+def test_cli_discretize_bins_at_bounds_exit_0(pair, tmp_path):
+    clean, _ = pair
+    for bins in (1, 2**53):
+        out = tmp_path / f"sym{bins}"
+        argv = ["--out-dir", str(out), "discretize", "--input", str(clean), "--bins", str(bins)]
+        assert cli.main(argv) == 0
+        symbols = np.loadtxt(out / "clean.sym.csv", delimiter=",", dtype=np.int64)
+        assert symbols.min() >= 0 and symbols.max() <= bins - 1
 
 
 def test_cli_csv_non_numeric_field_exit_3(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import ctypes
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +335,18 @@ def test_ordered_map_inline_restores_blas_threads_when_fn_raises():
     with pytest.raises(DataError):
         ordered_map(fail, range(2), workers=1)
     assert openblas_threads() == before
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # the pool machinery is imported by the fan-out that uses it, not at start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, geotax.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 # -- I/O -----------------------------------------------------------------

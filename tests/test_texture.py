@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geotax.core.rng import SeedSpec, rng_create
-from geotax.core.sequence import DNA, SymbolSequence
+from geotax.core.sequence import DNA, SymbolSequence, bins_alphabet
 from geotax.errors import DataError
+from geotax.ingest.fasta import FastaRecord, parse_fasta
 from geotax.perturb import reverse_complement
 from geotax.texture import (
     MarkovModel,
@@ -29,6 +30,146 @@ def dna(text):
 
 def random_dna(rng, length):
     return SymbolSequence(rng.integers(0, 4, length), DNA)
+
+
+ORACLE = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+# repeats of a short motif: all-A, two-base and other skewed sequences
+MOTIF_TEXT = st.builds(lambda motif, reps: motif * reps,
+                       st.sampled_from(["A", "C", "AC", "ACG", "AAT", "GGGGC", "TTTTTTTA"]),
+                       st.integers(1, 700))
+
+
+@st.composite
+def dna_sequences(draw, min_size=1):
+    """A DNA sequence built from text, from an int64 array, or decoded from a
+    partly lower-case FASTA record."""
+    text = draw(st.one_of(st.text("ACGT", min_size=min_size, max_size=2000),
+                          MOTIF_TEXT.filter(lambda t: len(t) >= min_size)))
+    route = draw(st.sampled_from(["text", "array", "fasta"]))
+    if route == "text":
+        return dna(text)
+    if route == "array":
+        return SymbolSequence(np.array(["ACGT".index(c) for c in text], dtype=np.int64), DNA)
+    cut = draw(st.integers(0, len(text)))
+    return FastaRecord("rec", text[:cut].lower() + text[cut:]).decode(DNA)
+
+
+# -- loop oracles: the per-base loops the vectorised texture code replaced --------
+
+
+def dinucleotide_shuffle_loop_oracle(seq, seed):
+    n = len(seq)
+    rng = rng_create(seed)
+    idx = seq.symbols
+    edges = [[] for _ in range(4)]
+    for a, b in zip(idx[:-1], idx[1:]):
+        edges[a].append(int(b))
+    for base in range(4):
+        lst = edges[base]
+        if len(lst) > 1:
+            head = np.array(lst[:-1])
+            rng.shuffle(head)
+            edges[base] = [int(v) for v in head] + [lst[-1]]
+    out = np.empty(n, dtype=np.int64)
+    out[0] = idx[0]
+    cursors = [0, 0, 0, 0]
+    cur = int(idx[0])
+    for i in range(1, n):
+        nxt = edges[cur][cursors[cur]]
+        cursors[cur] += 1
+        out[i] = nxt
+        cur = nxt
+    assert all(cursors[b] == len(edges[b]) for b in range(4))
+    return out
+
+
+def gen_markov_loop_oracle(model, length, seed):
+    rng = rng_create(seed)
+    out = np.empty(length, dtype=np.int64)
+    cum_init = np.cumsum(model.initial)
+    cum_trans = np.cumsum(model.transitions, axis=1)
+    draws = rng.random(length)
+    out[0] = np.searchsorted(cum_init, draws[0])
+    for i in range(1, length):
+        out[i] = np.searchsorted(cum_trans[out[i - 1]], draws[i])
+    np.clip(out, 0, 3, out=out)
+    return out
+
+
+def composition_profile_loop_oracle(seq, n_windows):
+    idx = seq.symbols
+    bounds = np.linspace(0, idx.size, n_windows + 1).astype(np.int64)
+    feats = np.empty((n_windows, 4))
+    for w in range(n_windows):
+        window = idx[bounds[w] : bounds[w + 1]]
+        feats[w] = np.bincount(window, minlength=4) / window.size
+    return feats.reshape(-1)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@ORACLE
+@given(dna_sequences(min_size=2), st.integers(0, 2**32))
+@example(dna("AA"), 0)
+@example(dna("A" * 500), 1)
+@example(dna("AC" * 300), 2)
+def test_shuffle_bytes_equal_loop_oracle(seq, seed):
+    assert_same_bytes(dinucleotide_shuffle(seq, SeedSpec(seed)).symbols,
+                      dinucleotide_shuffle_loop_oracle(seq, SeedSpec(seed)))
+
+
+# a corpus of short hypothesis-drawn texts often misses a base or a
+# successor, so its fitted model has rows that fall back to uniform
+MARKOV_CORPORA = st.lists(st.one_of(st.text("ACGT", min_size=1, max_size=60),
+                                    MOTIF_TEXT.map(lambda t: t[:60])), min_size=1, max_size=4)
+MARKOV_LENGTHS = st.one_of(st.sampled_from([1, 2]), st.integers(1, 2000))
+
+
+@ORACLE
+@given(MARKOV_CORPORA, MARKOV_LENGTHS, st.integers(0, 2**32))
+@example(["A"], 2000, 0)          # every row unseen
+@example(["ACAC", "G"], 1, 1)     # rows 2 and 3 unseen
+@example(["ACAC", "G"], 2, 2)
+def test_gen_markov_bytes_equal_loop_oracle(texts, length, seed):
+    model = fit_markov([dna(t) for t in texts])
+    assert_same_bytes(gen_markov(model, length, SeedSpec(seed)).symbols,
+                      gen_markov_loop_oracle(model, length, SeedSpec(seed)))
+
+
+@ORACLE
+@given(st.integers(1, 12).flatmap(lambda w: st.tuples(dna_sequences(min_size=w), st.just(w))))
+@example((dna("A" * 8), 8))
+@example((dna("AC" * 50), 8))
+def test_composition_profile_bytes_equal_loop_oracle(case):
+    seq, n_windows = case
+    assert_same_bytes(composition_profile_embedding(seq, n_windows),
+                      composition_profile_loop_oracle(seq, n_windows))
+
+
+def test_texture_loops_bytes_equal_oracles_on_wrapped_fasta(tmp_path):
+    rng = rng_create(SeedSpec(320, "texture-fasta-oracle"))
+    path = tmp_path / "corpus.fasta"
+    lines = []
+    for r, n in enumerate((2, 37, 61, 400)):
+        text = "".join("ACGT"[i] for i in rng.integers(0, 4, n))
+        text = text[: n // 3].lower() + text[n // 3 :]
+        lines += [f">rec{r}"] + [text[i : i + 60] for i in range(0, n, 60)]
+    path.write_text("\n".join(lines) + "\n")
+    corpus = [rec.decode(DNA) for rec in parse_fasta(path)]
+    model = fit_markov(corpus)
+    for i, seq in enumerate(corpus):
+        spec = SeedSpec(i, "fasta")
+        assert_same_bytes(dinucleotide_shuffle(seq, spec).symbols,
+                          dinucleotide_shuffle_loop_oracle(seq, spec))
+        assert_same_bytes(gen_markov(model, len(seq), spec).symbols,
+                          gen_markov_loop_oracle(model, len(seq), spec))
+        if len(seq) >= 8:
+            assert_same_bytes(composition_profile_embedding(seq, 8),
+                              composition_profile_loop_oracle(seq, 8))
 
 
 # -- k-mer histograms ---------------------------------------------------------
@@ -141,6 +282,31 @@ def test_markov_collapses_per_sequence_variance():
     assert per_sequence_dinuc_variance(markov) < per_sequence_dinuc_variance(corpus)
 
 
+class FixedDraws:
+    def __init__(self, draws):
+        self.draws = np.array(draws)
+
+    def random(self, size):
+        assert size == self.draws.size
+        return self.draws.copy()
+
+
+def test_gen_markov_draw_above_cumulative_total_is_base_3(monkeypatch):
+    # rows may sum to 1 - 1e-12; a draw above the row's total picks base 3
+    # mid-chain and at the end alike, and the initial draw does the same
+    short = np.array([0.25, 0.25, 0.25, 0.25 - 5e-13])
+    model = MarkovModel(short, np.tile(short, (4, 1)))
+    top = 0.9999999999999999
+    assert np.cumsum(short)[-1] < top
+    monkeypatch.setattr("geotax.texture.rng_create", lambda seed: FixedDraws(
+        [0.1, top, 0.1, 0.6, top]))
+    assert gen_markov(model, 5).symbols.tolist() == [0, 3, 0, 2, 3]
+    monkeypatch.setattr("geotax.texture.rng_create", lambda seed: FixedDraws([top, top, 0.3]))
+    assert gen_markov(model, 3).symbols.tolist() == [3, 3, 1]
+    monkeypatch.setattr("geotax.texture.rng_create", lambda seed: FixedDraws([top]))
+    assert gen_markov(model, 1).symbols.tolist() == [3]
+
+
 def test_markov_model_validation():
     with pytest.raises(Exception):
         MarkovModel(np.array([0.5, 0.5, 0.0, 0.5]), np.eye(4))
@@ -212,8 +378,29 @@ def test_four_condition_desk_scale_ordering():
     assert by_name["real"].rc_rdm > by_name["markov"].rc_rdm
 
 
+def test_four_condition_experiment_pinned_values():
+    # exact values: the texture report must not drift under refactors
+    corpus = heterogeneous_corpus(30, 80, SeedSpec(320, "texture-pin"))
+    rows = four_condition_experiment(
+        corpus, SeedSpec(320), split_config=SplitConfig(n_splits=2, n_bootstrap=1)
+    )
+    assert [(r.condition, r.rc_rdm, r.rc_composite, r.recovery) for r in rows] == [
+        ("real", 0.689717714600612, 0.3581601374022625, 1.0),
+        ("dinuc_shuffled", 0.645824324974451, 0.30074787184311624, 0.7178022616609567),
+        ("markov", 0.2538262260236727, 0.17899759849520497, -1.8024172497340458),
+        ("random", 0.5341764622698586, 0.30862740548441214, 0.0),
+    ]
+
+
 def test_composition_profile_shapes(rng):
     seq = random_dna(rng, 256)
     emb = composition_profile_embedding(seq, n_windows=8)
     assert emb.shape == (32,)
     assert np.allclose(emb.reshape(8, 4).sum(axis=1), 1.0)
+
+
+def test_composition_profile_rejects_short_and_non_dna():
+    with pytest.raises(DataError, match="shorter than the window count"):
+        composition_profile_embedding(dna("ACGTACG"), n_windows=8)
+    with pytest.raises(DataError, match="DNA alphabet"):
+        composition_profile_embedding(SymbolSequence(np.arange(16) % 3, bins_alphabet(3)), 4)
