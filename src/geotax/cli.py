@@ -36,7 +36,7 @@ from .errors import ConfigError, DataError, GeotaxError, NetworkError
 from .ingest.cache import ResultCache
 from .ingest.config import Config
 from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
-from .perturb import PerturbationSpec, apply_perturbation
+from .perturb import KINDS, PerturbationSpec, apply_perturbation
 from .procrustes import frozen_head_classifier
 from .mine.probes import mlp_probe_cv
 from .ingest.fetch import FetchSpec, fetch_genome
@@ -74,8 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perturb", help="apply a perturbation to a trajectory or sequence")
     p.add_argument("--input", type=Path)
-    p.add_argument("--kind", choices=(
-        "value_noise", "time_reverse", "reverse", "substitute", "reverse_complement"))
+    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--rate", type=float, default=0.01)
     p.add_argument("--magnitude", type=float, default=1.0)
     p.add_argument("--output", type=Path)

@@ -4,8 +4,8 @@ Binary "EMB1": magic bytes ``EMB1``, u32 little-endian n, u32 little-endian
 d, then n*d little-endian f32 values row-major, then a u8 label flag and,
 when the flag is 1, n u32 labels.  The flag may be left out (no labels);
 bytes after the label block are an error.  The binary round trip is bit-exact.
-CSV stores 17 significant digits (exact for float64) with no header by
-default.
+CSV is an input format only: one row per sample, read at float64
+precision, with no header by default.
 """
 
 from __future__ import annotations
@@ -66,13 +66,6 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
         if len(raw) > off:
             raise DataError(f"{path}: {len(raw) - off} trailing bytes after the label block")
     return _matrix(path, data.astype(np.float64), labels)
-
-
-def write_embeddings_csv(path: str | Path, x: EmbeddingMatrix) -> None:
-    with open(path, "w") as fh:
-        for row in x.data:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
 
 
 def read_text(path: str | Path, error: type[Exception]) -> str:

@@ -125,14 +125,3 @@ def fetch_genome(
         raise NetworkError(f"endpoint served {len(text)} bases for a {spec.length}-base span")
     return _apply_n_policy(text, spec)
 
-
-class RecordingTransport:
-    """Test seam: serves one canned response and records network calls."""
-
-    def __init__(self, default: tuple[int, bytes]):
-        self.default = default
-        self.calls: list[str] = []
-
-    def __call__(self, url: str) -> tuple[int, bytes]:
-        self.calls.append(url)
-        return self.default

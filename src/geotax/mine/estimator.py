@@ -197,35 +197,6 @@ def _ceiling_tasks(x, cfg, seeds) -> list[tuple]:
     ]
 
 
-def mine_estimate(
-    x,
-    z,
-    cfg: MLPConfig = MLPConfig(),
-    seeds: tuple = DEFAULT_SEEDS,
-    pca_dim: int | None = PCA_COMPONENTS,
-) -> MIEstimate:
-    """Aggregate DV estimate of I(X; Z) over independent seeded runs.
-
-    Embeddings are PCA-reduced to min(pca_dim, n, d) components; both
-    inputs are z-scored per feature before concatenation.
-    """
-    xs, zs = _prepare(x, z, pca_dim)
-    return _estimates([[(xs, zs, cfg, s) for s in seeds]], 1)[0]
-
-
-def random_baseline(
-    x,
-    d: int = PCA_COMPONENTS,
-    cfg: MLPConfig = MLPConfig(),
-    seeds: tuple = DEFAULT_SEEDS,
-) -> MIEstimate:
-    """MINE against fresh standard-normal embeddings of matched dimension.
-
-    This is the finite-sample bias floor: by construction the true MI is 0.
-    """
-    return _estimates([_baseline_tasks(x, d, cfg, seeds)], 1)[0]
-
-
 def excess_mi_report(
     x,
     z,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.embedding import as_columns
 from ..core.rng import SeedSpec, rng_create
 from ..errors import ConfigError, DataError
 from ..procrustes import sigmoid
@@ -166,43 +165,6 @@ class Adam:
         theta -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
 
 
-def _check_finite(value: float, context: str) -> None:
-    if not np.isfinite(value):
-        raise DataError(f"{context}: loss left the finite range")
-
-
-def mlp_train_regression(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    cfg: MLPConfig = MLPConfig(),
-    seed: SeedSpec | int = SeedSpec(),
-) -> tuple[MLP, list[float]]:
-    """Minibatch MSE training.  Returns the network and the loss trace."""
-    x = np.asarray(inputs, dtype=np.float64)
-    y = as_columns(targets)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise DataError("training data must be finite")
-    rng = rng_create(SeedSpec.coerce(seed).derive("mlp-regression"))
-    net = MLP(x.shape[1], cfg.hidden, y.shape[1], rng)
-    opt = Adam(net.theta.size, cfg.lr)
-    trace = []
-    n = x.shape[0]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            out, cache = net.forward(x[idx], cfg.dropout, rng)
-            diff = out - y[idx]
-            epoch_loss += float((diff * diff).sum())
-            net.backward(cache, 2.0 * diff / diff.size)
-            opt.step(net.theta, clip_gradient(net.grad, cfg.clip_inf))
-        epoch_loss /= n * y.shape[1]
-        _check_finite(epoch_loss, "regression")
-        trace.append(epoch_loss)
-    return net, trace
-
-
 def train_binary_classifier(
     inputs: np.ndarray,
     labels01: np.ndarray,
@@ -234,7 +196,8 @@ def train_binary_classifier(
             net.backward(cache, (sigmoid(out) - y[idx]) / idx.size)
             opt.step(net.theta, clip_gradient(net.grad, cfg.clip_inf))
         val_loss = float(np.logaddexp(0.0, -y_val_pm * net.predict(x[val_idx])).mean())
-        _check_finite(val_loss, "classifier")
+        if not np.isfinite(val_loss):
+            raise DataError("classifier: loss left the finite range")
         if val_loss < best_loss - 1e-12:
             best_loss, best_theta = val_loss, net.snapshot()
             stale = 0

@@ -18,18 +18,23 @@ from .core.sequence import DNA, SymbolSequence
 from .dynamics import GlobalRange, Trajectory
 from .errors import ConfigError, DataError
 
+KINDS = ("value_noise", "time_reverse", "reverse", "substitute", "reverse_complement")
+
 
 @dataclass(frozen=True)
 class PerturbationSpec:
     """What to do, how much of the input to touch, and under which seed."""
 
-    kind: str                    # value_noise | time_reverse | substitute |
-                                 # reverse_complement | reverse
+    kind: str                    # one of KINDS
     rate: float = 0.0            # fraction of positions in [0, 1]
     magnitude: float = 1.0       # noise scale (fraction of global range)
     seed: SeedSpec = SeedSpec()
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(
+                f"unknown perturbation kind {self.kind!r}; choose from {', '.join(KINDS)}"
+            )
         # rate and magnitude are the `perturb` flags of the same names
         if not 0.0 <= self.rate <= 1.0:
             raise ConfigError(f"--rate must lie in [0, 1], got {self.rate}")
@@ -85,11 +90,6 @@ def substitute(seq: SymbolSequence, spec: PerturbationSpec) -> SymbolSequence:
 
 
 _DNA_COMPLEMENT = np.array([3, 2, 1, 0], dtype=np.int64)  # A<->T, C<->G
-
-
-def complement(seq: SymbolSequence) -> SymbolSequence:
-    seq.require(DNA, "complement defined for the DNA alphabet only")
-    return seq.replace(_DNA_COMPLEMENT[seq.symbols])
 
 
 def reverse_complement(seq: SymbolSequence) -> SymbolSequence:
@@ -148,8 +148,7 @@ def apply_perturbation(x: Trajectory | SymbolSequence, spec: PerturbationSpec):
         if not isinstance(x, SymbolSequence):
             raise DataError("substitute needs a symbol sequence")
         return substitute(x, spec)
-    if kind == "reverse_complement":
-        if not isinstance(x, SymbolSequence):
-            raise DataError("reverse_complement needs a symbol sequence")
-        return reverse_complement(x)
-    raise DataError(f"unknown perturbation kind {kind!r}")
+    # reverse_complement, the last of KINDS
+    if not isinstance(x, SymbolSequence):
+        raise DataError("reverse_complement needs a symbol sequence")
+    return reverse_complement(x)

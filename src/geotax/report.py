@@ -30,7 +30,7 @@ from .mine.mlp import MLPConfig
 from .procrustes import classify_regime, procrustes_align
 from .quantize import rd_bound_codebook, vq_double_bind_sweep
 from .stability import SplitConfig, evaluate
-from .texture import four_condition_experiment, heterogeneous_corpus
+from .texture import ENCODER_WINDOWS, MIN_CORPUS, four_condition_experiment, heterogeneous_corpus
 from .walks import (
     build_interpolation_walk,
     build_mutation_walk,
@@ -311,8 +311,8 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
         corpus = [rec.decode(DNA) for rec in parse_fasta(fasta)]
     else:
         corpus = heterogeneous_corpus(
-            cfg.get_int("texture.n", 200),
-            cfg.get_int("texture.length", 400, minimum=1),
+            cfg.get_int("texture.n", 200, minimum=MIN_CORPUS),
+            cfg.get_int("texture.length", 400, minimum=ENCODER_WINDOWS),
             SeedSpec(seed, "texture-corpus"),
         )
     # the texture subcommand's defaults, so a config file runs what the CLI runs

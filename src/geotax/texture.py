@@ -174,6 +174,9 @@ def composition_profile_embedding(seq: SymbolSequence, n_windows: int = 8) -> np
 ENCODER_WINDOWS = 8
 ENCODER_HIDDEN = 64
 ENCODER_DIM = 32
+# Smallest corpus the harness can score: with one anchor, each half of the
+# other n - 1 sequences needs 3 rows for a Spearman correlation.
+MIN_CORPUS = 7
 
 
 def make_frozen_encoder(seed: SeedSpec | int = SeedSpec()):
@@ -230,13 +233,19 @@ def four_condition_experiment(
     Markov, and per-sequence dinucleotide-shuffled.  Each condition embeds
     forward and reverse-complement sequences through the frozen encoder,
     scores RC stability with the harness, and reports the fraction of the
-    real-random RC RDM gap recovered.
+    real-random RC RDM gap recovered.  The corpus needs ``MIN_CORPUS``
+    sequences of at least ``ENCODER_WINDOWS`` bases each.
     """
     from .stability import SplitConfig, evaluate, rdm_similarity
 
     corpus = list(corpus)
-    if not corpus:
-        raise DataError("empty corpus")
+    if len(corpus) < MIN_CORPUS:
+        raise DataError(f"texture corpus has {len(corpus)} records, needs at least {MIN_CORPUS}")
+    for i, s in enumerate(corpus, start=1):
+        if len(s) < ENCODER_WINDOWS:
+            raise DataError(
+                f"texture corpus record {i} has {len(s)} bases, needs at least {ENCODER_WINDOWS}"
+            )
     spec = SeedSpec.coerce(seed)
     embedder = make_frozen_encoder(spec.derive("encoder"))
     cfg = split_config or SplitConfig()

@@ -49,10 +49,10 @@ def build_interpolation_walk(
 
     Endpoints equal the standalone discretizations of A and B exactly.
     """
+    if n_steps < 2:
+        raise ConfigError(f"interpolation needs at least 2 steps, got {n_steps}")
     if traj_a.values.shape != traj_b.values.shape:
         raise DataError("interpolation endpoints must share shape")
-    if n_steps < 2:
-        raise DataError("need at least 2 interpolation steps")
     steps, alphas = [], []
     for i in range(n_steps):
         alpha = i / (n_steps - 1)

@@ -14,6 +14,7 @@ import pytest
 
 from test_core import spearman_oracle
 from test_quantize import voronoi_crossing_oracle
+from test_ingest import RecordingTransport
 
 from geotax.core.embedding import EmbeddingMatrix
 from geotax.core.io import write_embeddings
@@ -22,7 +23,7 @@ from geotax.core.stats import spearman
 from geotax.dynamics import butterfly_test, estimate_lle, gen_lorenz, lorenz_twins
 from geotax.ingest.cache import ResultCache
 from geotax.ingest.config import Config
-from geotax.ingest.fetch import FetchSpec, RecordingTransport, fetch_genome
+from geotax.ingest.fetch import FetchSpec, fetch_genome
 from geotax.mine.estimator import sanity_suite
 from geotax.mine.mlp import MLP
 from geotax.mine.probes import mlp_probe_cv

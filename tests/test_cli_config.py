@@ -19,7 +19,7 @@ import pytest
 import geotax.cli as cli
 import geotax.mine.estimator as estimator
 from geotax.core.embedding import EmbeddingMatrix
-from geotax.core.io import write_embeddings, write_embeddings_csv
+from geotax.core.io import write_embeddings
 from geotax.core.rng import SeedSpec, rng_create
 
 CONFIG_CASES = {
@@ -295,6 +295,53 @@ def test_cli_perturb_manifest_nul_path_exit_2(pair, tmp_path, capsys):
     )
 
 
+def test_cli_perturb_manifest_unknown_kind_exit_2(pair, tmp_path, capsys):
+    clean, _ = pair
+    manifest = tmp_path / "man.csv"
+    manifest.write_text(f"{clean},bogus,0.1,1\n")
+    argv = ["--out-dir", str(tmp_path / "out"), "perturb", "--manifest", str(manifest)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {manifest}:1: unknown perturbation kind 'bogus'; choose from "
+    )
+
+
+@pytest.mark.parametrize("flag, value, err", [
+    ("--n", "6", "config error: <cli>: key 'texture.n': 6 is below 7\n"),
+    ("--n", "7", ""),
+    ("--length", "7", "config error: <cli>: key 'texture.length': 7 is below 8\n"),
+    ("--length", "8", ""),
+])
+def test_cli_texture_generated_corpus_boundaries(flag, value, err, tmp_path, capsys):
+    run = tmp_path / "run"
+    argv = ["--out-dir", str(run), "texture", "--n", "7", "--length", "40", "--splits", "2",
+            flag, value]
+    assert cli.main(argv) == (2 if err else 0)
+    assert capsys.readouterr().err == err
+    assert (run / "report.json").exists() == (not err)
+
+
+@pytest.mark.parametrize("records, short, err", [
+    (6, 40, "data error: texture corpus has 6 records, needs at least 7\n"),
+    (7, 40, ""),
+    (7, 7, "data error: texture corpus record 3 has 7 bases, needs at least 8\n"),
+    (7, 8, ""),
+])
+def test_cli_texture_fasta_corpus_boundaries(records, short, err, tmp_path, capsys):
+    """Record 3 holds ``short`` bases, the others 40."""
+    rng = rng_create(SeedSpec(320, "cli-texture-fasta"))
+    fasta = tmp_path / "t.fasta"
+    fasta.write_text("".join(
+        f">r{i}\n" + "".join(rng.choice(list("ACGT"), size=short if i == 3 else 40)) + "\n"
+        for i in range(1, records + 1)
+    ))
+    run = tmp_path / "run"
+    argv = ["--out-dir", str(run), "texture", "--fasta", str(fasta), "--splits", "2"]
+    assert cli.main(argv) == (3 if err else 0)
+    assert capsys.readouterr().err == err
+    assert (run / "report.json").exists() == (not err)
+
+
 @pytest.mark.parametrize("bins", [0, -3, 2**53 + 1, 9223372036854775807])
 def test_cli_discretize_bins_out_of_range_exit_2(bins, pair, tmp_path, capsys):
     clean, _ = pair
@@ -338,6 +385,9 @@ UNTRAINABLE = {
     "mine-sanity-one-sample": ["mine-sanity", "--n", "1"],
     "mine-sanity-no-samples": ["mine-sanity", "--n", "0"],
     "walk-negative-mutations": ["walk", "--length", "100", "--n-mutations", "-1"],
+    "walk-interpolation-one-step": ["walk", "--mode", "interpolation", "--steps", "1"],
+    "walk-interpolation-no-steps": ["walk", "--mode", "interpolation", "--steps", "0"],
+    "walk-interpolation-negative-steps": ["walk", "--mode", "interpolation", "--steps", "-4"],
 }
 
 
@@ -399,7 +449,7 @@ def csv_pair(tmp_path):
     rng = rng_create(SeedSpec(320, "cli-csv-header"))
     x = rng.standard_normal((20, 3))
     plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
-    write_embeddings_csv(plain, EmbeddingMatrix(x))
+    np.savetxt(plain, x, fmt="%.17g", delimiter=",")
     headed.write_text("a,b,c\n" + plain.read_text())
     return x, plain, headed
 
@@ -420,7 +470,7 @@ def test_cli_csv_header_reaches_probe(csv_pair, tmp_path, capsys):
 def test_cli_csv_header_reaches_discretize_and_perturb(csv_pair, tmp_path):
     x, plain, headed = csv_pair
     range_plain, range_headed = tmp_path / "range.csv", tmp_path / "range_h.csv"
-    write_embeddings_csv(range_plain, EmbeddingMatrix(np.vstack([x.min(0), x.max(0)])))
+    np.savetxt(range_plain, np.vstack([x.min(0), x.max(0)]), fmt="%.17g", delimiter=",")
     range_headed.write_text("lo,hi,mid\n" + range_plain.read_text())
     written = []
     for flags, path, grange in (

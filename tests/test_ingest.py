@@ -9,12 +9,19 @@ from geotax.errors import ConfigError, DataError, NetworkError
 from geotax.ingest.cache import ResultCache, cache_key, canonical_key_string
 from geotax.ingest.config import Config
 from geotax.ingest.fasta import FastaRecord, parse_fasta, write_fasta
-from geotax.ingest.fetch import (
-    FetchSpec,
-    RecordingTransport,
-    fetch_genome,
-    synthetic_sequence,
-)
+from geotax.ingest.fetch import FetchSpec, fetch_genome, synthetic_sequence
+
+
+class RecordingTransport:
+    """Serves one canned response and records the URLs it was asked for."""
+
+    def __init__(self, default: tuple[int, bytes]):
+        self.default = default
+        self.calls: list[str] = []
+
+    def __call__(self, url: str) -> tuple[int, bytes]:
+        self.calls.append(url)
+        return self.default
 
 
 def genome_response(dna):
