@@ -1,15 +1,16 @@
 """Command-line surface.
 
-Most analysis subcommands assemble a flat config and hand it to the
+Every analysis subcommand assembles a flat config and hands it to the
 pipeline runner, so a CLI invocation and a config-file run produce
-identical artifacts.  Exit codes: 0 ok, 2 config error, 3 data error,
-4 network error.
+identical artifacts.  Each of their options is declared once, with its
+config key as its dest; ``--help`` shows that key as the value name of
+every option that has no fixed choices.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 network error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
 from pathlib import Path
@@ -37,8 +38,6 @@ from .ingest.cache import ResultCache
 from .ingest.config import Config
 from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
 from .perturb import KINDS, PerturbationSpec, apply_perturbation
-from .procrustes import frozen_head_classifier
-from .mine.probes import mlp_probe_cv
 from .ingest.fetch import FetchSpec, fetch_genome
 from .report import rerun_from_provenance, run_pipeline
 
@@ -52,11 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="geotax", description=__doc__)
     parser.add_argument("--version", action="version", version=f"geotax {__version__}")
     parser.add_argument("--seed", type=int, default=320)
-    parser.add_argument("--config", type=Path, help="flat key=value config file")
     parser.add_argument("--out-dir", type=Path, default=Path("geotax-run"))
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--cache-dir", type=Path, default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--csv-header", action="store_true",
                         help="CSV inputs carry one header line to skip")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,58 +76,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", type=Path)
     p.add_argument("--manifest", type=Path, help="CSV of input,kind,rate,seed rows")
 
+    # A pipeline subcommand's options are stored under their config keys
+    # (dest), so argparse's namespace order is the order of the config echo.
     p = sub.add_parser("stability", help="run the stability harness")
-    p.add_argument("--clean", type=Path, required=True)
+    p.add_argument("--clean", dest="stability.clean", type=Path, required=True)
     p.add_argument("--pert", action="append", required=True,
                    metavar="NAME=PATH", help="repeatable perturbed matrix")
-    p.add_argument("--deltas", type=Path)
-    p.add_argument("--splits", type=int, default=30)
-    p.add_argument("--max-samples", type=int, default=2500)
-    p.add_argument("--bootstrap", type=int, default=5)
-    p.add_argument("--composite-variant", choices=("anchor", "perturbation"), default="anchor")
+    p.add_argument("--deltas", dest="stability.deltas", type=Path)
+    p.add_argument("--splits", dest="stability.n_splits", type=int, default=30)
+    p.add_argument("--max-samples", dest="stability.max_samples", type=int, default=2500)
+    p.add_argument("--bootstrap", dest="stability.n_bootstrap", type=int, default=5)
+    p.add_argument("--composite-variant", dest="stability.composite_variant",
+                   choices=("anchor", "perturbation"), default="anchor")
 
     p = sub.add_parser("procrustes", help="spin test: optimal rotation + scale")
-    p.add_argument("--clean", type=Path, required=True)
-    p.add_argument("--pert", type=Path, required=True)
-    p.add_argument("--export-rotation", action="store_true")
+    p.add_argument("--clean", dest="procrustes.clean", type=Path, required=True)
+    p.add_argument("--pert", dest="procrustes.pert", type=Path, required=True)
+    p.add_argument("--export-rotation", dest="procrustes.export_rotation", action="store_true")
 
     p = sub.add_parser("walk", help="build an interpolation or mutation walk")
-    p.add_argument("--mode", choices=("mutation", "interpolation"), default="mutation")
-    p.add_argument("--fasta", type=Path)
-    p.add_argument("--n-mutations", type=int, default=120)
-    p.add_argument("--length", type=int, default=2000)
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--mode", dest="walk.mode", choices=("mutation", "interpolation"),
+                   default="mutation")
+    p.add_argument("--fasta", dest="walk.fasta", type=Path)
+    p.add_argument("--n-mutations", dest="walk.n_mutations", type=int, default=120)
+    p.add_argument("--length", dest="walk.length", type=int, default=2000)
+    p.add_argument("--steps", dest="walk.n_steps", type=int, default=101)
 
     p = sub.add_parser("lipschitz", help="per-step embedding displacement profile")
-    p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument("--metric", choices=("cosine", "l2"), default="cosine")
+    p.add_argument("--embeddings", dest="lipschitz.embeddings", type=Path, required=True)
+    p.add_argument("--metric", dest="lipschitz.metric", choices=("cosine", "l2"),
+                   default="cosine")
 
     p = sub.add_parser("mine", help="excess mutual information estimate")
-    p.add_argument("--features", type=Path)
-    p.add_argument("--features-fasta", type=Path,
+    p.add_argument("--features", dest="mine.features", type=Path)
+    p.add_argument("--features-fasta", dest="mine.features_fasta", type=Path,
                    help="extract compositional features from FASTA instead")
-    p.add_argument("--feature-kind", choices=("dna", "protein"), default="dna")
-    p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument("--seeds", type=str, default=None)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--condition", type=str, default="model")
+    p.add_argument("--feature-kind", dest="mine.feature_kind", choices=("dna", "protein"),
+                   default="dna")
+    p.add_argument("--embeddings", dest="mine.embeddings", type=Path, required=True)
+    p.add_argument("--seeds", dest="mine.seeds")
+    p.add_argument("--epochs", dest="mine.epochs", type=int, default=500)
+    p.add_argument("--condition", dest="mine.condition", default="model")
 
     p = sub.add_parser("mine-sanity", help="estimator check on known-MI Gaussians")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--seeds", type=str, default=None)
+    p.add_argument("--n", dest="mine.n", type=int, default=2000)
+    p.add_argument("--seeds", dest="mine.seeds")
 
     p = sub.add_parser("texture", help="four-condition RC texture test")
-    p.add_argument("--fasta", type=Path)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--length", type=int, default=400)
-    p.add_argument("--splits", type=int, default=10)
-    p.add_argument("--bootstrap", type=int, default=1)
+    p.add_argument("--fasta", dest="texture.fasta", type=Path)
+    p.add_argument("--n", dest="texture.n", type=int, default=200)
+    p.add_argument("--length", dest="texture.length", type=int, default=400)
+    p.add_argument("--splits", dest="stability.n_splits", type=int, default=10)
+    p.add_argument("--bootstrap", dest="stability.n_bootstrap", type=int, default=1)
 
     p = sub.add_parser("probe", help="frozen linear / MLP probes with stratified CV")
-    p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument("--labels", type=Path, required=True)
-    p.add_argument("--arch", choices=("linear", "mlp", "mlp-wide"), default="linear")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--embeddings", dest="probe.embeddings", type=Path, required=True)
+    p.add_argument("--labels", dest="probe.labels", type=Path, required=True)
+    p.add_argument("--arch", dest="probe.arch", choices=("linear", "mlp", "mlp-wide"),
+                   default="linear")
+    p.add_argument("--folds", dest="probe.folds", type=int, default=5)
 
     p = sub.add_parser("fetch", help="fetch a genomic span (cached)")
     p.add_argument("--source", choices=("genome-rest", "synthetic"), default="genome-rest")
@@ -141,15 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--end", type=int, default=0)
     p.add_argument("--n-policy", choices=("reject", "replace"), default="reject")
     p.add_argument("--output", type=Path, required=True)
+    p.add_argument("--cache-dir", type=Path, help="default: $GEOTAX_CACHE or ~/.cache/geotax")
 
     p = sub.add_parser("report", help="run a config-declared experiment")
-    p.add_argument("--rerun", type=Path, help="re-execute from a report's provenance")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", type=Path, help="flat key=value config file")
+    source.add_argument("--rerun", type=Path, help="re-execute from a report's provenance")
 
     p = sub.add_parser("vq-sweep", help="codebook size sweep: reconstruction vs geometry")
-    p.add_argument("--data", type=Path)
-    p.add_argument("--k-values", type=str, default="32,64,128,256,512,1024")
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--intrinsic-dim", type=float, default=None,
+    p.add_argument("--data", dest="vq.data", type=Path)
+    p.add_argument("--k-values", dest="vq.k_values", default="32,64,128,256,512,1024")
+    p.add_argument("--sigma", dest="vq.sigma", type=float, default=0.05)
+    p.add_argument("--intrinsic-dim", dest="vq.intrinsic_dim", type=float,
                    help="d_M of the Shannon D(R) column (default 2.06, the Lorenz attractor)")
 
     return parser
@@ -257,26 +263,6 @@ def _cmd_perturb(args) -> int:
     return EXIT_OK
 
 
-def _cmd_probe(args) -> int:
-    emb = load_matrix(args.embeddings, csv_header=args.csv_header)
-    try:
-        labels = np.loadtxt(args.labels, delimiter=",", dtype=np.int64, ndmin=1,
-                            skiprows=int(args.csv_header))
-    except ValueError as exc:
-        raise DataError(f"{args.labels}: labels must be integers ({exc})") from None
-    if args.arch == "linear":
-        mean, std = frozen_head_classifier(emb, labels, args.folds, SeedSpec(args.seed, "probe"))
-    else:
-        mean, std = mlp_probe_cv(emb, labels, args.arch, args.folds, SeedSpec(args.seed, "probe"))
-    if args.format == "csv":
-        print("arch,folds,accuracy,std")
-        print(f"{args.arch},{args.folds},{mean:.6f},{std:.6f}")
-    else:
-        print(json.dumps({"arch": args.arch, "folds": args.folds,
-                          "accuracy": mean, "std": std}))
-    return EXIT_OK
-
-
 def _cmd_fetch(args) -> int:
     spec = FetchSpec(
         source=args.source,
@@ -299,62 +285,37 @@ def _cmd_report(args) -> int:
     if args.rerun:
         run_dir = rerun_from_provenance(args.rerun, args.out_dir)
     else:
-        if not args.config:
-            raise ConfigError("report needs --config or --rerun")
         run_dir = run_pipeline(args.config, args.out_dir)
     print(f"report in {run_dir}")
     return EXIT_OK
 
 
-# argparse dest -> config key for the subcommands that only configure a
-# pipeline run, in the order the keys are written into the config (and so
-# into the report's config echo).  Unset (None) options are left out.
-PIPELINE_COMMON = {"seed": "seed", "threads": "threads", "csv_header": "io.csv_header"}
+# each pipeline subcommand's closing message
 PIPELINES = {
-    "stability": ("stability report in", {
-        "clean": "stability.clean", "deltas": "stability.deltas",
-        "splits": "stability.n_splits", "max_samples": "stability.max_samples",
-        "bootstrap": "stability.n_bootstrap",
-        "composite_variant": "stability.composite_variant",
-    }),
-    "procrustes": ("procrustes report in", {
-        "clean": "procrustes.clean", "pert": "procrustes.pert",
-        "export_rotation": "procrustes.export_rotation",
-    }),
-    "walk": ("walk written to", {
-        "mode": "walk.mode", "fasta": "walk.fasta", "n_mutations": "walk.n_mutations",
-        "length": "walk.length", "steps": "walk.n_steps",
-    }),
-    "lipschitz": ("profile in", {
-        "embeddings": "lipschitz.embeddings", "metric": "lipschitz.metric",
-    }),
-    "mine": ("MI report in", {
-        "features": "mine.features", "features_fasta": "mine.features_fasta",
-        "feature_kind": "mine.feature_kind", "embeddings": "mine.embeddings",
-        "seeds": "mine.seeds", "epochs": "mine.epochs", "condition": "mine.condition",
-    }),
-    "mine-sanity": ("sanity report in", {"n": "mine.n", "seeds": "mine.seeds"}),
-    "texture": ("texture table in", {
-        "fasta": "texture.fasta", "n": "texture.n", "length": "texture.length",
-        "splits": "stability.n_splits", "bootstrap": "stability.n_bootstrap",
-    }),
-    "vq-sweep": ("sweep in", {
-        "data": "vq.data", "k_values": "vq.k_values", "sigma": "vq.sigma",
-        "intrinsic_dim": "vq.intrinsic_dim",
-    }),
+    "stability": "stability report in",
+    "procrustes": "procrustes report in",
+    "walk": "walk written to",
+    "lipschitz": "profile in",
+    "mine": "MI report in",
+    "mine-sanity": "sanity report in",
+    "texture": "texture table in",
+    "probe": "probe report in",
+    "vq-sweep": "sweep in",
 }
 
 
 def _cmd_pipeline(args) -> int:
-    """Copy the subcommand's options into a config and run the pipeline."""
-    if args.command == "mine" and not (args.features or args.features_fasta):
-        raise ConfigError("mine needs --features or --features-fasta")
-    message, fields = PIPELINES[args.command]
-    values = {"experiment": args.command}
-    for dest, key in [*PIPELINE_COMMON.items(), *fields.items()]:
-        value = getattr(args, dest)
-        if value is not None:
+    """Copy the global settings and the subcommand's options, stored under
+    their config keys, into a config and run the pipeline.  Unset (None)
+    options are left out."""
+    values = {"experiment": args.command, "seed": str(args.seed), "threads": str(args.threads),
+              "io.csv_header": str(args.csv_header).lower()}
+    for key, value in vars(args).items():
+        if "." in key and value is not None:
             values[key] = str(value).lower() if isinstance(value, bool) else str(value)
+    if args.command == "mine" and not ("mine.features" in values
+                                       or "mine.features_fasta" in values):
+        raise ConfigError("mine needs --features or --features-fasta")
     if args.command == "stability":
         for item in args.pert:
             if "=" not in item:
@@ -362,7 +323,7 @@ def _cmd_pipeline(args) -> int:
             name, path = item.split("=", 1)
             values[f"stability.pert.{name}"] = path
     run_pipeline(Config(values, source="<cli>"), args.out_dir)
-    print(f"{message} {args.out_dir}")
+    print(f"{PIPELINES[args.command]} {args.out_dir}")
     return EXIT_OK
 
 
@@ -370,7 +331,6 @@ COMMANDS = {
     "gen": _cmd_gen,
     "discretize": _cmd_discretize,
     "perturb": _cmd_perturb,
-    "probe": _cmd_probe,
     "fetch": _cmd_fetch,
     "report": _cmd_report,
     **dict.fromkeys(PIPELINES, _cmd_pipeline),

@@ -14,20 +14,22 @@ import math
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .core.io import load_matrix, read_text, write_embeddings
 from .core.embedding import EmbeddingMatrix
-from .core.rng import SeedSpec
+from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
 from .dynamics import fit_global_range, gen_lorenz, gen_oscillator, sample_oscillator_params
-from .core.rng import rng_create
 from .errors import ConfigError, DataError
 from .ingest.config import Config
 from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
 from .mine.estimator import DEFAULT_SEEDS, excess_mi_report, sanity_suite
 from .mine.features import features_from_fasta
 from .mine.mlp import MLPConfig
-from .procrustes import classify_regime, procrustes_align
+from .mine.probes import mlp_probe_cv
+from .procrustes import classify_regime, frozen_head_classifier, procrustes_align
 from .quantize import rd_bound_codebook, vq_double_bind_sweep
 from .stability import SplitConfig, evaluate
 from .texture import ENCODER_WINDOWS, MIN_CORPUS, four_condition_experiment, heterogeneous_corpus
@@ -37,13 +39,10 @@ from .walks import (
     lipschitz_cosine,
     lipschitz_l2,
     pca_trajectory,
+    walk_to_matrix,
 )
 
 STABILITY_CSV_HEADER = "Perturbation,RDM Sim.,Pert. Stab.,Pert. Mag.,Composite"
-
-
-def dump_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _split_config(cfg: Config, n_splits: int = 30, n_bootstrap: int = 5) -> SplitConfig:
@@ -53,18 +52,10 @@ def _split_config(cfg: Config, n_splits: int = 30, n_bootstrap: int = 5) -> Spli
         n_splits=cfg.get_int("stability.n_splits", n_splits),
         max_samples=cfg.get_int("stability.max_samples", 2500),
         n_bootstrap=cfg.get_int("stability.n_bootstrap", n_bootstrap),
-        anchor_count=cfg.get_int("stability.anchor_count", None),
+        anchor_count=cfg.get_int("stability.anchor_count", None, minimum=1),
         rank_normalize_anchors=cfg.get_bool("stability.rank_normalize_anchors"),
         composite_variant=cfg.get("stability.composite_variant", "anchor"),
     )
-
-
-def _provenance(cfg: Config, seed: int) -> dict:
-    return {
-        "version": __version__,
-        "seed": seed,
-        "config_echo": cfg.dump(),
-    }
 
 
 def _loader(cfg: Config):
@@ -87,6 +78,7 @@ def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
         "mine": _run_mine,
         "mine-sanity": _run_mine_sanity,
         "texture": _run_texture,
+        "probe": _run_probe,
         "vq-sweep": _run_vq_sweep,
     }
     if experiment not in runners:
@@ -97,9 +89,9 @@ def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
     report = {
         "experiment": experiment,
         "results": results,
-        "provenance": _provenance(cfg, seed),
+        "provenance": {"version": __version__, "seed": seed, "config_echo": cfg.dump()},
     }
-    dump_json(report, out / "report.json")
+    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return out
 
 
@@ -179,8 +171,6 @@ def _run_procrustes(cfg: Config, seed: int, out: Path) -> dict:
 def _serialize_walk(walk, out: Path) -> None:
     if walk.kind == "interpolation":
         # discretized continuous steps travel as an EMB1 matrix + alpha list
-        from .walks import walk_to_matrix
-
         write_embeddings(out / "walk.emb1", walk_to_matrix(walk))
         lines = ["step,alpha"] + [f"{i},{a:.6f}" for i, a in enumerate(walk.step_meta)]
         (out / "walk_steps.csv").write_text("\n".join(lines) + "\n")
@@ -325,6 +315,27 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
     return {"conditions": [asdict(r) for r in rows]}
 
 
+def _run_probe(cfg: Config, seed: int, out: Path) -> dict:
+    header = cfg.get_bool("io.csv_header")
+    emb = load_matrix(cfg.require("probe.embeddings"), csv_header=header)
+    labels_path = cfg.require("probe.labels")
+    try:
+        labels = np.loadtxt(labels_path, delimiter=",", dtype=np.int64, ndmin=1,
+                            skiprows=int(header))
+    except ValueError as exc:
+        raise DataError(f"{labels_path}: labels must be integers ({exc})") from None
+    arch = cfg.get("probe.arch", "linear")
+    folds = cfg.get_int("probe.folds", 5)
+    spec = SeedSpec(seed, "probe")
+    if arch == "linear":
+        mean, std = frozen_head_classifier(emb, labels, folds, spec)
+    else:
+        mean, std = mlp_probe_cv(emb, labels, arch, folds, spec)
+    row = f"{arch},{folds},{mean:.6f},{std:.6f}"
+    (out / "report.csv").write_text(f"arch,folds,accuracy,std\n{row}\n")
+    return {"arch": arch, "folds": folds, "accuracy": mean, "std": std}
+
+
 def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
     # d_M of the Shannon reference; 2.06 is the Lorenz attractor's dimension
     d_m = cfg.get_float("vq.intrinsic_dim", 2.06)
@@ -334,7 +345,7 @@ def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
     if source:
         data = _loader(cfg)(source).data
     else:
-        traj = gen_lorenz(SeedSpec(seed, "vq-lorenz"), cfg.get_int("vq.n", 2000))
+        traj = gen_lorenz(SeedSpec(seed, "vq-lorenz"), cfg.get_int("vq.n", 2000, minimum=2))
         data = traj.values
     k_values = _int_list(cfg, "vq.k_values", (32, 64, 128, 256, 512, 1024))
     curve = vq_double_bind_sweep(

@@ -43,6 +43,8 @@ class SplitConfig:
             raise ConfigError("max_samples must be >= 10")
         if self.n_bootstrap < 1:
             raise ConfigError("n_bootstrap must be >= 1")
+        if self.anchor_count is not None and self.anchor_count < 1:
+            raise ConfigError(f"anchor_count must be >= 1, got {self.anchor_count}")
         if self.composite_variant not in ("anchor", "perturbation"):
             raise ConfigError("composite_variant must be 'anchor' or 'perturbation'")
 

@@ -119,6 +119,21 @@ CONFIG_CASES = {
         "stability.n_splits = 2\nstability.n_bootstrap = 3\n",
         "texture table in",
     ),
+    "probe": (
+        ["probe", "--embeddings", "e.emb1", "--labels", "l.csv"],
+        "experiment = probe\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "probe.embeddings = e.emb1\nprobe.labels = l.csv\nprobe.arch = linear\n"
+        "probe.folds = 5\n",
+        "probe report in",
+    ),
+    "probe-mlp": (
+        ["--csv-header", "probe", "--embeddings", "e.csv", "--labels", "l.csv",
+         "--arch", "mlp", "--folds", "3"],
+        "experiment = probe\nseed = 320\nthreads = 1\nio.csv_header = true\n"
+        "probe.embeddings = e.csv\nprobe.labels = l.csv\nprobe.arch = mlp\n"
+        "probe.folds = 3\n",
+        "probe report in",
+    ),
     "vq-sweep": (
         ["vq-sweep"],
         "experiment = vq-sweep\nseed = 320\nthreads = 1\nio.csv_header = false\n"
@@ -149,16 +164,34 @@ def test_cli_pipeline_config_echo(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == f"{message} {out_dir}\n"
 
 
-def test_pipeline_table_covers_every_parser_option():
-    """An option the parser accepts but ``PIPELINES`` omits would never reach
-    the config, so each pipeline subcommand's dests must match its table."""
+def test_pipeline_options_are_stored_under_config_keys():
+    """An option stored under any other dest would never reach the config,
+    so every option of a pipeline subcommand has a dotted dest."""
     parser = cli.build_parser()
     subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command, (_, fields) in cli.PIPELINES.items():
+    assert set(cli.PIPELINES) <= set(subparsers.choices)
+    for command in cli.PIPELINES:
         dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
         if command == "stability":
-            dests.discard("pert")  # NAME=PATH pairs become stability.pert.<name> keys
-        assert dests == set(fields), command
+            dests.remove("pert")  # NAME=PATH pairs become stability.pert.<name> keys
+        assert dests and all("." in dest for dest in dests), command
+
+
+@pytest.mark.parametrize("argv", [
+    ["report"],
+    ["report", "--config", "a.cfg", "--rerun", "r.json"],
+    ["--config", "x.cfg", "report"],
+    ["--format", "csv", "probe", "--embeddings", "e.emb1", "--labels", "l.csv"],
+    ["--cache-dir", "d", "fetch", "--source", "synthetic", "--end", "10", "--output", "o.fa"],
+], ids=["report-bare", "report-config-and-rerun", "global-config", "global-format",
+        "global-cache-dir"])
+def test_cli_report_source_and_removed_global_flags_exit_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_pipeline", lambda cfg, out: pytest.fail("must not run"))
+    monkeypatch.setattr(cli, "fetch_genome", lambda *a, **k: pytest.fail("must not fetch"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage: geotax" in capsys.readouterr().err
 
 
 def test_cli_mine_without_features_is_config_error(monkeypatch):
@@ -454,17 +487,25 @@ def csv_pair(tmp_path):
     return x, plain, headed
 
 
-def test_cli_csv_header_reaches_probe(csv_pair, tmp_path, capsys):
+def probe_report(run):
+    """The ``results`` of a probe run's report.json and its report.csv."""
+    results = json.loads((run / "report.json").read_text())["results"]
+    return results, (run / "report.csv").read_text()
+
+
+def test_cli_csv_header_reaches_probe(csv_pair, tmp_path):
     x, plain, headed = csv_pair
     labels, labels_headed = tmp_path / "labels.csv", tmp_path / "labels_h.csv"
     labels.write_text("".join(f"{int(v > 0)}\n" for v in x[:, 0]))
     labels_headed.write_text("label\n" + labels.read_text())
-    outs = []
+    reports = []
     for flags, path, lab in (([], plain, labels), (["--csv-header"], headed, labels_headed)):
-        argv = [*flags, "probe", "--embeddings", str(path), "--labels", str(lab)]
+        run = tmp_path / f"run-{path.stem}"
+        argv = [*flags, "--out-dir", str(run), "probe", "--embeddings", str(path),
+                "--labels", str(lab)]
         assert cli.main(argv) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
+        reports.append(probe_report(run))
+    assert reports[0] == reports[1]
 
 
 def test_cli_csv_header_reaches_discretize_and_perturb(csv_pair, tmp_path):
@@ -494,15 +535,18 @@ def test_cli_csv_header_reaches_discretize_and_perturb(csv_pair, tmp_path):
     assert written[0] == written[1]
 
 
-def test_cli_csv_header_reaches_probe_labels(probe_inputs, tmp_path, capsys):
+def test_cli_csv_header_reaches_probe_labels(probe_inputs, tmp_path):
     emb, labels = probe_inputs
     headed = tmp_path / "labels_h.csv"
     headed.write_text("label\n" + labels.read_text())
-    outs = []
+    reports = []
     for flags, lab in (([], labels), (["--csv-header"], headed)):
-        assert cli.main([*flags, "probe", "--embeddings", str(emb), "--labels", str(lab)]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
+        run = tmp_path / f"run-{lab.stem}"
+        argv = [*flags, "--out-dir", str(run), "probe", "--embeddings", str(emb),
+                "--labels", str(lab)]
+        assert cli.main(argv) == 0
+        reports.append(probe_report(run))
+    assert reports[0] == reports[1]
 
 
 def _stability_with_deltas(pair, deltas, out, *flags):
@@ -604,7 +648,7 @@ def test_cli_csv_not_utf8_exit_3(tmp_path, capsys):
 def test_cli_report_config_not_utf8_exit_2(tmp_path, capsys):
     config = tmp_path / "latin.cfg"
     config.write_bytes(b"experiment = lipschitz\n# r\xe9sum\xe9\n")
-    argv = ["--config", str(config), "--out-dir", str(tmp_path / "run"), "report"]
+    argv = ["--out-dir", str(tmp_path / "run"), "report", "--config", str(config)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {config}: not UTF-8 text")
 
@@ -643,3 +687,66 @@ def test_readme_cli_examples_parse():
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         assert parser.parse_args(argv).command in argv, line
+
+
+def _report_from_config(tmp_path, text):
+    config = tmp_path / "exp.cfg"
+    config.write_text(text)
+    run = tmp_path / "run"
+    return cli.main(["--out-dir", str(run), "report", "--config", str(config)]), config, run
+
+
+BELOW_MINIMUM_CONFIGS = {
+    "stability": "experiment = stability\nstability.clean = {clean}\n"
+                 "stability.pert.noise = {pert}\nstability.n_splits = 2\n"
+                 "stability.n_bootstrap = 1\n",
+    "texture": "experiment = texture\ntexture.n = 10\ntexture.length = 40\n"
+               "stability.n_splits = 2\n",
+    "vq-sweep": "experiment = vq-sweep\nvq.k_values = 4,8,16\n",
+}
+
+
+@pytest.mark.parametrize("experiment, key, value, minimum", [
+    ("stability", "stability.anchor_count", -3, 1),
+    ("stability", "stability.anchor_count", 0, 1),
+    ("texture", "stability.anchor_count", -3, 1),
+    ("texture", "stability.anchor_count", 0, 1),
+    ("vq-sweep", "vq.n", -5, 2),
+    ("vq-sweep", "vq.n", 1, 2),
+])
+def test_config_key_below_minimum_exit_2(experiment, key, value, minimum, pair, tmp_path,
+                                         capsys):
+    clean, pert = pair
+    text = BELOW_MINIMUM_CONFIGS[experiment].format(clean=clean, pert=pert)
+    code, config, run = _report_from_config(tmp_path, text + f"{key} = {value}\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: {config}: key '{key}': {value} is below {minimum}\n"
+    )
+    assert not (run / "report.json").exists()
+
+
+def test_config_anchor_count_above_n_exit_3(pair, tmp_path, capsys):
+    clean, pert = pair
+    text = BELOW_MINIMUM_CONFIGS["stability"].format(clean=clean, pert=pert)
+    code, _, run = _report_from_config(tmp_path, text + "stability.anchor_count = 1000\n")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (run / "report.json").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "-1"])
+def test_config_mine_lr_not_positive_exits_2_before_training(lr, pair, tmp_path, capsys,
+                                                              monkeypatch):
+    trained = []
+    monkeypatch.setattr(estimator, "_run_single", lambda *args: trained.append(args))
+    clean, pert = pair
+    code, _, run = _report_from_config(
+        tmp_path, f"experiment = mine\nmine.features = {clean}\nmine.embeddings = {pert}\n"
+                  f"mine.seeds = 1\nmine.epochs = 2\nmine.lr = {lr}\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: lr must be finite and > 0, got {float(lr)}\n"
+    )
+    assert trained == []
+    assert not (run / "report.json").exists()

@@ -41,7 +41,7 @@ REPORT = json.dumps(
 TARGETS = {
     "emb1": ("walk.emb1", ["lipschitz", "--embeddings", "walk.emb1"]),
     "csv": ("walk.csv", ["lipschitz", "--embeddings", "walk.csv", "--metric", "l2"]),
-    "config": ("exp.cfg", ["--config", "exp.cfg", "report"]),
+    "config": ("exp.cfg", ["report", "--config", "exp.cfg"]),
     "report": ("report.json", ["report", "--rerun", "report.json"]),
     "fasta-walk": ("w.fasta", ["walk", "--fasta", "w.fasta", "--n-mutations", "4"]),
     "fasta-perturb": ("w.fasta", ["perturb", "--input", "w.fasta", "--kind", "substitute",

@@ -95,7 +95,7 @@ def test_texture_pipeline_desk_corpus(tmp_path):
 def test_texture_config_file_runs_the_cli_split_defaults(tmp_path):
     cfg_path = tmp_path / "tex.cfg"
     cfg_path.write_text("experiment = texture\ntexture.n = 30\ntexture.length = 80\n")
-    assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "cfg"), "report"]) == 0
+    assert main(["--out-dir", str(tmp_path / "cfg"), "report", "--config", str(cfg_path)]) == 0
     assert main(["--out-dir", str(tmp_path / "cli"), "texture", "--n", "30",
                  "--length", "80"]) == 0
     results = [json.loads((tmp_path / run / "report.json").read_text())["results"]
@@ -217,7 +217,7 @@ def test_cli_fetch_synthetic_and_report_rerun(tmp_path):
         "stability.n_splits = 3\nstability.n_bootstrap = 1\n"
     )
     out1 = tmp_path / "r1"
-    assert main(["--config", str(cfg_path), "--out-dir", str(out1), "report"]) == 0
+    assert main(["--out-dir", str(out1), "report", "--config", str(cfg_path)]) == 0
     out2 = tmp_path / "r2"
     assert main(["--out-dir", str(out2), "report",
                  "--rerun", str(out1 / "report.json")]) == 0
@@ -262,16 +262,24 @@ def test_cli_vq_sweep_shannon_column(tmp_path):
 
 
 def test_cli_probe(tmp_path, capsys):
+    """probe writes report.json and report.csv, and its rerun is byte-identical."""
     rng = rng_create(SeedSpec(320, "probe-cli"))
     x = np.vstack([rng.standard_normal((60, 6)), rng.standard_normal((60, 6)) + 4])
     emb = tmp_path / "emb.emb1"
     write_embeddings(emb, EmbeddingMatrix(x))
     labels = tmp_path / "labels.csv"
     labels.write_text("\n".join(["0"] * 60 + ["1"] * 60) + "\n")
-    assert main(["probe", "--embeddings", str(emb), "--labels", str(labels),
-                 "--arch", "linear"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["arch"] == "linear" and out["accuracy"] > 0.9
-    assert main(["--format", "csv", "probe", "--embeddings", str(emb),
+    out = tmp_path / "probe"
+    assert main(["--out-dir", str(out), "probe", "--embeddings", str(emb),
                  "--labels", str(labels), "--arch", "linear"]) == 0
-    assert capsys.readouterr().out.startswith("arch,folds,accuracy")
+    assert capsys.readouterr().out == f"probe report in {out}\n"
+    report = json.loads((out / "report.json").read_text())
+    results = report["results"]
+    assert report["experiment"] == "probe"
+    assert results["arch"] == "linear" and results["folds"] == 5 and results["accuracy"] > 0.9
+    assert (out / "report.csv").read_text() == (
+        f"arch,folds,accuracy,std\nlinear,5,{results['accuracy']:.6f},{results['std']:.6f}\n"
+    )
+    rerun = tmp_path / "rerun"
+    assert main(["--out-dir", str(rerun), "report", "--rerun", str(out / "report.json")]) == 0
+    assert read_all_bytes(out) == read_all_bytes(rerun)

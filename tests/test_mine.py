@@ -75,8 +75,10 @@ def central_difference_check(net, loss_fn, n_probes=10, h=1e-6, seed=0):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"hidden": (0,)}, {"dropout": 1.0}, {"epochs": 0}, {"batch_size": 0}],
-    ids=["hidden", "dropout", "epochs", "batch_size"],
+    [{"hidden": (0,)}, {"dropout": 1.0}, {"epochs": 0}, {"batch_size": 0},
+     {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0}, {"lr": -1.0}],
+    ids=["hidden", "dropout", "epochs", "batch_size", "lr-nan", "lr-inf", "lr-zero",
+         "lr-negative"],
 )
 def test_mlp_config_rejects_untrainable_settings(kwargs):
     with pytest.raises(ConfigError):

@@ -234,6 +234,12 @@ def test_anchor_stability_identical_subsets_forced(rng):
     assert score == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_split_config_rejects_anchor_count_below_1(count):
+    with pytest.raises(ConfigError, match=f"anchor_count must be >= 1, got {count}"):
+        SplitConfig(anchor_count=count)
+
+
 def test_anchor_stability_deterministic(rng):
     x = rng.standard_normal((80, 6))
     cfg = SplitConfig(n_splits=3, n_bootstrap=1)
