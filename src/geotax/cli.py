@@ -235,9 +235,9 @@ def _perturb_one(args, input_path: Path, kind: str, rate: float, seed: int,
 
 
 def _cmd_perturb(args) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.manifest:
         lines = read_text(args.manifest, ConfigError).strip().splitlines()
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         for i, line in enumerate(lines):
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 4:

@@ -1,11 +1,13 @@
 """Deterministic fan-out helper and the one home of BLAS thread control.
 
 Results are collected in submission order (a fixed-order reduction), so
-output is independent of worker count and completion order.  Mapped
-calls run on one OpenBLAS thread, in worker processes and inline alike:
-the MINE networks' small matrix products only slow down when BLAS starts
-threads of its own.  Everything outside ``ordered_map`` keeps the
-process's BLAS threads.
+output is independent of worker count and completion order.  Every report
+is computed on one OpenBLAS thread: ``report.run_pipeline`` runs its
+experiment inside ``single_thread_blas``, and ``ordered_map`` pins its
+pool workers and its inline calls.  A BLAS sum split over threads adds in
+another order, so one thread gives the same bytes on any core count, and
+the harness's small matrix products only slow down when BLAS starts
+threads of its own.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def _pin_blas() -> None:
 @contextmanager
 def single_thread_blas() -> Iterator[None]:
     """Run the body on one OpenBLAS thread, then restore the caller's
-    count, also when the body raises.  Does nothing without the library."""
+    count, also when the body raises.  Nested uses hold the one thread.
+    Does nothing without the library."""
     api = _openblas_threads_api()
     if api is None:
         yield
@@ -68,7 +71,9 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> l
     """Map preserving input order, each call on one BLAS thread.  With more
     than one worker and item the calls fan out to worker processes, so fn
     and items must be picklable; otherwise they run inline in this process,
-    which gets its BLAS thread count back when the map returns or raises."""
+    which gets its BLAS thread count back when the map returns or raises.
+    Inside ``run_pipeline`` the inline pin is already held; it serves
+    library callers that map outside a report."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         with single_thread_blas():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import numpy as np
 from . import __version__
 from .core.io import load_matrix, read_text, write_embeddings
 from .core.embedding import EmbeddingMatrix
+from .core.parallel import single_thread_blas
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
 from .dynamics import fit_global_range, gen_lorenz, gen_oscillator, sample_oscillator_params
@@ -64,12 +66,16 @@ def _loader(cfg: Config):
 
 
 def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
-    """Execute the experiment a config declares; returns the run directory."""
+    """Execute the experiment a config declares; returns the run directory.
+
+    The experiment runs on one OpenBLAS thread, so its sums come out in the
+    same order, and its report in the same bytes, on any core count; the
+    caller's thread count is restored when the run returns or raises.  A
+    run that raises removes the directories it created; an ``out_dir``
+    that already existed stays."""
     cfg = config if isinstance(config, Config) else Config.load(config)
     experiment = cfg.require("experiment")
     seed = cfg.get_int("seed", 320)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     runners = {
         "stability": _run_stability,
         "procrustes": _run_procrustes,
@@ -85,13 +91,23 @@ def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
         raise ConfigError(
             f"{cfg.source}: unknown experiment {experiment!r}; choose from {sorted(runners)}"
         )
-    results = runners[experiment](cfg, seed, out)
-    report = {
-        "experiment": experiment,
-        "results": results,
-        "provenance": {"version": __version__, "seed": seed, "config_echo": cfg.dump()},
-    }
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    out = Path(out_dir)
+    # the outermost directory this run creates, None when out_dir exists
+    created = next((d for d in reversed([out, *out.parents]) if not d.exists()), None)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        with single_thread_blas():
+            results = runners[experiment](cfg, seed, out)
+        report = {
+            "experiment": experiment,
+            "results": results,
+            "provenance": {"version": __version__, "seed": seed, "config_echo": cfg.dump()},
+        }
+        (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created)
+        raise
     return out
 
 

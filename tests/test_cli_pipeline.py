@@ -1,17 +1,23 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_core import openblas_threads
 
 from geotax.cli import main
 from geotax.core.embedding import EmbeddingMatrix
 from geotax.core.io import write_embeddings
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.dynamics import gen_lorenz
+from geotax.errors import ConfigError
 from geotax.ingest.config import Config
 from geotax.quantize import rd_bound_codebook
 from geotax.report import rerun_from_provenance, run_pipeline
+from geotax.stability import evaluate
 
 
 @pytest.fixture
@@ -182,6 +188,8 @@ def test_cli_perturb_fasta(tmp_path):
                  "--output", str(out)]) == 0
     text = out.read_text()
     assert "ACGTACGTACGTACGTACGT" in text  # RC palindrome
+    # single-file mode writes --output only, no run directory
+    assert not Path("geotax-run").exists()
 
 
 def test_cli_walk_and_lipschitz(tmp_path):
@@ -283,3 +291,80 @@ def test_cli_probe(tmp_path, capsys):
     rerun = tmp_path / "rerun"
     assert main(["--out-dir", str(rerun), "report", "--rerun", str(out / "report.json")]) == 0
     assert read_all_bytes(out) == read_all_bytes(rerun)
+
+
+# -- one BLAS thread per report, no leftovers on failure -----------------------
+
+
+def test_report_runs_on_one_blas_thread_and_restores_the_callers(tmp_path, embedding_pair,
+                                                                  monkeypatch):
+    before = openblas_threads()
+    if before is None:
+        pytest.skip("numpy has no bundled scipy-openblas")
+    clean, pert = embedding_pair
+    inside = []
+
+    def recording(*args, **kwargs):
+        inside.append(openblas_threads())
+        return evaluate(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        inside.append(openblas_threads())
+        raise ConfigError("stop inside the experiment")
+
+    argv = ["stability", "--clean", str(clean), "--pert", f"noise={pert}",
+            "--splits", "3", "--bootstrap", "1"]
+    monkeypatch.setattr("geotax.report.evaluate", recording)
+    assert main(["--out-dir", str(tmp_path / "ok"), *argv]) == 0
+    assert inside == [1]
+    assert openblas_threads() == before
+    monkeypatch.setattr("geotax.report.evaluate", failing)
+    assert main(["--out-dir", str(tmp_path / "fail"), *argv]) == 2
+    assert inside == [1, 1]
+    assert openblas_threads() == before
+
+
+def test_stability_report_is_byte_identical_on_one_and_two_blas_threads(tmp_path):
+    if openblas_threads() is None:
+        pytest.skip("numpy has no bundled scipy-openblas")
+    rng = np.random.default_rng(1)
+    labels = rng.permutation(np.arange(200) % 4)
+    centers = 2 * rng.standard_normal((4, 64))
+    clean = centers[labels] + rng.standard_normal((200, 64))
+    pert = clean + 0.3 * rng.standard_normal(clean.shape)
+    write_embeddings(tmp_path / "clean.emb1", EmbeddingMatrix(clean, labels=labels))
+    write_embeddings(tmp_path / "pert.emb1", EmbeddingMatrix(pert, labels=labels))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "geotax.cli", "--out-dir", str(out), "stability",
+             "--clean", str(tmp_path / "clean.emb1"), "--pert", f"p={tmp_path / 'pert.emb1'}",
+             "--max-samples", "200", "--splits", "4", "--bootstrap", "2"],
+            env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_failed_run_removes_only_the_directories_it_created(tmp_path, embedding_pair):
+    _, pert = embedding_pair
+    cfg = tmp_path / "vq.cfg"
+    cfg.write_text("experiment = vq-sweep\nvq.n = -5\n")
+    out = tmp_path / "new" / "run"
+    assert main(["--out-dir", str(out), "report", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "new").exists()
+    assert main(["--out-dir", str(out), "stability",
+                 "--clean", str(tmp_path / "absent.emb1"), "--pert", f"n={pert}"]) == 3
+    assert not (tmp_path / "new").exists()
+    # an --out-dir that existed stays, with what it held
+    out.mkdir(parents=True)
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["--out-dir", str(out), "report", "--config", str(cfg)]) == 2
+    assert (out / "notes.txt").read_text() == "kept\n"
