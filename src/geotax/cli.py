@@ -34,11 +34,9 @@ from .dynamics import (
     sample_oscillator_params,
 )
 from .errors import ConfigError, DataError, GeotaxError, NetworkError
-from .ingest.cache import ResultCache
 from .ingest.config import Config
 from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
 from .perturb import KINDS, PerturbationSpec, apply_perturbation
-from .ingest.fetch import FetchSpec, fetch_genome
 from .report import rerun_from_provenance, run_pipeline
 
 EXIT_OK = 0
@@ -264,6 +262,10 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
+    # imported here, so the other subcommands never load the network code
+    from .ingest.cache import ResultCache
+    from .ingest.fetch import FetchSpec, fetch_genome
+
     spec = FetchSpec(
         source=args.source,
         assembly=args.assembly,
@@ -321,6 +323,10 @@ def _cmd_pipeline(args) -> int:
             if "=" not in item:
                 raise ConfigError(f"--pert expects NAME=PATH, got {item!r}")
             name, path = item.split("=", 1)
+            if not name:
+                raise ConfigError(f"--pert {item!r}: empty perturbation name")
+            if f"stability.pert.{name}" in values:
+                raise ConfigError(f"--pert {item!r}: perturbation name {name!r} is repeated")
             values[f"stability.pert.{name}"] = path
     run_pipeline(Config(values, source="<cli>"), args.out_dir)
     print(f"{PIPELINES[args.command]} {args.out_dir}")

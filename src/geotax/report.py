@@ -23,33 +23,21 @@ from .core.embedding import EmbeddingMatrix
 from .core.parallel import single_thread_blas
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
-from .dynamics import fit_global_range, gen_lorenz, gen_oscillator, sample_oscillator_params
 from .errors import ConfigError, DataError
 from .ingest.config import Config
 from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
-from .mine.estimator import DEFAULT_SEEDS, excess_mi_report, sanity_suite
-from .mine.features import features_from_fasta
-from .mine.mlp import MLPConfig
-from .mine.probes import mlp_probe_cv
-from .procrustes import classify_regime, frozen_head_classifier, procrustes_align
-from .quantize import rd_bound_codebook, vq_double_bind_sweep
-from .stability import SplitConfig, evaluate
-from .texture import ENCODER_WINDOWS, MIN_CORPUS, four_condition_experiment, heterogeneous_corpus
-from .walks import (
-    build_interpolation_walk,
-    build_mutation_walk,
-    lipschitz_cosine,
-    lipschitz_l2,
-    pca_trajectory,
-    walk_to_matrix,
-)
+
+# Each runner imports its experiment's modules, so a process loads (and,
+# without a bytecode cache, compiles) only the experiment it runs.
 
 STABILITY_CSV_HEADER = "Perturbation,RDM Sim.,Pert. Stab.,Pert. Mag.,Composite"
 
 
-def _split_config(cfg: Config, n_splits: int = 30, n_bootstrap: int = 5) -> SplitConfig:
+def _split_config(cfg: Config, n_splits: int = 30, n_bootstrap: int = 5):
     """The harness settings a config declares; ``n_splits`` and
     ``n_bootstrap`` are the experiment's defaults for keys it leaves out."""
+    from .stability import SplitConfig
+
     return SplitConfig(
         n_splits=cfg.get_int("stability.n_splits", n_splits),
         max_samples=cfg.get_int("stability.max_samples", 2500),
@@ -127,11 +115,15 @@ def rerun_from_provenance(report_path: str | Path, out_dir: str | Path) -> Path:
 
 
 def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
+    from .stability import evaluate
+
     load = _loader(cfg)
     clean = load(cfg.require("stability.clean"))
     pairs = cfg.section("stability.pert")
     if not pairs:
         raise ConfigError(f"{cfg.source}: no stability.pert.<name> entries")
+    if "" in pairs:
+        raise ConfigError(f"{cfg.source}: key 'stability.pert.' has an empty perturbation name")
     scfg = _split_config(cfg)
     deltas_path = cfg.get("stability.deltas")
     deltas = None
@@ -146,14 +138,15 @@ def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
                 f"{deltas_path}: one delta per clean row required: {column.n} rows for {clean.n}"
             )
         deltas = column.data[:, 0]
+    # a generator, so each perturbed file is loaded only when its turn comes
+    perturbed = ((name, load(pairs[name])) for name in sorted(pairs))
+    reports = evaluate(clean, perturbed, deltas, scfg, SeedSpec(seed, "stability"))
     rows = {}
     ndjson_lines = []
     csv_lines = [STABILITY_CSV_HEADER]
-    for name in sorted(pairs):
-        pert = load(pairs[name])
-        report = evaluate(clean, pert, deltas, scfg, SeedSpec(seed, f"stability/{name}"))
+    for name, report in reports.items():
         rows[name] = report.to_dict()
-        ndjson_lines.append(json.dumps({"perturbation": name, **report.to_dict()}, sort_keys=True))
+        ndjson_lines.append(json.dumps({"perturbation": name, **rows[name]}, sort_keys=True))
         m = report.metrics
         csv_lines.append(
             f"{name},{m['rdm_similarity']:.6f},"
@@ -166,6 +159,8 @@ def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _run_procrustes(cfg: Config, seed: int, out: Path) -> dict:
+    from .procrustes import classify_regime, procrustes_align
+
     load = _loader(cfg)
     clean = load(cfg.require("procrustes.clean"))
     pert = load(cfg.require("procrustes.pert"))
@@ -185,6 +180,8 @@ def _run_procrustes(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _serialize_walk(walk, out: Path) -> None:
+    from .walks import walk_to_matrix
+
     if walk.kind == "interpolation":
         # discretized continuous steps travel as an EMB1 matrix + alpha list
         write_embeddings(out / "walk.emb1", walk_to_matrix(walk))
@@ -201,6 +198,9 @@ def _serialize_walk(walk, out: Path) -> None:
 
 
 def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
+    from .dynamics import fit_global_range, gen_oscillator, sample_oscillator_params
+    from .walks import build_interpolation_walk, build_mutation_walk
+
     mode = cfg.get("walk.mode", "mutation")
     if mode == "mutation":
         fasta = cfg.get("walk.fasta")
@@ -242,6 +242,8 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _run_lipschitz(cfg: Config, seed: int, out: Path) -> dict:
+    from .walks import lipschitz_cosine, lipschitz_l2, pca_trajectory
+
     emb = _loader(cfg)(cfg.require("lipschitz.embeddings"))
     metric = cfg.get("lipschitz.metric", "cosine")
     if metric == "cosine":
@@ -265,6 +267,10 @@ def _run_lipschitz(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _run_mine(cfg: Config, seed: int, out: Path) -> dict:
+    from .mine.estimator import DEFAULT_SEEDS, excess_mi_report
+    from .mine.features import features_from_fasta
+    from .mine.mlp import MLPConfig
+
     load = _loader(cfg)
     fasta = cfg.get("mine.features_fasta")
     if fasta:
@@ -292,6 +298,8 @@ def _run_mine(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _run_mine_sanity(cfg: Config, seed: int, out: Path) -> dict:
+    from .mine.estimator import DEFAULT_SEEDS, sanity_suite
+
     seeds = _int_list(cfg, "mine.seeds", DEFAULT_SEEDS)
     cases = sanity_suite(
         n=cfg.get_int("mine.n", 2000),
@@ -312,6 +320,13 @@ def _run_mine_sanity(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
+    from .texture import (
+        ENCODER_WINDOWS,
+        MIN_CORPUS,
+        four_condition_experiment,
+        heterogeneous_corpus,
+    )
+
     fasta = cfg.get("texture.fasta")
     if fasta:
         corpus = [rec.decode(DNA) for rec in parse_fasta(fasta)]
@@ -332,6 +347,9 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _run_probe(cfg: Config, seed: int, out: Path) -> dict:
+    from .mine.probes import mlp_probe_cv
+    from .procrustes import frozen_head_classifier
+
     header = cfg.get_bool("io.csv_header")
     emb = load_matrix(cfg.require("probe.embeddings"), csv_header=header)
     labels_path = cfg.require("probe.labels")
@@ -353,6 +371,9 @@ def _run_probe(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
+    from .dynamics import gen_lorenz
+    from .quantize import rd_bound_codebook, vq_double_bind_sweep
+
     # d_M of the Shannon reference; 2.06 is the Lorenz attractor's dimension
     d_m = cfg.get_float("vq.intrinsic_dim", 2.06)
     if not (math.isfinite(d_m) and d_m > 0):

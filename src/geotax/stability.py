@@ -8,7 +8,9 @@ are reported alongside but excluded from the composite.
 
 Evaluation subsamples to ``max_samples`` (stratified by label when
 present), runs ``n_bootstrap`` stratified resampling rounds, and reports
-bootstrap means with full provenance.
+bootstrap means with full provenance.  One evaluation scores a clean
+matrix against all of its perturbations: the subsample, the rounds and
+the split metrics are drawn and computed once and shared by every pair.
 """
 
 from __future__ import annotations
@@ -103,7 +105,9 @@ def sample_split(
     Each split correlates the vectorized RDM of one half against the other,
     pairing entries positionally.  ``forced_splits`` substitutes explicit
     (idx1, idx2) pairs for the random draws, which is how constructed
-    correspondences (e.g. duplicated datasets) are tested.
+    correspondences (e.g. duplicated datasets) are tested.  The halves are
+    disjoint by row position: when ``x`` is a bootstrap round, copies of
+    one source row can land in both.
     """
     xm = EmbeddingMatrix.coerce(x)
     if xm.n < 4:
@@ -253,62 +257,105 @@ def _stratified_resample(labels: np.ndarray | None, n: int, rng: np.random.Gener
 
 def evaluate(
     x_clean,
-    x_pert,
+    perturbed,
     input_deltas=None,
     cfg: SplitConfig = SplitConfig(),
     seed: SeedSpec | int = SeedSpec(),
-) -> StabilityReport:
-    """Run the full harness on a clean/perturbed pair.
+) -> dict[str, StabilityReport]:
+    """Score one clean matrix against each ``(name, matrix)`` pair of
+    ``perturbed``; returns ``{name: StabilityReport}`` in input order.
 
-    Internal split metrics are computed on the clean matrix (they are
-    perturbation-independent); RDM similarity and the perturbation metrics
-    compare the pair.  Fixed seeds give byte-identical reports.  The
-    perturbation-variant composite without ``input_deltas`` is a
-    ``ConfigError``, raised before any work.
+    The clean side is scored once per run: one subsample, one set of
+    bootstrap rows and, per round, one value of each split metric, shared
+    by every perturbation.  RDM similarity and the perturbation metrics
+    compare each pair on those same rows.  ``perturbed`` is consumed
+    lazily and no pair is kept after it is scored, so a generator that
+    loads each matrix holds one perturbed matrix in memory at a time.
+
+    A bootstrap round resamples rows with replacement, so the split
+    metrics' disjoint halves and anchors are disjoint by position in the
+    round, not by source row: copies of one row can land in both halves,
+    or among both the anchors and the rest.
+
+    Fixed seeds give byte-identical reports.  The perturbation-variant
+    composite without ``input_deltas`` is a ``ConfigError``, raised before
+    any work; a perturbed matrix whose shape differs from the clean one is
+    a ``DataError`` naming the pair.
     """
     if cfg.composite_variant == "perturbation" and input_deltas is None:
         raise ConfigError("the perturbation-variant composite needs input deltas")
     xc = EmbeddingMatrix.coerce(x_clean)
-    xp = EmbeddingMatrix.coerce(x_pert)
-    if xc.data.shape != xp.data.shape:
-        raise DataError("clean and perturbed shapes differ")
     deltas = None if input_deltas is None else np.asarray(input_deltas, dtype=np.float64)
     if deltas is not None and deltas.shape != (xc.n,):
         raise DataError(f"one input delta per clean row required: {deltas.shape} for {xc.n} rows")
     spec = SeedSpec.coerce(seed)
     sub_rng = rng_create(spec.derive("subsample"))
     keep = _stratified_subsample(xc.labels, xc.n, cfg.max_samples, sub_rng)
-    xc = xc.take(keep)
-    xp = xp.take(keep)
+    sub = xc.take(keep)
     deltas = None if deltas is None else deltas[keep]
+    if cfg.n_bootstrap <= 1:
+        rounds = [(np.arange(sub.n), "round0")]
+    else:
+        boot_rng = rng_create(spec.derive("bootstrap"))
+        rounds = [
+            (_stratified_resample(sub.labels, sub.n, boot_rng), f"round{r}")
+            for r in range(cfg.n_bootstrap)
+        ]
+    provenance = {
+        "seed": spec.seed,
+        "stream": spec.stream,
+        "n_splits": cfg.n_splits,
+        "max_samples": cfg.max_samples,
+        "n_bootstrap": cfg.n_bootstrap,
+        "n_used": int(sub.n),
+        "anchor_count": cfg.anchors_for(sub.n),
+        "rank_normalize_anchors": cfg.rank_normalize_anchors,
+        "composite_variant": cfg.composite_variant,
+    }
+    shared = None  # per round: its rows and clean split metrics, scored at the first pair
+    reports = {}
+    for name, x_pert in perturbed:
+        xp = EmbeddingMatrix.coerce(x_pert)
+        if xp.data.shape != xc.data.shape:
+            raise DataError(
+                f"perturbation {name!r}: clean and perturbed shapes differ: "
+                f"clean {xc.data.shape}, perturbed {xp.data.shape}"
+            )
+        if shared is None:
+            shared = [(rows, _split_metrics(sub.take(rows), cfg, spec.derive(tag)))
+                      for rows, tag in rounds]
+        reports[name] = _pair_report(sub, xp.take(keep), deltas, shared, cfg, provenance)
+        # drop this pair before the iterable loads the next one
+        del x_pert, xp
+    return reports
 
-    def one_round(rows: np.ndarray, tag: str) -> dict:
-        c = xc.take(rows)
+
+def _split_metrics(c: EmbeddingMatrix, cfg: SplitConfig, rseed: SeedSpec) -> dict:
+    return {
+        "sample_split": sample_split(c, cfg, rseed),
+        "feature_split": feature_split(c, cfg, rseed),
+        "anchor_stability": anchor_stability(c, cfg, rseed),
+    }
+
+
+def _pair_report(sub, xp, deltas, shared, cfg: SplitConfig, provenance: dict) -> StabilityReport:
+    """One pair's report: its own metrics per round next to the shared
+    split metrics, reduced to bootstrap means and standard deviations."""
+    per_round = []
+    for rows, split in shared:
+        c = sub.take(rows)
         p = xp.take(rows)
-        rseed = spec.derive(tag)
         vals = {
             "rdm_similarity": rdm_similarity(c, p),
-            "sample_split": sample_split(c, cfg, rseed),
-            "feature_split": feature_split(c, cfg, rseed),
-            "anchor_stability": anchor_stability(c, cfg, rseed),
+            **split,
             "perturbation_magnitude": perturbation_magnitude(c, p),
         }
         if deltas is not None:
             vals["perturbation_stability"] = perturbation_stability(deltas[rows], c, p)
-        return vals
-
-    identity = np.arange(xc.n)
-    if cfg.n_bootstrap <= 1:
-        rounds = [one_round(identity, "round0")]
-    else:
-        boot_rng = rng_create(spec.derive("bootstrap"))
-        rounds = [
-            one_round(_stratified_resample(xc.labels, xc.n, boot_rng), f"round{r}")
-            for r in range(cfg.n_bootstrap)
-        ]
-    keys = rounds[0].keys()
-    metrics = {k: float(np.mean([r[k] for r in rounds])) for k in keys}
-    stds = {k: float(np.std([r[k] for r in rounds])) for k in keys}
+        per_round.append(vals)
+    keys = per_round[0].keys()
+    metrics = {k: float(np.mean([r[k] for r in per_round])) for k in keys}
+    stds = {k: float(np.std([r[k] for r in per_round])) for k in keys}
 
     if cfg.composite_variant == "anchor":
         parts = CORE_METRICS
@@ -316,15 +363,4 @@ def evaluate(
         # main-text variant: perturbation stability replaces anchor stability
         parts = ("rdm_similarity", "sample_split", "feature_split", "perturbation_stability")
     composite = float(np.mean([metrics[k] for k in parts]))
-    provenance = {
-        "seed": spec.seed,
-        "stream": spec.stream,
-        "n_splits": cfg.n_splits,
-        "max_samples": cfg.max_samples,
-        "n_bootstrap": cfg.n_bootstrap,
-        "n_used": int(xc.n),
-        "anchor_count": cfg.anchors_for(xc.n),
-        "rank_normalize_anchors": cfg.rank_normalize_anchors,
-        "composite_variant": cfg.composite_variant,
-    }
-    return StabilityReport(metrics, stds, composite, provenance)
+    return StabilityReport(metrics, stds, composite, dict(provenance))

@@ -263,7 +263,7 @@ def four_condition_experiment(
         fwd = np.vstack([embedder(s) for s in seqs])
         rc = np.vstack([embedder(reverse_complement(s)) for s in seqs])
         rdm = rdm_similarity(fwd, rc)
-        report = evaluate(fwd, rc, cfg=cfg, seed=spec.derive("harness"))
+        report = evaluate(fwd, [("rc", rc)], cfg=cfg, seed=spec.derive("harness"))["rc"]
         return rdm, report.composite
 
     scores = {

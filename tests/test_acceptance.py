@@ -125,8 +125,8 @@ def test_acceptance_4_harness_identity():
     rng = rng_create(SeedSpec(320, "acc-harness"))
     x = rng.standard_normal((300, 16))
     cfg = SplitConfig(n_splits=10, n_bootstrap=5)
-    r1 = evaluate(x, x, cfg=cfg, seed=SeedSpec(320))
-    r2 = evaluate(x, x, cfg=cfg, seed=SeedSpec(320))
+    r1 = evaluate(x, [("p", x)], cfg=cfg, seed=SeedSpec(320))["p"]
+    r2 = evaluate(x, [("p", x)], cfg=cfg, seed=SeedSpec(320))["p"]
     m = r1.metrics
     assert abs(m["rdm_similarity"] - 1.0) < 1e-9
     assert m["perturbation_magnitude"] == 0.0

@@ -187,7 +187,8 @@ def test_pipeline_options_are_stored_under_config_keys():
         "global-cache-dir"])
 def test_cli_report_source_and_removed_global_flags_exit_2(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_pipeline", lambda cfg, out: pytest.fail("must not run"))
-    monkeypatch.setattr(cli, "fetch_genome", lambda *a, **k: pytest.fail("must not fetch"))
+    monkeypatch.setattr("geotax.ingest.fetch.fetch_genome",
+                        lambda *a, **k: pytest.fail("must not fetch"))
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

@@ -10,7 +10,7 @@ from test_core import openblas_threads
 
 from geotax.cli import main
 from geotax.core.embedding import EmbeddingMatrix
-from geotax.core.io import write_embeddings
+from geotax.core.io import read_embeddings, write_embeddings
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.dynamics import gen_lorenz
 from geotax.errors import ConfigError
@@ -171,6 +171,65 @@ def test_cli_stability_and_exit_codes(tmp_path, embedding_pair):
     assert code == 3
 
 
+def three_perturbations(tmp_path, clean_path):
+    x = read_embeddings(clean_path).data
+    rng = rng_create(SeedSpec(320, "cli-three"))
+    argv = []
+    for name, sigma in (("a", 0.05), ("b", 0.3), ("c", 1.0)):
+        path = tmp_path / f"{name}.emb1"
+        write_embeddings(path, EmbeddingMatrix(x + sigma * rng.standard_normal(x.shape)))
+        argv += ["--pert", f"{name}={path}"]
+    return argv
+
+
+def test_cli_stability_rows_share_one_clean_side(tmp_path, embedding_pair):
+    clean, _ = embedding_pair
+    out = tmp_path / "stab"
+    assert main(["--out-dir", str(out), "stability", "--clean", str(clean),
+                 *three_perturbations(tmp_path, clean), "--splits", "3", "--bootstrap", "2"]) == 0
+    rows = json.loads((out / "report.json").read_text())["results"]
+    assert sorted(rows) == ["a", "b", "c"]
+    for row in rows.values():
+        assert row["provenance"]["stream"] == "stability"
+        for key in ("sample_split", "feature_split", "anchor_stability"):
+            assert row["metrics"][key] == rows["a"]["metrics"][key]
+            assert row["bootstrap_std"][key] == rows["a"]["bootstrap_std"][key]
+    assert rows["a"]["metrics"]["rdm_similarity"] > rows["c"]["metrics"]["rdm_similarity"]
+
+
+def test_cli_stability_rejects_a_repeated_or_empty_perturbation_name(tmp_path, embedding_pair,
+                                                                   capsys):
+    clean, pert = embedding_pair
+    out = tmp_path / "bad"
+    argv = ["--out-dir", str(out), "stability", "--clean", str(clean)]
+    assert main([*argv, "--pert", f"a={pert}", "--pert", f"a={clean}"]) == 2
+    assert f"--pert 'a={clean}': perturbation name 'a' is repeated" in capsys.readouterr().err
+    assert main([*argv, "--pert", f"={pert}"]) == 2
+    assert f"--pert '={pert}': empty perturbation name" in capsys.readouterr().err
+    cfg = tmp_path / "empty-name.cfg"
+    cfg.write_text(f"experiment = stability\nstability.clean = {clean}\n"
+                   f"stability.pert. = {pert}\n")
+    assert main(["--out-dir", str(out), "report", "--config", str(cfg)]) == 2
+    assert "key 'stability.pert.' has an empty perturbation name" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_stability_shape_mismatch_names_the_perturbation(tmp_path, embedding_pair, capsys):
+    clean, _ = embedding_pair
+    argv = three_perturbations(tmp_path, clean)
+    bad = tmp_path / "bad.emb1"
+    write_embeddings(bad, EmbeddingMatrix(np.ones((50, 12))))
+    argv[-1] = f"c={bad}"  # the last of three pairs
+    out = tmp_path / "stab"
+    assert main(["--out-dir", str(out), "stability", "--clean", str(clean), *argv,
+                 "--splits", "2", "--bootstrap", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "data error: perturbation 'c': clean and perturbed shapes differ: "
+        "clean (120, 12), perturbed (50, 12)\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_procrustes(tmp_path, embedding_pair):
     clean, pert = embedding_pair
     out = tmp_path / "proc"
@@ -314,11 +373,11 @@ def test_report_runs_on_one_blas_thread_and_restores_the_callers(tmp_path, embed
 
     argv = ["stability", "--clean", str(clean), "--pert", f"noise={pert}",
             "--splits", "3", "--bootstrap", "1"]
-    monkeypatch.setattr("geotax.report.evaluate", recording)
+    monkeypatch.setattr("geotax.stability.evaluate", recording)
     assert main(["--out-dir", str(tmp_path / "ok"), *argv]) == 0
     assert inside == [1]
     assert openblas_threads() == before
-    monkeypatch.setattr("geotax.report.evaluate", failing)
+    monkeypatch.setattr("geotax.stability.evaluate", failing)
     assert main(["--out-dir", str(tmp_path / "fail"), *argv]) == 2
     assert inside == [1, 1]
     assert openblas_threads() == before

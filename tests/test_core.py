@@ -348,6 +348,20 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_cli_import_leaves_experiment_modules_unloaded():
+    # each experiment's modules load when its runner or command runs
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    names = ["geotax.mine", "geotax.quantize", "geotax.procrustes", "geotax.texture",
+             "geotax.walks", "geotax.stability", "geotax.ingest.fetch", "geotax.ingest.cache"]
+    code = f"import sys, geotax.cli; print([n for n in {names!r} if n in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 # -- I/O -----------------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from geotax.core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_block
+from geotax import stability
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.stats import rankdata, spearman
 from geotax.errors import ConfigError, DataError
@@ -304,7 +306,7 @@ def test_perturbation_magnitude_matches_hand_computation():
 def test_evaluate_identity_criteria(rng):
     x = rng.standard_normal((120, 10))
     cfg = SplitConfig(n_splits=5, n_bootstrap=3, max_samples=2500)
-    report = evaluate(x, x, cfg=cfg, seed=SeedSpec(320))
+    report = evaluate(x, [("p", x)], cfg=cfg, seed=SeedSpec(320))["p"]
     m = report.metrics
     assert m["rdm_similarity"] == pytest.approx(1.0, abs=1e-9)
     assert m["perturbation_magnitude"] == 0.0
@@ -318,15 +320,15 @@ def test_evaluate_byte_identical_reports(rng):
     x = rng.standard_normal((80, 8))
     xp = x + 0.05 * rng.standard_normal((80, 8))
     cfg = SplitConfig(n_splits=4, n_bootstrap=3)
-    r1 = evaluate(x, xp, cfg=cfg, seed=SeedSpec(320))
-    r2 = evaluate(x, xp, cfg=cfg, seed=SeedSpec(320))
+    r1 = evaluate(x, [("p", xp)], cfg=cfg, seed=SeedSpec(320))["p"]
+    r2 = evaluate(x, [("p", xp)], cfg=cfg, seed=SeedSpec(320))["p"]
     assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
 
 
 def test_evaluate_subsample_identity_under_cap(rng):
     x = rng.standard_normal((50, 6))
     cfg = SplitConfig(n_splits=2, n_bootstrap=1, max_samples=100)
-    report = evaluate(x, x, cfg=cfg, seed=SeedSpec(1))
+    report = evaluate(x, [("p", x)], cfg=cfg, seed=SeedSpec(1))["p"]
     assert report.provenance["n_used"] == 50
 
 
@@ -334,7 +336,7 @@ def test_evaluate_bootstrap_std_zero_single_round(rng):
     x = rng.standard_normal((40, 6))
     xp = x + 0.1 * rng.standard_normal((40, 6))
     cfg = SplitConfig(n_splits=2, n_bootstrap=1)
-    report = evaluate(x, xp, cfg=cfg, seed=SeedSpec(1))
+    report = evaluate(x, [("p", xp)], cfg=cfg, seed=SeedSpec(1))["p"]
     assert all(v == 0.0 for v in report.bootstrap_std.values())
 
 
@@ -344,7 +346,7 @@ def test_evaluate_stratified_subsampling_respects_labels(rng):
     )
     xp = EmbeddingMatrix(x.data + 0.1 * rng.standard_normal((200, 6)), labels=x.labels)
     cfg = SplitConfig(n_splits=2, n_bootstrap=1, max_samples=40)
-    report = evaluate(x, xp, cfg=cfg, seed=SeedSpec(5))
+    report = evaluate(x, [("p", xp)], cfg=cfg, seed=SeedSpec(5))["p"]
     assert report.provenance["n_used"] == 40
 
 
@@ -353,7 +355,7 @@ def test_evaluate_main_text_composite_variant(rng):
     xp = x + 0.1 * rng.standard_normal((60, 8))
     deltas = rng.uniform(0.1, 1.0, 60)
     cfg = SplitConfig(n_splits=3, n_bootstrap=1, composite_variant="perturbation")
-    report = evaluate(x, xp, deltas, cfg, SeedSpec(2))
+    report = evaluate(x, [("p", xp)], deltas, cfg, SeedSpec(2))["p"]
     m = report.metrics
     expected = np.mean(
         [m["rdm_similarity"], m["sample_split"], m["feature_split"],
@@ -364,7 +366,7 @@ def test_evaluate_main_text_composite_variant(rng):
 
 def test_evaluate_shape_mismatch(rng):
     with pytest.raises(DataError, match="clean and perturbed shapes differ"):
-        evaluate(rng.standard_normal((10, 4)), rng.standard_normal((10, 5)))
+        evaluate(rng.standard_normal((10, 4)), [("p", rng.standard_normal((10, 5)))])
 
 
 # Values captured from the loop-based ranker on quantised data, where RDM
@@ -399,9 +401,8 @@ def test_evaluate_on_tied_data_matches_golden_values(case):
         n_splits=3, n_bootstrap=2, rank_normalize_anchors=rank_normalize,
         composite_variant=variant,
     )
-    report = evaluate(
-        EmbeddingMatrix(x, labels), EmbeddingMatrix(xp, labels), deltas, cfg, SeedSpec(7)
-    )
+    pairs = [("p", EmbeddingMatrix(xp, labels))]
+    report = evaluate(EmbeddingMatrix(x, labels), pairs, deltas, cfg, SeedSpec(7))["p"]
     anchor_mean, anchor_std, composite = TIED_CASES[case]
     expected = {**TIED_SHARED, "anchor_stability": (anchor_mean, anchor_std)}
     assert report.metrics == {k: mean for k, (mean, _) in expected.items()}
@@ -414,7 +415,7 @@ def test_evaluate_rejects_deltas_of_wrong_length(size, rng):
     x = rng.standard_normal((48, 6))
     message = rf"one input delta per clean row required: \({size},\) for 48 rows"
     with pytest.raises(DataError, match=message):
-        evaluate(x, x, np.ones(size), SplitConfig(n_splits=2, n_bootstrap=1))
+        evaluate(x, [("p", x)], np.ones(size), SplitConfig(n_splits=2, n_bootstrap=1))
 
 
 
@@ -425,4 +426,124 @@ def test_evaluate_perturbation_variant_without_deltas_is_config_error(rng, monke
     x = rng.standard_normal((48, 6))
     cfg = SplitConfig(n_splits=2, n_bootstrap=1, composite_variant="perturbation")
     with pytest.raises(ConfigError, match="needs input deltas"):
-        evaluate(x, x, None, cfg)
+        evaluate(x, [("p", x)], None, cfg)
+
+
+# -- one clean side for many perturbations ---------------------------------------------
+
+
+def three_pairs(rng, n=60, d=8):
+    x = EmbeddingMatrix(rng.standard_normal((n, d)), labels=np.arange(n) % 3)
+    pairs = [(name, EmbeddingMatrix(x.data + sigma * rng.standard_normal((n, d)), x.labels))
+             for name, sigma in (("lo", 0.05), ("mid", 0.3), ("hi", 1.0))]
+    return x, pairs
+
+
+def test_evaluate_scores_each_split_metric_once_per_round(rng, monkeypatch):
+    x, pairs = three_pairs(rng)
+    calls = {}
+    for metric in ("sample_split", "feature_split", "anchor_stability"):
+        def counting(*args, _real=getattr(stability, metric), _metric=metric, **kwargs):
+            calls[_metric] = calls.get(_metric, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(f"geotax.stability.{metric}", counting)
+    reports = evaluate(x, pairs, cfg=SplitConfig(n_splits=3, n_bootstrap=2), seed=SeedSpec(4))
+    assert list(reports) == ["lo", "mid", "hi"]
+    assert calls == {"sample_split": 2, "feature_split": 2, "anchor_stability": 2}
+
+
+def test_evaluate_each_pair_equals_its_single_pair_run(rng):
+    x, pairs = three_pairs(rng)
+    deltas = rng.uniform(0.1, 1.0, x.n)
+    cfg = SplitConfig(n_splits=3, n_bootstrap=3, max_samples=45)
+    reports = evaluate(x, pairs, deltas, cfg, SeedSpec(9, "stability"))
+    for name, xp in pairs:
+        alone = evaluate(x, [(name, xp)], deltas, cfg, SeedSpec(9, "stability"))[name]
+        assert json.dumps(reports[name].to_dict()) == json.dumps(alone.to_dict())
+    shared = ("sample_split", "feature_split", "anchor_stability")
+    for report in reports.values():
+        for key in shared:
+            assert report.metrics[key] == reports["lo"].metrics[key]
+            assert report.bootstrap_std[key] == reports["lo"].bootstrap_std[key]
+    assert reports["lo"].metrics["rdm_similarity"] > reports["hi"].metrics["rdm_similarity"]
+
+
+def test_evaluate_loads_the_next_pair_only_after_the_previous_is_scored(rng, monkeypatch):
+    x, pairs = three_pairs(rng)
+    events = []
+    previous = []
+
+    def loading():
+        for name, xp in pairs:
+            # the pair yielded before has been dropped by the harness
+            assert all(ref() is None for ref in previous)
+            events.append(f"load {name}")
+            matrix = xp.data.copy()
+            previous.append(weakref.ref(matrix))
+            yield name, matrix
+            del matrix
+
+    real = stability.rdm_similarity
+
+    def scoring(c, p):
+        events.append("score")
+        return real(c, p)
+
+    monkeypatch.setattr("geotax.stability.rdm_similarity", scoring)
+    evaluate(x.data, loading(), cfg=SplitConfig(n_splits=2, n_bootstrap=2), seed=SeedSpec(1))
+    assert events == ["load lo", "score", "score", "load mid", "score", "score",
+                      "load hi", "score", "score"]
+    assert all(ref() is None for ref in previous)
+
+
+def test_evaluate_shape_mismatch_names_the_pair_and_both_shapes(rng):
+    x, pairs = three_pairs(rng)
+    pairs[2] = ("bad", rng.standard_normal((50, 8)))
+    message = (r"perturbation 'bad': clean and perturbed shapes differ: "
+               r"clean \(60, 8\), perturbed \(50, 8\)")
+    with pytest.raises(DataError, match=message):
+        evaluate(x, pairs, cfg=SplitConfig(n_splits=2, n_bootstrap=1))
+
+
+def test_bootstrap_round_halves_and_anchors_are_disjoint_by_position_not_source_row(
+    rng, monkeypatch
+):
+    # Resampling with replacement repeats rows within a round.  The split
+    # metrics split a round by position, so copies of one source row can
+    # land in both "disjoint" halves and among both the anchors and the rest.
+    x = rng.standard_normal((40, 6))
+    source = np.arange(40)
+    source[20:] = 0  # positions 0 and 20..39 of the round all hold source row 0
+    monkeypatch.setattr("geotax.stability._stratified_resample", lambda *a: source.copy())
+    real_halves, real_anchor = stability._disjoint_halves, stability.anchor_stability
+    halves, anchor_sets = [], []
+
+    def recording_halves(n, rng_):
+        a, b = real_halves(n, rng_)
+        halves.append((n, a, b))
+        return a, b
+
+    def recording_anchor(c, cfg, seed):
+        anchor_rng = stability._rng(seed, "anchor")
+        anchor_sets.append(anchor_rng.choice(c.n, size=cfg.anchors_for(c.n), replace=False))
+        return real_anchor(c, cfg, seed)
+
+    monkeypatch.setattr("geotax.stability._disjoint_halves", recording_halves)
+    monkeypatch.setattr("geotax.stability.anchor_stability", recording_anchor)
+    cfg = SplitConfig(n_splits=4, n_bootstrap=2)
+    report = evaluate(x, [("p", x)], cfg=cfg, seed=SeedSpec(3))["p"]
+    sample_halves = [(a, b) for n, a, b in halves if n == 40]
+    assert len(sample_halves) == 8  # 4 splits in each of 2 rounds
+    for a, b in sample_halves:
+        assert not set(a) & set(b)  # disjoint positions ...
+        assert 0 in source[a] and 0 in source[b]  # ... both holding source row 0
+    assert len(anchor_sets) == 2
+    for anchors in anchor_sets:
+        rest = np.setdiff1d(np.arange(40), anchors)
+        assert 0 in source[anchors] and 0 in source[rest]
+    # no de-duplication: each round scores the round matrix, copies and all
+    monkeypatch.undo()
+    expected = np.mean([sample_split(x[source], cfg, SeedSpec(3).derive(f"round{r}"))
+                        for r in range(2)])
+    assert report.metrics["sample_split"] == expected
