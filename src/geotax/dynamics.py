@@ -130,42 +130,51 @@ def gen_waveform(spec: SeedSpec | int, n_components: int = 3, n_steps: int = 512
     return waveform_from_components(amps, omegas, phases, n_steps)
 
 
-def _lorenz_deriv(state: np.ndarray) -> np.ndarray:
+def _rk4_step(state: tuple[float, float, float], dt: float) -> tuple[float, float, float]:
+    """One RK4 step of the Lorenz system on Python floats.
+
+    The operations run in the order of the numpy array form, which the
+    tests keep as an oracle: a stage is ``state + 0.5 * dt * k`` with
+    ``0.5 * dt`` first, and the update ``state + dt / 6 * (k1 + 2 k2 + 2 k3
+    + k4)`` sums left to right.  IEEE doubles round the same in both, so a
+    step gives the same bytes without a numpy call.
+    """
+    sigma, rho, beta = LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA
     x, y, z = state
-    return np.array(
-        [
-            LORENZ_SIGMA * (y - x),
-            x * (LORENZ_RHO - z) - y,
-            x * y - LORENZ_BETA * z,
-        ]
+    h = 0.5 * dt
+    a1, b1, c1 = sigma * (y - x), x * (rho - z) - y, x * y - beta * z
+    x2, y2, z2 = x + h * a1, y + h * b1, z + h * c1
+    a2, b2, c2 = sigma * (y2 - x2), x2 * (rho - z2) - y2, x2 * y2 - beta * z2
+    x3, y3, z3 = x + h * a2, y + h * b2, z + h * c2
+    a3, b3, c3 = sigma * (y3 - x3), x3 * (rho - z3) - y3, x3 * y3 - beta * z3
+    x4, y4, z4 = x + dt * a3, y + dt * b3, z + dt * c3
+    a4, b4, c4 = sigma * (y4 - x4), x4 * (rho - z4) - y4, x4 * y4 - beta * z4
+    w = dt / 6.0
+    return (
+        x + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        y + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+        z + w * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
     )
 
 
-def _rk4_step(state: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _lorenz_deriv(state)
-    k2 = _lorenz_deriv(state + 0.5 * dt * k1)
-    k3 = _lorenz_deriv(state + 0.5 * dt * k2)
-    k4 = _lorenz_deriv(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _integrate_lorenz(state: np.ndarray, n_steps: int) -> Trajectory:
-    out = np.empty((n_steps, 3))
+    rows = []
+    step = tuple(state.tolist())
     for i in range(n_steps):
-        out[i] = state
-        state = _rk4_step(state, LORENZ_DT)
-        if np.abs(state).max() > BLOWUP_LIMIT:
+        rows.append(step)
+        step = _rk4_step(step, LORENZ_DT)
+        if max(abs(step[0]), abs(step[1]), abs(step[2])) > BLOWUP_LIMIT:
             raise DataError(f"lorenz integration diverged at step {i}")
-    return Trajectory(out, LORENZ_DT)
+    return Trajectory(np.array(rows, dtype=np.float64).reshape(-1, 3), LORENZ_DT)
 
 
 def lorenz_initial_state(spec: SeedSpec | int) -> np.ndarray:
     """On-attractor state: randomly perturbed IC plus a discarded transient."""
     rng = rng_create(spec)
-    state = np.array([1.0, 1.0, 1.0]) + rng.uniform(-0.5, 0.5, size=3)
+    state = (np.array([1.0, 1.0, 1.0]) + rng.uniform(-0.5, 0.5, size=3)).tolist()
     for _ in range(LORENZ_TRANSIENT):
         state = _rk4_step(state, LORENZ_DT)
-    return state
+    return np.array(state)
 
 
 def gen_lorenz(spec: SeedSpec | int, n_steps: int = 512) -> Trajectory:
@@ -177,7 +186,7 @@ def lorenz_twins(
 ) -> tuple[Trajectory, Trajectory]:
     """Two trajectories from the same on-attractor state, offset by delta in x."""
     state = lorenz_initial_state(spec)
-    a = _integrate_lorenz(state.copy(), n_steps)
+    a = _integrate_lorenz(state, n_steps)
     state[0] += delta
     return a, _integrate_lorenz(state, n_steps)
 

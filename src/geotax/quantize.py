@@ -19,6 +19,9 @@ from .procrustes import procrustes_align
 
 KMEANS_MAX_ITER = 300
 KMEANS_REL_TOL = 1e-6
+# Distances per block of the nearest-centroid search: 512 KiB, so a block
+# stays in cache for its argmin.  32k to 128k ran the sweep equally fast.
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,29 +51,73 @@ class Codebook:
 
 
 def _sq_distances(
-    points: np.ndarray, centroids: np.ndarray, out: np.ndarray | None = None
+    points: np.ndarray, pp: np.ndarray, centroids: np.ndarray, cc: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    # ||p - c||^2 expanded; clamp tiny negatives from cancellation.  ``out``
-    # (n x K) is filled in place, so a fit reuses one buffer per iteration.
+    # ||p - c||^2 expanded from the squared row norms ``pp`` of the points
+    # and ``cc`` of the centroids; clamp tiny negatives from cancellation.
+    # ``out`` (points x centroids) is filled in place.
     d2 = np.matmul(points, centroids.T, out=out)
     d2 *= 2.0
-    np.subtract((points * points).sum(axis=1)[:, None], d2, out=d2)
-    d2 += (centroids * centroids).sum(axis=1)[None, :]
+    np.subtract(pp[:, None], d2, out=d2)
+    d2 += cc[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return (x * x).sum(axis=1)
+
+
+def _nearest(
+    points: np.ndarray, pp: np.ndarray, centroids: np.ndarray, d2: np.ndarray | None = None
+) -> np.ndarray:
+    """Each point's nearest centroid, ties to the lowest index.
+
+    The distances are computed a block of rows at a time, and each block's
+    ``argmin`` is taken while the block is in cache.  A block holds at most
+    ``BLOCK_ENTRIES`` distances, and the rows are split evenly between the
+    blocks.  The distances go into ``d2`` (n x K) when it is given, else
+    into one block-sized scratch array reused for every block.
+
+    A row's bytes depend on the BLAS call that computes it: numpy hands a
+    one-row product to gemv, and OpenBLAS computes a product of at most
+    1200 entries with 32 or more columns in another kernel.  Blocks split
+    evenly are the whole product or hold about ``BLOCK_ENTRIES / 2``
+    distances or more, past both, so they give the whole product's bytes.
+    """
+    n, k = points.shape[0], centroids.shape[0]
+    cc = _row_norms(centroids)
+    rows_per_block = max(1, BLOCK_ENTRIES // k)
+    blocks = -(-n // rows_per_block)
+    scratch = np.empty((min(n, rows_per_block), k)) if d2 is None else None
+    assign = np.empty(n, dtype=np.intp)
+    for b in range(blocks):
+        rows = slice(b * n // blocks, (b + 1) * n // blocks)
+        out = scratch[: rows.stop - rows.start] if d2 is None else d2[rows]
+        block = _sq_distances(points[rows], pp[rows], centroids, cc, out=out)
+        np.argmin(block, axis=1, out=assign[rows])
+    return assign
+
+
+def _kmeans_pp_init(
+    points: np.ndarray, pp: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
+
+    def dist_to(j: int) -> np.ndarray:
+        c = centroids[j : j + 1]
+        return _sq_distances(points, pp, c, _row_norms(c)).ravel()
+
     centroids[0] = points[rng.integers(n)]
-    d2 = _sq_distances(points, centroids[:1]).ravel()
+    d2 = dist_to(0)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             centroids[j] = points[rng.integers(n)]
         else:
             centroids[j] = points[np.searchsorted(np.cumsum(d2 / total), rng.random())]
-        d2 = np.minimum(d2, _sq_distances(points, centroids[j : j + 1]).ravel())
+        np.minimum(d2, dist_to(j), out=d2)
     return centroids
 
 
@@ -135,14 +182,15 @@ def kmeans_fit(
     if n < k:
         raise DataError(f"n={n} < K={k}")
     rng = rng_create(seed)
+    pp = _row_norms(points)
     if init_centroids is not None:
         prev = np.asarray(init_centroids, dtype=np.float64)
         if prev.shape[0] >= k:
             centroids = prev[:k].copy()
         else:
-            centroids = np.vstack([prev, _kmeans_pp_init(points, k - prev.shape[0], rng)])
+            centroids = np.vstack([prev, _kmeans_pp_init(points, pp, k - prev.shape[0], rng)])
     else:
-        centroids = _kmeans_pp_init(points, k, rng)
+        centroids = _kmeans_pp_init(points, pp, k, rng)
 
     def exact_inertia(assign: np.ndarray) -> float:
         # direct residuals: no cancellation when a point sits on its centroid
@@ -153,8 +201,7 @@ def kmeans_fit(
     prev_inertia = np.inf
     d2 = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITER):
-        _sq_distances(points, centroids, out=d2)
-        assign = np.argmin(d2, axis=1)
+        assign = _nearest(points, pp, centroids, d2)
         inertia = exact_inertia(assign)
         trace.append(inertia)
         _update_centroids(points, assign, d2, centroids)
@@ -164,7 +211,7 @@ def kmeans_fit(
         elif inertia == 0.0:
             break
         prev_inertia = inertia
-    final = exact_inertia(np.argmin(_sq_distances(points, centroids, out=d2), axis=1))
+    final = exact_inertia(_nearest(points, pp, centroids, d2))
     trace.append(final)
     return Codebook(centroids, final, tuple(trace))
 
@@ -174,7 +221,7 @@ def encode(codebook: Codebook, points) -> SymbolSequence:
     pts = as_columns(points)
     if pts.shape[1] != codebook.dim:
         raise DataError("point dimension does not match codebook")
-    assign = np.argmin(_sq_distances(pts, codebook.centroids), axis=1)
+    assign = _nearest(pts, _row_norms(pts), codebook.centroids)
     return SymbolSequence(assign, bins_alphabet(codebook.k))
 
 

@@ -3,6 +3,12 @@ import pytest
 
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.dynamics import (
+    BLOWUP_LIMIT,
+    LORENZ_BETA,
+    LORENZ_DT,
+    LORENZ_RHO,
+    LORENZ_SIGMA,
+    LORENZ_TRANSIENT,
     GlobalRange,
     OscillatorParams,
     Trajectory,
@@ -15,8 +21,8 @@ from geotax.dynamics import (
     gen_waveform,
     lorenz_twins,
     waveform_from_components,
-    _rk4_step,
     lorenz_initial_state,
+    _integrate_lorenz,
 )
 from geotax.errors import DataError
 
@@ -26,6 +32,26 @@ from geotax.errors import DataError
 LORENZ_LLE_ORACLE = 0.905
 
 
+def lorenz_deriv_oracle(state):
+    x, y, z = state
+    return np.array(
+        [
+            LORENZ_SIGMA * (y - x),
+            x * (LORENZ_RHO - z) - y,
+            x * y - LORENZ_BETA * z,
+        ]
+    )
+
+
+def rk4_step_oracle(state, dt):
+    """RK4 on numpy arrays, the form the scalar integrator must reproduce."""
+    k1 = lorenz_deriv_oracle(state)
+    k2 = lorenz_deriv_oracle(state + 0.5 * dt * k1)
+    k3 = lorenz_deriv_oracle(state + 0.5 * dt * k2)
+    k4 = lorenz_deriv_oracle(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def benettin_lle(seed, n_steps=20000, dt=0.01, d0=1e-8):
     """Independent LLE oracle: renormalize the twin separation every step
     and average the log expansion (no curve fitting involved)."""
@@ -33,8 +59,8 @@ def benettin_lle(seed, n_steps=20000, dt=0.01, d0=1e-8):
     pert = state + np.array([d0, 0.0, 0.0])
     total = 0.0
     for _ in range(n_steps):
-        state = _rk4_step(state, dt)
-        pert = _rk4_step(pert, dt)
+        state = rk4_step_oracle(state, dt)
+        pert = rk4_step_oracle(pert, dt)
         delta = pert - state
         dist = np.linalg.norm(delta)
         total += np.log(dist / d0)
@@ -91,6 +117,30 @@ def test_lorenz_deterministic():
     a = gen_lorenz(SeedSpec(320, "lz"), 500)
     b = gen_lorenz(SeedSpec(320, "lz"), 500)
     assert (a.values == b.values).all()
+
+
+@pytest.mark.parametrize("seed", [SeedSpec(320, "lz"), SeedSpec(1, "vq-lorenz"), 29])
+def test_lorenz_bytes_equal_numpy_rk4_oracle(seed):
+    rng = rng_create(seed)
+    state = np.array([1.0, 1.0, 1.0]) + rng.uniform(-0.5, 0.5, size=3)
+    for _ in range(LORENZ_TRANSIENT):
+        state = rk4_step_oracle(state, LORENZ_DT)
+    assert lorenz_initial_state(seed).tobytes() == state.tobytes()
+    steps = []
+    for _ in range(2000):
+        steps.append(state)
+        state = rk4_step_oracle(state, LORENZ_DT)
+    assert gen_lorenz(seed, 2000).values.tobytes() == np.array(steps).tobytes()
+
+
+def test_lorenz_divergence_names_the_oracle_step():
+    state = np.array([1e3, 1e3, 1e3])
+    i = 0
+    while np.abs(state := rk4_step_oracle(state, LORENZ_DT)).max() <= BLOWUP_LIMIT:
+        i += 1
+    assert i > 0
+    with pytest.raises(DataError, match=f"lorenz integration diverged at step {i}$"):
+        _integrate_lorenz(np.array([1e3, 1e3, 1e3]), 100)
 
 
 def test_lorenz_long_run_attractor_bounds():

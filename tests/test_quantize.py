@@ -1,13 +1,16 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import geotax.cli as cli
+import geotax.quantize as quantize
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.errors import DataError
 from geotax.quantize import (
     Codebook,
+    _nearest,
     _update_centroids,
     boundary_crossing_rate,
     decode,
@@ -64,6 +67,95 @@ def test_kmeans_inertia_trace_monotone(rng):
         cb = kmeans_fit(pts, 10, SeedSpec(trial))
         trace = np.array(cb.inertia_trace)
         assert (np.diff(trace) <= 1e-9 * trace[0]).all()
+
+
+def test_kmeans_fit_bytes_do_not_depend_on_the_block_size(monkeypatch):
+    # one-decimal data, as in the 3-column golden: many tied distances
+    pts = rng_create(SeedSpec(320, "fit-blocks")).standard_normal((600, 3)).round(1)
+    ref = kmeans_fit(pts, 64, SeedSpec(7))
+    for rows in (3, 7, 600):
+        monkeypatch.setattr(quantize, "BLOCK_ENTRIES", rows * 64)
+        cb = kmeans_fit(pts, 64, SeedSpec(7))
+        assert cb.centroids.tobytes() == ref.centroids.tobytes()
+        assert cb.inertia_trace == ref.inertia_trace
+
+
+# -- nearest-centroid search ------------------------------------------------------
+
+
+def full_matrix_sq_distances(points, centroids):
+    """The whole n x K distance matrix in one product: the computation the
+    row blocks of ``_nearest`` must reproduce byte for byte."""
+    d2 = np.matmul(points, centroids.T)
+    d2 *= 2.0
+    np.subtract((points * points).sum(axis=1)[:, None], d2, out=d2)
+    d2 += (centroids * centroids).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def nearest_case(n, m, k, tied):
+    rng = rng_create(SeedSpec(320, f"nearest-{n}-{m}-{k}-{tied}"))
+    points = rng.standard_normal((n, m))
+    centroids = rng.standard_normal((k, m))
+    if tied:
+        points, centroids = points.round(1), centroids.round(1)
+    centroids[-1] = points[-1]  # a point on a centroid: its distance clamps at 0
+    return points, centroids
+
+
+def assert_nearest_equals_oracle(n, m, k):
+    for tied in (False, True):
+        points, centroids = nearest_case(n, m, k, tied)
+        ref = full_matrix_sq_distances(points, centroids)
+        d2 = np.full((n, k), np.nan)
+        assign = _nearest(points, (points * points).sum(axis=1), centroids, d2)
+        assert d2.tobytes() == ref.tobytes()
+        assert assign.tolist() == np.argmin(ref, axis=1).tolist()
+        assert encode(Codebook(centroids), points).symbols.tolist() == assign.tolist()
+
+
+@pytest.mark.parametrize("k", [2, 33, 1024])
+@pytest.mark.parametrize("m", [1, 3, 64, 300])
+@pytest.mark.parametrize("n", [1, 127, 129, 2000])
+def test_nearest_bytes_equal_full_matrix_oracle(n, m, k):
+    assert_nearest_equals_oracle(n, m, k)
+
+
+# Blocks of 3 and 7 rows, and one block of all n.  No block of one row:
+# numpy computes a one-row product with gemv, which rounds otherwise, and
+# ``_nearest`` splits the rows evenly, so it makes one only when n is 1.
+@pytest.mark.parametrize("rows", [3, 7, None])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("n", [127, 129, 2000])
+def test_nearest_bytes_do_not_depend_on_rows_per_block(monkeypatch, n, m, rows):
+    for k in (2, 33, 1024):
+        monkeypatch.setattr(quantize, "BLOCK_ENTRIES", (rows or n) * k)
+        assert_nearest_equals_oracle(n, m, k)
+
+
+# At 32 or more columns OpenBLAS computes a product of at most 1200 entries
+# with another kernel, so blocks that small would round otherwise.  Even
+# blocks of at most 4096 or 20,000 distances hold over 2000 of them.
+@pytest.mark.parametrize("entries", [4096, 20_000])
+@pytest.mark.parametrize("m", [64, 300])
+def test_nearest_bytes_do_not_depend_on_block_entries(monkeypatch, m, entries):
+    monkeypatch.setattr(quantize, "BLOCK_ENTRIES", entries)
+    for n in (127, 129, 2000):
+        for k in (2, 33, 1024):
+            assert_nearest_equals_oracle(n, m, k)
+
+
+def test_encode_holds_no_n_by_k_matrix():
+    rng = rng_create(SeedSpec(320, "encode-peak"))
+    cb = Codebook(rng.standard_normal((512, 3)))
+    pts = rng.standard_normal((20_000, 3))
+    tracemalloc.start()
+    try:
+        encode(cb, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # one 20,000 x 512 float64 matrix is 78 MiB
 
 
 # -- centroid update ------------------------------------------------------------
@@ -164,6 +256,22 @@ def test_vq_sweep_report_from_3_column_file_unchanged(tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
     assert digest == VQ_3_COLUMN_REPORT_SHA256
+
+
+# reports of the default sweep on 2000 Lorenz points, taken before the
+# Lorenz steps and the nearest-centroid search were rewritten
+VQ_LORENZ_REPORT_SHA256 = {
+    "report.json": "ce63ff50ff39c3ac2e63866adeefe3af478a25c6525a0c818bf7ee54476405db",
+    "report.csv": "5f17eb8b315752af876a13c20e3d3033db8606b87d12a1b5f8bc13045131079d",
+}
+
+
+def test_vq_sweep_lorenz_reports_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["--out-dir", "run", "--seed", "320", "vq-sweep", "--k-values", "32,64,128,256,512"]
+    assert cli.main(argv) == 0
+    for name, expected in VQ_LORENZ_REPORT_SHA256.items():
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == expected
 
 
 # -- encode / decode -----------------------------------------------------------
