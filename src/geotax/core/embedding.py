@@ -17,7 +17,8 @@ class EmbeddingMatrix:
 
     File formats may store float32 but all arithmetic runs in 64 bits so
     that residual comparisons at the 1e-3 scale are not polluted by
-    accumulation error.
+    accumulation error.  The matrix takes ownership of a C-contiguous
+    float64 ``data`` (and int64 ``labels``) and freezes it, without a copy.
     """
 
     data: np.ndarray
@@ -62,6 +63,16 @@ def as_array(x) -> np.ndarray:
     return x.data if isinstance(x, EmbeddingMatrix) else np.asarray(x, dtype=np.float64)
 
 
+def read_only(arr: np.ndarray, source) -> np.ndarray:
+    """``arr`` with writes disabled.  When ``arr`` is the writeable
+    ``source`` array itself, a copy is frozen instead, so the caller's
+    array stays writeable."""
+    if arr is source and arr.flags.writeable:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def as_columns(x) -> np.ndarray:
     """``as_array(x)`` with a 1-D input read as one column of samples."""
     arr = as_array(x)
@@ -72,12 +83,16 @@ def _upper_triangle(n: int) -> np.ndarray:
     """Boolean n x n mask of the strict upper triangle.  Indexing with it
     gathers in row-major order, the condensed order, without the two
     index arrays of ``np.triu_indices``."""
-    return np.triu(np.ones((n, n), dtype=bool), k=1)
+    return np.less.outer(np.arange(n), np.arange(n))
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Condensed pairwise distances: upper triangle of a symmetric matrix."""
+    """Condensed pairwise distances: upper triangle of a symmetric matrix.
+
+    Takes ownership of a float64 ``values`` and freezes it, without a copy:
+    ``cosine_rdm`` hands over its fresh n(n-1)/2 vector.
+    """
 
     n: int
     values: np.ndarray = field(repr=False)
@@ -126,10 +141,13 @@ def cosine_rdm(x: EmbeddingMatrix | np.ndarray) -> DistanceMatrix:
     ``DataError`` on rows with norm below 1e-300.
     """
     unit = unit_rows(x)
-    sim = unit @ unit.T
-    np.clip(sim, -1.0, 1.0, out=sim)
     n = unit.shape[0]
-    return DistanceMatrix(n, 1.0 - sim[_upper_triangle(n)])
+    sim = unit @ unit.T
+    del unit
+    np.clip(sim, -1.0, 1.0, out=sim)
+    values = sim[_upper_triangle(n)]
+    del sim
+    return DistanceMatrix(n, np.subtract(1.0, values, out=values))
 
 
 def cross_distance_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core.embedding import as_columns
+from .core.embedding import as_columns, read_only
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import SymbolSequence, bins_alphabet
 from .errors import DataError
@@ -60,8 +60,7 @@ class Trajectory:
             raise DataError("trajectory needs at least 2 samples")
         if not np.isfinite(vals).all():
             raise DataError("trajectory contains non-finite values")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", read_only(vals, self.values))
 
     @property
     def length(self) -> int:
@@ -87,10 +86,8 @@ class GlobalRange:
             raise DataError("range min/max shape mismatch")
         if not (hi > lo).all():
             raise DataError("max must exceed min in every channel")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "minimum", lo)
-        object.__setattr__(self, "maximum", hi)
+        object.__setattr__(self, "minimum", read_only(lo, self.minimum))
+        object.__setattr__(self, "maximum", read_only(hi, self.maximum))
 
     @property
     def width(self) -> np.ndarray:

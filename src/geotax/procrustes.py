@@ -15,6 +15,7 @@ import numpy as np
 
 from .core.embedding import EmbeddingMatrix, as_array
 from .core.rng import SeedSpec, rng_create
+from .core.stats import distinct
 from .errors import ConfigError, DataError
 
 BRITTLE_GLASS_MAX = 2.0     # reduction percent below -> internal fracture
@@ -179,7 +180,7 @@ def logistic_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 def stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Shuffled per-class round-robin assignment into ``folds`` test index sets."""
     assignments = np.empty(labels.size, dtype=np.int64)
-    for cls in np.unique(labels):
+    for cls in distinct(labels):
         idx = np.nonzero(labels == cls)[0]
         idx = idx[rng.permutation(idx.size)]
         assignments[idx] = np.arange(idx.size) % folds
@@ -200,7 +201,7 @@ def stratified_cv_accuracy(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (data.shape[0],):
         raise DataError(f"{labels.size} labels for {data.shape[0]} samples")
-    classes = np.unique(labels)
+    classes = distinct(labels)
     if classes.size != 2:
         raise DataError(f"need exactly 2 classes, got {classes.size}")
     if min((labels == c).sum() for c in classes) < folds:

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core.embedding import as_columns
+from .core.embedding import as_columns, read_only
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import SymbolSequence, bins_alphabet
+from .core.stats import distinct
 from .errors import ConfigError, DataError
 from .procrustes import procrustes_align
 
@@ -38,8 +39,7 @@ class Codebook:
             raise DataError("codebook needs at least 2 centroids")
         if not np.isfinite(c).all():
             raise DataError("centroids must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "centroids", c)
+        object.__setattr__(self, "centroids", read_only(c, self.centroids))
 
     @property
     def k(self) -> int:
@@ -68,16 +68,22 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=1)
 
 
+def _blocks(n: int, k: int) -> int:
+    """How many row blocks a pass over n points and k centroids takes."""
+    return -(-n // max(1, BLOCK_ENTRIES // k))
+
+
 def _nearest(
-    points: np.ndarray, pp: np.ndarray, centroids: np.ndarray, d2: np.ndarray | None = None
+    points: np.ndarray, pp: np.ndarray, centroids: np.ndarray, dist: np.ndarray | None = None
 ) -> np.ndarray:
     """Each point's nearest centroid, ties to the lowest index.
 
-    The distances are computed a block of rows at a time, and each block's
-    ``argmin`` is taken while the block is in cache.  A block holds at most
-    ``BLOCK_ENTRIES`` distances, and the rows are split evenly between the
-    blocks.  The distances go into ``d2`` (n x K) when it is given, else
-    into one block-sized scratch array reused for every block.
+    The distances are computed a block of rows at a time into one
+    block-sized scratch array, and each block's ``argmin`` is taken while
+    the block is in cache.  A block holds at most ``BLOCK_ENTRIES``
+    distances, and the rows are split evenly between the blocks.  When
+    ``dist`` (n) is given, each point's squared distance to its centroid
+    is written into it from the same block.
 
     A row's bytes depend on the BLAS call that computes it: numpy hands a
     one-row product to gemv, and OpenBLAS computes a product of at most
@@ -87,16 +93,46 @@ def _nearest(
     """
     n, k = points.shape[0], centroids.shape[0]
     cc = _row_norms(centroids)
-    rows_per_block = max(1, BLOCK_ENTRIES // k)
-    blocks = -(-n // rows_per_block)
-    scratch = np.empty((min(n, rows_per_block), k)) if d2 is None else None
+    blocks = _blocks(n, k)
+    scratch = np.empty((-(-n // blocks) if blocks else 0, k))
     assign = np.empty(n, dtype=np.intp)
     for b in range(blocks):
         rows = slice(b * n // blocks, (b + 1) * n // blocks)
-        out = scratch[: rows.stop - rows.start] if d2 is None else d2[rows]
-        block = _sq_distances(points[rows], pp[rows], centroids, cc, out=out)
-        np.argmin(block, axis=1, out=assign[rows])
+        size = rows.stop - rows.start
+        block = _sq_distances(points[rows], pp[rows], centroids, cc, out=scratch[:size])
+        nearest = np.argmin(block, axis=1, out=assign[rows])
+        if dist is not None:
+            dist[rows] = block[np.arange(size), nearest]
     return assign
+
+
+class _FarthestRows(dict):
+    """Distance rows, by point index, of the points farthest from their
+    centroids: the rows ``_update_centroids`` reads for stolen points.
+
+    A missing row computes the next ``size`` rows, taking the points by
+    descending ``dist``, ties to the lowest index.  ``size`` is a pass
+    block's row count, so the product has a pass block's shape and each
+    row the bytes the pass gave it.  In a fit, ``dist`` is each point's
+    distance to its nearest centroid, and a stolen point's distance only
+    grows, so every steal of one update takes the same farthest point and
+    one block is computed per update that steals.  The centroids must not
+    move before the last row is read.
+    """
+
+    def __init__(self, points, pp, centroids, dist, size):
+        super().__init__()
+        self.points, self.pp, self.centroids = points, pp, centroids
+        self.dist, self.size, self.order = dist, size, None
+
+    def __missing__(self, i: int) -> np.ndarray:
+        if self.order is None:
+            self.order = np.argsort(-self.dist, kind="stable")
+        idx, self.order = self.order[: self.size], self.order[self.size :]
+        c = self.centroids
+        block = _sq_distances(self.points[idx], self.pp[idx], c, _row_norms(c))
+        self.update(zip(idx.tolist(), block))
+        return self[i]
 
 
 def _kmeans_pp_init(
@@ -122,13 +158,16 @@ def _kmeans_pp_init(
 
 
 def _update_centroids(
-    points: np.ndarray, assign: np.ndarray, d2: np.ndarray, centroids: np.ndarray
+    points: np.ndarray, assign: np.ndarray, dist: np.ndarray, centroids: np.ndarray, rows
 ) -> None:
     """One Lloyd update of ``centroids`` in place.
 
     Visiting clusters 0..K-1 in order, a non-empty cluster moves to the mean
     of its points, and an empty one takes the point farthest from its
-    current centroid (by ``d2``), which then belongs to it.  Only the steals
+    current centroid (by ``dist``, each point's squared distance to its
+    assigned centroid), which then belongs to it.  ``rows[i][j]`` is point
+    i's squared distance to centroid j before the update; it is read only
+    for stolen points, and ``dist`` follows them in place.  Only the steals
     are replayed in order: a point stolen before its own cluster's turn
     leaves that cluster's mean, and every mean is a per-column ``bincount``
     over the points that stay.  That sums each cluster's rows in index
@@ -137,10 +176,9 @@ def _update_centroids(
     """
     k = centroids.shape[0]
     counts = np.bincount(assign, minlength=k)
-    labels, rows, steals = assign, points, []
+    labels, kept, steals = assign, points, []
     if not counts.all():
         current = assign.copy()
-        dist = d2[np.arange(assign.size), assign]
         keep = np.ones(assign.size, dtype=bool)
         j = 0
         while (empty := np.flatnonzero(counts[j:] == 0)).size:
@@ -152,13 +190,13 @@ def _update_centroids(
             counts[current[far]] -= 1
             counts[j] += 1
             current[far] = j
-            dist[far] = d2[far, j]
+            dist[far] = rows[far][j]
             steals.append((j, far))
-        labels, rows = assign[keep], points[keep]
+        labels, kept = assign[keep], points[keep]
         # clusters that stole keep no points; their rows are overwritten below
         counts = np.maximum(np.bincount(labels, minlength=k), 1)
     for c in range(centroids.shape[1]):
-        centroids[:, c] = np.bincount(labels, weights=rows[:, c], minlength=k) / counts
+        centroids[:, c] = np.bincount(labels, weights=kept[:, c], minlength=k) / counts
     for j, far in steals:
         centroids[j] = points[far]
 
@@ -199,19 +237,21 @@ def kmeans_fit(
 
     trace = []
     prev_inertia = np.inf
-    d2 = np.empty((n, k))
+    dist = np.empty(n)
+    block_rows = n // _blocks(n, k)
     for _ in range(KMEANS_MAX_ITER):
-        assign = _nearest(points, pp, centroids, d2)
+        assign = _nearest(points, pp, centroids, dist)
         inertia = exact_inertia(assign)
         trace.append(inertia)
-        _update_centroids(points, assign, d2, centroids)
+        rows = _FarthestRows(points, pp, centroids, dist, block_rows)
+        _update_centroids(points, assign, dist, centroids, rows)
         if prev_inertia < np.inf and prev_inertia > 0:
             if abs(prev_inertia - inertia) / prev_inertia < KMEANS_REL_TOL:
                 break
         elif inertia == 0.0:
             break
         prev_inertia = inertia
-    final = exact_inertia(_nearest(points, pp, centroids, d2))
+    final = exact_inertia(_nearest(points, pp, centroids))
     trace.append(final)
     return Codebook(centroids, final, tuple(trace))
 
@@ -263,7 +303,7 @@ def fit_inverse_log(k_values, d_values) -> tuple[float, float, float]:
     """OLS of distortion on 1/ln K.  Returns (intercept, slope, r^2)."""
     k = np.asarray(k_values, dtype=np.float64)
     d = np.asarray(d_values, dtype=np.float64)
-    if np.unique(k).size < 3:
+    if distinct(k).size < 3:
         raise DataError("need >= 3 distinct K values")
     x = 1.0 / np.log(k)
     design = np.column_stack([np.ones_like(x), x])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_block
 from .core.rng import SeedSpec, rng_create
-from .core.stats import rankdata, spearman_checked
+from .core.stats import distinct, rankdata, spearman_checked
 from .errors import ConfigError, DataError
 
 CORE_METRICS = ("rdm_similarity", "sample_split", "feature_split", "anchor_stability")
@@ -158,7 +158,9 @@ def anchor_stability(
         raise DataError(f"anchor stability needs n >= anchors + 4 = {m + 4}")
     rng = _rng(seed, "anchor")
     anchor_idx = rng.choice(xm.n, size=m, replace=False)
-    rest = np.setdiff1d(np.arange(xm.n), anchor_idx)
+    is_rest = np.ones(xm.n, dtype=bool)
+    is_rest[anchor_idx] = False
+    rest = np.flatnonzero(is_rest)
     anchors = xm.data[anchor_idx]
 
     def draw():
@@ -249,7 +251,7 @@ def _stratified_resample(labels: np.ndarray | None, n: int, rng: np.random.Gener
     if labels is None:
         return rng.integers(0, n, size=n)
     out = []
-    for cls in np.unique(labels):
+    for cls in distinct(labels):
         idx = np.nonzero(labels == cls)[0]
         out.append(idx[rng.integers(0, idx.size, size=idx.size)])
     return np.concatenate(out)

@@ -427,3 +427,34 @@ def test_failed_run_removes_only_the_directories_it_created(tmp_path, embedding_
     (out / "notes.txt").write_text("kept\n")
     assert main(["--out-dir", str(out), "report", "--config", str(cfg)]) == 2
     assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def test_runs_leave_numpy_ma_unloaded(tmp_path):
+    # plain np.unique and np.setdiff1d import numpy.ma on their first call
+    rng = np.random.default_rng(2)
+    labels = rng.permutation(np.arange(80) % 2)
+    clean = 3.0 * labels[:, None] + rng.standard_normal((80, 8))
+    write_embeddings(tmp_path / "clean.emb1", EmbeddingMatrix(clean, labels=labels))
+    write_embeddings(tmp_path / "pert.emb1",
+                     EmbeddingMatrix(clean + 0.3 * rng.standard_normal(clean.shape), labels=labels))
+    (tmp_path / "labels.csv").write_text("".join(f"{v}\n" for v in labels))
+    runs = [
+        ["stability", "--clean", "clean.emb1", "--pert", "p=pert.emb1",
+         "--max-samples", "60", "--splits", "2", "--bootstrap", "2"],
+        ["texture", "--n", "7", "--length", "64", "--splits", "2"],
+        ["vq-sweep", "--k-values", "4,8,16"],
+        ["probe", "--embeddings", "clean.emb1", "--labels", "labels.csv", "--arch", "linear"],
+    ]
+    code = (
+        "import sys\nfrom geotax.cli import main\n"
+        f"for i, argv in enumerate({runs!r}):\n"
+        "    assert main(['--out-dir', f'run{i}', *argv]) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout.splitlines()[-1:], proc.stderr) == (0, ["False"], "")

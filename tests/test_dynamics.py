@@ -163,6 +163,23 @@ def test_lorenz_twin_divergence_grows_exponentially():
 # -- global range / discretize ----------------------------------------------
 
 
+def test_trajectory_leaves_the_callers_array_writeable():
+    values = np.zeros((3, 2))
+    traj = Trajectory(values, 1.0)
+    values += 1.0  # raised "output array is read-only" when the class froze it
+    assert not traj.values.flags.writeable
+    assert (traj.values == 0.0).all()
+
+
+def test_global_range_leaves_the_callers_arrays_writeable():
+    lo, hi = np.zeros(2), np.ones(2)
+    grange = GlobalRange(lo, hi)
+    lo -= 1.0
+    hi += 1.0
+    assert not (grange.minimum.flags.writeable or grange.maximum.flags.writeable)
+    assert grange.minimum.tolist() == [0.0, 0.0] and grange.maximum.tolist() == [1.0, 1.0]
+
+
 def test_fit_global_range_envelope():
     t1 = Trajectory(np.array([[0.0], [1.0]]), 1.0)
     t2 = Trajectory(np.array([[-2.0], [0.5]]), 1.0)

@@ -103,22 +103,40 @@ def nearest_case(n, m, k, tied):
     return points, centroids
 
 
-def assert_nearest_equals_oracle(n, m, k):
+def nearest_with_blocks(monkeypatch, points, centroids):
+    """``_nearest`` with ``dist``, plus the n x K matrix rebuilt from a copy
+    of each distance block it computed."""
+    blocks = []
+    real = quantize._sq_distances
+
+    def spy(*args, **kwargs):
+        block = real(*args, **kwargs)
+        blocks.append(block.copy())
+        return block
+
+    dist = np.full(points.shape[0], np.nan)
+    with monkeypatch.context() as patch:
+        patch.setattr(quantize, "_sq_distances", spy)
+        assign = _nearest(points, (points * points).sum(axis=1), centroids, dist)
+    return np.concatenate(blocks), assign, dist
+
+
+def assert_nearest_equals_oracle(monkeypatch, n, m, k):
     for tied in (False, True):
         points, centroids = nearest_case(n, m, k, tied)
         ref = full_matrix_sq_distances(points, centroids)
-        d2 = np.full((n, k), np.nan)
-        assign = _nearest(points, (points * points).sum(axis=1), centroids, d2)
+        d2, assign, dist = nearest_with_blocks(monkeypatch, points, centroids)
         assert d2.tobytes() == ref.tobytes()
         assert assign.tolist() == np.argmin(ref, axis=1).tolist()
+        assert dist.tobytes() == ref[np.arange(n), assign].tobytes()
         assert encode(Codebook(centroids), points).symbols.tolist() == assign.tolist()
 
 
 @pytest.mark.parametrize("k", [2, 33, 1024])
 @pytest.mark.parametrize("m", [1, 3, 64, 300])
 @pytest.mark.parametrize("n", [1, 127, 129, 2000])
-def test_nearest_bytes_equal_full_matrix_oracle(n, m, k):
-    assert_nearest_equals_oracle(n, m, k)
+def test_nearest_bytes_equal_full_matrix_oracle(monkeypatch, n, m, k):
+    assert_nearest_equals_oracle(monkeypatch, n, m, k)
 
 
 # Blocks of 3 and 7 rows, and one block of all n.  No block of one row:
@@ -130,7 +148,7 @@ def test_nearest_bytes_equal_full_matrix_oracle(n, m, k):
 def test_nearest_bytes_do_not_depend_on_rows_per_block(monkeypatch, n, m, rows):
     for k in (2, 33, 1024):
         monkeypatch.setattr(quantize, "BLOCK_ENTRIES", (rows or n) * k)
-        assert_nearest_equals_oracle(n, m, k)
+        assert_nearest_equals_oracle(monkeypatch, n, m, k)
 
 
 # At 32 or more columns OpenBLAS computes a product of at most 1200 entries
@@ -142,7 +160,7 @@ def test_nearest_bytes_do_not_depend_on_block_entries(monkeypatch, m, entries):
     monkeypatch.setattr(quantize, "BLOCK_ENTRIES", entries)
     for n in (127, 129, 2000):
         for k in (2, 33, 1024):
-            assert_nearest_equals_oracle(n, m, k)
+            assert_nearest_equals_oracle(monkeypatch, n, m, k)
 
 
 def test_encode_holds_no_n_by_k_matrix():
@@ -180,7 +198,7 @@ def lloyd_update_loop_oracle(points, assign, d2, k):
 
 def updated(points, assign, d2, k):
     centroids = np.full((k, points.shape[1]), np.nan)
-    _update_centroids(points, assign, d2, centroids)
+    _update_centroids(points, assign, d2[np.arange(assign.size), assign], centroids, d2)
     return centroids
 
 
@@ -242,6 +260,95 @@ def test_update_steal_removes_point_from_its_unvisited_cluster():
     assert got.tobytes() == lloyd_update_loop_oracle(points, assign, d2, 2).tobytes()
 
 
+# -- whole fit -------------------------------------------------------------------
+
+
+def full_matrix_kmeans_fit(points, k, seed, init_centroids=None):
+    """``kmeans_fit`` as it was with the whole n x K matrix: each pass fills
+    it in one product, and each update may read any row of it.  Returns
+    the centroids and the inertia trace."""
+    n = points.shape[0]
+    rng = rng_create(seed)
+    pp = (points * points).sum(axis=1)
+    if init_centroids is None:
+        centroids = quantize._kmeans_pp_init(points, pp, k, rng)
+    elif init_centroids.shape[0] >= k:
+        centroids = init_centroids[:k].copy()
+    else:
+        extra = quantize._kmeans_pp_init(points, pp, k - init_centroids.shape[0], rng)
+        centroids = np.vstack([init_centroids, extra])
+
+    def exact_inertia(assign):
+        resid = points - centroids[assign]
+        return float((resid * resid).sum())
+
+    trace, prev = [], np.inf
+    for _ in range(quantize.KMEANS_MAX_ITER):
+        d2 = full_matrix_sq_distances(points, centroids)
+        assign = np.argmin(d2, axis=1)
+        inertia = exact_inertia(assign)
+        trace.append(inertia)
+        _update_centroids(points, assign, d2[np.arange(n), assign], centroids, d2)
+        if prev < np.inf and prev > 0:
+            if abs(prev - inertia) / prev < quantize.KMEANS_REL_TOL:
+                break
+        elif inertia == 0.0:
+            break
+        prev = inertia
+    trace.append(exact_inertia(np.argmin(full_matrix_sq_distances(points, centroids), axis=1)))
+    return centroids, tuple(trace)
+
+
+# Nested sweeps to K = 1024 on 2000 points, at most 40 iterations per K (15
+# in blocks of 3 or 7 rows): a third to two thirds of the updates steal,
+# some of them hundreds of times, since one-decimal data at m = 1 holds
+# fewer distinct points than K.
+@pytest.mark.parametrize("m, rows", [(1, None), (1, 3), (1, 7), (3, None), (3, 3), (3, 7),
+                                     (64, None)])
+def test_kmeans_fit_bytes_equal_full_matrix_oracle(monkeypatch, m, rows):
+    monkeypatch.setattr(quantize, "KMEANS_MAX_ITER", 15 if rows else 40)
+    rows_read = []  # per update: the farthest rows computed, 0 if it stole nothing
+    real = quantize._update_centroids
+
+    def update(points, assign, dist, centroids, far_rows):
+        real(points, assign, dist, centroids, far_rows)
+        rows_read.append(len(far_rows))
+
+    monkeypatch.setattr(quantize, "_update_centroids", update)
+    rng = rng_create(SeedSpec(320, f"fit-oracle-{m}"))
+    for tied in (False, True):
+        points = rng.standard_normal((2000, m))
+        if tied:
+            points = points.round(1)
+        got = ref = None
+        for k in (32, 64, 128, 256, 512, 1024):
+            if rows:
+                monkeypatch.setattr(quantize, "BLOCK_ENTRIES", rows * k)
+            seed = SeedSpec(320, f"fit-oracle-k{k}")
+            got = kmeans_fit(points, k, seed, init_centroids=None if got is None else got.centroids)
+            ref = full_matrix_kmeans_fit(points, k, seed, None if ref is None else ref[0])
+            assert got.centroids.tobytes() == ref[0].tobytes()
+            assert got.inertia_trace == ref[1]
+    assert sum(n > 0 for n in rows_read) >= 10
+
+
+def test_kmeans_fit_holds_no_n_by_k_matrix(monkeypatch):
+    monkeypatch.setattr(quantize, "KMEANS_MAX_ITER", 3)
+    rng = rng_create(SeedSpec(320, "fit-peak"))
+    pts = rng.standard_normal((20_000, 3))
+    # each centroid twice: the second copy of each is empty, so the first
+    # update steals 256 times
+    init = np.repeat(pts[:256], 2, axis=0)
+    tracemalloc.start()
+    try:
+        cb = kmeans_fit(pts, 512, SeedSpec(1), init_centroids=init)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cb.inertia_trace) == 4
+    assert peak < 4 * 2**20  # one 20,000 x 512 float64 matrix is 78 MiB
+
+
 # report.json of the sweep below, taken before the update was vectorised;
 # 11 of its 54 Lloyd iterations start with an empty cluster
 VQ_3_COLUMN_REPORT_SHA256 = "2590606e68c353e6bda000b08d121a9102f21fd36bb7dbc9af29d124505327bf"
@@ -291,6 +398,14 @@ def test_decode_encode_idempotent_on_centroids(rng):
 def test_encode_tie_goes_to_lowest_index():
     cb = Codebook(np.array([[0.0], [2.0]]))
     assert encode(cb, np.array([[1.0]])).symbols[0] == 0
+
+
+def test_codebook_leaves_the_callers_array_writeable():
+    centroids = np.zeros((3, 2))
+    cb = Codebook(centroids)
+    centroids += 1.0
+    assert not cb.centroids.flags.writeable
+    assert (cb.centroids == 0.0).all()
 
 
 def test_decode_bad_symbol():
