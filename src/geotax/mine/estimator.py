@@ -95,29 +95,78 @@ class MIEstimate:
         }
 
 
-def _run_single(x: np.ndarray, z: np.ndarray, cfg: MLPConfig, seed: int) -> MIRun:
-    """One seeded DV maximization; x and z arrive already standardized."""
-    n = x.shape[0]
+class _Network:
+    """One statistics network of a cohort: its standardized data, weights,
+    Adam state and evaluation trace."""
+
+    def __init__(self, x: np.ndarray, z: np.ndarray, net: MLP, cfg: MLPConfig,
+                 eval_perm: np.ndarray):
+        self.x, self.z, self.net = x, z, net
+        self.opt = Adam(net.theta.size, cfg.lr)
+        self.clip_inf = cfg.clip_inf
+        self.eval_input = np.concatenate(
+            [np.concatenate([x, z], axis=1), np.concatenate([x, z[eval_perm]], axis=1)]
+        )
+        self.initial = self.full_bound()
+        self.trace: list[tuple[int, float]] = []
+        self.tail_values: list[float] = []
+
+    def full_bound(self) -> float:
+        n = self.x.shape[0]
+        t = self.net.predict(self.eval_input).ravel()
+        return dv_bound(t[:n], t[n:])
+
+    def step(self, idx: np.ndarray, perm: np.ndarray, mask: np.ndarray | None,
+             inp: np.ndarray, gout: np.ndarray) -> None:
+        """One optimizer step on the batch ``idx`` paired with ``z[idx][perm]``
+        for the marginal; ``inp`` and ``gout`` are scratch of 2 * b rows."""
+        x, z, b, dx = self.x, self.z, idx.size, self.x.shape[1]
+        inp[:b, :dx] = x[idx]
+        inp[:b, dx:] = z[idx]
+        inp[b:, :dx] = x[idx]
+        inp[b:, dx:] = z[idx][perm]
+        out, cache = self.net.forward(inp, mask)
+        tm = out[b:, 0]
+        w = np.exp(tm - tm.max())
+        # d(-bound)/dT: -1/B on the joint pass, softmax weights on the marginal
+        gout[:b, 0] = -1.0 / b
+        gout[b:, 0] = w / w.sum()
+        self.net.backward(cache, gout)
+        self.opt.step(self.net.theta, clip_gradient(self.net.grad, self.clip_inf))
+
+    def record(self, epoch: int, tail_start: int) -> None:
+        if epoch >= tail_start:
+            value = self.full_bound()
+            if not np.isfinite(value):
+                raise DataError(f"DV bound diverged at epoch {epoch}")
+            self.tail_values.append(value)
+            self.trace.append((epoch, value))
+        elif epoch % TRACE_STRIDE == 0:
+            self.trace.append((epoch, self.full_bound()))
+
+
+def _train_cohort(tasks: list[tuple]) -> list[MIRun]:
+    """Seeded DV maximizations of (x, z, cfg, seed) tasks that share a seed,
+    sample count, input width and config; x and z arrive standardized.
+
+    Every draw depends on those alone, never on the data, so the networks
+    train in lockstep on one stream: one He init copied into each, then per
+    step one batch order, marginal permutation and dropout mask applied to
+    each network in task order.  Each result is the run its task would get
+    trained alone."""
+    x0, z0, cfg, seed = tasks[0]
+    n = x0.shape[0]
     spec = SeedSpec(seed, "mine-run")
     rng = rng_create(spec)
     eval_perm = rng_create(spec.derive("eval-perm")).permutation(n)
-    net = MLP(x.shape[1] + z.shape[1], cfg.hidden, 1, rng)
-    opt = Adam(net.theta.size, cfg.lr)
-
-    eval_input = np.concatenate(
-        [np.concatenate([x, z], axis=1), np.concatenate([x, z[eval_perm]], axis=1)]
-    )
-
-    def full_bound() -> float:
-        t = net.predict(eval_input).ravel()
-        return dv_bound(t[:n], t[n:])
-
-    initial = full_bound()
+    first = MLP(x0.shape[1] + z0.shape[1], cfg.hidden, 1, rng)
+    nets = [
+        _Network(x, z, first if i == 0 else first.clone(), cfg, eval_perm)
+        for i, (x, z, _, _) in enumerate(tasks)
+    ]
     tail = max(1, int(round(TAIL_FRACTION * cfg.epochs)))
     tail_start = cfg.epochs - tail
-    trace: list[tuple[int, float]] = []
-    tail_values = []
-    batch_input = np.empty((2 * cfg.batch_size, x.shape[1] + z.shape[1]))
+    batch_input = np.empty((2 * cfg.batch_size, first.dims[0]))
     grad_out = np.empty((2 * cfg.batch_size, 1))
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -127,33 +176,15 @@ def _run_single(x: np.ndarray, z: np.ndarray, cfg: MLPConfig, seed: int) -> MIRu
             if b < 2:
                 continue
             perm = rng.permutation(b)
-            inp = batch_input[: 2 * b]
-            inp[:b, : x.shape[1]] = x[idx]
-            inp[:b, x.shape[1] :] = z[idx]
-            inp[b:, : x.shape[1]] = x[idx]
-            inp[b:, x.shape[1] :] = z[idx][perm]
-            out, cache = net.forward(inp, cfg.dropout, rng)
-            tm = out[b:, 0]
-            w = np.exp(tm - tm.max())
-            # d(-bound)/dT: -1/B on the joint pass, softmax weights on the marginal
-            gout = grad_out[: 2 * b]
-            gout[:b, 0] = -1.0 / b
-            gout[b:, 0] = w / w.sum()
-            net.backward(cache, gout)
-            opt.step(net.theta, clip_gradient(net.grad, cfg.clip_inf))
-        if epoch >= tail_start:
-            value = full_bound()
-            if not np.isfinite(value):
-                raise DataError(f"DV bound diverged at epoch {epoch}")
-            tail_values.append(value)
-            trace.append((epoch, value))
-        elif epoch % TRACE_STRIDE == 0:
-            trace.append((epoch, full_bound()))
-    return MIRun(seed, float(np.mean(tail_values)), initial, tuple(trace))
-
-
-def _run_args(args) -> MIRun:
-    return _run_single(*args)
+            mask = first.dropout_mask(2 * b, cfg.dropout, rng)
+            for net in nets:
+                net.step(idx, perm, mask, batch_input[: 2 * b], grad_out[: 2 * b])
+        for net in nets:
+            net.record(epoch, tail_start)
+    return [
+        MIRun(seed, float(np.mean(net.tail_values)), net.initial, tuple(net.trace))
+        for net in nets
+    ]
 
 
 def _aggregate(runs: list[MIRun]) -> MIEstimate:
@@ -164,11 +195,36 @@ def _aggregate(runs: list[MIRun]) -> MIEstimate:
 def _estimates(groups: list[list[tuple]], workers: int) -> list[MIEstimate]:
     """Train every (x, z, cfg, seed) task of every group in one fan-out;
     one aggregate estimate per group, in group order.  Every seed is
-    checked before the first network trains."""
-    tasks = [task for group in groups for task in group]
-    for task in tasks:
-        SeedSpec(task[3], "mine-run")
-    runs = iter(ordered_map(_run_args, tasks, workers))
+    checked before the first network trains, and a seed may occur only
+    once per group.
+
+    Tasks that draw the same stream form a cohort, trained by one
+    ``_train_cohort`` call.  With several workers a cohort splits
+    round-robin into one piece per worker, at most one per task, and each
+    piece draws the stream anew; every split gives the same runs."""
+    cohorts: dict[tuple, list[int]] = {}
+    tasks = []
+    for group in groups:
+        seen = set()
+        for task in group:
+            x, z, cfg, seed = task
+            SeedSpec(seed, "mine-run")
+            if seed in seen:
+                raise ConfigError(f"seed {seed} is repeated; MINE seeds must be distinct")
+            seen.add(seed)
+            cohorts.setdefault((seed, x.shape[0], x.shape[1] + z.shape[1], cfg), []).append(
+                len(tasks))
+            tasks.append(task)
+    pieces = []
+    for members in cohorts.values():
+        k = min(workers, len(members))
+        pieces += [members[i::k] for i in range(k)]
+    trained = ordered_map(_train_cohort, [[tasks[i] for i in piece] for piece in pieces], workers)
+    runs = [None] * len(tasks)
+    for piece, piece_runs in zip(pieces, trained):
+        for i, run in zip(piece, piece_runs):
+            runs[i] = run
+    runs = iter(runs)
     return [_aggregate([next(runs) for _ in group]) for group in groups]
 
 

@@ -39,6 +39,8 @@ class MLPConfig:
     clip_inf: float = 5.0       # rescale when max|grad| exceeds this
 
     def __post_init__(self):
+        # a tuple, so a config can key the MINE cohorts
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if not all(w >= 1 for w in self.hidden):
             raise ConfigError("hidden widths must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -56,58 +58,66 @@ class MLP:
 
     def __init__(self, in_dim: int, hidden: tuple, out_dim: int, rng: np.random.Generator):
         dims = [in_dim, *hidden, out_dim]
+        self._bind(dims, np.zeros(sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))))
+        for w in self.weights:
+            w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])  # He init
+
+    def _bind(self, dims: list, theta: np.ndarray) -> None:
+        """Lay the layers out as views of the flat ``theta`` and gradient."""
         self.dims = dims
-        total = sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))
-        self.theta = np.empty(total)
-        self.grad = np.zeros(total)
+        self.theta = theta
+        self.grad = np.zeros(theta.size)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         self._gw: list[np.ndarray] = []
         self._gb: list[np.ndarray] = []
         off = 0
         for fi, fo in zip(dims[:-1], dims[1:]):
-            w = self.theta[off : off + fi * fo].reshape(fi, fo)
-            gw = self.grad[off : off + fi * fo].reshape(fi, fo)
+            self.weights.append(theta[off : off + fi * fo].reshape(fi, fo))
+            self._gw.append(self.grad[off : off + fi * fo].reshape(fi, fo))
             off += fi * fo
-            b = self.theta[off : off + fo]
-            gb = self.grad[off : off + fo]
+            self.biases.append(theta[off : off + fo])
+            self._gb.append(self.grad[off : off + fo])
             off += fo
-            w[...] = rng.standard_normal((fi, fo)) * np.sqrt(2.0 / fi)  # He init
-            b[...] = 0.0
-            self.weights.append(w)
-            self.biases.append(b)
-            self._gw.append(gw)
-            self._gb.append(gb)
         self.hidden_total = sum(dims[1:-1])
+
+    def clone(self) -> "MLP":
+        """A network of the same shape starting from a copy of these weights."""
+        twin = MLP.__new__(MLP)
+        twin._bind(self.dims, self.theta.copy())
+        return twin
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def forward(self, x: np.ndarray, dropout: float = 0.0,
-                rng: np.random.Generator | None = None):
-        """Returns (output, cache).  Inverted dropout applies after each
-        hidden ReLU when dropout > 0 and an rng is supplied; one random
-        draw covers all hidden layers of the batch."""
+    def dropout_mask(self, rows: int, rate: float,
+                     rng: np.random.Generator) -> np.ndarray | None:
+        """Inverted-dropout scales for every hidden unit of ``rows`` inputs,
+        from one random draw; None (and no draw) when ``rate`` is 0 or the
+        network has no hidden layer."""
+        if not (rate > 0.0 and self.hidden_total):
+            return None
+        return (rng.random((rows, self.hidden_total)) >= rate) / (1.0 - rate)
+
+    def forward(self, x: np.ndarray, mask: np.ndarray | None = None):
+        """Returns (output, cache).  A ``dropout_mask`` scales each hidden
+        ReLU, one column block per hidden layer; None applies no dropout."""
         x = np.asarray(x, dtype=np.float64)
         acts = [x]
         masks: list[np.ndarray | None] = []
-        if dropout > 0.0 and rng is not None and self.hidden_total:
-            pool = (rng.random((x.shape[0], self.hidden_total)) >= dropout) / (1.0 - dropout)
-        else:
-            pool = None
         col = 0
         h = x
         for i in range(self.n_layers - 1):
             h = np.maximum(h @ self.weights[i] + self.biases[i], 0.0)
-            if pool is not None:
+            if mask is not None:
                 width = self.dims[i + 1]
-                mask = pool[:, col : col + width]
+                layer_mask = mask[:, col : col + width]
                 col += width
-                h = h * mask
+                h = h * layer_mask
             else:
-                mask = None
-            masks.append(mask)
+                layer_mask = None
+            masks.append(layer_mask)
             acts.append(h)
         out = h @ self.weights[-1] + self.biases[-1]
         return out, (acts, masks)
@@ -195,7 +205,7 @@ def train_binary_classifier(
         order = train_idx[rng.permutation(train_idx.size)]
         for start in range(0, order.size, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            out, cache = net.forward(x[idx], cfg.dropout, rng)
+            out, cache = net.forward(x[idx], net.dropout_mask(idx.size, cfg.dropout, rng))
             net.backward(cache, (sigmoid(out) - y[idx]) / idx.size)
             opt.step(net.theta, clip_gradient(net.grad, cfg.clip_inf))
         val_loss = float(np.logaddexp(0.0, -y_val_pm * net.predict(x[val_idx])).mean())

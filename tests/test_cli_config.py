@@ -439,11 +439,33 @@ def test_cli_settings_that_cannot_train_or_walk_exit_2(case, pair, tmp_path, cap
 
 def test_cli_mine_sanity_bad_seed_exits_2_before_training(tmp_path, capsys, monkeypatch):
     trained = []
-    monkeypatch.setattr(estimator, "_run_single", lambda *args: trained.append(args))
+    monkeypatch.setattr(estimator, "_train_cohort", lambda *args: trained.append(args))
     run = tmp_path / "run"
     argv = ["--out-dir", str(run), "mine-sanity", "--n", "32", "--seeds", "320,-1"]
     assert cli.main(argv) == 2
     assert "seed -1 must fit in 64 bits" in capsys.readouterr().err
+    assert trained == []
+    assert not (run / "report.json").exists()
+
+
+def _mine_argv(experiment, pair):
+    if experiment == "mine":
+        clean, pert = pair
+        return ["mine", "--features", str(clean), "--embeddings", str(pert), "--epochs", "2"]
+    return ["mine-sanity", "--n", "32"]
+
+
+@pytest.mark.parametrize("experiment", ["mine", "mine-sanity"])
+def test_cli_mine_repeated_seed_exits_2_before_training(experiment, pair, tmp_path, capsys,
+                                                        monkeypatch):
+    trained = []
+    monkeypatch.setattr(estimator, "_train_cohort", lambda *args: trained.append(args))
+    run = tmp_path / "run"
+    argv = ["--out-dir", str(run), *_mine_argv(experiment, pair), "--seeds", "320,420,320"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: seed 320 is repeated; MINE seeds must be distinct\n"
+    )
     assert trained == []
     assert not (run / "report.json").exists()
 
@@ -740,7 +762,7 @@ def test_config_anchor_count_above_n_exit_3(pair, tmp_path, capsys):
 def test_config_mine_lr_not_positive_exits_2_before_training(lr, pair, tmp_path, capsys,
                                                               monkeypatch):
     trained = []
-    monkeypatch.setattr(estimator, "_run_single", lambda *args: trained.append(args))
+    monkeypatch.setattr(estimator, "_train_cohort", lambda *args: trained.append(args))
     clean, pert = pair
     code, _, run = _report_from_config(
         tmp_path, f"experiment = mine\nmine.features = {clean}\nmine.embeddings = {pert}\n"
@@ -748,6 +770,24 @@ def test_config_mine_lr_not_positive_exits_2_before_training(lr, pair, tmp_path,
     assert code == 2
     assert capsys.readouterr().err == (
         f"config error: lr must be finite and > 0, got {float(lr)}\n"
+    )
+    assert trained == []
+    assert not (run / "report.json").exists()
+
+
+@pytest.mark.parametrize("experiment", ["mine", "mine-sanity"])
+def test_config_mine_repeated_seed_exits_2_before_training(experiment, pair, tmp_path, capsys,
+                                                           monkeypatch):
+    trained = []
+    monkeypatch.setattr(estimator, "_train_cohort", lambda *args: trained.append(args))
+    clean, pert = pair
+    keys = (f"mine.features = {clean}\nmine.embeddings = {pert}\nmine.epochs = 2\n"
+            if experiment == "mine" else "mine.n = 32\n")
+    code, _, run = _report_from_config(
+        tmp_path, f"experiment = {experiment}\n{keys}mine.seeds = 5,6,6\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: seed 6 is repeated; MINE seeds must be distinct\n"
     )
     assert trained == []
     assert not (run / "report.json").exists()

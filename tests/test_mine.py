@@ -4,8 +4,16 @@ import pytest
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.sequence import DNA, PROTEIN, SymbolSequence
 from geotax.errors import ConfigError, DataError
+from geotax.mine import estimator
 from geotax.mine.estimator import (
-    _run_single,
+    TAIL_FRACTION,
+    TRACE_STRIDE,
+    MIRun,
+    _baseline_tasks,
+    _ceiling_tasks,
+    _estimates,
+    _prepare,
+    _train_cohort,
     dv_bound,
     excess_mi_report,
     gaussian_mi,
@@ -15,7 +23,7 @@ from geotax.mine.estimator import (
     zscore,
 )
 from geotax.mine.features import dna_features, protein_features
-from geotax.mine.mlp import MLP, MLPConfig, clip_gradient, train_binary_classifier
+from geotax.mine.mlp import MLP, Adam, MLPConfig, clip_gradient, train_binary_classifier
 from geotax.mine.probes import mlp_probe_cv, probe_config
 from geotax.procrustes import frozen_head_classifier
 
@@ -162,7 +170,7 @@ def test_dv_bound_improves_over_initialization():
     n = 800
     x = rng.standard_normal(n)
     y = 0.8 * x + 0.6 * rng.standard_normal(n)
-    run = _run_single(zscore(x[:, None]), zscore(y[:, None]), quick_cfg(), 320)
+    [run] = _train_cohort([(zscore(x[:, None]), zscore(y[:, None]), quick_cfg(), 320)])
     assert run.estimate > run.initial_value
 
 
@@ -243,6 +251,141 @@ def test_sanity_suite_pinned(workers):
         (0.9, -0.9289973437569288, 0.0, False),
     ]
     assert [c.true_mi for c in cases] == [gaussian_mi(c.rho) for c in cases]
+
+
+# The per-network training loop that the cohort trainer replaced: one
+# generator per network, the dropout draw written out.  Every run of the
+# cohort path must equal it bit for bit.
+
+
+def oracle_run(x, z, cfg, seed):
+    n = x.shape[0]
+    spec = SeedSpec(seed, "mine-run")
+    rng = rng_create(spec)
+    eval_perm = rng_create(spec.derive("eval-perm")).permutation(n)
+    net = MLP(x.shape[1] + z.shape[1], cfg.hidden, 1, rng)
+    opt = Adam(net.theta.size, cfg.lr)
+    eval_input = np.concatenate(
+        [np.concatenate([x, z], axis=1), np.concatenate([x, z[eval_perm]], axis=1)]
+    )
+
+    def full_bound():
+        t = net.predict(eval_input).ravel()
+        return dv_bound(t[:n], t[n:])
+
+    initial = full_bound()
+    tail_start = cfg.epochs - max(1, int(round(TAIL_FRACTION * cfg.epochs)))
+    trace, tail_values = [], []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            b = idx.size
+            if b < 2:
+                continue
+            perm = rng.permutation(b)
+            inp = np.concatenate([np.concatenate([x[idx], z[idx]], axis=1),
+                                  np.concatenate([x[idx], z[idx][perm]], axis=1)])
+            mask = None
+            if cfg.dropout > 0.0 and net.hidden_total:
+                mask = (rng.random((2 * b, net.hidden_total)) >= cfg.dropout) / (1.0 - cfg.dropout)
+            out, cache = net.forward(inp, mask)
+            tm = out[b:, 0]
+            w = np.exp(tm - tm.max())
+            gout = np.empty((2 * b, 1))
+            gout[:b, 0] = -1.0 / b
+            gout[b:, 0] = w / w.sum()
+            net.backward(cache, gout)
+            opt.step(net.theta, clip_gradient(net.grad, cfg.clip_inf))
+        if epoch >= tail_start:
+            value = full_bound()
+            tail_values.append(value)
+            trace.append((epoch, value))
+        elif epoch % TRACE_STRIDE == 0:
+            trace.append((epoch, full_bound()))
+    return MIRun(seed, float(np.mean(tail_values)), initial, tuple(trace))
+
+
+def assert_runs_equal_oracle(groups, estimates):
+    for group, est in zip(groups, estimates, strict=True):
+        for task, run in zip(group, est.runs, strict=True):
+            want = oracle_run(*task)
+            assert (run.seed, run.estimate, run.initial_value, run.trace) == (
+                want.seed, want.estimate, want.initial_value, want.trace)
+
+
+def correlated(n, seed, widths=(1, 1)):
+    rng = rng_create(SeedSpec(seed, "cohort-oracle"))
+    x = rng.standard_normal((n, widths[0]))
+    z = x[:, :1] + 0.5 * rng.standard_normal((n, widths[1]))
+    return zscore(x), zscore(z)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "n, cfg",
+    [
+        (64, MLPConfig(hidden=(16, 8), epochs=4)),
+        (129, MLPConfig(hidden=(8,), epochs=3, batch_size=64)),   # skips a 1-row batch
+        (64, MLPConfig(hidden=(8,), epochs=3, dropout=0.0)),
+    ],
+    ids=["hidden-16-8", "partial-batch", "no-dropout"],
+)
+def test_cohort_runs_equal_the_per_network_oracle(n, cfg, workers):
+    groups = [[(*correlated(n, rho), cfg, s) for s in (3, 4)] for rho in (1, 2, 3)]
+    assert_runs_equal_oracle(groups, _estimates(groups, workers))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_excess_mi_cohort_with_ceiling_equals_the_oracle(workers):
+    x, z = correlated(90, 5, widths=(2, 2))
+    cfg = MLPConfig(hidden=(8,), epochs=3)
+    seeds = (11, 12)
+    xs, zs = _prepare(x, z, None)
+    groups = [[(xs, zs, cfg, s) for s in seeds], _baseline_tasks(x, 2, cfg, seeds),
+              _ceiling_tasks(x, cfg, seeds)]
+    model, base, ceil = _estimates(groups, workers)
+    assert_runs_equal_oracle(groups, (model, base, ceil))
+    est = excess_mi_report(x, z, cfg, seeds, pca_dim=None, workers=workers)
+    assert (est.runs, est.baseline, est.ceiling) == (model.runs, base.mean, ceil.mean)
+
+
+def stream_spy(monkeypatch):
+    streams = []
+
+    def spy(spec):
+        if spec.stream == "mine-run":
+            streams.append(spec.seed)
+        return rng_create(spec)
+
+    monkeypatch.setattr(estimator, "rng_create", spy)
+    return streams
+
+
+def test_sanity_suite_draws_one_stream_per_seed(monkeypatch):
+    streams = stream_spy(monkeypatch)
+    sanity_suite(n=16, seeds=(1, 2), cfg=MLPConfig(hidden=(4,), epochs=1), workers=1)
+    assert streams == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "z_width, drawn",
+    # model and baseline train together; a ceiling of another width draws its own
+    [(2, [1, 2, 1, 2]), (1, [1, 2])],
+    ids=["unequal-widths", "equal-widths"],
+)
+def test_excess_mi_report_shares_streams_between_networks(z_width, drawn, monkeypatch):
+    streams = stream_spy(monkeypatch)
+    x, z = correlated(16, 6, widths=(1, z_width))
+    excess_mi_report(x, z, MLPConfig(hidden=(4,), epochs=1), (1, 2), pca_dim=None)
+    assert streams == drawn
+
+
+def test_mlp_config_hidden_list_trains_like_its_tuple():
+    cfg = MLPConfig(hidden=[4], epochs=1)
+    assert cfg == MLPConfig(hidden=(4,), epochs=1)
+    assert sanity_suite(n=16, seeds=(1,), cfg=cfg) == sanity_suite(
+        n=16, seeds=(1,), cfg=MLPConfig(hidden=(4,), epochs=1))
 
 
 # -- probes ----------------------------------------------------------------------
