@@ -62,13 +62,12 @@ def rdm_similarity(x_clean, x_pert) -> float:
     xp = EmbeddingMatrix.coerce(x_pert)
     if xc.n != xp.n:
         raise DataError("clean and perturbed sample counts differ")
-    return _rdm_agreement(xc, xp)
+    return _mean_rho([(xc, xp)], _rdm_vector)
 
 
-def _rdm_agreement(a, b) -> float:
+def _rdm_vector(x) -> np.ndarray:
     # RDM entries are paired positionally
-    rho, _ = spearman_checked(cosine_rdm(a).vector(), cosine_rdm(b).vector())
-    return rho
+    return cosine_rdm(x).vector()
 
 
 def _disjoint_halves(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -78,20 +77,20 @@ def _disjoint_halves(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.n
     return perm[:half], perm[half : 2 * half]
 
 
-def _mean_over_splits(n_splits: int, forced_splits, draw, score) -> float:
-    """Mean of ``score(a, b)`` over ``n_splits`` index pairs (a, b).
+def _split_pairs(n_splits: int, forced_splits, n: int, rng: np.random.Generator) -> list:
+    """All ``n_splits`` index pairs of a split metric, before any is scored:
+    cycled from ``forced_splits`` when given, else disjoint halves of
+    ``range(n)`` drawn from ``rng`` in split order."""
+    if forced_splits is not None:
+        return [tuple(np.asarray(idx) for idx in forced_splits[k % len(forced_splits)])
+                for k in range(n_splits)]
+    return [_disjoint_halves(n, rng) for _ in range(n_splits)]
 
-    Pairs cycle through ``forced_splits`` when given; otherwise each comes
-    from ``draw()``, in split order.
-    """
-    scores = []
-    for k in range(n_splits):
-        if forced_splits is not None:
-            a, b = (np.asarray(idx) for idx in forced_splits[k % len(forced_splits)])
-        else:
-            a, b = draw()
-        scores.append(score(a, b))
-    return float(np.mean(scores))
+
+def _mean_rho(pairs, vector) -> float:
+    """Mean Spearman correlation of ``vector(a)`` against ``vector(b)`` over
+    the pairs (a, b); a degenerate split counts as its flagged 0.0."""
+    return float(np.mean([spearman_checked(vector(a), vector(b))[0] for a, b in pairs]))
 
 
 def sample_split(
@@ -110,15 +109,11 @@ def sample_split(
     one source row can land in both.
     """
     xm = EmbeddingMatrix.coerce(x)
-    if xm.n < 4:
-        raise DataError("sample split needs n >= 4")
-    rng = _rng(seed, "sample-split")
-    return _mean_over_splits(
-        cfg.n_splits,
-        forced_splits,
-        lambda: _disjoint_halves(xm.n, rng),
-        lambda idx1, idx2: _rdm_agreement(xm.data[idx1], xm.data[idx2]),
-    )
+    if xm.n < 6:
+        # a half of 3 rows is the smallest with 3 RDM entries
+        raise DataError(f"sample split needs n >= 6 rows, got {xm.n}")
+    pairs = _split_pairs(cfg.n_splits, forced_splits, xm.n, _rng(seed, "sample-split"))
+    return _mean_rho(pairs, lambda rows: _rdm_vector(xm.data[rows]))
 
 
 def feature_split(
@@ -129,15 +124,10 @@ def feature_split(
 ) -> float:
     """Mean agreement between full-sample RDMs on disjoint feature halves."""
     xm = EmbeddingMatrix.coerce(x)
-    if xm.d < 4:
-        raise DataError("feature split needs d >= 4")
-    rng = _rng(seed, "feature-split")
-    return _mean_over_splits(
-        cfg.n_splits,
-        forced_splits,
-        lambda: _disjoint_halves(xm.d, rng),
-        lambda f1, f2: _rdm_agreement(xm.data[:, f1], xm.data[:, f2]),
-    )
+    if xm.d < 4 or xm.n < 3:
+        raise DataError(f"feature split needs d >= 4 and n >= 3 rows, got d={xm.d}, n={xm.n}")
+    pairs = _split_pairs(cfg.n_splits, forced_splits, xm.d, _rng(seed, "feature-split"))
+    return _mean_rho(pairs, lambda cols: _rdm_vector(xm.data[:, cols]))
 
 
 def anchor_stability(
@@ -148,24 +138,26 @@ def anchor_stability(
 ) -> float:
     """Consistency of anchor-to-subset distance profiles across resampling.
 
-    Anchors are drawn once per evaluation; each split correlates the
-    vectorized anchor-distance blocks of two disjoint non-anchor subsets
-    (optionally rank-normalized row-wise).
+    Anchors are drawn once per evaluation, before the splits and on the
+    same stream; each split correlates the vectorized anchor-distance
+    blocks of two disjoint non-anchor subsets (optionally rank-normalized
+    row-wise).  Forced splits are row indices of ``x``.
     """
     xm = EmbeddingMatrix.coerce(x)
     m = cfg.anchors_for(xm.n)
-    if xm.n < m + 4:
-        raise DataError(f"anchor stability needs n >= anchors + 4 = {m + 4}")
+    # each half of the rest needs 2 rows and, across m anchors, 3 distances
+    need = m + max(4, 2 * -(-3 // m))
+    if xm.n < need:
+        raise DataError(f"anchor stability needs n >= {need} with anchor_count {m}, got {xm.n}")
     rng = _rng(seed, "anchor")
     anchor_idx = rng.choice(xm.n, size=m, replace=False)
     is_rest = np.ones(xm.n, dtype=bool)
     is_rest[anchor_idx] = False
     rest = np.flatnonzero(is_rest)
     anchors = xm.data[anchor_idx]
-
-    def draw():
-        h1, h2 = _disjoint_halves(rest.size, rng)
-        return rest[h1], rest[h2]
+    pairs = _split_pairs(cfg.n_splits, forced_splits, rest.size, rng)
+    if forced_splits is None:
+        pairs = [(rest[h1], rest[h2]) for h1, h2 in pairs]
 
     def profile(rows: np.ndarray) -> np.ndarray:
         block = cross_distance_block(anchors, xm.data[rows])
@@ -173,35 +165,32 @@ def anchor_stability(
             block = np.vstack([rankdata(row) for row in block])
         return block.ravel()
 
-    def score(s1, s2) -> float:
-        rho, _ = spearman_checked(profile(s1), profile(s2))
-        return rho
+    return _mean_rho(pairs, profile)
 
-    return _mean_over_splits(cfg.n_splits, forced_splits, draw, score)
+
+def _displacement(x_clean, x_pert) -> np.ndarray:
+    """Row-wise L2 distance between a clean and a perturbed matrix."""
+    xc = EmbeddingMatrix.coerce(x_clean)
+    xp = EmbeddingMatrix.coerce(x_pert)
+    if xc.data.shape != xp.data.shape:
+        raise DataError("clean and perturbed shapes differ")
+    return np.linalg.norm(xc.data - xp.data, axis=1)
 
 
 def perturbation_stability(input_deltas, x_clean, x_pert) -> float:
     """Rank correlation between input perturbation magnitude and
     embedding-space displacement."""
     deltas = np.asarray(input_deltas, dtype=np.float64)
-    xc = EmbeddingMatrix.coerce(x_clean)
-    xp = EmbeddingMatrix.coerce(x_pert)
-    if xc.data.shape != xp.data.shape:
-        raise DataError("clean and perturbed shapes differ")
-    if deltas.shape != (xc.n,):
+    disp = _displacement(x_clean, x_pert)
+    if deltas.shape != disp.shape:
         raise DataError("one input delta per sample required")
-    disp = np.linalg.norm(xc.data - xp.data, axis=1)
     rho, _ = spearman_checked(deltas, disp)
     return rho
 
 
 def perturbation_magnitude(x_clean, x_pert) -> float:
     """Mean row-wise L2 displacement between clean and perturbed embeddings."""
-    xc = EmbeddingMatrix.coerce(x_clean)
-    xp = EmbeddingMatrix.coerce(x_pert)
-    if xc.data.shape != xp.data.shape:
-        raise DataError("clean and perturbed shapes differ")
-    return float(np.linalg.norm(xc.data - xp.data, axis=1).mean())
+    return float(_displacement(x_clean, x_pert).mean())
 
 
 def _rng(seed, tag: str) -> np.random.Generator:

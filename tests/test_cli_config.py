@@ -612,6 +612,28 @@ def test_cli_stability_bad_deltas_exit_3(case, pair, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+SMALL_CLEAN = {
+    4: "sample split needs n >= 6 rows, got 4",
+    5: "sample split needs n >= 6 rows, got 5",
+    6: "anchor stability needs n >= 7 with anchor_count 1, got 6",
+    7: None,
+}
+
+
+@pytest.mark.parametrize("rows", sorted(SMALL_CLEAN))
+def test_cli_stability_too_few_rows_exit_3_naming_the_metric(rows, tmp_path, capsys):
+    x = rng_create(SeedSpec(320, "small-clean")).standard_normal((rows, 8))
+    clean, pert = tmp_path / "clean.emb1", tmp_path / "pert.emb1"
+    write_embeddings(clean, EmbeddingMatrix(x))
+    write_embeddings(pert, EmbeddingMatrix(x + 0.1))
+    code = cli.main(["--out-dir", str(tmp_path / "run"), "stability", "--clean", str(clean),
+                     "--pert", f"q={pert}", "--splits", "2", "--bootstrap", "1"])
+    message = SMALL_CLEAN[rows]
+    assert code == (0 if message is None else 3)
+    if message is not None:
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
+
 NON_FINITE_INPUTS = {
     "emb1": b"EMB1" + struct.pack("<II", 2, 2) + np.array([1, 2, 3, np.nan], "<f4").tobytes(),
     "csv": b"1.0,2.0\n3.0,nan\n",

@@ -175,8 +175,69 @@ def test_split_metrics_match_exact_draw_order_oracles(s):
 
 
 def test_sample_split_too_few():
-    with pytest.raises(DataError, match="sample split needs n >= 4"):
+    with pytest.raises(DataError, match="sample split needs n >= 6"):
         sample_split(np.ones((3, 5)), SplitConfig(n_splits=1))
+
+
+def test_split_metric_size_bounds_name_the_metric():
+    # the smallest sizes whose halves still give 3 entries to correlate
+    x = rng_create(SeedSpec(320, "size-bounds")).standard_normal((6, 4))
+    cfg = SplitConfig(n_splits=2, n_bootstrap=1)
+    assert np.isfinite(sample_split(x, cfg, 1))
+    assert np.isfinite(feature_split(x[:3], cfg, 1))
+    with pytest.raises(DataError, match="sample split needs n >= 6 rows, got 5"):
+        sample_split(x[:5], cfg, 1)
+    with pytest.raises(DataError, match="feature split needs d >= 4 and n >= 3 rows, got d=3, n=6"):
+        feature_split(x[:, :3], cfg, 1)
+    with pytest.raises(DataError, match="feature split needs d >= 4 and n >= 3 rows, got d=4, n=2"):
+        feature_split(x[:2], cfg, 1)
+
+
+@pytest.mark.parametrize("anchors, need", [(1, 7), (2, 6), (3, 7), (5, 9)])
+def test_anchor_stability_size_bound(anchors, need):
+    # n >= m + max(4, 2 * ceil(3 / m)): each half of the rest holds 2 rows
+    # and, across the m anchors, 3 distances
+    x = rng_create(SeedSpec(320, "anchor-bound")).standard_normal((need, 5))
+    cfg = SplitConfig(n_splits=2, n_bootstrap=1, anchor_count=anchors)
+    assert np.isfinite(anchor_stability(x, cfg, 1))
+    message = f"anchor stability needs n >= {need} with anchor_count {anchors}, got {need - 1}"
+    with pytest.raises(DataError, match=message):
+        anchor_stability(x[:-1], cfg, 1)
+
+
+@pytest.mark.parametrize("metric", [sample_split, feature_split, anchor_stability])
+def test_split_metrics_draw_every_pair_before_the_first_score(metric, monkeypatch):
+    x = rng_create(SeedSpec(320, "draws-first")).standard_normal((41, 9))
+    events = []
+    real_halves, real_rho = stability._disjoint_halves, stability.spearman_checked
+
+    def drawing(n, rng_):
+        events.append("draw")
+        return real_halves(n, rng_)
+
+    def scoring(a, b):
+        events.append("score")
+        return real_rho(a, b)
+
+    monkeypatch.setattr("geotax.stability._disjoint_halves", drawing)
+    monkeypatch.setattr("geotax.stability.spearman_checked", scoring)
+    metric(x, SplitConfig(n_splits=3, n_bootstrap=1), SeedSpec(5))
+    assert events == ["draw"] * 3 + ["score"] * 3
+
+
+@pytest.mark.parametrize("metric", [sample_split, feature_split, anchor_stability])
+def test_forced_splits_cycle_in_split_order(metric):
+    x = rng_create(SeedSpec(320, "forced-cycle")).standard_normal((40, 8))
+    size = 8 if metric is feature_split else 40
+    p1 = (np.arange(size // 2), np.arange(size // 2, size))
+    p2 = (np.arange(0, size, 2), np.arange(1, size, 2))
+
+    def run(n_splits, forced):
+        return metric(x, SplitConfig(n_splits=n_splits, n_bootstrap=1), SeedSpec(2), forced)
+
+    one, two = run(1, [p1]), run(1, [p2])
+    assert one != two
+    assert run(3, [p1, p2]) == float(np.mean([one, two, one]))
 
 
 # -- feature split ------------------------------------------------------------

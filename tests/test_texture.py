@@ -17,11 +17,12 @@ from geotax.texture import (
     gen_markov,
     heterogeneous_corpus,
     kmer_histogram,
+    make_frozen_encoder,
     rc_kmer_cosine,
     rc_permutation,
     recovery_fraction,
 )
-from geotax.stability import SplitConfig
+from geotax.stability import SplitConfig, evaluate, rdm_similarity
 
 
 def dna(text):
@@ -390,6 +391,21 @@ def test_four_condition_experiment_pinned_values():
         ("markov", 0.2538262260236727, 0.17899759849520497, -1.8024172497340458),
         ("random", 0.5341764622698586, 0.30862740548441214, 0.0),
     ]
+
+
+def test_rc_rdm_is_the_full_corpus_rdm_similarity_under_bootstrap():
+    # with bootstrap rounds the harness's rdm_similarity is a mean over
+    # resampled rows, so rc_rdm cannot be read from the report
+    corpus = heterogeneous_corpus(20, 80, SeedSpec(320, "rc-rdm-bootstrap"))
+    cfg = SplitConfig(n_splits=2, n_bootstrap=2)
+    real = four_condition_experiment(corpus, SeedSpec(320), split_config=cfg)[0]
+    embed = make_frozen_encoder(SeedSpec(320).derive("encoder"))
+    fwd = np.vstack([embed(s) for s in corpus])
+    rc = np.vstack([embed(reverse_complement(s)) for s in corpus])
+    assert real.condition == "real"
+    assert real.rc_rdm == rdm_similarity(fwd, rc)
+    harness = evaluate(fwd, [("rc", rc)], cfg=cfg, seed=SeedSpec(320).derive("harness"))["rc"]
+    assert harness.metrics["rdm_similarity"] != real.rc_rdm
 
 
 def test_composition_profile_shapes(rng):
