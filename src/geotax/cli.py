@@ -1,10 +1,10 @@
 """Command-line surface.
 
-Every analysis subcommand assembles a flat config and hands it to the
-pipeline runner, so a CLI invocation and a config-file run produce
-identical artifacts.  Each of their options is declared once, with its
-config key as its dest; ``--help`` shows that key as the value name of
-every option that has no fixed choices.
+Every subcommand but ``fetch`` and ``report`` assembles a flat config
+and hands it to the pipeline runner, so a CLI invocation and a
+config-file run produce identical artifacts.  Each of their options is
+declared once, with its config key as its dest; ``--help`` shows that
+key as the value name of every option that has no fixed choices.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 network error.
 """
 
@@ -12,31 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .core.embedding import EmbeddingMatrix
-from .core.io import load_matrix, read_text, write_embeddings
-from .core.rng import SeedSpec, rng_create
-from .core.sequence import DNA
-from .dynamics import (
-    MAX_BINS,
-    GlobalRange,
-    Trajectory,
-    discretize,
-    fit_global_range,
-    gen_lorenz,
-    gen_oscillator,
-    gen_waveform,
-    sample_oscillator_params,
-)
+from .core.rng import SeedSpec
 from .errors import ConfigError, DataError, GeotaxError, NetworkError
 from .ingest.config import Config
-from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
-from .perturb import KINDS, PerturbationSpec, apply_perturbation
+from .ingest.fasta import FastaRecord, write_fasta
 from .report import rerun_from_provenance, run_pipeline
 
 EXIT_OK = 0
@@ -55,27 +37,30 @@ def build_parser() -> argparse.ArgumentParser:
                         help="CSV inputs carry one header line to skip")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate synthetic dynamical-system datasets")
-    p.add_argument("--system", choices=("waveform", "oscillator", "lorenz"), required=True)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--length", type=int, default=512)
-    p.add_argument("--components", type=int, default=3)
-
-    p = sub.add_parser("discretize", help="two-pass global discretization")
-    p.add_argument("--input", type=Path, required=True, nargs="+")
-    p.add_argument("--range", type=Path, dest="range_file")
-    p.add_argument("--bins", type=int, default=256)
-
-    p = sub.add_parser("perturb", help="apply a perturbation to a trajectory or sequence")
-    p.add_argument("--input", type=Path)
-    p.add_argument("--kind", choices=KINDS)
-    p.add_argument("--rate", type=float, default=0.01)
-    p.add_argument("--magnitude", type=float, default=1.0)
-    p.add_argument("--output", type=Path)
-    p.add_argument("--manifest", type=Path, help="CSV of input,kind,rate,seed rows")
-
     # A pipeline subcommand's options are stored under their config keys
     # (dest), so argparse's namespace order is the order of the config echo.
+    p = sub.add_parser("gen", help="generate synthetic dynamical-system datasets")
+    p.add_argument("--system", dest="gen.system", choices=("waveform", "oscillator", "lorenz"),
+                   required=True)
+    p.add_argument("--n", dest="gen.n", type=int, default=10)
+    p.add_argument("--length", dest="gen.length", type=int, default=512)
+    p.add_argument("--components", dest="gen.components", type=int, default=3)
+
+    p = sub.add_parser("discretize", help="two-pass global discretization")
+    p.add_argument("--input", dest="discretize.input", type=Path, required=True, nargs="+",
+                   help="each path becomes a discretize.input.<i> key")
+    p.add_argument("--range", dest="discretize.range", type=Path)
+    p.add_argument("--bins", dest="discretize.bins", type=int, default=256)
+
+    p = sub.add_parser("perturb", help="apply a perturbation to a trajectory or sequence")
+    p.add_argument("--input", dest="perturb.input", type=Path)
+    p.add_argument("--kind", dest="perturb.kind")
+    p.add_argument("--rate", dest="perturb.rate", type=float, default=0.01)
+    p.add_argument("--magnitude", dest="perturb.magnitude", type=float, default=1.0)
+    p.add_argument("--output", dest="perturb.output", type=Path)
+    p.add_argument("--manifest", dest="perturb.manifest", type=Path,
+                   help="CSV of input,kind,rate,seed rows")
+
     p = sub.add_parser("stability", help="run the stability harness")
     p.add_argument("--clean", dest="stability.clean", type=Path, required=True)
     p.add_argument("--pert", action="append", required=True,
@@ -159,108 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args) -> int:
-    for flag, value, least in (("--n", args.n, 1), ("--length", args.length, 2),
-                               ("--components", args.components, 1)):
-        if value < least:
-            raise ConfigError(f"{flag} must be >= {least}, got {value}")
-    out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    trajs: list[Trajectory] = []
-    rng = rng_create(SeedSpec(args.seed, "gen"))
-    for i in range(args.n):
-        spec = SeedSpec(args.seed, f"gen/{i}")
-        if args.system == "oscillator":
-            trajs.append(gen_oscillator(sample_oscillator_params(rng), args.length))
-        elif args.system == "waveform":
-            trajs.append(gen_waveform(spec, args.components, args.length))
-        else:
-            trajs.append(gen_lorenz(spec, args.length))
-    grange = fit_global_range(trajs)
-    for i, traj in enumerate(trajs):
-        write_embeddings(out / f"traj_{i:04d}.emb1", EmbeddingMatrix(traj.values))
-    write_embeddings(
-        out / "range.emb1", EmbeddingMatrix(np.vstack([grange.minimum, grange.maximum]))
-    )
-    meta = {
-        "system": args.system,
-        "n": args.n,
-        "length": args.length,
-        "seed": args.seed,
-        "dt": trajs[0].dt,
-    }
-    (out / "meta.cfg").write_text("".join(f"{k} = {v}\n" for k, v in meta.items()))
-    print(f"wrote {args.n} trajectories to {out}")
-    return EXIT_OK
-
-
-def _cmd_discretize(args) -> int:
-    if not 1 <= args.bins <= MAX_BINS:
-        raise ConfigError(f"--bins must lie in [1, 2**53], got {args.bins}")
-    out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    load = partial(load_matrix, csv_header=args.csv_header)
-    if args.range_file:
-        mat = load(args.range_file)
-        if mat.n != 2:
-            raise DataError(f"{args.range_file}: range file must hold exactly 2 rows (min, max)")
-        grange = GlobalRange(mat.data[0], mat.data[1])
-    else:
-        trajs = [Trajectory(load(p).data, 1.0) for p in args.input]
-        grange = fit_global_range(trajs)
-    for path in args.input:
-        traj = Trajectory(load(path).data, 1.0)
-        seq = discretize(traj, grange, args.bins)
-        target = out / (Path(path).stem + ".sym.csv")
-        target.write_text(",".join(str(s) for s in seq.symbols) + "\n")
-    print(f"discretized {len(args.input)} file(s) into {out}")
-    return EXIT_OK
-
-
-def _perturb_one(args, input_path: Path, kind: str, rate: float, seed: int,
-                 output: Path) -> None:
-    spec = PerturbationSpec(kind, rate, args.magnitude, SeedSpec(seed, f"perturb/{kind}"))
-    if input_path.suffix in (".fa", ".fasta"):
-        out_records = [
-            FastaRecord(rec.header, apply_perturbation(rec.decode(DNA), spec).to_string())
-            for rec in parse_fasta(input_path)
-        ]
-        write_fasta(out_records, output)
-    else:
-        traj = Trajectory(load_matrix(input_path, csv_header=args.csv_header).data, 1.0)
-        result = apply_perturbation(traj, spec)
-        write_embeddings(output, EmbeddingMatrix(result.values))
-
-
-def _cmd_perturb(args) -> int:
-    if args.manifest:
-        lines = read_text(args.manifest, ConfigError).strip().splitlines()
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        for i, line in enumerate(lines):
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 4:
-                raise ConfigError(f"{args.manifest}:{i + 1}: expected input,kind,rate,seed")
-            path, kind, rate, seed = parts
-            if "\x00" in path:
-                raise ConfigError(f"{args.manifest}:{i + 1}: NUL byte in {line!r}")
-            try:
-                rate, seed = float(rate), int(seed)
-            except ValueError:
-                raise ConfigError(f"{args.manifest}:{i + 1}: bad rate or seed") from None
-            output = args.out_dir / f"{Path(path).stem}.{kind}.{i}{Path(path).suffix or '.emb1'}"
-            try:
-                _perturb_one(args, Path(path), kind, rate, seed, output)
-            except ConfigError as exc:
-                raise ConfigError(f"{args.manifest}:{i + 1}: {exc}") from None
-        print(f"applied {len(lines)} manifest rows into {args.out_dir}")
-        return EXIT_OK
-    if not (args.input and args.kind and args.output):
-        raise ConfigError("perturb needs --input/--kind/--output or --manifest")
-    _perturb_one(args, args.input, args.kind, args.rate, args.seed, args.output)
-    print(f"wrote {args.output}")
-    return EXIT_OK
-
-
 def _cmd_fetch(args) -> int:
     # imported here, so the other subcommands never load the network code
     from .ingest.cache import ResultCache
@@ -294,6 +177,9 @@ def _cmd_report(args) -> int:
 
 # each pipeline subcommand's closing message
 PIPELINES = {
+    "gen": "trajectories in",
+    "discretize": "symbols in",
+    "perturb": "perturbation report in",
     "stability": "stability report in",
     "procrustes": "procrustes report in",
     "walk": "walk written to",
@@ -314,7 +200,10 @@ def _cmd_pipeline(args) -> int:
               "io.csv_header": str(args.csv_header).lower()}
     for key, value in vars(args).items():
         if "." in key and value is not None:
-            values[key] = str(value).lower() if isinstance(value, bool) else str(value)
+            if isinstance(value, list):  # nargs="+": one key per item, in order
+                values.update((f"{key}.{i}", str(item)) for i, item in enumerate(value))
+            else:
+                values[key] = str(value).lower() if isinstance(value, bool) else str(value)
     if args.command == "mine" and not ("mine.features" in values
                                        or "mine.features_fasta" in values):
         raise ConfigError("mine needs --features or --features-fasta")
@@ -333,14 +222,8 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "gen": _cmd_gen,
-    "discretize": _cmd_discretize,
-    "perturb": _cmd_perturb,
-    "fetch": _cmd_fetch,
-    "report": _cmd_report,
-    **dict.fromkeys(PIPELINES, _cmd_pipeline),
-}
+# the subcommands with their own handler; every other one is a pipeline
+COMMANDS = {"fetch": _cmd_fetch, "report": _cmd_report}
 
 
 def main(argv=None) -> int:
@@ -350,7 +233,7 @@ def main(argv=None) -> int:
     if [] in vars(args).values():
         parser.error("'--' is not an option value")
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS.get(args.command, _cmd_pipeline)(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

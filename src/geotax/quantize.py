@@ -32,6 +32,8 @@ class Codebook:
     centroids: np.ndarray          # K x m
     inertia: float = 0.0
     inertia_trace: tuple = field(default=(), compare=False)
+    # the fitted points' nearest centroids, as ``encode`` gives them
+    assignment: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64)
@@ -251,9 +253,9 @@ def kmeans_fit(
         elif inertia == 0.0:
             break
         prev_inertia = inertia
-    final = exact_inertia(_nearest(points, pp, centroids))
-    trace.append(final)
-    return Codebook(centroids, final, tuple(trace))
+    assign = _nearest(points, pp, centroids)
+    trace.append(exact_inertia(assign))
+    return Codebook(centroids, trace[-1], tuple(trace), assign)
 
 
 def encode(codebook: Codebook, points) -> SymbolSequence:
@@ -380,10 +382,8 @@ def vq_double_bind_sweep(
     for k in ks:
         cb = kmeans_fit(pts, k, spec.derive(f"k{k}"), init_centroids=prev)
         prev = cb.centroids
-        clean_dec = decode(cb, encode(cb, pts))
+        clean_dec = decode(cb, cb.assignment)
         mses.append(float(((pts - clean_dec) ** 2).mean()))
-        pert_dec = decode(cb, encode(cb, noisy))
-        res = procrustes_align(clean_dec, pert_dec)
-        dists.append(res.aligned_error)
+        dists.append(procrustes_align(clean_dec, decode(cb, encode(cb, noisy))).aligned_error)
     a, b, r2 = fit_inverse_log(ks, dists)
     return RDCurve(tuple(ks), tuple(mses), tuple(dists), a, b, r2)

@@ -9,6 +9,7 @@ timestamps for exactly that reason.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import shutil
@@ -65,6 +66,9 @@ def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
     experiment = cfg.require("experiment")
     seed = cfg.get_int("seed", 320)
     runners = {
+        "gen": _run_gen,
+        "discretize": _run_discretize,
+        "perturb": _run_perturb,
         "stability": _run_stability,
         "procrustes": _run_procrustes,
         "walk": _run_walk,
@@ -112,6 +116,118 @@ def rerun_from_provenance(report_path: str | Path, out_dir: str | Path) -> Path:
 
 
 # -- experiment runners -------------------------------------------------------
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run_gen(cfg: Config, seed: int, out: Path) -> dict:
+    from .dynamics import fit_global_range, gen_lorenz, gen_oscillator, gen_waveform
+    from .dynamics import sample_oscillator_params
+
+    system = cfg.require("gen.system")
+    n = cfg.get_int("gen.n", 10, minimum=1)
+    length = cfg.get_int("gen.length", 512, minimum=2)
+    components = cfg.get_int("gen.components", 3, minimum=1)
+    rng = rng_create(SeedSpec(seed, "gen"))
+    systems = {
+        "waveform": lambda i: gen_waveform(SeedSpec(seed, f"gen/{i}"), components, length),
+        "oscillator": lambda i: gen_oscillator(sample_oscillator_params(rng), length),
+        "lorenz": lambda i: gen_lorenz(SeedSpec(seed, f"gen/{i}"), length),
+    }
+    if system not in systems:
+        raise ConfigError(f"{cfg.source}: gen.system must be waveform, oscillator or lorenz")
+    trajs = [systems[system](i) for i in range(n)]
+    grange = fit_global_range(trajs)
+    files = {f"traj_{i:04d}.emb1": traj.values for i, traj in enumerate(trajs)}
+    files["range.emb1"] = np.vstack([grange.minimum, grange.maximum])
+    for name, values in files.items():
+        write_embeddings(out / name, EmbeddingMatrix(values))
+    digests = {name: _sha256(out / name) for name in files}
+    return {"system": system, "n": n, "length": length, "dt": trajs[0].dt, "files": digests}
+
+
+def _run_discretize(cfg: Config, seed: int, out: Path) -> dict:
+    from .dynamics import MAX_BINS, GlobalRange, Trajectory, discretize, fit_global_range
+
+    bins = cfg.get_int("discretize.bins", 256, minimum=1)
+    if bins > MAX_BINS:
+        raise ConfigError(f"{cfg.source}: key 'discretize.bins': {bins} is above 2**53")
+    inputs = list(cfg.section("discretize.input").values())
+    if not inputs:
+        raise ConfigError(f"{cfg.source}: no discretize.input.<i> entries")
+    load = _loader(cfg)
+    trajs = [Trajectory(load(path).data, 1.0) for path in inputs]
+    range_file = cfg.get("discretize.range")
+    if range_file:
+        mat = load(range_file)
+        if mat.n != 2:
+            raise DataError(f"{range_file}: range file must hold exactly 2 rows (min, max)")
+        grange = GlobalRange(mat.data[0], mat.data[1])
+    else:
+        grange = fit_global_range(trajs)
+    names = [Path(path).stem + ".sym.csv" for path in inputs]
+    for name, traj in zip(names, trajs):
+        seq = discretize(traj, grange, bins)
+        (out / name).write_text(",".join(str(s) for s in seq.symbols) + "\n")
+    return {"files": {name: _sha256(out / name) for name in names}}
+
+
+def _manifest_jobs(manifest: str, magnitude: float, out: Path) -> list:
+    """Each ``input,kind,rate,seed`` row of a perturb manifest as an
+    (input, spec, output) job; every row is checked before any is run."""
+    from .perturb import PerturbationSpec
+
+    jobs = []
+    for i, line in enumerate(read_text(manifest, ConfigError).strip().splitlines()):
+        where = f"{manifest}:{i + 1}"
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4:
+            raise ConfigError(f"{where}: expected input,kind,rate,seed")
+        path, kind, rate, row_seed = parts
+        if "\x00" in path:
+            raise ConfigError(f"{where}: NUL byte in {line!r}")
+        try:
+            spec = PerturbationSpec(kind, float(rate), magnitude,
+                                    SeedSpec(int(row_seed), f"perturb/{kind}"))
+        except ValueError:
+            raise ConfigError(f"{where}: bad rate or seed") from None
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        source = Path(path)
+        jobs.append((source, spec, out / f"{source.stem}.{kind}.{i}{source.suffix or '.emb1'}"))
+    return jobs
+
+
+def _run_perturb(cfg: Config, seed: int, out: Path) -> dict:
+    from .dynamics import Trajectory
+    from .perturb import PerturbationSpec, apply_perturbation
+
+    magnitude = cfg.get_float("perturb.magnitude", 1.0)
+    manifest = cfg.get("perturb.manifest")
+    if manifest:
+        jobs = _manifest_jobs(manifest, magnitude, out)
+    else:
+        source, kind, output = (cfg.require(f"perturb.{k}") for k in ("input", "kind", "output"))
+        spec = PerturbationSpec(kind, cfg.get_float("perturb.rate", 0.01), magnitude,
+                                SeedSpec(seed, f"perturb/{kind}"))
+        jobs = [(Path(source), spec, Path(output))]
+    load = _loader(cfg)
+    for source, spec, target in jobs:
+        if source.suffix in (".fa", ".fasta"):
+            write_fasta([
+                FastaRecord(rec.header, apply_perturbation(rec.decode(DNA), spec).to_string())
+                for rec in parse_fasta(source)
+            ], target)
+        else:
+            traj = apply_perturbation(Trajectory(load(source).data, 1.0), spec)
+            write_embeddings(target, EmbeddingMatrix(traj.values))
+    # a file in the run directory by its name, --output as configured
+    return {"files": {
+        target.name if manifest else str(target): _sha256(target)
+        for _, _, target in jobs
+    }}
 
 
 def _run_stability(cfg: Config, seed: int, out: Path) -> dict:

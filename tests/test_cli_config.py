@@ -23,6 +23,34 @@ from geotax.core.io import write_embeddings
 from geotax.core.rng import SeedSpec, rng_create
 
 CONFIG_CASES = {
+    "gen": (
+        ["--seed", "5", "gen", "--system", "lorenz", "--n", "3"],
+        "experiment = gen\nseed = 5\nthreads = 1\nio.csv_header = false\n"
+        "gen.system = lorenz\ngen.n = 3\ngen.length = 512\ngen.components = 3\n",
+        "trajectories in",
+    ),
+    "discretize": (
+        ["--csv-header", "discretize", "--input", "a.csv", "b.emb1", "--range", "r.csv",
+         "--bins", "64"],
+        "experiment = discretize\nseed = 320\nthreads = 1\nio.csv_header = true\n"
+        "discretize.input.0 = a.csv\ndiscretize.input.1 = b.emb1\ndiscretize.range = r.csv\n"
+        "discretize.bins = 64\n",
+        "symbols in",
+    ),
+    "perturb": (
+        ["perturb", "--input", "in.fasta", "--kind", "substitute", "--rate", "0.05",
+         "--output", "snp.fasta"],
+        "experiment = perturb\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "perturb.input = in.fasta\nperturb.kind = substitute\nperturb.rate = 0.05\n"
+        "perturb.magnitude = 1.0\nperturb.output = snp.fasta\n",
+        "perturbation report in",
+    ),
+    "perturb-manifest": (
+        ["perturb", "--manifest", "man.csv", "--magnitude", "2"],
+        "experiment = perturb\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "perturb.rate = 0.01\nperturb.magnitude = 2.0\nperturb.manifest = man.csv\n",
+        "perturbation report in",
+    ),
     "stability": (
         ["--seed", "7", "--threads", "2", "stability", "--clean", "c.emb1",
          "--pert", "b=p2.emb1", "--pert", "a=p1.emb1", "--splits", "4"],
@@ -169,7 +197,7 @@ def test_pipeline_options_are_stored_under_config_keys():
     so every option of a pipeline subcommand has a dotted dest."""
     parser = cli.build_parser()
     subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(cli.PIPELINES) <= set(subparsers.choices)
+    assert set(subparsers.choices) - set(cli.PIPELINES) == {"fetch", "report"}
     for command in cli.PIPELINES:
         dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
         if command == "stability":
@@ -288,9 +316,14 @@ def test_cli_perturb_manifest_bad_rate_exit_2(pair, tmp_path, capsys):
     clean, _ = pair
     manifest = tmp_path / "man.csv"
     manifest.write_text(f"{clean},value_noise,0.1,1\n{clean},value_noise,x,1\n")
-    argv = ["--out-dir", str(tmp_path / "out"), "perturb", "--manifest", str(manifest)]
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["--out-dir", str(out), "perturb", "--manifest", str(manifest)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {manifest}:2: ")
+    # every row is checked before row 1 is written
+    assert not (out / "clean.value_noise.0.emb1").exists()
+    assert out.is_dir()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -384,7 +417,10 @@ def test_cli_discretize_bins_out_of_range_exit_2(bins, pair, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"config error: --bins must lie in [1, 2**53], got {bins}\n"
+    bound = "is below 1" if bins < 1 else "is above 2**53"
+    assert capsys.readouterr().err == (
+        f"config error: <cli>: key 'discretize.bins': {bins} {bound}\n"
+    )
     assert not out.exists()
 
 
@@ -769,6 +805,21 @@ def test_config_key_below_minimum_exit_2(experiment, key, value, minimum, pair, 
         f"config error: {config}: key '{key}': {value} is below {minimum}\n"
     )
     assert not (run / "report.json").exists()
+
+
+@pytest.mark.parametrize("text, err", [
+    ("experiment = gen\ngen.system = bogus\n",
+     "gen.system must be waveform, oscillator or lorenz"),
+    ("experiment = gen\ngen.system = lorenz\ngen.length = 1\n", "key 'gen.length': 1 is below 2"),
+    ("experiment = discretize\ndiscretize.bins = 8\n", "no discretize.input.<i> entries"),
+    ("experiment = perturb\nperturb.input = a.emb1\nperturb.output = b.emb1\n",
+     "missing required key 'perturb.kind'"),
+], ids=["gen-system", "gen-length", "discretize-no-input", "perturb-no-kind"])
+def test_config_file_writing_experiments_bad_keys_exit_2(text, err, tmp_path, capsys):
+    code, config, run = _report_from_config(tmp_path, text)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {config}: {err}\n"
+    assert not run.exists()
 
 
 def test_config_anchor_count_above_n_exit_3(pair, tmp_path, capsys):

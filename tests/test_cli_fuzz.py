@@ -1,6 +1,7 @@
 """Exit-code fuzz: byte-mutated inputs reach ``cli.main`` through
-``lipschitz``, ``report``, ``walk`` and ``perturb``, and every run ends in
-0, 2 or 3, never in an exception.  Out-of-range, non-finite and
+``lipschitz``, ``report``, ``walk``, ``perturb`` and ``discretize``, and
+every run ends in 0, 2 or 3, never in an exception; a run that ends in 2
+or 3 leaves no run directory.  Out-of-range, non-finite and
 non-numeric values of each subcommand's numeric flags end in 2 or 3.
 
 Inputs are tiny fixtures written under fixed relative names in a fresh
@@ -31,6 +32,8 @@ CSV = "".join(",".join(f"{v:g}" for v in row) + "\n" for row in WALK).encode()
 CONFIG = b"experiment = lipschitz\nlipschitz.embeddings = walk.emb1\nlipschitz.metric = l2\n"
 FASTA = b">wt\n" + b"ACGGTCAT" * 5 + b"\n"
 MANIFEST = b"walk.emb1,value_noise,0.1,1\nw.fasta,substitute,0.1,2\n"
+RANGE = "".join(",".join(f"{v:g}" for v in row) + "\n"
+                for row in (WALK.min(0) - 1, WALK.max(0) + 1)).encode()
 REPORT = json.dumps(
     {"experiment": "lipschitz",
      "provenance": {"config_echo": CONFIG.decode(), "seed": 320}},
@@ -47,9 +50,13 @@ TARGETS = {
     "fasta-perturb": ("w.fasta", ["perturb", "--input", "w.fasta", "--kind", "substitute",
                                   "--rate", "0.1", "--output", "out.fasta"]),
     "manifest": ("man.csv", ["perturb", "--manifest", "man.csv"]),
+    "discretize-input": ("d.emb1", ["discretize", "--input", "d.emb1", "walk.emb1"]),
+    "discretize-range": ("range.csv", ["discretize", "--input", "walk.emb1",
+                                       "--range", "range.csv"]),
 }
 FIXTURES = {"emb1": EMB1, "csv": CSV, "config": CONFIG, "report": REPORT,
-            "fasta-walk": FASTA, "fasta-perturb": FASTA, "manifest": MANIFEST}
+            "fasta-walk": FASTA, "fasta-perturb": FASTA, "manifest": MANIFEST,
+            "discretize-input": EMB1, "discretize-range": RANGE}
 
 MUTATIONS = st.lists(
     st.tuples(
@@ -101,7 +108,9 @@ def test_cli_mutated_input_exits_0_2_or_3(fixture, mutations):
             fh.write(FASTA)
         with open(target, "wb") as fh:
             fh.write(mutate(FIXTURES[fixture], mutations))
-        assert cli.main(["--out-dir", "run", *argv]) in (0, 2, 3)
+        code = cli.main(["--out-dir", "run", *argv])
+        assert code in (0, 2, 3)
+        assert code == 0 or not os.path.exists("run")
 
 
 # -- flag values ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -135,7 +136,9 @@ def test_cli_gen_discretize_round(tmp_path):
     )
     assert code == 0
     assert (gen_dir / "range.emb1").exists()
-    assert (gen_dir / "meta.cfg").exists()
+    results = json.loads((gen_dir / "report.json").read_text())["results"]
+    assert (results["system"], results["n"], results["length"]) == ("oscillator", 3, 128)
+    assert sorted(results["files"]) == ["range.emb1", *(f"traj_{i:04d}.emb1" for i in range(3))]
     disc_dir = tmp_path / "disc"
     code = main(
         ["--out-dir", str(disc_dir), "discretize",
@@ -146,6 +149,84 @@ def test_cli_gen_discretize_round(tmp_path):
     symbols = (disc_dir / "traj_0000.sym.csv").read_text().strip().split(",")
     assert len(symbols) == 128
     assert all(0 <= int(s) <= 255 for s in symbols)
+
+
+def rerun_reproduces(run: Path, rerun: Path) -> None:
+    """``report --rerun`` writes the run's report.json and every file it
+    names again, byte for byte; a file outside the run directory is
+    deleted first and written again in place."""
+    files = json.loads((run / "report.json").read_text())["results"]["files"]
+    written = {run / name: (run / name).read_bytes() for name in files}
+    assert all(hashlib.sha256(written[run / name]).hexdigest() == digest
+               for name, digest in files.items())
+    outside = [path for path in written if not path.is_relative_to(run)]
+    for path in outside:
+        path.unlink()
+    assert main(["--out-dir", str(rerun), "report", "--rerun", str(run / "report.json")]) == 0
+    assert read_all_bytes(rerun) == read_all_bytes(run)
+    assert all(path.read_bytes() == written[path] for path in outside)
+
+
+def test_cli_gen_rerun_is_byte_identical(tmp_path):
+    run = tmp_path / "gen"
+    assert main(["--seed", "5", "--out-dir", str(run), "gen", "--system", "waveform",
+                 "--n", "3", "--length", "64", "--components", "2"]) == 0
+    rerun_reproduces(run, tmp_path / "rerun")
+
+
+def test_cli_discretize_rerun_is_byte_identical(tmp_path, embedding_pair):
+    clean, pert = embedding_pair
+    run = tmp_path / "disc"
+    assert main(["--out-dir", str(run), "discretize", "--input", str(clean), str(pert),
+                 "--bins", "32"]) == 0
+    rerun_reproduces(run, tmp_path / "rerun")
+
+
+def test_cli_perturb_rerun_is_byte_identical(tmp_path, embedding_pair):
+    clean, _ = embedding_pair
+    fasta = tmp_path / "in.fasta"
+    fasta.write_text(">s1\nACGTTGCAACGGATCCATGA\n>s2\nGGATCCATGATTACAGGCAT\n")
+    manifest = tmp_path / "man.csv"
+    manifest.write_text(f"{clean},value_noise,0.1,3\n{fasta},substitute,0.2,4\n")
+    single = ["perturb", "--input", str(clean), "--kind", "value_noise", "--rate", "0.2",
+              "--output", str(tmp_path / "noisy.emb1")]
+    for name, argv in (("single", single), ("manifest", ["perturb", "--manifest", str(manifest)])):
+        run = tmp_path / name
+        assert main(["--seed", "9", "--out-dir", str(run), *argv]) == 0
+        rerun_reproduces(run, tmp_path / f"{name}-rerun")
+
+
+def test_cli_discretize_missing_input_removes_the_directories_it_made(tmp_path, capsys):
+    out = tmp_path / "d_new" / "sub"
+    argv = ["--out-dir", str(out), "discretize", "--input", str(tmp_path / "missing.emb1")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (tmp_path / "d_new").exists()
+
+
+def test_cli_discretize_range_of_three_rows_removes_the_run_directory(tmp_path,
+                                                                    embedding_pair, capsys):
+    clean, _ = embedding_pair
+    grange = tmp_path / "range.emb1"
+    write_embeddings(grange, EmbeddingMatrix(np.arange(36.0).reshape(3, 12)))
+    out = tmp_path / "sym"
+    assert main(["--out-dir", str(out), "discretize", "--input", str(clean),
+                 "--range", str(grange)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {grange}: range file must hold exactly 2 rows (min, max)\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_perturb_manifest_missing_file_removes_the_run_directory(tmp_path,
+                                                                   embedding_pair, capsys):
+    clean, _ = embedding_pair
+    manifest = tmp_path / "man.csv"
+    manifest.write_text(f"{clean},value_noise,0.1,1\n{tmp_path / 'missing.emb1'},reverse,0,1\n")
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "perturb", "--manifest", str(manifest)]) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not out.exists()
 
 
 def test_cli_stability_and_exit_codes(tmp_path, embedding_pair):
@@ -243,12 +324,14 @@ def test_cli_perturb_fasta(tmp_path):
     fasta = tmp_path / "in.fasta"
     fasta.write_text(">s1\nACGTACGTACGTACGTACGT\n")
     out = tmp_path / "out.fasta"
-    assert main(["perturb", "--input", str(fasta), "--kind", "reverse_complement",
-                 "--output", str(out)]) == 0
+    run = tmp_path / "run"
+    assert main(["--out-dir", str(run), "perturb", "--input", str(fasta),
+                 "--kind", "reverse_complement", "--output", str(out)]) == 0
     text = out.read_text()
     assert "ACGTACGTACGTACGTACGT" in text  # RC palindrome
-    # single-file mode writes --output only, no run directory
-    assert not Path("geotax-run").exists()
+    # the report names --output with its SHA-256
+    files = json.loads((run / "report.json").read_text())["results"]["files"]
+    assert files == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
 def test_cli_walk_and_lipschitz(tmp_path):

@@ -381,6 +381,29 @@ def test_vq_sweep_lorenz_reports_unchanged(tmp_path, monkeypatch):
         assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == expected
 
 
+def test_vq_sweep_encodes_the_clean_points_only_in_the_fit(tmp_path, monkeypatch):
+    """A fit's last nearest-centroid pass gives the clean codes, so the
+    bench sweep makes one pass per Lloyd iteration, one final pass per fit
+    and one for the noisy points per K: 95 passes, where re-encoding the
+    clean points after each fit made 100."""
+    passes, fits = [], []
+    nearest, fit = quantize._nearest, quantize.kmeans_fit
+    monkeypatch.setattr(quantize, "_nearest", lambda *args: passes.append(1) or nearest(*args))
+    monkeypatch.setattr(quantize, "kmeans_fit",
+                        lambda *args, **kw: fits.append(fit(*args, **kw)) or fits[-1])
+    monkeypatch.chdir(tmp_path)
+    argv = ["--out-dir", "run", "--seed", "320", "vq-sweep", "--k-values", "32,64,128,256,512"]
+    assert cli.main(argv) == 0
+    assert len(fits) == 5
+    assert len(passes) == sum(len(cb.inertia_trace) for cb in fits) + len(fits) == 95
+
+
+def test_kmeans_fit_assignment_is_the_encoding_of_its_points(rng):
+    x = rng.standard_normal((300, 3))
+    cb = kmeans_fit(x, 12, SeedSpec(4))
+    assert cb.assignment.tobytes() == encode(cb, x).symbols.tobytes()
+
+
 # -- encode / decode -----------------------------------------------------------
 
 
