@@ -195,6 +195,9 @@ def fit_global_range(dataset: Sequence[Trajectory]) -> GlobalRange:
     """Exact per-channel envelope over the whole dataset (pass one)."""
     if not dataset:
         raise DataError("empty dataset")
+    counts = sorted({t.channels for t in dataset})
+    if len(counts) > 1:
+        raise DataError(f"trajectories differ in channel count: {counts}")
     lo = np.min([t.values.min(axis=0) for t in dataset], axis=0)
     hi = np.max([t.values.max(axis=0) for t in dataset], axis=0)
     return GlobalRange(lo, hi)
@@ -213,7 +216,9 @@ def discretize(traj: Trajectory, grange: GlobalRange, n_bins: int = 256) -> Symb
     flatten row-major (time-major) into one symbol stream.
     """
     if grange.minimum.shape[0] != traj.channels:
-        raise DataError("range channel count does not match trajectory")
+        raise DataError(
+            f"range has {grange.minimum.shape[0]} channels but the trajectory has {traj.channels}"
+        )
     scaled = (traj.values - grange.minimum) / grange.width * n_bins
     bins = np.clip(np.floor(scaled), 0, n_bins - 1).astype(np.int64)
     return SymbolSequence(bins.reshape(-1), bins_alphabet(n_bins))

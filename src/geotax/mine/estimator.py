@@ -12,6 +12,7 @@ run (X against a noisy copy of itself) calibrates the achievable maximum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from ..core.parallel import ordered_map
 from ..core.pca import pca_project
 from ..core.rng import SeedSpec, rng_create
 from ..errors import ConfigError, DataError
-from .mlp import MLP, Adam, MLPConfig, clip_gradient
+from .mlp import MLP, Adam, MLPConfig, Workspace, clip_gradient
 
 DEFAULT_SEEDS = (320, 420, 520, 620, 720)
 SANITY_CONFIG = MLPConfig(hidden=(128, 64), epochs=300)
@@ -97,11 +98,12 @@ class MIEstimate:
 
 class _Network:
     """One statistics network of a cohort: its standardized data, weights,
-    Adam state and evaluation trace."""
+    Adam state and evaluation trace.  Its training steps and full-batch
+    evaluations run through the cohort's shared workspace ``ws``."""
 
     def __init__(self, x: np.ndarray, z: np.ndarray, net: MLP, cfg: MLPConfig,
-                 eval_perm: np.ndarray):
-        self.x, self.z, self.net = x, z, net
+                 eval_perm: np.ndarray, ws: Workspace):
+        self.x, self.z, self.net, self.ws = x, z, net, ws
         self.opt = Adam(net.theta.size, cfg.lr)
         self.clip_inf = cfg.clip_inf
         self.eval_input = np.concatenate(
@@ -113,19 +115,19 @@ class _Network:
 
     def full_bound(self) -> float:
         n = self.x.shape[0]
-        t = self.net.predict(self.eval_input).ravel()
+        t = self.net.forward(self.eval_input, ws=self.ws)[0].ravel()
         return dv_bound(t[:n], t[n:])
 
-    def step(self, idx: np.ndarray, perm: np.ndarray, mask: np.ndarray | None,
-             inp: np.ndarray, gout: np.ndarray) -> None:
+    def step(self, idx: np.ndarray, perm: np.ndarray, mask: np.ndarray | None) -> None:
         """One optimizer step on the batch ``idx`` paired with ``z[idx][perm]``
-        for the marginal; ``inp`` and ``gout`` are scratch of 2 * b rows."""
-        x, z, b, dx = self.x, self.z, idx.size, self.x.shape[1]
+        for the marginal."""
+        x, z, b, dx, ws = self.x, self.z, idx.size, self.x.shape[1], self.ws
+        inp, gout = ws.input[: 2 * b], ws.grad_out[: 2 * b]
         inp[:b, :dx] = x[idx]
         inp[:b, dx:] = z[idx]
         inp[b:, :dx] = x[idx]
         inp[b:, dx:] = z[idx][perm]
-        out, cache = self.net.forward(inp, mask)
+        out, cache = self.net.forward(inp, mask, ws)
         tm = out[b:, 0]
         w = np.exp(tm - tm.max())
         # d(-bound)/dT: -1/B on the joint pass, softmax weights on the marginal
@@ -135,39 +137,39 @@ class _Network:
         self.opt.step(self.net.theta, clip_gradient(self.net.grad, self.clip_inf))
 
     def record(self, epoch: int, tail_start: int) -> None:
+        value = self.full_bound()
         if epoch >= tail_start:
-            value = self.full_bound()
             if not np.isfinite(value):
                 raise DataError(f"DV bound diverged at epoch {epoch}")
             self.tail_values.append(value)
-            self.trace.append((epoch, value))
-        elif epoch % TRACE_STRIDE == 0:
-            self.trace.append((epoch, self.full_bound()))
+        self.trace.append((epoch, value))
 
 
-def _train_cohort(tasks: list[tuple]) -> list[MIRun]:
+def _train_cohort(tasks: list[tuple], pre_tail_trace: bool = True) -> list[MIRun]:
     """Seeded DV maximizations of (x, z, cfg, seed) tasks that share a seed,
     sample count, input width and config; x and z arrive standardized.
+    The trace holds every tail epoch and, with ``pre_tail_trace``, every
+    ``TRACE_STRIDE``-th epoch before the tail.
 
     Every draw depends on those alone, never on the data, so the networks
     train in lockstep on one stream: one He init copied into each, then per
     step one batch order, marginal permutation and dropout mask applied to
-    each network in task order.  Each result is the run its task would get
-    trained alone."""
+    each network in task order, all through one workspace.  Each result is
+    the run its task would get trained alone."""
     x0, z0, cfg, seed = tasks[0]
     n = x0.shape[0]
     spec = SeedSpec(seed, "mine-run")
     rng = rng_create(spec)
     eval_perm = rng_create(spec.derive("eval-perm")).permutation(n)
     first = MLP(x0.shape[1] + z0.shape[1], cfg.hidden, 1, rng)
+    # rows for the full-batch evaluation; a batch step uses the first 2 * b
+    ws = Workspace(first.dims, 2 * n)
     nets = [
-        _Network(x, z, first if i == 0 else first.clone(), cfg, eval_perm)
+        _Network(x, z, first if i == 0 else first.clone(), cfg, eval_perm, ws)
         for i, (x, z, _, _) in enumerate(tasks)
     ]
     tail = max(1, int(round(TAIL_FRACTION * cfg.epochs)))
     tail_start = cfg.epochs - tail
-    batch_input = np.empty((2 * cfg.batch_size, first.dims[0]))
-    grad_out = np.empty((2 * cfg.batch_size, 1))
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -176,11 +178,12 @@ def _train_cohort(tasks: list[tuple]) -> list[MIRun]:
             if b < 2:
                 continue
             perm = rng.permutation(b)
-            mask = first.dropout_mask(2 * b, cfg.dropout, rng)
+            mask = first.dropout_mask(2 * b, cfg.dropout, rng, ws)
             for net in nets:
-                net.step(idx, perm, mask, batch_input[: 2 * b], grad_out[: 2 * b])
-        for net in nets:
-            net.record(epoch, tail_start)
+                net.step(idx, perm, mask)
+        if epoch >= tail_start or (pre_tail_trace and epoch % TRACE_STRIDE == 0):
+            for net in nets:
+                net.record(epoch, tail_start)
     return [
         MIRun(seed, float(np.mean(net.tail_values)), net.initial, tuple(net.trace))
         for net in nets
@@ -192,11 +195,12 @@ def _aggregate(runs: list[MIRun]) -> MIEstimate:
     return MIEstimate(tuple(runs), float(est.mean()), float(est.std()))
 
 
-def _estimates(groups: list[list[tuple]], workers: int) -> list[MIEstimate]:
+def _estimates(groups: list[list[tuple]], workers: int,
+               pre_tail_trace: bool = True) -> list[MIEstimate]:
     """Train every (x, z, cfg, seed) task of every group in one fan-out;
     one aggregate estimate per group, in group order.  Every seed is
     checked before the first network trains, and a seed may occur only
-    once per group.
+    once per group.  ``pre_tail_trace`` is passed to ``_train_cohort``.
 
     Tasks that draw the same stream form a cohort, trained by one
     ``_train_cohort`` call.  With several workers a cohort splits
@@ -219,7 +223,8 @@ def _estimates(groups: list[list[tuple]], workers: int) -> list[MIEstimate]:
     for members in cohorts.values():
         k = min(workers, len(members))
         pieces += [members[i::k] for i in range(k)]
-    trained = ordered_map(_train_cohort, [[tasks[i] for i in piece] for piece in pieces], workers)
+    trained = ordered_map(functools.partial(_train_cohort, pre_tail_trace=pre_tail_trace),
+                          [[tasks[i] for i in piece] for piece in pieces], workers)
     runs = [None] * len(tasks)
     for piece, piece_runs in zip(pieces, trained):
         for i, run in zip(piece, piece_runs):
@@ -319,7 +324,8 @@ def sanity_suite(
         xs, ys = zscore(as_columns(x)), zscore(as_columns(y))
         groups.append([(xs, ys, cfg, s) for s in seeds])
     cases = []
-    for rho, est in zip(rhos, _estimates(groups, workers)):
+    # the cases report tail estimates only, so no pre-tail trace is evaluated
+    for rho, est in zip(rhos, _estimates(groups, workers, pre_tail_trace=False)):
         true = gaussian_mi(rho)
         tol = sanity_tolerance(true)
         cases.append(

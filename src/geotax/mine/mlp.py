@@ -4,8 +4,12 @@ Everything runs in float64 numpy so analytic gradients can be checked
 against central finite differences to tight tolerances.  Parameters and
 gradients live in single flat buffers (layer views share the memory),
 which keeps the optimizer to a handful of vector operations per step.
-All randomness (init, dropout masks, batch order) flows from one
-generator, so a fixed seed reproduces final weights bit-for-bit.
+A forward and backward pass write every batch-sized array into a
+``Workspace``.  The MINE cohort trainer builds one and steps every
+network of the cohort through it, so a network step allocates no batch-sized
+array; callers without one get fresh buffers from the same code.  All
+randomness (init, dropout masks, batch order) flows from one generator,
+so a fixed seed reproduces final weights bit-for-bit.
 """
 
 from __future__ import annotations
@@ -53,6 +57,23 @@ class MLPConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
 
 
+class Workspace:
+    """Batch buffers for networks with layer widths ``dims`` on up to
+    ``rows`` inputs: the batch input and output gradient a training step
+    fills, the dropout mask, each layer's output, and each hidden layer's
+    upstream gradient and ReLU gate.  A pass's cache lives in these
+    buffers until the next pass through the same workspace."""
+
+    def __init__(self, dims: list, rows: int):
+        hidden = dims[1:-1]
+        self.input = np.empty((rows, dims[0]))
+        self.grad_out = np.empty((rows, dims[-1]))
+        self.mask = np.empty((rows, sum(hidden)))
+        self.outs = [np.empty((rows, w)) for w in dims[1:]]
+        self.upstream = [np.empty((rows, w)) for w in hidden]
+        self.gates = [np.empty((rows, w), dtype=bool) for w in hidden]
+
+
 class MLP:
     """Fully connected ReLU network with a linear output layer."""
 
@@ -91,55 +112,70 @@ class MLP:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def dropout_mask(self, rows: int, rate: float,
-                     rng: np.random.Generator) -> np.ndarray | None:
+    def dropout_mask(self, rows: int, rate: float, rng: np.random.Generator,
+                     ws: Workspace | None = None) -> np.ndarray | None:
         """Inverted-dropout scales for every hidden unit of ``rows`` inputs,
-        from one random draw; None (and no draw) when ``rate`` is 0 or the
-        network has no hidden layer."""
+        from one random draw, written into ``ws`` when given; None (and no
+        draw) when ``rate`` is 0 or the network has no hidden layer.
+
+        Equal to ``(rng.random(shape) >= rate) / (1 - rate)`` and drawing
+        the same 64-bit words: ``random`` maps a word u to
+        ``(u >> 11) * 2**-53``, which is >= rate exactly when
+        u >= ceil(rate * 2**53) << 11, so the raw words need no float
+        conversion."""
         if not (rate > 0.0 and self.hidden_total):
             return None
-        return (rng.random((rows, self.hidden_total)) >= rate) / (1.0 - rate)
+        raw = rng.bit_generator.random_raw((rows, self.hidden_total))
+        keep = raw >= np.uint64(math.ceil(rate * 2.0**53) << 11)
+        return np.divide(keep, 1.0 - rate, out=None if ws is None else ws.mask[:rows])
 
-    def forward(self, x: np.ndarray, mask: np.ndarray | None = None):
-        """Returns (output, cache).  A ``dropout_mask`` scales each hidden
-        ReLU, one column block per hidden layer; None applies no dropout."""
+    def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
+                ws: Workspace | None = None):
+        """Returns (output, cache), both in ``ws`` (a fresh workspace when
+        None).  A ``dropout_mask`` scales each hidden ReLU, one column block
+        per hidden layer; None applies no dropout."""
         x = np.asarray(x, dtype=np.float64)
+        rows = x.shape[0]
+        if ws is None:
+            ws = Workspace(self.dims, rows)
         acts = [x]
         masks: list[np.ndarray | None] = []
         col = 0
-        h = x
         for i in range(self.n_layers - 1):
-            h = np.maximum(h @ self.weights[i] + self.biases[i], 0.0)
+            h = np.matmul(acts[-1], self.weights[i], out=ws.outs[i][:rows])
+            h += self.biases[i]
+            np.maximum(h, 0.0, out=h)
+            layer_mask = None
             if mask is not None:
                 width = self.dims[i + 1]
                 layer_mask = mask[:, col : col + width]
                 col += width
-                h = h * layer_mask
-            else:
-                layer_mask = None
+                h *= layer_mask
             masks.append(layer_mask)
             acts.append(h)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return out, (acts, masks)
+        out = np.matmul(acts[-1], self.weights[-1], out=ws.outs[-1][:rows])
+        out += self.biases[-1]
+        return out, (acts, masks, ws)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        """Fill the flat gradient buffer; returns it for convenience."""
-        acts, masks = cache
+        """Fill the flat gradient buffer; returns it for convenience.  The
+        upstream gradients go into the workspace the forward pass used."""
+        acts, masks, ws = cache
         delta = np.asarray(grad_out, dtype=np.float64)
-        np.matmul(acts[-1].T, delta, out=self._gw[-1])
-        self._gb[-1][...] = delta.sum(axis=0)
-        upstream = delta @ self.weights[-1].T
-        for i in range(self.n_layers - 2, -1, -1):
-            if masks[i] is not None:
-                upstream *= masks[i]
-            upstream *= acts[i + 1] > 0.0
-            np.matmul(acts[i].T, upstream, out=self._gw[i])
-            self._gb[i][...] = upstream.sum(axis=0)
-            if i > 0:
-                upstream = upstream @ self.weights[i].T
+        rows = delta.shape[0]
+        for i in range(self.n_layers - 1, -1, -1):
+            np.matmul(acts[i].T, delta, out=self._gw[i])
+            self._gb[i][...] = delta.sum(axis=0)
+            if i == 0:
+                break
+            upstream = np.matmul(delta, self.weights[i].T, out=ws.upstream[i - 1][:rows])
+            if masks[i - 1] is not None:
+                upstream *= masks[i - 1]
+            upstream *= np.greater(acts[i], 0.0, out=ws.gates[i - 1][:rows])
+            delta = upstream
         return self.grad
 
     def snapshot(self) -> np.ndarray:

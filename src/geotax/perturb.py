@@ -64,7 +64,10 @@ def value_noise(
         width[width == 0] = 1.0
     else:
         if grange.minimum.shape[0] != traj.channels:
-            raise DataError("range channel count does not match trajectory")
+            raise DataError(
+                f"range has {grange.minimum.shape[0]} channels but the trajectory has "
+                f"{traj.channels}"
+            )
         width = grange.width
     rng = rng_create(spec.seed.derive("value-noise"))
     pos = rng.choice(traj.length, size=count, replace=False)

@@ -157,6 +157,13 @@ def _run_discretize(cfg: Config, seed: int, out: Path) -> dict:
     inputs = list(cfg.section("discretize.input").values())
     if not inputs:
         raise ConfigError(f"{cfg.source}: no discretize.input.<i> entries")
+    names = [Path(path).stem + ".sym.csv" for path in inputs]
+    writer = {}
+    for path, name in zip(inputs, names):
+        if name in writer:
+            raise ConfigError(f"{cfg.source}: discretize inputs {writer[name]} and {path} "
+                              f"would both write {name}")
+        writer[name] = path
     load = _loader(cfg)
     trajs = [Trajectory(load(path).data, 1.0) for path in inputs]
     range_file = cfg.get("discretize.range")
@@ -165,9 +172,14 @@ def _run_discretize(cfg: Config, seed: int, out: Path) -> dict:
         if mat.n != 2:
             raise DataError(f"{range_file}: range file must hold exactly 2 rows (min, max)")
         grange = GlobalRange(mat.data[0], mat.data[1])
+        first, width = f"range file {range_file}", mat.d
     else:
+        first, width = inputs[0], trajs[0].channels
+    for path, traj in zip(inputs, trajs):
+        if traj.channels != width:
+            raise DataError(f"{path} has {traj.channels} channels but {first} has {width}")
+    if not range_file:
         grange = fit_global_range(trajs)
-    names = [Path(path).stem + ".sym.csv" for path in inputs]
     for name, traj in zip(names, trajs):
         seq = discretize(traj, grange, bins)
         (out / name).write_text(",".join(str(s) for s in seq.symbols) + "\n")

@@ -218,6 +218,41 @@ def test_cli_discretize_range_of_three_rows_removes_the_run_directory(tmp_path,
     assert not out.exists()
 
 
+def test_cli_discretize_inputs_with_one_stem_exit_2_before_writing(tmp_path, embedding_pair,
+                                                                   capsys):
+    clean, _ = embedding_pair
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first, second = tmp_path / "a" / "x.emb1", tmp_path / "b" / "x.emb1"
+    for path in (first, second):
+        path.write_bytes(clean.read_bytes())
+    out = tmp_path / "sym"
+    out.mkdir()
+    assert main(["--out-dir", str(out), "discretize", "--input", str(first), str(second)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: <cli>: discretize inputs {first} and {second} would both write x.sym.csv\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("with_range", [True, False], ids=["range-file", "first-input"])
+def test_cli_discretize_channel_mismatch_names_files_and_counts(with_range, tmp_path,
+                                                               embedding_pair, capsys):
+    clean, _ = embedding_pair   # 12 channels
+    narrow = tmp_path / "narrow.emb1"
+    write_embeddings(narrow, EmbeddingMatrix(np.arange(20.0).reshape(10, 2)))
+    grange = tmp_path / "range.emb1"
+    write_embeddings(grange, EmbeddingMatrix(np.array([[0.0, 0.0], [1.0, 1.0]])))
+    if with_range:
+        argv, first = [str(clean), "--range", str(grange)], f"range file {grange}"
+    else:
+        argv, first = [str(narrow), str(clean)], str(narrow)
+    out = tmp_path / "sym"
+    assert main(["--out-dir", str(out), "discretize", "--input", *argv]) == 3
+    assert capsys.readouterr().err == f"data error: {clean} has 12 channels but {first} has 2\n"
+    assert not out.exists()
+
+
 def test_cli_perturb_manifest_missing_file_removes_the_run_directory(tmp_path,
                                                                    embedding_pair, capsys):
     clean, _ = embedding_pair

@@ -193,6 +193,18 @@ def test_fit_global_range_constant_is_degenerate():
         fit_global_range([t])
 
 
+def test_fit_global_range_rejects_differing_channel_counts():
+    trajs = [Trajectory(np.zeros((2, 3)), 1.0), Trajectory(np.ones((2, 1)), 1.0)]
+    with pytest.raises(DataError, match=r"trajectories differ in channel count: \[1, 3\]"):
+        fit_global_range(trajs)
+
+
+def test_discretize_range_channel_mismatch_names_both_counts():
+    traj = Trajectory(np.zeros((4, 3)), 1.0)
+    with pytest.raises(DataError, match="range has 1 channels but the trajectory has 3"):
+        discretize(traj, GlobalRange([0.0], [1.0]), 8)
+
+
 def test_fit_global_range_permutation_invariant(rng):
     trajs = [Trajectory(rng.standard_normal((20, 2)), 1.0) for _ in range(5)]
     r1 = fit_global_range(trajs)

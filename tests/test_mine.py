@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,14 @@ from geotax.mine.estimator import (
     zscore,
 )
 from geotax.mine.features import dna_features, protein_features
-from geotax.mine.mlp import MLP, Adam, MLPConfig, clip_gradient, train_binary_classifier
+from geotax.mine.mlp import (
+    MLP,
+    Adam,
+    MLPConfig,
+    Workspace,
+    clip_gradient,
+    train_binary_classifier,
+)
 from geotax.mine.probes import mlp_probe_cv, probe_config
 from geotax.procrustes import frozen_head_classifier
 
@@ -156,6 +165,150 @@ def test_dropout_off_at_eval():
     a = net.predict(x)
     b = net.predict(x)
     assert (a == b).all()  # no mask is drawn outside training
+
+
+# The dropout mask compares raw 64-bit words with a threshold; it must equal
+# the uniform draw it replaced, word for word and in what it leaves behind.
+
+
+def uniform_mask(rng, rows, width, rate):
+    return (rng.random((rows, width)) >= rate) / (1.0 - rate)
+
+
+@pytest.mark.parametrize("key", [2, 3])
+@pytest.mark.parametrize("rate", [0.1, 0.5, 2.0**-53, 1.0 - 2.0**-53],
+                         ids=["0.1", "0.5", "2^-53", "1-2^-53"])
+def test_dropout_mask_equals_the_uniform_draw(rate, key):
+    net = MLP(3, (16, 8), 1, rng_create(SeedSpec(0, "net")))
+    raw_rng, ref_rng = (rng_create(SeedSpec(key, "dropout-bits")) for _ in range(2))
+    got = net.dropout_mask(40, rate, raw_rng)
+    want = uniform_mask(ref_rng, 40, 24, rate)
+    assert got.tobytes() == want.tobytes()
+    assert repr(raw_rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+
+def test_dropout_mask_keeps_the_stream_after_a_buffered_half_word():
+    net = MLP(3, (16, 8), 1, rng_create(SeedSpec(0, "net")))
+    raw_rng, ref_rng = (rng_create(SeedSpec(2, "dropout-bits")) for _ in range(2))
+    for rng in (raw_rng, ref_rng):
+        rng.permutation(64)
+    assert raw_rng.bit_generator.state["has_uint32"] == 1
+    ws = Workspace(net.dims, 50)
+    got = net.dropout_mask(50, 0.1, raw_rng, ws)
+    assert np.shares_memory(got, ws.mask)
+    assert got.tobytes() == uniform_mask(ref_rng, 50, 24, 0.1).tobytes()
+    assert (raw_rng.permutation(64) == ref_rng.permutation(64)).all()
+    assert raw_rng.random(7).tobytes() == ref_rng.random(7).tobytes()
+
+
+class _Words:
+    """A generator stand-in whose bit generator returns chosen raw words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, shape):
+        return self.words.reshape(shape)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 1.0 / 3.0, 2.0**-53, 1.0 - 2.0**-53])
+def test_dropout_mask_threshold_matches_the_float_conversion_at_its_edge(rate):
+    net = MLP(1, (4,), 1, rng_create(SeedSpec(0, "net")))
+    edge = math.ceil(rate * 2.0**53) << 11
+    words = [edge - 2048, edge - 1, edge, edge + 2047, 0, 2**64 - 1, edge - 4096, edge + 2048]
+    words = [min(max(w, 0), 2**64 - 1) for w in words]
+    got = net.dropout_mask(2, rate, _Words(words))
+    uniform = (np.array(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+    assert got.ravel().tobytes() == ((uniform >= rate) / (1.0 - rate)).tobytes()
+    assert list(got.ravel()[:4] > 0) == [False, False, True, True]
+
+
+# The fresh-buffer forward and backward of the engine before workspaces,
+# written out; both paths of MLP must equal it bit for bit.
+
+
+def reference_pass(net, x, mask, grad_out):
+    acts, masks, col, h = [x], [], 0, x
+    for i in range(net.n_layers - 1):
+        h = np.maximum(h @ net.weights[i] + net.biases[i], 0.0)
+        layer_mask = None
+        if mask is not None:
+            layer_mask = mask[:, col : col + net.dims[i + 1]]
+            col += net.dims[i + 1]
+            h = h * layer_mask
+        masks.append(layer_mask)
+        acts.append(h)
+    out = h @ net.weights[-1] + net.biases[-1]
+    grad = np.zeros_like(net.grad)
+    gw, gb, off = [], [], 0
+    for fi, fo in zip(net.dims[:-1], net.dims[1:]):
+        gw.append(grad[off : off + fi * fo].reshape(fi, fo))
+        gb.append(grad[off + fi * fo : off + fi * fo + fo])
+        off += fi * fo + fo
+    delta = grad_out
+    np.matmul(acts[-1].T, delta, out=gw[-1])
+    gb[-1][...] = delta.sum(axis=0)
+    upstream = delta @ net.weights[-1].T
+    for i in range(net.n_layers - 2, -1, -1):
+        if masks[i] is not None:
+            upstream *= masks[i]
+        upstream *= acts[i + 1] > 0.0
+        np.matmul(acts[i].T, upstream, out=gw[i])
+        gb[i][...] = upstream.sum(axis=0)
+        if i > 0:
+            upstream = upstream @ net.weights[i].T
+    return out, grad
+
+
+@pytest.mark.parametrize("rows", [24, 17], ids=["full-batch", "partial-batch"])
+@pytest.mark.parametrize("dropout", [0.1, 0.0], ids=["dropout", "no-dropout"])
+def test_workspace_pass_equals_the_fresh_buffer_reference(rows, dropout):
+    rng = rng_create(SeedSpec(320, "workspace"))
+    nets = [MLP(5, (16, 8), 1, rng) for _ in range(2)]
+    ws = Workspace(nets[0].dims, 24)
+    for buf in (ws.mask, *ws.outs, *ws.upstream):
+        buf.fill(np.nan)   # leftovers of another pass must not leak in
+    for net in nets:   # two networks in turn through the one workspace
+        x = rng.standard_normal((rows, 5))
+        grad_out = rng.standard_normal((rows, 1))
+        mask = net.dropout_mask(rows, dropout, rng, ws)
+        want_out, want_grad = reference_pass(net, x, mask, grad_out)
+        for space in (ws, None):
+            out, cache = net.forward(x, mask, space)
+            assert out.tobytes() == want_out.tobytes()
+            assert net.backward(cache, grad_out).tobytes() == want_grad.tobytes()
+        assert np.shares_memory(net.forward(x, mask, ws)[0], ws.outs[-1])
+
+
+def call_counter(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cohort_steps_each_network_once_per_batch(monkeypatch):
+    counts = {name: call_counter(monkeypatch, owner, name) for owner, name in
+              [(MLP, "backward"), (Adam, "step"), (MLP, "dropout_mask")]}
+    # batches of 32, 32 and 1 rows; the 1-row batch is skipped
+    cfg = MLPConfig(hidden=(8,), epochs=3, batch_size=32)
+    tasks = [(*correlated(65, s), cfg, 9) for s in (1, 2, 3)]
+    _train_cohort(tasks)
+    assert len(counts["backward"]) == len(counts["step"]) == 3 * 3 * 2
+    assert len(counts["dropout_mask"]) == 3 * 2   # one draw per cohort step
+
+
+def test_sanity_suite_evaluates_only_the_tail(monkeypatch):
+    evaluations = call_counter(monkeypatch, estimator._Network, "full_bound")
+    cfg = MLPConfig(hidden=(4,), epochs=30)   # a 3-epoch tail
+    sanity_suite(rhos=(0.0, 0.5), n=16, seeds=(1, 2, 3), cfg=cfg)
+    assert len(evaluations) == 2 * 3 * (1 + 3)
 
 
 # -- estimator ------------------------------------------------------------------

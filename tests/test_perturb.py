@@ -69,6 +69,13 @@ def test_value_noise_scales_with_global_range(rng):
     assert d_large == pytest.approx(10 * d_small, rel=1e-9)
 
 
+def test_value_noise_range_channel_mismatch_names_both_counts():
+    traj = Trajectory(np.zeros((10, 2)), 0.1)
+    spec = PerturbationSpec("value_noise", rate=0.5, magnitude=0.1, seed=SeedSpec(1))
+    with pytest.raises(DataError, match="range has 3 channels but the trajectory has 2"):
+        value_noise(traj, spec, GlobalRange([0.0] * 3, [1.0] * 3))
+
+
 # -- substitution --------------------------------------------------------------
 
 
