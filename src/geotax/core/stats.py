@@ -79,9 +79,3 @@ def spearman_checked(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         return 0.0, True
     return pearson(rankdata(a), rankdata(b)), False
-
-
-def spearman(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation in [-1, 1]; 0.0 on degenerate input."""
-    rho, _ = spearman_checked(a, b)
-    return rho

@@ -234,7 +234,6 @@ _SEP_FLOOR = 1e-300
 class LLEResult:
     lle: float                  # per unit time
     window: tuple[int, int]     # fitted step range [start, end)
-    log_separation: np.ndarray
 
 
 def estimate_lle(traj_a: Trajectory, traj_b: Trajectory) -> LLEResult:
@@ -261,10 +260,10 @@ def estimate_lle(traj_a: Trajectory, traj_b: Trajectory) -> LLEResult:
     if end < LLE_MIN_WINDOW:
         raise DataError(f"linear window {end} steps < {LLE_MIN_WINDOW}; reduce the initial offset")
     if np.ptp(log_sep[:end]) == 0.0:
-        return LLEResult(0.0, (0, end), log_sep)   # constant separation
+        return LLEResult(0.0, (0, end))   # constant separation
     t = np.arange(end) * traj_a.dt
     slope = np.polyfit(t, log_sep[:end], 1)[0]
-    return LLEResult(float(slope), (0, end), log_sep)
+    return LLEResult(float(slope), (0, end))
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,6 @@ class ProcrustesResult:
     exact_match: bool
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
-    label: str          # BrittleGlass | TransitionZone | UntetheredGel
-    rho_percent: float
-
-
 def procrustes_align(x_clean, x_pert) -> ProcrustesResult:
     """Optimal orthogonal + isotropic-scale alignment of perturbed onto clean."""
     xc = as_array(x_clean)
@@ -80,16 +74,13 @@ def procrustes_align(x_clean, x_pert) -> ProcrustesResult:
     )
 
 
-def classify_regime(result: ProcrustesResult | float) -> RegimeLabel:
+def classify_regime(reduction_percent: float) -> str:
     """Threshold rule on the reduction: <2% BrittleGlass, >4% UntetheredGel."""
-    pct = result.reduction_percent if isinstance(result, ProcrustesResult) else float(result)
-    if pct < BRITTLE_GLASS_MAX:
-        label = "BrittleGlass"
-    elif pct > UNTETHERED_GEL_MIN:
-        label = "UntetheredGel"
-    else:
-        label = "TransitionZone"
-    return RegimeLabel(label, pct)
+    if reduction_percent < BRITTLE_GLASS_MAX:
+        return "BrittleGlass"
+    if reduction_percent > UNTETHERED_GEL_MIN:
+        return "UntetheredGel"
+    return "TransitionZone"
 
 
 # -- frozen head -----------------------------------------------------------

@@ -70,11 +70,6 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=1)
 
 
-def _blocks(n: int, k: int) -> int:
-    """How many row blocks a pass over n points and k centroids takes."""
-    return -(-n // max(1, BLOCK_ENTRIES // k))
-
-
 def _nearest(
     points: np.ndarray, pp: np.ndarray, centroids: np.ndarray, dist: np.ndarray | None = None
 ) -> np.ndarray:
@@ -95,7 +90,7 @@ def _nearest(
     """
     n, k = points.shape[0], centroids.shape[0]
     cc = _row_norms(centroids)
-    blocks = _blocks(n, k)
+    blocks = -(-n // max(1, BLOCK_ENTRIES // k))
     scratch = np.empty((-(-n // blocks) if blocks else 0, k))
     assign = np.empty(n, dtype=np.intp)
     for b in range(blocks):
@@ -106,35 +101,6 @@ def _nearest(
         if dist is not None:
             dist[rows] = block[np.arange(size), nearest]
     return assign
-
-
-class _FarthestRows(dict):
-    """Distance rows, by point index, of the points farthest from their
-    centroids: the rows ``_update_centroids`` reads for stolen points.
-
-    A missing row computes the next ``size`` rows, taking the points by
-    descending ``dist``, ties to the lowest index.  ``size`` is a pass
-    block's row count, so the product has a pass block's shape and each
-    row the bytes the pass gave it.  In a fit, ``dist`` is each point's
-    distance to its nearest centroid, and a stolen point's distance only
-    grows, so every steal of one update takes the same farthest point and
-    one block is computed per update that steals.  The centroids must not
-    move before the last row is read.
-    """
-
-    def __init__(self, points, pp, centroids, dist, size):
-        super().__init__()
-        self.points, self.pp, self.centroids = points, pp, centroids
-        self.dist, self.size, self.order = dist, size, None
-
-    def __missing__(self, i: int) -> np.ndarray:
-        if self.order is None:
-            self.order = np.argsort(-self.dist, kind="stable")
-        idx, self.order = self.order[: self.size], self.order[self.size :]
-        c = self.centroids
-        block = _sq_distances(self.points[idx], self.pp[idx], c, _row_norms(c))
-        self.update(zip(idx.tolist(), block))
-        return self[i]
 
 
 def _kmeans_pp_init(
@@ -160,47 +126,39 @@ def _kmeans_pp_init(
 
 
 def _update_centroids(
-    points: np.ndarray, assign: np.ndarray, dist: np.ndarray, centroids: np.ndarray, rows
+    points: np.ndarray, assign: np.ndarray, dist: np.ndarray, centroids: np.ndarray
 ) -> None:
     """One Lloyd update of ``centroids`` in place.
 
-    Visiting clusters 0..K-1 in order, a non-empty cluster moves to the mean
-    of its points, and an empty one takes the point farthest from its
-    current centroid (by ``dist``, each point's squared distance to its
-    assigned centroid), which then belongs to it.  ``rows[i][j]`` is point
-    i's squared distance to centroid j before the update; it is read only
-    for stolen points, and ``dist`` follows them in place.  Only the steals
-    are replayed in order: a point stolen before its own cluster's turn
-    leaves that cluster's mean, and every mean is a per-column ``bincount``
-    over the points that stay.  That sums each cluster's rows in index
-    order, as ``points[mask].mean(axis=0)`` does for two or more columns,
-    so the centroids are the same bytes.
+    ``assign`` is each point's nearest centroid and ``dist`` (n) its squared
+    distance to it.  Visiting clusters 0..K-1 in order, a non-empty cluster
+    moves to the mean of its points, and an empty one takes the point
+    farthest from its current centroid, which then belongs to it.  A stolen
+    point is no nearer to its new centroid than to its nearest one, so it
+    stays the farthest: every empty cluster takes the one point
+    ``argmax(dist)``.  That point leaves its own cluster only if stolen
+    before that cluster's turn, and if it was that cluster's only point,
+    the cluster is empty by its turn and takes it too.  Every mean is a
+    per-column ``bincount`` over the points that stay.  That sums each
+    cluster's rows in index order, as ``points[mask].mean(axis=0)`` does
+    for two or more columns, so the centroids are the same bytes.
     """
     k = centroids.shape[0]
+    labels, kept = assign, points
     counts = np.bincount(assign, minlength=k)
-    labels, kept, steals = assign, points, []
-    if not counts.all():
-        current = assign.copy()
-        keep = np.ones(assign.size, dtype=bool)
-        j = 0
-        while (empty := np.flatnonzero(counts[j:] == 0)).size:
-            j += int(empty[0])
-            far = int(np.argmax(dist))
-            # a point still in a cluster after j is in its own, unvisited one
-            if current[far] > j:
-                keep[far] = False
-            counts[current[far]] -= 1
-            counts[j] += 1
-            current[far] = j
-            dist[far] = rows[far][j]
-            steals.append((j, far))
-        labels, kept = assign[keep], points[keep]
-        # clusters that stole keep no points; their rows are overwritten below
-        counts = np.maximum(np.bincount(labels, minlength=k), 1)
+    stolen = counts == 0
+    if stolen.any():
+        far = int(np.argmax(dist))
+        if assign[far] > np.argmax(stolen):  # stolen before its own cluster's turn
+            keep = np.arange(assign.size) != far
+            labels, kept = assign[keep], points[keep]
+            counts = np.bincount(labels, minlength=k)
+            stolen = counts == 0
+        counts[stolen] = 1  # their rows are overwritten below
     for c in range(centroids.shape[1]):
         centroids[:, c] = np.bincount(labels, weights=kept[:, c], minlength=k) / counts
-    for j, far in steals:
-        centroids[j] = points[far]
+    if stolen.any():
+        centroids[stolen] = points[far]
 
 
 def kmeans_fit(
@@ -240,13 +198,11 @@ def kmeans_fit(
     trace = []
     prev_inertia = np.inf
     dist = np.empty(n)
-    block_rows = n // _blocks(n, k)
     for _ in range(KMEANS_MAX_ITER):
         assign = _nearest(points, pp, centroids, dist)
         inertia = exact_inertia(assign)
         trace.append(inertia)
-        rows = _FarthestRows(points, pp, centroids, dist, block_rows)
-        _update_centroids(points, assign, dist, centroids, rows)
+        _update_centroids(points, assign, dist, centroids)
         if prev_inertia < np.inf and prev_inertia > 0:
             if abs(prev_inertia - inertia) / prev_inertia < KMEANS_REL_TOL:
                 break

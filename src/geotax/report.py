@@ -293,7 +293,6 @@ def _run_procrustes(cfg: Config, seed: int, out: Path) -> dict:
     clean = load(cfg.require("procrustes.clean"))
     pert = load(cfg.require("procrustes.pert"))
     res = procrustes_align(clean, pert)
-    regime = classify_regime(res)
     if cfg.get_bool("procrustes.export_rotation"):
         write_embeddings(out / "rotation.emb1", EmbeddingMatrix(res.rotation))
     return {
@@ -303,7 +302,7 @@ def _run_procrustes(cfg: Config, seed: int, out: Path) -> dict:
         "reduction_percent": res.reduction_percent,
         "scale": res.scale,
         "exact_match": res.exact_match,
-        "regime": regime.label,
+        "regime": classify_regime(res.reduction_percent),
     }
 
 

@@ -15,7 +15,6 @@ SRC = REPO / "src" / "geotax"
 SCRIPTS = REPO / "scripts"
 
 ALLOWLIST = {
-    "core/stats.py:spearman": "acceptance 5: Spearman oracle equivalence",
     "dynamics.py:estimate_lle": "README: Lyapunov exponent estimation; acceptance 8",
     "dynamics.py:lorenz_twins": "README: Lyapunov exponent estimation; acceptance 8",
     "dynamics.py:butterfly_test": "README: a butterfly attractor test; acceptance 8",

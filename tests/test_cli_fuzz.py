@@ -1,7 +1,7 @@
 """Exit-code fuzz: byte-mutated inputs reach ``cli.main`` through
-``lipschitz``, ``report``, ``walk``, ``perturb`` and ``discretize``, and
-every run ends in 0, 2 or 3, never in an exception; a run that ends in 2
-or 3 leaves no run directory.  Out-of-range, non-finite and
+``lipschitz``, ``report``, ``walk``, ``perturb``, ``discretize`` and
+``vq-sweep --data``, and every run ends in 0, 2 or 3, never in an
+exception; a run that ends in 2 or 3 leaves no run directory.  Out-of-range, non-finite and
 non-numeric values of each subcommand's numeric flags end in 2 or 3.
 
 Inputs are tiny fixtures written under fixed relative names in a fresh
@@ -53,10 +53,14 @@ TARGETS = {
     "discretize-input": ("d.emb1", ["discretize", "--input", "d.emb1", "walk.emb1"]),
     "discretize-range": ("range.csv", ["discretize", "--input", "walk.emb1",
                                        "--range", "range.csv"]),
+    # sigmas of 0.05 to 1 give the clean fixture the same distortion at
+    # every K, and the 1/ln K fit then exits 3
+    "vq-data": ("vq.emb1", ["vq-sweep", "--data", "vq.emb1", "--k-values", "2,3,4",
+                            "--sigma", "2"]),
 }
 FIXTURES = {"emb1": EMB1, "csv": CSV, "config": CONFIG, "report": REPORT,
             "fasta-walk": FASTA, "fasta-perturb": FASTA, "manifest": MANIFEST,
-            "discretize-input": EMB1, "discretize-range": RANGE}
+            "discretize-input": EMB1, "discretize-range": RANGE, "vq-data": EMB1}
 
 MUTATIONS = st.lists(
     st.tuples(

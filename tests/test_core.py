@@ -21,7 +21,7 @@ from geotax.core.parallel import ordered_map
 from geotax.core.pca import pca_project
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.sequence import DNA, PROTEIN, Alphabet, SymbolSequence, bins_alphabet
-from geotax.core.stats import rankdata, spearman, spearman_checked
+from geotax.core.stats import rankdata, spearman_checked
 from geotax.errors import DataError
 
 DATA = Path(__file__).parent / "data"
@@ -123,14 +123,14 @@ def test_distance_matrix_entry_indexing(rng):
 
 def test_spearman_monotone_trivials():
     a = np.arange(10.0)
-    assert spearman(a, a) == pytest.approx(1.0)
-    assert spearman(a, a[::-1]) == pytest.approx(-1.0)
+    assert spearman_checked(a, a)[0] == pytest.approx(1.0)
+    assert spearman_checked(a, a[::-1])[0] == pytest.approx(-1.0)
 
 
 def test_spearman_matches_rank_oracle_small():
     a = np.array([1.0, 2, 3, 4, 5])
     b = np.array([2.0, 1, 4, 3, 5])
-    assert spearman(a, b) == pytest.approx(spearman_oracle(a, b), abs=1e-15)
+    assert spearman_checked(a, b)[0] == pytest.approx(spearman_oracle(a, b), abs=1e-15)
 
 
 def test_spearman_oracle_equivalence_with_ties():
@@ -139,7 +139,7 @@ def test_spearman_oracle_equivalence_with_ties():
         n = int(rng.integers(3, 51))
         a = rng.integers(0, 10, size=n).astype(float)  # heavy ties
         b = rng.standard_normal(n)
-        assert spearman(a, b) == pytest.approx(spearman_oracle(a, b), abs=1e-12)
+        assert spearman_checked(a, b)[0] == pytest.approx(spearman_oracle(a, b), abs=1e-12)
 
 
 def test_spearman_constant_returns_zero_with_flag():
@@ -232,13 +232,14 @@ def test_spearman_monotone_transform_invariance(values, transform):
     a = np.array(values, dtype=float)
     b = np.arange(float(a.size))
     scaled = transform(a / 1001.0)
-    assert spearman(scaled, b) == pytest.approx(spearman(a, b), abs=1e-9)
+    assert spearman_checked(scaled, b)[0] == pytest.approx(spearman_checked(a, b)[0], abs=1e-9)
 
 
 def test_spearman_equals_spearman_of_ranks(rng):
     a = rng.standard_normal(30)
     b = rng.standard_normal(30)
-    assert spearman(a, b) == pytest.approx(spearman(rankdata(a), rankdata(b)), abs=1e-15)
+    ranked = spearman_checked(rankdata(a), rankdata(b))[0]
+    assert spearman_checked(a, b)[0] == pytest.approx(ranked, abs=1e-15)
 
 
 # -- PCA -----------------------------------------------------------------

@@ -128,18 +128,18 @@ def test_random_orthogonal_recovery_property(seed):
 
 
 def test_regime_thresholds():
-    assert classify_regime(0.7).label == "BrittleGlass"
-    assert classify_regime(5.2).label == "UntetheredGel"
-    assert classify_regime(3.0).label == "TransitionZone"
-    assert classify_regime(2.0).label == "TransitionZone"  # boundaries inclusive
-    assert classify_regime(4.0).label == "TransitionZone"
+    assert classify_regime(0.7) == "BrittleGlass"
+    assert classify_regime(5.2) == "UntetheredGel"
+    assert classify_regime(3.0) == "TransitionZone"
+    assert classify_regime(2.0) == "TransitionZone"  # boundaries inclusive
+    assert classify_regime(4.0) == "TransitionZone"
 
 
 def test_regime_labels_for_ingested_table():
     for model, pct in CROSS_ARCH_REDUCTIONS.items():
-        assert classify_regime(pct).label == "UntetheredGel", model
+        assert classify_regime(pct) == "UntetheredGel", model
     for model, (pct, expected) in SNP_REDUCTIONS.items():
-        assert classify_regime(pct).label == expected, model
+        assert classify_regime(pct) == expected, model
 
 
 # -- frozen head ------------------------------------------------------------

@@ -198,13 +198,14 @@ def lloyd_update_loop_oracle(points, assign, d2, k):
 
 def updated(points, assign, d2, k):
     centroids = np.full((k, points.shape[1]), np.nan)
-    _update_centroids(points, assign, d2[np.arange(assign.size), assign], centroids, d2)
+    _update_centroids(points, assign, d2[np.arange(assign.size), assign], centroids)
     return centroids
 
 
 def random_update_case(rng, m):
     """Assignments onto a random subset of the clusters (often most of them
-    empty), with continuous or heavily tied distances."""
+    empty), with continuous or heavily tied distances.  Each point's
+    distance to its assigned cluster is its row's least, as in a fit."""
     k = int(rng.integers(2, 120))
     n = int(rng.integers(k, 3 * k + 5))
     used = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
@@ -213,6 +214,7 @@ def random_update_case(rng, m):
         d2 = rng.integers(0, 3, size=(n, k)).astype(float)
     else:
         d2 = rng.random((n, k))
+    d2[np.arange(n), assign] = d2.min(axis=1)
     return rng.standard_normal((n, m)), assign, d2, k
 
 
@@ -240,21 +242,21 @@ def test_update_one_column_close_to_loop_oracle():
 def test_update_point_stolen_twice_and_cluster_emptied_by_a_steal():
     points = np.arange(10.0).reshape(5, 2)
     assign = np.array([3, 3, 3, 3, 2])
-    d2 = np.zeros((5, 4))
-    d2[4] = [9.0, 0.0, 9.0, 0.0]
-    d2[0, 3] = 5.0
+    d2 = np.ones((5, 4))
+    d2[:4, 3] = 0.0
+    d2[4] = [9.0, 9.0, 5.0, 9.0]
     got = updated(points, assign, d2, 4)
     # 0 steals point 4 from 2, and 1 steals it from 0; 2, now empty, steals
-    # point 0 from 3, which keeps points 1 to 3
+    # it from 1, and 3 keeps points 0 to 3
     assert got.tobytes() == lloyd_update_loop_oracle(points, assign, d2, 4).tobytes()
-    assert got[:3].tolist() == [points[4].tolist()] * 2 + [points[0].tolist()]
-    assert (got[3] == points[1:4].mean(axis=0)).all()
+    assert got[:3].tolist() == [points[4].tolist()] * 3
+    assert (got[3] == points[:4].mean(axis=0)).all()
 
 
 def test_update_steal_removes_point_from_its_unvisited_cluster():
     points = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 7.0]])
     assign = np.array([1, 1, 1])
-    d2 = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 3.0]])
+    d2 = np.array([[1.0, 0.0], [1.0, 0.0], [4.0, 3.0]])
     got = updated(points, assign, d2, 2)
     assert got.tolist() == [[5.0, 7.0], [0.5, 0.5]]
     assert got.tobytes() == lloyd_update_loop_oracle(points, assign, d2, 2).tobytes()
@@ -265,8 +267,7 @@ def test_update_steal_removes_point_from_its_unvisited_cluster():
 
 def full_matrix_kmeans_fit(points, k, seed, init_centroids=None):
     """``kmeans_fit`` as it was with the whole n x K matrix: each pass fills
-    it in one product, and each update may read any row of it.  Returns
-    the centroids and the inertia trace."""
+    it in one product.  Returns the centroids and the inertia trace."""
     n = points.shape[0]
     rng = rng_create(seed)
     pp = (points * points).sum(axis=1)
@@ -288,7 +289,7 @@ def full_matrix_kmeans_fit(points, k, seed, init_centroids=None):
         assign = np.argmin(d2, axis=1)
         inertia = exact_inertia(assign)
         trace.append(inertia)
-        _update_centroids(points, assign, d2[np.arange(n), assign], centroids, d2)
+        _update_centroids(points, assign, d2[np.arange(n), assign], centroids)
         if prev < np.inf and prev > 0:
             if abs(prev - inertia) / prev < quantize.KMEANS_REL_TOL:
                 break
@@ -307,12 +308,12 @@ def full_matrix_kmeans_fit(points, k, seed, init_centroids=None):
                                      (64, None)])
 def test_kmeans_fit_bytes_equal_full_matrix_oracle(monkeypatch, m, rows):
     monkeypatch.setattr(quantize, "KMEANS_MAX_ITER", 15 if rows else 40)
-    rows_read = []  # per update: the farthest rows computed, 0 if it stole nothing
+    stole = []  # per update: whether a cluster started it empty
     real = quantize._update_centroids
 
-    def update(points, assign, dist, centroids, far_rows):
-        real(points, assign, dist, centroids, far_rows)
-        rows_read.append(len(far_rows))
+    def update(points, assign, dist, centroids):
+        stole.append(not np.bincount(assign, minlength=centroids.shape[0]).all())
+        real(points, assign, dist, centroids)
 
     monkeypatch.setattr(quantize, "_update_centroids", update)
     rng = rng_create(SeedSpec(320, f"fit-oracle-{m}"))
@@ -329,7 +330,38 @@ def test_kmeans_fit_bytes_equal_full_matrix_oracle(monkeypatch, m, rows):
             ref = full_matrix_kmeans_fit(points, k, seed, None if ref is None else ref[0])
             assert got.centroids.tobytes() == ref[0].tobytes()
             assert got.inertia_trace == ref[1]
-    assert sum(n > 0 for n in rows_read) >= 10
+    assert sum(stole) >= 10
+
+
+# One-decimal data holds fewer distinct points than the larger K, so most
+# updates there re-seed many clusters.
+@pytest.mark.parametrize("m", [2, 3])
+def test_kmeans_fit_reseeds_every_empty_cluster_to_one_point(monkeypatch, m):
+    monkeypatch.setattr(quantize, "KMEANS_MAX_ITER", 20)
+    reseeded = []  # per stealing update: how many clusters started it empty
+    real = quantize._update_centroids
+
+    def update(points, assign, dist, centroids):
+        k = centroids.shape[0]
+        d2 = full_matrix_sq_distances(points, centroids)
+        empty = np.bincount(assign, minlength=k) == 0
+        before = assign.tobytes(), dist.tobytes()
+        real(points, assign, dist, centroids)
+        assert (assign.tobytes(), dist.tobytes()) == before
+        if empty.any():
+            reseeded.append(int(empty.sum()))
+            far = points[np.argmax(dist)]
+            assert (centroids[empty] == far).all()
+            oracle = lloyd_update_loop_oracle(points, assign, d2, k)
+            assert centroids.tobytes() == oracle.tobytes()
+
+    monkeypatch.setattr(quantize, "_update_centroids", update)
+    points = rng_create(SeedSpec(320, f"fit-reseed-{m}")).standard_normal((1000, m)).round(1)
+    cb = None
+    for k in (32, 128, 512):
+        cb = kmeans_fit(points, k, SeedSpec(320, f"fit-reseed-k{k}"),
+                        init_centroids=None if cb is None else cb.centroids)
+    assert len(reseeded) >= 10 and max(reseeded) >= 10
 
 
 def test_kmeans_fit_holds_no_n_by_k_matrix(monkeypatch):

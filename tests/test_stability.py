@@ -7,7 +7,7 @@ import pytest
 from geotax.core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_block
 from geotax import stability
 from geotax.core.rng import SeedSpec, rng_create
-from geotax.core.stats import rankdata, spearman
+from geotax.core.stats import rankdata, spearman_checked
 from geotax.errors import ConfigError, DataError
 from geotax.stability import (
     SplitConfig,
@@ -36,7 +36,7 @@ def naive_rdm_similarity(xc, xp):
                 out.append(1.0 - num / den)
         return np.array(out)
 
-    return spearman(rdm_vec(xc), rdm_vec(xp))
+    return spearman_checked(rdm_vec(xc), rdm_vec(xp))[0]
 
 
 def iid_sample_split_oracle(x, n_splits, seed):
@@ -53,7 +53,7 @@ def iid_sample_split_oracle(x, n_splits, seed):
 
 
 def naive_rdm_similarity_fast(a, b):
-    return spearman(cosine_rdm(a).vector(), cosine_rdm(b).vector())
+    return spearman_checked(cosine_rdm(a).vector(), cosine_rdm(b).vector())[0]
 
 
 # Exact draw-order oracles: each re-derives the metric's seed stream and
@@ -71,7 +71,8 @@ def sample_split_oracle(x, n_splits, s):
     scores = []
     for _ in range(n_splits):
         a, b = _oracle_halves(rng, x.shape[0])
-        scores.append(spearman(cosine_rdm(x[a]).vector(), cosine_rdm(x[b]).vector()))
+        rho, _ = spearman_checked(cosine_rdm(x[a]).vector(), cosine_rdm(x[b]).vector())
+        scores.append(rho)
     return float(np.mean(scores))
 
 
@@ -80,7 +81,8 @@ def feature_split_oracle(x, n_splits, s):
     scores = []
     for _ in range(n_splits):
         a, b = _oracle_halves(rng, x.shape[1])
-        scores.append(spearman(cosine_rdm(x[:, a]).vector(), cosine_rdm(x[:, b]).vector()))
+        rho, _ = spearman_checked(cosine_rdm(x[:, a]).vector(), cosine_rdm(x[:, b]).vector())
+        scores.append(rho)
     return float(np.mean(scores))
 
 
@@ -96,7 +98,7 @@ def anchor_stability_oracle(x, n_splits, s, n_anchors, rank_normalize):
             if rank_normalize:
                 block = np.vstack([rankdata(row) for row in block])
             profiles.append(block.ravel())
-        scores.append(spearman(*profiles))
+        scores.append(spearman_checked(*profiles)[0])
     return float(np.mean(scores))
 
 
