@@ -107,18 +107,6 @@ class DistanceMatrix:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def entry(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        i, j = (i, j) if i < j else (j, i)
-        # index of (i, j) in row-major upper triangle, diagonal excluded
-        return float(self.values[i * self.n - i * (i + 1) // 2 + (j - i - 1)])
-
-    def full(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        out[_upper_triangle(self.n)] = self.values
-        return out + out.T
-
     def vector(self) -> np.ndarray:
         return self.values
 
@@ -137,7 +125,7 @@ def unit_rows(x) -> np.ndarray:
 def cosine_rdm(x: EmbeddingMatrix | np.ndarray) -> DistanceMatrix:
     """Pairwise cosine-distance dissimilarity matrix, entries in [0, 2].
 
-    entry(i, j) = 1 - <x_i, x_j> / (|x_i| |x_j|).  Raises
+    Entry (i, j) is 1 - <x_i, x_j> / (|x_i| |x_j|).  Raises
     ``DataError`` on rows with norm below 1e-300.
     """
     unit = unit_rows(x)

@@ -83,18 +83,6 @@ class SymbolSequence:
         return SymbolSequence(symbols, self.alphabet)
 
 
-@dataclass(frozen=True)
-class KmerHistogram:
-    """Exact sliding-window k-mer counts, ranked lexicographically (A<C<G<T)."""
-
-    k: int
-    counts: np.ndarray
-    total: int
-
-    def frequencies(self) -> np.ndarray:
-        return self.counts / max(self.total, 1)
-
-
 def kmer_ranks(seq: SymbolSequence, k: int) -> np.ndarray:
     idx = seq.symbols
     if idx.size < k:
@@ -106,6 +94,6 @@ def kmer_ranks(seq: SymbolSequence, k: int) -> np.ndarray:
     return ranks
 
 
-def kmer_histogram(seq: SymbolSequence, k: int) -> KmerHistogram:
-    counts = np.bincount(kmer_ranks(seq, k), minlength=seq.alphabet.size**k)
-    return KmerHistogram(k, counts, len(seq) - k + 1)
+def kmer_histogram(seq: SymbolSequence, k: int) -> np.ndarray:
+    """Exact sliding-window k-mer counts, ranked lexicographically (A<C<G<T)."""
+    return np.bincount(kmer_ranks(seq, k), minlength=seq.alphabet.size**k)

@@ -40,18 +40,18 @@ class ResultCache:
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
 
-    def path_for(self, key: str) -> Path:
+    def _path_for(self, key: str) -> Path:
         return self.directory / f"{key}.bin"
 
     def get(self, key: str) -> bytes | None:
-        path = self.path_for(key)
+        path = self._path_for(key)
         if path.exists():
             return path.read_bytes()
         return None
 
     def put(self, key: str, payload: bytes) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
-        final = self.path_for(key)
+        final = self._path_for(key)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:

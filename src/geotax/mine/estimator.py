@@ -22,7 +22,7 @@ from ..core.parallel import ordered_map
 from ..core.pca import pca_project
 from ..core.rng import SeedSpec, rng_create
 from ..errors import ConfigError, DataError
-from .mlp import MLP, Adam, MLPConfig, Workspace, clip_gradient
+from .mlp import BATCH_SIZE, CLIP_INF, MLP, Adam, MLPConfig, Workspace, clip_gradient
 
 DEFAULT_SEEDS = (320, 420, 520, 620, 720)
 SANITY_CONFIG = MLPConfig(hidden=(128, 64), epochs=300)
@@ -68,31 +68,24 @@ class MIEstimate:
     ceiling: float | None = None
 
     @property
-    def per_seed(self) -> tuple:
-        return tuple(r.estimate for r in self.runs)
-
-    @property
     def excess(self) -> float | None:
         if self.baseline is None:
             return None
         return self.mean - self.baseline
 
-    @property
-    def normalized(self) -> float | None:
-        if self.baseline is None or self.ceiling is None or self.ceiling == 0.0:
-            return None
-        return self.excess / self.ceiling
-
     def to_dict(self) -> dict:
+        excess = self.excess
+        # None without a baseline, or with a ceiling that is None or 0
+        normalized = excess / self.ceiling if excess is not None and self.ceiling else None
         return {
             "seeds": [r.seed for r in self.runs],
-            "per_seed": list(self.per_seed),
+            "per_seed": [r.estimate for r in self.runs],
             "mean": self.mean,
             "std": self.std,
             "baseline": self.baseline,
             "ceiling": self.ceiling,
-            "excess": self.excess,
-            "normalized": self.normalized,
+            "excess": excess,
+            "normalized": normalized,
         }
 
 
@@ -105,7 +98,6 @@ class _Network:
                  eval_perm: np.ndarray, ws: Workspace):
         self.x, self.z, self.net, self.ws = x, z, net, ws
         self.opt = Adam(net.theta.size, cfg.lr)
-        self.clip_inf = cfg.clip_inf
         self.eval_input = np.concatenate(
             [np.concatenate([x, z], axis=1), np.concatenate([x, z[eval_perm]], axis=1)]
         )
@@ -134,7 +126,7 @@ class _Network:
         gout[:b, 0] = -1.0 / b
         gout[b:, 0] = w / w.sum()
         self.net.backward(cache, gout)
-        self.opt.step(self.net.theta, clip_gradient(self.net.grad, self.clip_inf))
+        self.opt.step(self.net.theta, clip_gradient(self.net.grad, CLIP_INF))
 
     def record(self, epoch: int, tail_start: int) -> None:
         value = self.full_bound()
@@ -172,8 +164,8 @@ def _train_cohort(tasks: list[tuple], pre_tail_trace: bool = True) -> list[MIRun
     tail_start = cfg.epochs - tail
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             b = idx.size
             if b < 2:
                 continue

@@ -34,7 +34,7 @@ def dna_features(seq: SymbolSequence | str) -> np.ndarray:
     if n < 2:
         raise DataError("need at least 2 bases")
     gc = float(((idx == 1) | (idx == 2)).mean())  # C or G
-    counts = kmer_histogram(seq, 2).counts.astype(np.float64)
+    counts = kmer_histogram(seq, 2).astype(np.float64)
     return np.concatenate([[gc], counts / (n - 1)])
 
 

@@ -26,6 +26,9 @@ from ..procrustes import sigmoid
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Rows per optimizer step, and the max|grad| above which a gradient is rescaled.
+BATCH_SIZE = 64
+CLIP_INF = 5.0
 # Classifier early stopping: held-out share and epochs without improvement.
 VAL_FRACTION = 0.15
 PATIENCE = 20
@@ -39,8 +42,6 @@ class MLPConfig:
     dropout: float = 0.10
     lr: float = 1e-4
     epochs: int = 500
-    batch_size: int = 64
-    clip_inf: float = 5.0       # rescale when max|grad| exceeds this
 
     def __post_init__(self):
         # a tuple, so a config can key the MINE cohorts
@@ -53,8 +54,6 @@ class MLPConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 class Workspace:
@@ -108,10 +107,6 @@ class MLP:
         twin._bind(self.dims, self.theta.copy())
         return twin
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
     def dropout_mask(self, rows: int, rate: float, rng: np.random.Generator,
                      ws: Workspace | None = None) -> np.ndarray | None:
         """Inverted-dropout scales for every hidden unit of ``rows`` inputs,
@@ -141,7 +136,7 @@ class MLP:
         acts = [x]
         masks: list[np.ndarray | None] = []
         col = 0
-        for i in range(self.n_layers - 1):
+        for i in range(len(self.weights) - 1):
             h = np.matmul(acts[-1], self.weights[i], out=ws.outs[i][:rows])
             h += self.biases[i]
             np.maximum(h, 0.0, out=h)
@@ -166,7 +161,7 @@ class MLP:
         acts, masks, ws = cache
         delta = np.asarray(grad_out, dtype=np.float64)
         rows = delta.shape[0]
-        for i in range(self.n_layers - 1, -1, -1):
+        for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(acts[i].T, delta, out=self._gw[i])
             self._gb[i][...] = delta.sum(axis=0)
             if i == 0:
@@ -239,11 +234,11 @@ def train_binary_classifier(
     stale = 0
     for _ in range(cfg.epochs):
         order = train_idx[rng.permutation(train_idx.size)]
-        for start in range(0, order.size, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, order.size, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             out, cache = net.forward(x[idx], net.dropout_mask(idx.size, cfg.dropout, rng))
             net.backward(cache, (sigmoid(out) - y[idx]) / idx.size)
-            opt.step(net.theta, clip_gradient(net.grad, cfg.clip_inf))
+            opt.step(net.theta, clip_gradient(net.grad, CLIP_INF))
         val_loss = float(np.logaddexp(0.0, -y_val_pm * net.predict(x[val_idx])).mean())
         if not np.isfinite(val_loss):
             raise DataError("classifier: loss left the finite range")

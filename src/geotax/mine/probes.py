@@ -16,7 +16,7 @@ PROBE_ARCHS = {
     "mlp": (256, 64),
     "mlp-wide": (512, 256, 64),
 }
-PROBE_CONFIG = dict(dropout=0.0, lr=1e-3, epochs=200, batch_size=64)
+PROBE_CONFIG = dict(dropout=0.0, lr=1e-3, epochs=200)
 
 
 def probe_config(arch: str) -> MLPConfig:

@@ -1,5 +1,5 @@
-"""Perturbation suite: value noise, time reversal, symbol substitution,
-reverse complement, and random padding for context-tax tests.
+"""Perturbation suite: value noise, time reversal, symbol substitution
+and reverse complement.
 
 Every rate-based perturbation touches exactly ceil(rate * L) positions,
 chosen without replacement, so "1% noise" on a 512-step series perturbs
@@ -106,36 +106,6 @@ def time_reverse(x: Trajectory | SymbolSequence):
     if isinstance(x, Trajectory):
         return Trajectory(x.values[::-1], x.dt)
     return x.replace(x.symbols[::-1])
-
-
-@dataclass(frozen=True)
-class PaddedSequence:
-    sequence: SymbolSequence
-    signal_start: int
-    signal_length: int
-
-
-def pad_random(
-    seq: SymbolSequence, target_len: int, side: str = "right", seed: SeedSpec = SeedSpec()
-) -> PaddedSequence:
-    """Pad with i.i.d. uniform symbols to target_len, preserving the signal
-    region verbatim at a recorded offset.  side: left | right | both."""
-    if target_len < len(seq):
-        raise DataError(f"target {target_len} < sequence length {len(seq)}")
-    extra = target_len - len(seq)
-    if side == "left":
-        left = extra
-    elif side == "right":
-        left = 0
-    elif side == "both":
-        left = extra // 2
-    else:
-        raise DataError(f"unknown pad side {side!r}")
-    right = extra - left
-    rng = rng_create(seed.derive("pad"))
-    pad = rng.integers(0, seq.alphabet.size, size=extra)
-    out = np.concatenate([pad[:left], seq.symbols, pad[left:]])
-    return PaddedSequence(seq.replace(out), left, len(seq))
 
 
 def apply_perturbation(x: Trajectory | SymbolSequence, spec: PerturbationSpec):

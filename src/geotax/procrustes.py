@@ -1,4 +1,4 @@
-"""Procrustes spin test, regime classification, and frozen-head checks.
+"""Procrustes spin test, regime classification, and the frozen linear classifier.
 
 The alignment pipeline is: mean-center both matrices, Frobenius-normalize
 copies to compute the optimal orthogonal map R* = V U^T from the SVD of
@@ -81,30 +81,6 @@ def classify_regime(reduction_percent: float) -> str:
     if reduction_percent > UNTETHERED_GEL_MIN:
         return "UntetheredGel"
     return "TransitionZone"
-
-
-# -- frozen head -----------------------------------------------------------
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def frozen_head_agreement(logits_clean, logits_pert) -> tuple[float, float]:
-    """Top-1 agreement fraction and mean token-level KL(p_clean || p_pert) in nats.
-
-    Ties in the top-1 go to the lowest index.
-    """
-    lc = as_array(logits_clean)
-    lp = as_array(logits_pert)
-    if lc.shape != lp.shape:
-        raise DataError(f"{lc.shape} vs {lp.shape}")
-    agree = float((np.argmax(lc, axis=1) == np.argmax(lp, axis=1)).mean())
-    log_pc = _log_softmax(lc)
-    log_pp = _log_softmax(lp)
-    kl = float((np.exp(log_pc) * (log_pc - log_pp)).sum(axis=1).mean())
-    return agree, kl
 
 
 # -- frozen linear classifier ------------------------------------------------

@@ -318,7 +318,8 @@ def vq_double_bind_sweep(
     distortion is the Procrustes residual between the decoded clean and
     decoded perturbed point sets.  A sigma that is not finite and positive,
     a repeated K, fewer than 3 K values (the 1/ln K fit needs 3) or a K
-    below 2 is a ``ConfigError``, raised before any codebook is fit.
+    below 2 is a ``ConfigError``, and fewer points than the largest K a
+    ``DataError``, each raised before any codebook is fit.
     """
     if not (np.isfinite(sigma) and sigma > 0):
         raise ConfigError(f"sigma must be finite and > 0, got {sigma}")
@@ -330,6 +331,8 @@ def vq_double_bind_sweep(
     if ks[0] < 2:
         raise ConfigError(f"every K must be >= 2, got {ks[0]}")
     pts = as_columns(data)
+    if pts.shape[0] < ks[-1]:
+        raise DataError(f"n={pts.shape[0]} < K={ks[-1]}")
     spec = SeedSpec.coerce(seed)
     rng = rng_create(spec.derive("sweep-noise"))
     noisy = pts + sigma * rng.standard_normal(pts.shape)

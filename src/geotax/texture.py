@@ -71,7 +71,6 @@ class MarkovModel:
 
     initial: np.ndarray          # 4
     transitions: np.ndarray      # 4 x 4, rows sum to 1
-    unseen_rows: tuple = ()      # rows that fell back to uniform
 
     def __post_init__(self):
         init = np.asarray(self.initial, dtype=np.float64)
@@ -99,16 +98,16 @@ def fit_markov(sequences) -> MarkovModel:
         seq.require(DNA, "markov fit is defined over the DNA alphabet")
         base_counts += np.bincount(seq.symbols, minlength=4)
         if len(seq) >= 2:
-            pair_counts += kmer_histogram(seq, 2).counts.reshape(4, 4)
+            pair_counts += kmer_histogram(seq, 2).reshape(4, 4)
     if base_counts.sum() == 0:
         raise DataError("corpus has no symbols")
     initial = base_counts / base_counts.sum()
     rows = pair_counts.sum(axis=1)
-    unseen = tuple(int(b) for b in np.nonzero(rows == 0)[0])
+    # a base never followed by another falls back to a uniform row
     transitions = np.where(
         rows[:, None] > 0, pair_counts / np.maximum(rows, 1.0)[:, None], 0.25
     )
-    return MarkovModel(initial, transitions, unseen)
+    return MarkovModel(initial, transitions)
 
 
 def gen_markov(model: MarkovModel, length: int, seed: SeedSpec | int = SeedSpec()) -> SymbolSequence:
@@ -136,8 +135,8 @@ def gen_markov(model: MarkovModel, length: int, seed: SeedSpec | int = SeedSpec(
 def rc_kmer_cosine(seq: SymbolSequence, k: int) -> float:
     """Cosine similarity between forward and reverse-complement k-mer
     histograms; 1.0 for RC-palindromic composition."""
-    fwd = kmer_histogram(seq, k).counts.astype(np.float64)
-    rev = kmer_histogram(reverse_complement(seq), k).counts.astype(np.float64)
+    fwd = kmer_histogram(seq, k).astype(np.float64)
+    rev = kmer_histogram(reverse_complement(seq), k).astype(np.float64)
     denom = np.linalg.norm(fwd) * np.linalg.norm(rev)
     if denom == 0.0:
         raise DataError("empty histogram")

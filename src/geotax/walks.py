@@ -8,7 +8,7 @@ or cosine) with spike detection at mean + 2 population standard deviations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,12 +133,10 @@ class LipschitzProfile:
     """Per-step displacement along a walk, plus summary statistics."""
 
     values: np.ndarray             # length n_steps - 1
-    metric: str                    # l2 | cosine
     mean: float
     max: float
     smoothness_ratio: float        # mean / max; 1.0 for a flat profile
     spikes: tuple                  # indices strictly above mean + 2 sigma
-    from_start: np.ndarray = field(repr=False, default=None)  # cumulative drift
 
 
 def detect_spikes(values: np.ndarray) -> tuple:
@@ -150,12 +148,12 @@ def detect_spikes(values: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.nonzero(values > threshold)[0])
 
 
-def _summarize(values: np.ndarray, metric: str, from_start: np.ndarray) -> LipschitzProfile:
+def _summarize(values: np.ndarray) -> LipschitzProfile:
     mean = float(values.mean())
     vmax = float(values.max())
     ratio = 1.0 if vmax == 0.0 else mean / vmax
     spikes = detect_spikes(values) if values.size >= SPIKE_MIN_VALUES else ()
-    return LipschitzProfile(values, metric, mean, vmax, ratio, spikes, from_start)
+    return LipschitzProfile(values, mean, vmax, ratio, spikes)
 
 
 def _rows(embeddings) -> np.ndarray:
@@ -169,19 +167,14 @@ def lipschitz_l2(embeddings) -> LipschitzProfile:
     """Consecutive L2 displacements along an ordered embedding path."""
     e = _rows(embeddings)
     values = np.linalg.norm(np.diff(e, axis=0), axis=1)
-    from_start = np.linalg.norm(e - e[0], axis=1)
-    return _summarize(values, "l2", from_start)
+    return _summarize(values)
 
 
 def lipschitz_cosine(embeddings) -> LipschitzProfile:
-    """Consecutive cosine distances; dimension-invariant across models.
-
-    ``from_start`` carries the cumulative cosine drift from step 0.
-    """
+    """Consecutive cosine distances; dimension-invariant across models."""
     unit = unit_rows(_rows(embeddings))
     values = 1.0 - np.clip((unit[1:] * unit[:-1]).sum(axis=1), -1.0, 1.0)
-    from_start = 1.0 - np.clip(unit @ unit[0], -1.0, 1.0)
-    return _summarize(values, "cosine", from_start)
+    return _summarize(values)
 
 
 def lipschitz_gap(mean_values) -> float:

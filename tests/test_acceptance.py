@@ -161,14 +161,14 @@ def test_acceptance_6_texture_invariants():
     for trial in range(1000):
         seq = SymbolSequence(rng.integers(0, 4, 1000), DNA)
         out = dinucleotide_shuffle(seq, SeedSpec(trial, "acc-sh"))
-        assert (kmer_histogram(out, 1).counts == kmer_histogram(seq, 1).counts).all()
-        assert (kmer_histogram(out, 2).counts == kmer_histogram(seq, 2).counts).all()
+        assert (kmer_histogram(out, 1) == kmer_histogram(seq, 1)).all()
+        assert (kmer_histogram(out, 2) == kmer_histogram(seq, 2)).all()
     for k in (1, 2, 3, 4):
         perm = rc_permutation(k)
         for _ in range(100):
             seq = SymbolSequence(rng.integers(0, 4, 200), DNA)
-            h = kmer_histogram(seq, k).counts
-            hr = kmer_histogram(reverse_complement(seq), k).counts
+            h = kmer_histogram(seq, k)
+            hr = kmer_histogram(reverse_complement(seq), k)
             assert (hr[perm] == h).all()
     shuffled = recovery_fraction(0.873, 0.858, 0.139)
     markov = recovery_fraction(0.873, 0.167, 0.139)

@@ -1,6 +1,7 @@
 """Exit-code fuzz: byte-mutated inputs reach ``cli.main`` through
-``lipschitz``, ``report``, ``walk``, ``perturb``, ``discretize`` and
-``vq-sweep --data``, and every run ends in 0, 2 or 3, never in an
+``lipschitz``, ``report``, ``walk``, ``perturb``, ``discretize``,
+``vq-sweep --data``, ``stability``, ``procrustes``, ``probe``, ``mine``
+and ``texture``, and every run ends in 0, 2 or 3, never in an
 exception; a run that ends in 2 or 3 leaves no run directory.  Out-of-range, non-finite and
 non-numeric values of each subcommand's numeric flags end in 2 or 3.
 
@@ -39,8 +40,26 @@ REPORT = json.dumps(
      "provenance": {"config_echo": CONFIG.decode(), "seed": 320}},
     sort_keys=True,
 ).encode()
+RNG = np.random.default_rng(320)
+MATRICES = {name: RNG.standard_normal(shape) for name, shape in (
+    ("c.emb1", (40, 6)), ("p.emb1", (40, 6)), ("f.emb1", (40, 2)), ("z.emb1", (40, 3)),
+    ("v.emb1", (40, 3)))}
+DELTAS = "".join(f"{v:.6g}\n" for v in RNG.uniform(0.1, 1.0, 40)).encode()
+# 7 records of 12 bases; texture needs at least 7 records of at least 8 bases
+TEXTURE = "".join(f">r{i}\n{('ACGGTCATTGCA' * 2)[i : i + 12]}\n" for i in range(7)).encode()
 
-# fixture -> (file the mutated bytes go to, CLI arguments)
+# every example writes all of these (and the MATRICES), then mutates its target
+FILES = {"walk.emb1": EMB1, "walk.csv": CSV, "exp.cfg": CONFIG, "report.json": REPORT,
+         "w.fasta": FASTA, "man.csv": MANIFEST, "d.emb1": EMB1, "range.csv": RANGE,
+         "vq.emb1": EMB1, "labels.csv": b"0\n1\n" * 20, "deltas.csv": DELTAS,
+         "t.fasta": TEXTURE}
+
+STABILITY = ["stability", "--clean", "c.emb1", "--pert", "p=p.emb1", "--deltas", "deltas.csv",
+             "--splits", "2", "--max-samples", "20", "--bootstrap", "1",
+             "--composite-variant", "perturbation"]
+PROBE = ["probe", "--embeddings", "c.emb1", "--labels", "labels.csv", "--folds", "2"]
+
+# target -> (file whose bytes are mutated, CLI arguments)
 TARGETS = {
     "emb1": ("walk.emb1", ["lipschitz", "--embeddings", "walk.emb1"]),
     "csv": ("walk.csv", ["lipschitz", "--embeddings", "walk.csv", "--metric", "l2"]),
@@ -58,9 +77,20 @@ TARGETS = {
     "vq-data": ("vq.emb1", ["vq-sweep", "--data", "vq.emb1", "--k-values", "2,3,4",
                             "--sigma", "2"]),
 }
-FIXTURES = {"emb1": EMB1, "csv": CSV, "config": CONFIG, "report": REPORT,
-            "fasta-walk": FASTA, "fasta-perturb": FASTA, "manifest": MANIFEST,
-            "discretize-input": EMB1, "discretize-range": RANGE, "vq-data": EMB1}
+# Targets whose runs fit, train or score per example: a mutated huge value
+# can hold a probe's logistic fit at its iteration cap for a second, so
+# they get fewer examples.
+ANALYSIS_TARGETS = {
+    "stability-clean": ("c.emb1", STABILITY),
+    "stability-pert": ("p.emb1", STABILITY),
+    "stability-deltas": ("deltas.csv", STABILITY),
+    "procrustes": ("p.emb1", ["procrustes", "--clean", "c.emb1", "--pert", "p.emb1"]),
+    "probe-embeddings": ("c.emb1", PROBE),
+    "probe-labels": ("labels.csv", PROBE),
+    "mine-features": ("f.emb1", ["mine", "--features", "f.emb1", "--embeddings", "z.emb1",
+                                 "--seeds", "1", "--epochs", "1"]),
+    "texture-fasta": ("t.fasta", ["texture", "--fasta", "t.fasta", "--splits", "2"]),
+}
 
 MUTATIONS = st.lists(
     st.tuples(
@@ -100,29 +130,41 @@ def fresh_directory():
             os.chdir(cwd)
 
 
-@pytest.mark.parametrize("fixture", sorted(FIXTURES))
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(mutations=MUTATIONS)
-def test_cli_mutated_input_exits_0_2_or_3(fixture, mutations):
-    target, argv = TARGETS[fixture]
+def write_fixtures():
+    for name, data in FILES.items():
+        with open(name, "wb") as fh:
+            fh.write(data)
+    for name, x in MATRICES.items():
+        write_embeddings(name, EmbeddingMatrix(x))
+
+
+def check_mutated_run(target, argv, mutations):
     with fresh_directory():
-        with open("walk.emb1", "wb") as fh:
-            fh.write(EMB1)
-        with open("w.fasta", "wb") as fh:
-            fh.write(FASTA)
+        write_fixtures()
+        with open(target, "rb") as fh:
+            data = fh.read()
         with open(target, "wb") as fh:
-            fh.write(mutate(FIXTURES[fixture], mutations))
+            fh.write(mutate(data, mutations))
         code = cli.main(["--out-dir", "run", *argv])
         assert code in (0, 2, 3)
         assert code == 0 or not os.path.exists("run")
 
 
-# -- flag values ------------------------------------------------------------------
+@pytest.mark.parametrize("fixture", sorted(TARGETS))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(mutations=MUTATIONS)
+def test_cli_mutated_input_exits_0_2_or_3(fixture, mutations):
+    check_mutated_run(*TARGETS[fixture], mutations)
 
-RNG = np.random.default_rng(320)
-MATRICES = {name: RNG.standard_normal(shape) for name, shape in (
-    ("c.emb1", (40, 6)), ("p.emb1", (40, 6)), ("f.emb1", (40, 2)), ("z.emb1", (40, 3)),
-    ("v.emb1", (40, 3)))}
+
+@pytest.mark.parametrize("fixture", sorted(ANALYSIS_TARGETS))
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(mutations=MUTATIONS)
+def test_cli_mutated_analysis_input_exits_0_2_or_3(fixture, mutations):
+    check_mutated_run(*ANALYSIS_TARGETS[fixture], mutations)
+
+
+# -- flag values ------------------------------------------------------------------
 
 # runs that exit 0 as they stand; each case below breaks exactly one flag
 FLAG_BASES = {
@@ -204,15 +246,6 @@ FLAG_CASES = {
 GLOBAL_FLAGS = ("--seed", "--threads")
 
 
-def write_flag_fixtures():
-    with open("walk.emb1", "wb") as fh:
-        fh.write(EMB1)
-    for name, x in MATRICES.items():
-        write_embeddings(name, EmbeddingMatrix(x))
-    with open("labels.csv", "w") as fh:
-        fh.write("0\n1\n" * 20)
-
-
 def exit_code(argv):
     """``cli.main``'s return value, or the code argparse exits with."""
     try:
@@ -224,7 +257,7 @@ def exit_code(argv):
 @pytest.mark.parametrize("base", sorted(FLAG_BASES))
 def test_cli_flag_fuzz_bases_exit_0(base):
     with fresh_directory():
-        write_flag_fixtures()
+        write_fixtures()
         assert exit_code(FLAG_BASES[base]) == 0
 
 
@@ -240,5 +273,5 @@ def test_cli_bad_flag_value_exits_2_or_3(case, data):
     else:
         argv.append(f"{flag}={value}")
     with fresh_directory():
-        write_flag_fixtures()
+        write_fixtures()
         assert exit_code(argv) in (2, 3)

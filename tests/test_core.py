@@ -30,6 +30,22 @@ DATA = Path(__file__).parent / "data"
 # -- oracles -------------------------------------------------------------
 
 
+def entry(dm, i, j):
+    """Entry (i, j) of a condensed distance matrix, read by its index
+    formula in the row-major strict upper triangle."""
+    if i == j:
+        return 0.0
+    i, j = (i, j) if i < j else (j, i)
+    return float(dm.values[i * dm.n - i * (i + 1) // 2 + (j - i - 1)])
+
+
+def full(dm):
+    """The symmetric n x n matrix of a condensed distance matrix."""
+    out = np.zeros((dm.n, dm.n))
+    out[np.triu_indices(dm.n, 1)] = dm.values
+    return out + out.T
+
+
 def rank_oracle(a):
     """O(n^2) average-tie ranks: 1 + #smaller + (#equal - 1)/2."""
     a = np.asarray(a, dtype=float)
@@ -89,11 +105,11 @@ def test_cross_distance_block_reports_first_bad_row_of_a_first():
 
 def test_cosine_rdm_identity_orthogonal_antipodal():
     x = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert cosine_rdm(x).entry(0, 1) == pytest.approx(0.0, abs=1e-15)
+    assert entry(cosine_rdm(x), 0, 1) == pytest.approx(0.0, abs=1e-15)
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert cosine_rdm(x).entry(0, 1) == pytest.approx(1.0)
+    assert entry(cosine_rdm(x), 0, 1) == pytest.approx(1.0)
     x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert cosine_rdm(x).entry(0, 1) == pytest.approx(2.0)
+    assert entry(cosine_rdm(x), 0, 1) == pytest.approx(2.0)
 
 
 def test_cosine_rdm_zero_row_raises():
@@ -112,10 +128,12 @@ def test_cosine_rdm_row_scale_invariance(rng):
 def test_distance_matrix_entry_indexing(rng):
     x = rng.standard_normal((7, 4))
     dm = cosine_rdm(x)
-    full = dm.full()
+    square = full(dm)
+    unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+    assert np.abs(square - (1.0 - unit @ unit.T)).max() < 1e-12
     for i in range(7):
         for j in range(7):
-            assert dm.entry(i, j) == pytest.approx(full[i, j], abs=1e-15)
+            assert entry(dm, i, j) == pytest.approx(square[i, j], abs=1e-15)
 
 
 # -- spearman ------------------------------------------------------------

@@ -26,6 +26,8 @@ from geotax.mine.estimator import (
 )
 from geotax.mine.features import dna_features, protein_features
 from geotax.mine.mlp import (
+    BATCH_SIZE,
+    CLIP_INF,
     MLP,
     Adam,
     MLPConfig,
@@ -92,10 +94,9 @@ def central_difference_check(net, loss_fn, n_probes=10, h=1e-6, seed=0):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"hidden": (0,)}, {"dropout": 1.0}, {"epochs": 0}, {"batch_size": 0},
+    [{"hidden": (0,)}, {"dropout": 1.0}, {"epochs": 0},
      {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0}, {"lr": -1.0}],
-    ids=["hidden", "dropout", "epochs", "batch_size", "lr-nan", "lr-inf", "lr-zero",
-         "lr-negative"],
+    ids=["hidden", "dropout", "epochs", "lr-nan", "lr-inf", "lr-zero", "lr-negative"],
 )
 def test_mlp_config_rejects_untrainable_settings(kwargs):
     with pytest.raises(ConfigError):
@@ -230,7 +231,7 @@ def test_dropout_mask_threshold_matches_the_float_conversion_at_its_edge(rate):
 
 def reference_pass(net, x, mask, grad_out):
     acts, masks, col, h = [x], [], 0, x
-    for i in range(net.n_layers - 1):
+    for i in range(len(net.weights) - 1):
         h = np.maximum(h @ net.weights[i] + net.biases[i], 0.0)
         layer_mask = None
         if mask is not None:
@@ -250,7 +251,7 @@ def reference_pass(net, x, mask, grad_out):
     np.matmul(acts[-1].T, delta, out=gw[-1])
     gb[-1][...] = delta.sum(axis=0)
     upstream = delta @ net.weights[-1].T
-    for i in range(net.n_layers - 2, -1, -1):
+    for i in range(len(net.weights) - 2, -1, -1):
         if masks[i] is not None:
             upstream *= masks[i]
         upstream *= acts[i + 1] > 0.0
@@ -296,9 +297,9 @@ def call_counter(monkeypatch, owner, name):
 def test_cohort_steps_each_network_once_per_batch(monkeypatch):
     counts = {name: call_counter(monkeypatch, owner, name) for owner, name in
               [(MLP, "backward"), (Adam, "step"), (MLP, "dropout_mask")]}
-    # batches of 32, 32 and 1 rows; the 1-row batch is skipped
-    cfg = MLPConfig(hidden=(8,), epochs=3, batch_size=32)
-    tasks = [(*correlated(65, s), cfg, 9) for s in (1, 2, 3)]
+    # batches of 64, 64 and 1 rows; the 1-row batch is skipped
+    cfg = MLPConfig(hidden=(8,), epochs=3)
+    tasks = [(*correlated(129, s), cfg, 9) for s in (1, 2, 3)]
     _train_cohort(tasks)
     assert len(counts["backward"]) == len(counts["step"]) == 3 * 3 * 2
     assert len(counts["dropout_mask"]) == 3 * 2   # one draw per cohort step
@@ -373,7 +374,7 @@ def test_estimate_deterministic_per_seed():
     cfg = quick_cfg(epochs=40)
     a = excess_mi_report(x, y, cfg, (320,), pca_dim=None)
     b = excess_mi_report(x, y, cfg, (320,), pca_dim=None)
-    assert a.per_seed == b.per_seed
+    assert a.to_dict()["per_seed"] == b.to_dict()["per_seed"]
 
 
 # Exact outputs of tiny runs, pinned so that a refactor of the fan-out
@@ -387,7 +388,7 @@ def test_excess_mi_report_pinned(workers):
     z = np.column_stack([x + 0.5 * rng.standard_normal(120), rng.standard_normal(120)])
     cfg = MLPConfig(hidden=(16,), epochs=3)
     est = excess_mi_report(x, z, cfg, (1, 2), pca_dim=None, workers=workers)
-    assert est.per_seed == (-0.5353284033889595, -1.2581535209422365)
+    assert est.to_dict()["per_seed"] == [-0.5353284033889595, -1.2581535209422365]
     assert est.mean == -0.896740962165598
     assert est.baseline == -0.9122695563244663
     assert est.ceiling == -1.0582076466372419
@@ -431,8 +432,8 @@ def oracle_run(x, z, cfg, seed):
     trace, tail_values = [], []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             b = idx.size
             if b < 2:
                 continue
@@ -449,7 +450,7 @@ def oracle_run(x, z, cfg, seed):
             gout[:b, 0] = -1.0 / b
             gout[b:, 0] = w / w.sum()
             net.backward(cache, gout)
-            opt.step(net.theta, clip_gradient(net.grad, cfg.clip_inf))
+            opt.step(net.theta, clip_gradient(net.grad, CLIP_INF))
         if epoch >= tail_start:
             value = full_bound()
             tail_values.append(value)
@@ -479,7 +480,7 @@ def correlated(n, seed, widths=(1, 1)):
     "n, cfg",
     [
         (64, MLPConfig(hidden=(16, 8), epochs=4)),
-        (129, MLPConfig(hidden=(8,), epochs=3, batch_size=64)),   # skips a 1-row batch
+        (129, MLPConfig(hidden=(8,), epochs=3)),   # skips a 1-row batch
         (64, MLPConfig(hidden=(8,), epochs=3, dropout=0.0)),
     ],
     ids=["hidden-16-8", "partial-batch", "no-dropout"],

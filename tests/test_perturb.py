@@ -12,16 +12,11 @@ from geotax.errors import DataError
 from geotax.perturb import (
     PerturbationSpec,
     n_positions,
-    pad_random,
     reverse_complement,
     substitute,
     time_reverse,
     value_noise,
 )
-
-# chi-square critical value, df=3, alpha=0.001 (frozen from the standard table)
-CHI2_CRIT_DF3_A001 = 16.266
-
 
 def dna(text):
     return SymbolSequence.from_string(text, DNA)
@@ -146,36 +141,3 @@ def test_time_reverse_trivials():
     traj = Trajectory(np.array([[1.0], [2.0], [3.0]]), 0.5)
     assert (time_reverse(time_reverse(traj)).values == traj.values).all()
 
-
-# -- padding ------------------------------------------------------------------------
-
-
-def test_pad_identity_when_target_equals_length():
-    seq = dna("ACGTAC")
-    out = pad_random(seq, 6, "right", SeedSpec(1))
-    assert (out.sequence.symbols == seq.symbols).all()
-    assert out.signal_start == 0 and out.signal_length == 6
-
-
-def test_pad_preserves_signal_slice():
-    seq = dna("ACGTACGTAC")
-    for side in ("left", "right", "both"):
-        out = pad_random(seq, 31, side, SeedSpec(2))
-        sl = out.sequence.symbols[out.signal_start : out.signal_start + out.signal_length]
-        assert (sl == seq.symbols).all()
-        assert len(out.sequence) == 31
-
-
-def test_pad_target_too_short():
-    with pytest.raises(DataError, match="target 3 < sequence length 4"):
-        pad_random(dna("ACGT"), 3, "right", SeedSpec(1))
-
-
-def test_pad_composition_uniform_chi2():
-    seq = dna("A")
-    out = pad_random(seq, 100_001, "right", SeedSpec(320))
-    pad = out.sequence.symbols[1:]
-    counts = np.bincount(pad, minlength=4)
-    expected = pad.size / 4
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    assert chi2 < CHI2_CRIT_DF3_A001

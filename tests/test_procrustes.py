@@ -7,7 +7,6 @@ from geotax.core.rng import SeedSpec, rng_create
 from geotax.errors import DataError
 from geotax.procrustes import (
     classify_regime,
-    frozen_head_agreement,
     frozen_head_classifier,
     logistic_fit,
     procrustes_align,
@@ -140,36 +139,6 @@ def test_regime_labels_for_ingested_table():
         assert classify_regime(pct) == "UntetheredGel", model
     for model, (pct, expected) in SNP_REDUCTIONS.items():
         assert classify_regime(pct) == expected, model
-
-
-# -- frozen head ------------------------------------------------------------
-
-
-def test_frozen_head_identical_logits(rng):
-    logits = rng.standard_normal((30, 5))
-    agree, kl = frozen_head_agreement(logits, logits)
-    assert agree == 1.0 and kl == pytest.approx(0.0, abs=1e-15)
-
-
-def test_frozen_head_shifted_argmax():
-    clean = np.array([[5.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 5.0]])
-    pert = np.roll(clean, 1, axis=1)
-    agree, _ = frozen_head_agreement(clean, pert)
-    assert agree == 0.0
-
-
-def test_frozen_head_two_class_kl_closed_form():
-    clean = np.log(np.array([[0.9, 0.1]]))
-    pert = np.log(np.array([[0.1, 0.9]]))
-    _, kl = frozen_head_agreement(clean, pert)
-    assert kl == pytest.approx(0.8 * np.log(9.0), abs=1e-12)
-    assert kl == pytest.approx(1.7578, abs=1e-4)
-
-
-def test_frozen_head_tie_lowest_index():
-    logits = np.array([[1.0, 1.0, 0.0]])
-    agree, _ = frozen_head_agreement(logits, logits)
-    assert agree == 1.0
 
 
 # -- logistic regression -------------------------------------------------------

@@ -630,3 +630,13 @@ def test_vq_sweep_monotone_mse_and_fit(rng):
     assert all(b <= a + 1e-12 for a, b in zip(curve.recon_mse, curve.recon_mse[1:]))
     assert 0.0 <= curve.fit_r2 <= 1.0
     assert len(curve.rows()) == 4
+
+
+def test_vq_sweep_checks_the_largest_k_against_n_before_any_fit(tmp_path, monkeypatch, capsys):
+    fits = []
+    monkeypatch.setattr(quantize, "kmeans_fit", lambda *args, **kwargs: fits.append(args))
+    argv = ["--out-dir", "run", "vq-sweep", "--k-values", "2,3,2000001"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "data error: n=2000 < K=2000001\n"
+    assert fits == []
+    assert not (tmp_path / "run").exists()

@@ -158,13 +158,6 @@ def test_cosine_profile_dimension_invariance(rng):
     assert np.abs(p16.values - p4096.values).max() < 1e-9
 
 
-def test_cosine_from_start_nonnegative_zero_at_origin(rng):
-    e = rng.standard_normal((25, 8)) + 3.0
-    profile = lipschitz_cosine(e)
-    assert profile.from_start[0] == 0.0
-    assert (profile.from_start >= 0).all()
-
-
 def test_detect_spikes_trivials():
     assert detect_spikes(np.ones(50)) == ()
     values = np.ones(100)
