@@ -10,6 +10,16 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 network error.
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":
+    # Run as the program (``python -m geotax.cli`` or the ``geotax`` script):
+    # start OpenBLAS on one thread before numpy loads, unless the caller chose
+    # a count.  Every report runs on one BLAS thread anyway, and OpenBLAS
+    # threads started at import spin for CPU time no report uses.  Imported
+    # as a library, the module leaves the environment alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import sys
 from pathlib import Path

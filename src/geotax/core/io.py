@@ -65,7 +65,10 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
             raise DataError(f"{path}: bad label flag {flag}")
         if len(raw) > off:
             raise DataError(f"{path}: {len(raw) - off} trailing bytes after the label block")
-    return _matrix(path, data.astype(np.float64), labels)
+    # a signaling-NaN float32 would warn in the cast; the matrix check names it
+    with np.errstate(invalid="ignore"):
+        data = data.astype(np.float64)
+    return _matrix(path, data, labels)
 
 
 def read_text(path: str | Path, error: type[Exception]) -> str:

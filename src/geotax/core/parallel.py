@@ -7,7 +7,10 @@ experiment inside ``single_thread_blas``, and ``ordered_map`` pins its
 pool workers and its inline calls.  A BLAS sum split over threads adds in
 another order, so one thread gives the same bytes on any core count, and
 the harness's small matrix products only slow down when BLAS starts
-threads of its own.
+threads of its own.  Run as the program, ``geotax.cli`` also sets
+``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless the caller set it,
+so OpenBLAS starts no threads to spin at import; library callers and a
+caller-set count still rely on the pins here.
 """
 
 from __future__ import annotations

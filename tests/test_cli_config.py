@@ -686,6 +686,22 @@ def test_cli_non_finite_embeddings_exit_3_naming_the_file(suffix, tmp_path, caps
     assert err.startswith("data error: ") and str(path) in err and "non-finite" in err
 
 
+def test_cli_signaling_nan_emb1_prints_only_the_data_error(tmp_path, capsys):
+    # 0x7F800001 is a float32 signaling NaN: casting it to float64 is an
+    # invalid operation, which numpy reports as a RuntimeWarning
+    x = np.random.default_rng(3).standard_normal((40, 6)).astype("<f4")
+    raw = bytearray(b"EMB1" + struct.pack("<II", *x.shape) + x.tobytes() + b"\x00")
+    raw[12:16] = struct.pack("<I", 0x7F800001)
+    path = tmp_path / "snan.emb1"
+    path.write_bytes(bytes(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--out-dir", str(tmp_path / "run"), "lipschitz",
+                         "--embeddings", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path}: embedding matrix contains non-finite values\n")
+
+
 def test_cli_non_finite_deltas_exit_3_naming_the_file(pair, tmp_path, capsys):
     deltas = tmp_path / "nf_deltas.csv"
     deltas.write_text(BAD_DELTAS["nan"])

@@ -44,6 +44,8 @@ RNG = np.random.default_rng(320)
 MATRICES = {name: RNG.standard_normal(shape) for name, shape in (
     ("c.emb1", (40, 6)), ("p.emb1", (40, 6)), ("f.emb1", (40, 2)), ("z.emb1", (40, 3)),
     ("v.emb1", (40, 3)))}
+# one embedding row per record of t.fasta, for mine --features-fasta
+MATRICES["m.emb1"] = MATRICES["z.emb1"][:7]
 DELTAS = "".join(f"{v:.6g}\n" for v in RNG.uniform(0.1, 1.0, 40)).encode()
 # 7 records of 12 bases; texture needs at least 7 records of at least 8 bases
 TEXTURE = "".join(f">r{i}\n{('ACGGTCATTGCA' * 2)[i : i + 12]}\n" for i in range(7)).encode()
@@ -89,6 +91,9 @@ ANALYSIS_TARGETS = {
     "probe-labels": ("labels.csv", PROBE),
     "mine-features": ("f.emb1", ["mine", "--features", "f.emb1", "--embeddings", "z.emb1",
                                  "--seeds", "1", "--epochs", "1"]),
+    "mine-features-fasta": ("t.fasta", ["mine", "--features-fasta", "t.fasta",
+                                        "--embeddings", "m.emb1", "--seeds", "1",
+                                        "--epochs", "1"]),
     "texture-fasta": ("t.fasta", ["texture", "--fasta", "t.fasta", "--splits", "2"]),
 }
 

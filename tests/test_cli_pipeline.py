@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -528,6 +529,68 @@ def test_stability_report_is_byte_identical_on_one_and_two_blas_threads(tmp_path
         assert (proc.returncode, proc.stderr) == (0, "")
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# the ``geotax`` command's [project.scripts] target
+SCRIPT_MODULE, SCRIPT_FUNCTION = re.search(
+    r'^geotax = "([\w.]+):(\w+)"$', (SRC.parent / "pyproject.toml").read_text(),
+    re.MULTILINE).groups()
+LAUNCHERS = {
+    "runpy": 'import runpy; runpy.run_module("geotax.cli", run_name="__main__")',
+    "console-script": f"from {SCRIPT_MODULE} import {SCRIPT_FUNCTION}; {SCRIPT_FUNCTION}()",
+}
+# Runs the CLI as the program on sys.argv[1:], then prints its exit code, the
+# process's OPENBLAS_NUM_THREADS and OpenBLAS's thread count.
+AS_PROGRAM = """\
+import os
+try:
+    {launch}
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+from geotax.core.parallel import _openblas_threads_api
+api = _openblas_threads_api()
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), api[0]() if api else None)
+"""
+
+
+def fresh_interpreter(code: str, *args: str, blas_threads: str | None = None) -> list[str]:
+    """Run ``code`` in a new interpreter with ``args`` as ``sys.argv[1:]``,
+    ``OPENBLAS_NUM_THREADS`` set to ``blas_threads`` or removed, and return
+    the words of the last line it printed."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+def test_cli_program_starts_openblas_on_one_thread(tmp_path, embedding_pair, launcher):
+    clean, pert = embedding_pair
+    code, variable, threads = fresh_interpreter(
+        AS_PROGRAM.format(launch=LAUNCHERS[launcher]), "--out-dir", str(tmp_path / "run"),
+        "procrustes", "--clean", str(clean), "--pert", str(pert))
+    assert (code, variable) == ("0", "1")
+    assert threads in ("1", "None")
+    assert (tmp_path / "run" / "report.json").is_file()
+
+
+def test_cli_program_keeps_the_callers_openblas_thread_count(tmp_path, embedding_pair):
+    clean, pert = embedding_pair
+    code, variable, _ = fresh_interpreter(
+        AS_PROGRAM.format(launch=LAUNCHERS["runpy"]), "--out-dir", str(tmp_path / "run"),
+        "procrustes", "--clean", str(clean), "--pert", str(pert), blas_threads="2")
+    assert (code, variable) == ("0", "2")
+
+
+def test_cli_import_leaves_openblas_thread_variable_unset():
+    code = "import os, geotax, geotax.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert fresh_interpreter(code) == ["None"]
 
 
 def test_failed_run_removes_only_the_directories_it_created(tmp_path, embedding_pair):

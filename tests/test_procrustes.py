@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geotax.procrustes as procrustes
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.errors import DataError
 from geotax.procrustes import (
@@ -151,6 +152,34 @@ def test_logistic_fit_separates_shifted_blobs():
     w, b = logistic_fit(x, y)
     pred = (x @ w + b) >= 0
     assert (pred == (y > 0)).mean() > 0.99
+
+
+def test_logistic_fit_stops_once_a_huge_entry_stalls_the_objective(monkeypatch):
+    # one entry of 3.9e27 holds the gradient norm far above the tolerance
+    # while the objective no longer changes in float64
+    x = np.random.default_rng(320).standard_normal((40, 6))
+    x[0, 0] = 3.9e27
+    y = np.tile([0.0, 1.0], 20)
+    calls = []
+    sigmoid = procrustes.sigmoid
+
+    def counting(z):
+        calls.append(1)
+        return sigmoid(z)
+
+    monkeypatch.setattr(procrustes, "sigmoid", counting)
+    w, b = logistic_fit(x, y)
+    assert len(calls) < procrustes.LOGISTIC_MAX_ITER // 2
+    # running on to the iteration cap changes no decision
+    calls.clear()
+    monkeypatch.setattr(procrustes, "LOGISTIC_STALL", procrustes.LOGISTIC_MAX_ITER + 1)
+    w_cap, b_cap = logistic_fit(x, y)
+    assert len(calls) == procrustes.LOGISTIC_MAX_ITER
+    assert np.array_equal(x @ w + b >= 0, x @ w_cap + b_cap >= 0)
+    # a matrix without the huge entry converges as before
+    calls.clear()
+    logistic_fit(x[1:], y[1:])
+    assert len(calls) < 10
 
 
 def test_classifier_separable_blobs():
