@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-values", dest="vq.k_values", default="32,64,128,256,512,1024")
     p.add_argument("--sigma", dest="vq.sigma", type=float, default=0.05)
     p.add_argument("--intrinsic-dim", dest="vq.intrinsic_dim", type=float,
-                   help="d_M of the Shannon D(R) column (default 2.06, the Lorenz attractor)")
+                   help="d_M of the Shannon D(R) column; required with --data "
+                        "(default 2.06, the Lorenz attractor)")
 
     return parser
 

@@ -1,9 +1,9 @@
 """Ground-truth compositional features for MI estimation.
 
 DNA: GC content plus 16 dinucleotide frequencies (normalized by L - 1).
-Protein: 20 amino acid frequencies, normalized length L/1000, net charge
-per residue (K + R - D - E)/L, mean Kyte-Doolittle hydropathy, and a
-2-dimensional one-hot species indicator.
+Protein: 23 features, the 20 amino acid frequencies, normalized length
+L/1000, net charge per residue (K + R - D - E)/L and mean Kyte-Doolittle
+hydropathy.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.sequence import DNA, PROTEIN, PROTEIN_LETTERS, SymbolSequence, kmer_histogram
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from ..ingest.fasta import parse_fasta
 
 # Kyte & Doolittle hydropathy index, standard published scale.
@@ -40,21 +40,18 @@ def dna_features(seq: SymbolSequence | str) -> np.ndarray:
 
 def features_from_fasta(path, kind: str = "dna") -> np.ndarray:
     """Compositional feature matrix for every record in a FASTA file."""
-    records = parse_fasta(path)
-    if kind == "dna":
-        return np.vstack([dna_features(r.decode(DNA)) for r in records])
-    if kind == "protein":
-        return np.vstack([protein_features(r.decode(PROTEIN)) for r in records])
-    raise DataError(f"unknown feature kind {kind!r}")
+    extract = {"dna": (DNA, dna_features), "protein": (PROTEIN, protein_features)}
+    if kind not in extract:
+        raise ConfigError(f"mine.feature_kind must be dna or protein, got {kind!r}")
+    alphabet, features = extract[kind]
+    return np.vstack([features(r.decode(alphabet)) for r in parse_fasta(path)])
 
 
-def protein_features(seq: SymbolSequence | str, species: int = 0) -> np.ndarray:
-    """25-vector of compositional protein features (see module docstring)."""
+def protein_features(seq: SymbolSequence | str) -> np.ndarray:
+    """23-vector of compositional protein features (see module docstring)."""
     if isinstance(seq, str):
         seq = SymbolSequence.from_string(seq, PROTEIN)
     seq.require(PROTEIN, "protein features need the protein alphabet")
-    if species not in (0, 1):
-        raise DataError("species indicator must be 0 or 1")
     idx = seq.symbols
     n = idx.size
     if n < 1:
@@ -67,6 +64,4 @@ def protein_features(seq: SymbolSequence | str, species: int = 0) -> np.ndarray:
     counts = np.bincount(idx, minlength=20)
     net_charge = float(counts[k] + counts[r] - counts[d] - counts[e]) / n
     hydropathy = float(freqs @ _KD_VECTOR)
-    onehot = np.zeros(2)
-    onehot[species] = 1.0
-    return np.concatenate([freqs, [n / 1000.0, net_charge, hydropathy], onehot])
+    return np.concatenate([freqs, [n / 1000.0, net_charge, hydropathy]])

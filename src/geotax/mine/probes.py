@@ -21,7 +21,10 @@ PROBE_CONFIG = dict(dropout=0.0, lr=1e-3, epochs=200)
 
 def probe_config(arch: str) -> MLPConfig:
     if arch not in PROBE_ARCHS:
-        raise ConfigError(f"unknown probe arch {arch!r}; choose from {sorted(PROBE_ARCHS)}")
+        # `linear` runs through frozen_head_classifier, not an MLP
+        raise ConfigError(
+            f"unknown probe arch {arch!r}; choose from {sorted(['linear', *PROBE_ARCHS])}"
+        )
     return MLPConfig(hidden=PROBE_ARCHS[arch], **PROBE_CONFIG)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
-from .dynamics import GlobalRange, Trajectory
+from .dynamics import Trajectory
 from .errors import ConfigError, DataError
 
 KINDS = ("value_noise", "time_reverse", "reverse", "substitute", "reverse_complement")
@@ -27,7 +27,7 @@ class PerturbationSpec:
 
     kind: str                    # one of KINDS
     rate: float = 0.0            # fraction of positions in [0, 1]
-    magnitude: float = 1.0       # noise scale (fraction of global range)
+    magnitude: float = 1.0       # noise scale (fraction of each channel's range)
     seed: SeedSpec = SeedSpec()
 
     def __post_init__(self):
@@ -47,28 +47,18 @@ def n_positions(rate: float, length: int) -> int:
     return min(length, math.ceil(rate * length))
 
 
-def value_noise(
-    traj: Trajectory, spec: PerturbationSpec, grange: GlobalRange | None = None
-) -> Trajectory:
+def value_noise(traj: Trajectory, spec: PerturbationSpec) -> Trajectory:
     """Additive Gaussian noise at ceil(rate*T) time positions.
 
-    Noise sigma is magnitude * global range width per channel, so "1% noise"
-    is comparable across datasets.  Without an explicit range the
-    trajectory's own envelope is used.
+    Noise sigma is magnitude times the trajectory's own per-channel
+    envelope (max - min, 1 for a flat channel), so "1% noise" is
+    comparable across datasets.
     """
     count = n_positions(spec.rate, traj.length)
     if count == 0 or spec.magnitude == 0.0:
         return traj
-    if grange is None:
-        width = np.ptp(traj.values, axis=0)
-        width[width == 0] = 1.0
-    else:
-        if grange.minimum.shape[0] != traj.channels:
-            raise DataError(
-                f"range has {grange.minimum.shape[0]} channels but the trajectory has "
-                f"{traj.channels}"
-            )
-        width = grange.width
+    width = np.ptp(traj.values, axis=0)
+    width[width == 0] = 1.0
     rng = rng_create(spec.seed.derive("value-noise"))
     pos = rng.choice(traj.length, size=count, replace=False)
     out = traj.values.copy()

@@ -318,8 +318,6 @@ def _serialize_walk(walk, out: Path) -> None:
     records = []
     for i, (step, meta) in enumerate(zip(walk.steps, walk.step_meta)):
         header = f"step={i} pos={-1 if meta is None else meta}"
-        if walk.landmark_index == i:
-            header += " landmark=1"
         records.append(FastaRecord(header, step.to_string()))
     write_fasta(records, out / "walk.fasta", width=80)
 
@@ -348,11 +346,6 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
             core,
             SeedSpec(seed, "walk"),
         )
-        result = {
-            "mode": mode,
-            "steps": len(walk),
-            "landmark_index": walk.landmark_index,
-        }
     elif mode == "interpolation":
         rng = rng_create(SeedSpec(seed, "walk-interp"))
         ta = gen_oscillator(sample_oscillator_params(rng))
@@ -361,11 +354,10 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
         walk = build_interpolation_walk(
             ta, tb, grange, cfg.get_int("walk.n_steps", 101)
         )
-        result = {"mode": mode, "steps": len(walk)}
     else:
         raise ConfigError(f"{cfg.source}: walk.mode must be mutation or interpolation")
     _serialize_walk(walk, out)
-    return result
+    return {"mode": mode, "steps": len(walk)}
 
 
 def _run_lipschitz(cfg: Config, seed: int, out: Path) -> dict:
@@ -501,11 +493,16 @@ def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
     from .dynamics import gen_lorenz
     from .quantize import rd_bound_codebook, vq_double_bind_sweep
 
+    source = cfg.get("vq.data")
+    if source and cfg.get("vq.intrinsic_dim") is None:
+        raise ConfigError(
+            f"{cfg.source}: vq.data needs vq.intrinsic_dim (--intrinsic-dim), the d_M of "
+            "its Shannon column"
+        )
     # d_M of the Shannon reference; 2.06 is the Lorenz attractor's dimension
     d_m = cfg.get_float("vq.intrinsic_dim", 2.06)
     if not (math.isfinite(d_m) and d_m > 0):
         raise ConfigError(f"{cfg.source}: vq.intrinsic_dim must be finite and > 0, got {d_m}")
-    source = cfg.get("vq.data")
     if source:
         data = _loader(cfg)(source).data
     else:

@@ -26,14 +26,12 @@ class Walk:
 
     For interpolation walks ``step_meta`` holds alpha per step; for mutation
     walks it holds the position changed going into each step (None for the
-    start).  ``landmark_index`` flags a designated step, e.g. a pathogenic
-    mutation.
+    start).
     """
 
     steps: tuple
     step_meta: tuple
     kind: str                      # interpolation | mutation
-    landmark_index: int | None = None
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -67,15 +65,13 @@ def build_mutation_walk(
     n_mutations: int,
     core_region: tuple[int, int],
     seed: SeedSpec | int = SeedSpec(),
-    landmark: tuple[int, int] | None = None,
 ) -> Walk:
     """Single-point mutation walk from wildtype to an n-mutation endpoint.
 
     Positions are sampled without replacement from the core region, each
-    changed to a uniformly random alternative base; the optional landmark
-    (position, base) is inserted among them.  Mutations are applied one per
-    step in a seed-shuffled order, and the landmark's step index recorded.
-    Consecutive steps differ at exactly one position.
+    changed to a uniformly random alternative base.  Mutations are applied
+    one per step in a seed-shuffled order, so consecutive steps differ at
+    exactly one position.
     """
     if n_mutations < 0:
         raise ConfigError(f"mutation count must be >= 0, got {n_mutations}")
@@ -83,37 +79,22 @@ def build_mutation_walk(
     lo, hi = core_region
     if not (0 <= lo < hi <= len(wildtype)):
         raise DataError("core region outside sequence")
-    pool = np.arange(lo, hi)
-    if landmark is not None:
-        lm_pos, lm_base = landmark
-        if not lo <= lm_pos < hi:
-            raise DataError("landmark outside core region")
-        if not 0 <= lm_base < 4 or lm_base == wildtype.symbols[lm_pos]:
-            raise DataError("landmark base must differ from the reference base")
-        pool = pool[pool != lm_pos]
-    if n_mutations > pool.size:
-        raise DataError(f"core region holds {pool.size} candidate sites < {n_mutations}")
+    if n_mutations > hi - lo:
+        raise DataError(f"core region holds {hi - lo} candidate sites < {n_mutations}")
     rng = rng_create(SeedSpec.coerce(seed).derive("mutation-walk"))
-    positions = rng.choice(pool, size=n_mutations, replace=False)
+    positions = rng.choice(np.arange(lo, hi), size=n_mutations, replace=False)
     draw = rng.integers(0, 3, size=n_mutations)
     ref = wildtype.symbols[positions]
     alts = np.where(draw >= ref, draw + 1, draw)  # uniform over the 3 non-reference bases
-    mutations = list(zip(positions.tolist(), alts.tolist()))
-    if landmark is not None:
-        mutations.append((int(lm_pos), int(lm_base)))
-    order = rng.permutation(len(mutations))
+    order = rng.permutation(n_mutations)
     steps = [wildtype]
     meta = [None]
-    landmark_index = None
     current = wildtype.symbols.copy()
-    for step_no, idx in enumerate(order, start=1):
-        pos, base = mutations[idx]
+    for pos, base in zip(positions[order].tolist(), alts[order].tolist()):
         current[pos] = base
         steps.append(SymbolSequence(current.copy(), DNA))
         meta.append(pos)
-        if landmark is not None and pos == lm_pos:
-            landmark_index = step_no
-    return Walk(tuple(steps), tuple(meta), "mutation", landmark_index)
+    return Walk(tuple(steps), tuple(meta), "mutation")
 
 
 def walk_to_matrix(walk: Walk) -> EmbeddingMatrix:

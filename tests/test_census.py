@@ -9,7 +9,14 @@ must match exactly, so a name leaves it when it gets a caller.
 Every method and property of a source class is referenced in ``src/``,
 ``scripts/`` or ``bench/`` outside its own class.  Names with a leading
 underscore (dunders, private helpers, members of private classes) are
-the class's own business and are exempt."""
+the class's own business and are exempt.
+
+Every defaulted parameter of a public function or method is passed, by
+keyword or by position, in some call in ``src/`` or ``scripts/``: a
+default no caller overrides is a path no subcommand reaches.  Calls are
+matched by name alone.  The parameters of the functions on ``ALLOWLIST``
+are skipped; ``SEAMS`` holds the parameters only the tests pass, each
+with its reason, and must match exactly too."""
 
 import ast
 from collections import Counter
@@ -28,6 +35,22 @@ ALLOWLIST = {
     "quantize.py:boundary_crossing_rate": "README: boundary-crossing rates; acceptance 7",
     "texture.py:rc_permutation": "README: reverse-complement checks; acceptance 6",
     "texture.py:rc_kmer_cosine": "README: forward/reverse-complement composition checks",
+}
+
+FORCED_SPLITS = "tests pin the halves for the duplicated-row and identical-subset oracles"
+SEAMS = {
+    "stability.py:sample_split(forced_splits)": FORCED_SPLITS,
+    "stability.py:feature_split(forced_splits)": FORCED_SPLITS,
+    "stability.py:anchor_stability(forced_splits)": FORCED_SPLITS,
+    "ingest/fetch.py:fetch_genome(transport)": "tests serve recorded responses, never the network",
+    "cli.py:main(argv)": "tests run the CLI in-process; the program passes none, so argparse "
+                         "reads sys.argv",
+    "mine/estimator.py:excess_mi_report(pca_dim)": "tests pass None to score the embeddings "
+                                                   "without the PCA reduction",
+    "mine/estimator.py:sanity_suite(rhos)": "tests run two correlations instead of four to "
+                                            "stay fast",
+    "mine/estimator.py:sanity_suite(cfg)": "tests train a smaller network for fewer epochs to "
+                                           "stay fast",
 }
 
 
@@ -91,3 +114,73 @@ def unreferenced_members() -> set[str]:
 
 def test_every_public_member_is_read_outside_its_class():
     assert sorted(unreferenced_members()) == [], "unused: move to the tests or delete"
+
+
+def defaulted(fn: ast.FunctionDef, bound: bool):
+    """(name, position, keyword) of each defaulted parameter of ``fn``; the
+    position counts from the first argument a call passes, so it skips
+    ``self``, and is None for a keyword-only parameter, as the keyword is
+    for a positional-only one."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - bound, None if arg in args.posonlyargs else arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None, arg.arg
+
+
+def public_functions():
+    """(key, name, function, bound) of every public top-level function and
+    every public method of a public class in the source."""
+    for rel, tree in parsed(SRC):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{rel}:{node.name}", node.name, node, False
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in fn.decorator_list)
+                        yield f"{rel}:{node.name}.{fn.name}", fn.name, fn, not static
+
+
+def calls_by_name(*roots: Path) -> dict[str, list[ast.Call]]:
+    calls = {}
+    for root in roots:
+        for _, tree in parsed(root):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, position: int | None, keyword: str | None) -> bool:
+    keywords = {kw.arg for kw in call.keywords}
+    if None in keywords:  # **kwargs may carry any keyword
+        return True
+    if keyword in keywords:
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def unpassed_parameters() -> set[str]:
+    calls = calls_by_name(SRC, SCRIPTS)
+    return {
+        f"{key}({param})"
+        for key, name, fn, bound in public_functions()
+        if key not in ALLOWLIST
+        for param, position, keyword in defaulted(fn, bound)
+        if not any(passes(call, position, keyword) for call in calls.get(name, ()))
+    }
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller_or_is_a_seam():
+    found = unpassed_parameters()
+    assert sorted(found - SEAMS.keys()) == [], "never passed: delete the parameter's path"
+    assert sorted(SEAMS.keys() - found) == [], "passed by a caller now: drop from SEAMS"

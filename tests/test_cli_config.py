@@ -517,6 +517,23 @@ def test_cli_fetch_synthetic_empty_or_reversed_span_exit_2(span, tmp_path, capsy
     assert not output.exists()
 
 
+def _refused(url):
+    raise OSError("connection refused")
+
+
+@pytest.mark.parametrize("transport", [_refused, lambda url: (503, b"")],
+                         ids=["os-error", "status-503"])
+def test_cli_fetch_network_failure_exit_4(transport, tmp_path, capsys, monkeypatch):
+    # the stand-in transport is the only one reachable, so no connection is opened
+    monkeypatch.setattr("geotax.ingest.fetch.default_transport", transport)
+    output = tmp_path / "o.fa"
+    argv = ["fetch", "--source", "genome-rest", "--start", "0", "--end", "10",
+            "--cache-dir", str(tmp_path / "cache"), "--output", str(output)]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err.startswith("network error:")
+    assert not output.exists()
+
+
 def test_cli_fasta_not_utf8_exit_3(tmp_path, capsys):
     fasta = tmp_path / "latin.fasta"
     fasta.write_bytes(b">a\nAC\xe9GT\n")
@@ -859,6 +876,24 @@ def test_config_mine_lr_not_positive_exits_2_before_training(lr, pair, tmp_path,
     assert code == 2
     assert capsys.readouterr().err == (
         f"config error: lr must be finite and > 0, got {float(lr)}\n"
+    )
+    assert trained == []
+    assert not (run / "report.json").exists()
+
+
+def test_config_mine_unknown_feature_kind_exits_2_before_reading(pair, tmp_path, capsys,
+                                                                 monkeypatch):
+    trained = []
+    monkeypatch.setattr(estimator, "_train_cohort", lambda *args: trained.append(args))
+    _, pert = pair
+    fasta = tmp_path / "f.fasta"
+    fasta.write_text(">a\nACGTACGT\n")
+    code, _, run = _report_from_config(
+        tmp_path, f"experiment = mine\nmine.features_fasta = {fasta}\n"
+                  f"mine.feature_kind = rna\nmine.embeddings = {pert}\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: mine.feature_kind must be dna or protein, got 'rna'\n"
     )
     assert trained == []
     assert not (run / "report.json").exists()

@@ -77,7 +77,7 @@ TARGETS = {
     # sigmas of 0.05 to 1 give the clean fixture the same distortion at
     # every K, and the 1/ln K fit then exits 3
     "vq-data": ("vq.emb1", ["vq-sweep", "--data", "vq.emb1", "--k-values", "2,3,4",
-                            "--sigma", "2"]),
+                            "--sigma", "2", "--intrinsic-dim", "2"]),
 }
 # Targets whose runs fit, train or score per example: a mutated huge value
 # can hold a probe's logistic fit at its iteration cap for a second, so
@@ -187,7 +187,8 @@ FLAG_BASES = {
     "probe": ["probe", "--embeddings", "c.emb1", "--labels", "labels.csv"],
     # the synthetic source never opens a connection
     "fetch": ["fetch", "--source", "synthetic", "--output", "o.fa", "--end", "50"],
-    "vq-sweep": ["vq-sweep", "--data", "v.emb1", "--k-values", "2,4,8", "--sigma", "0.5"],
+    "vq-sweep": ["vq-sweep", "--data", "v.emb1", "--k-values", "2,4,8", "--sigma", "0.5",
+                 "--intrinsic-dim", "2"],
 }
 
 NOT_A_NUMBER = st.sampled_from(["", "x", "one", "0x1f", "1,2", "--", "1e"])

@@ -596,8 +596,11 @@ def test_probe_single_class():
 
 
 def test_probe_unknown_arch_is_config_error():
-    with pytest.raises(ConfigError, match="unknown probe arch 'tiny'"):
+    with pytest.raises(ConfigError) as exc:
         probe_config("tiny")
+    assert str(exc.value) == (
+        "unknown probe arch 'tiny'; choose from ['linear', 'mlp', 'mlp-wide']"
+    )
 
 
 # -- features ---------------------------------------------------------------------
@@ -630,12 +633,11 @@ def test_features_reject_the_wrong_alphabet():
 
 
 def test_protein_features_poly_lysine():
-    feats = protein_features("K" * 50, species=1)
-    assert feats.shape == (25,)
+    feats = protein_features("K" * 50)
+    assert feats.shape == (23,)
     assert feats[21] == pytest.approx(1.0)    # net charge per residue
     assert feats[20] == pytest.approx(0.05)   # L / 1000
     assert feats[22] == pytest.approx(-3.9)   # Kyte-Doolittle for K
-    assert feats[23] == 0.0 and feats[24] == 1.0
 
 
 def test_protein_features_charges_cancel():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.sequence import DNA, SymbolSequence, Alphabet, bins_alphabet
-from geotax.dynamics import GlobalRange, Trajectory
+from geotax.dynamics import Trajectory
 from geotax.errors import DataError
 from geotax.perturb import (
     PerturbationSpec,
@@ -54,21 +54,15 @@ def test_value_noise_exact_position_count(rng):
     assert changed.size == 6  # ceil(0.01 * 512)
 
 
-def test_value_noise_scales_with_global_range(rng):
-    traj = Trajectory(rng.standard_normal((400, 1)), 0.1)
+def test_value_noise_scales_with_each_channels_envelope(rng):
+    values = rng.standard_normal((400, 2))
     spec = PerturbationSpec("value_noise", rate=1.0, magnitude=0.1, seed=SeedSpec(1))
-    small = value_noise(traj, spec, GlobalRange([-1.0], [1.0]))
-    large = value_noise(traj, spec, GlobalRange([-10.0], [10.0]))
-    d_small = np.abs(small.values - traj.values).mean()
-    d_large = np.abs(large.values - traj.values).mean()
-    assert d_large == pytest.approx(10 * d_small, rel=1e-9)
-
-
-def test_value_noise_range_channel_mismatch_names_both_counts():
-    traj = Trajectory(np.zeros((10, 2)), 0.1)
-    spec = PerturbationSpec("value_noise", rate=0.5, magnitude=0.1, seed=SeedSpec(1))
-    with pytest.raises(DataError, match="range has 3 channels but the trajectory has 2"):
-        value_noise(traj, spec, GlobalRange([0.0] * 3, [1.0] * 3))
+    base = value_noise(Trajectory(values, 0.1), spec).values - values
+    # channel 0 stretched tenfold, channel 1 flat (its noise width is 1)
+    stretched = values * [10.0, 0.0]
+    noise = value_noise(Trajectory(stretched, 0.1), spec).values - stretched
+    np.testing.assert_allclose(noise[:, 0], 10 * base[:, 0], rtol=1e-9)
+    np.testing.assert_allclose(noise[:, 1], base[:, 1] / np.ptp(values[:, 1]), rtol=1e-9)
 
 
 # -- substitution --------------------------------------------------------------

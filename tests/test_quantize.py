@@ -381,9 +381,11 @@ def test_kmeans_fit_holds_no_n_by_k_matrix(monkeypatch):
     assert peak < 4 * 2**20  # one 20,000 x 512 float64 matrix is 78 MiB
 
 
-# report.json of the sweep below, taken before the update was vectorised;
-# 11 of its 54 Lloyd iterations start with an empty cluster
-VQ_3_COLUMN_REPORT_SHA256 = "2590606e68c353e6bda000b08d121a9102f21fd36bb7dbc9af29d124505327bf"
+# report.json of the sweep below, taken before the update was vectorised
+# and re-pinned when --data began to require --intrinsic-dim (only its
+# config echo changed); 11 of its 54 Lloyd iterations start with an empty
+# cluster
+VQ_3_COLUMN_REPORT_SHA256 = "c4f61a184057f47f9aa6a889f6957f837630f7431e76913ebb9f5e98c7b54cdf"
 
 
 def test_vq_sweep_report_from_3_column_file_unchanged(tmp_path, monkeypatch):
@@ -391,7 +393,8 @@ def test_vq_sweep_report_from_3_column_file_unchanged(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with open("data.csv", "w") as fh:
         fh.writelines(",".join(f"{v:.1f}" for v in row) + "\n" for row in x)
-    argv = ["--out-dir", "run", "vq-sweep", "--data", "data.csv", "--k-values", "16,64,256"]
+    argv = ["--out-dir", "run", "vq-sweep", "--data", "data.csv", "--k-values", "16,64,256",
+            "--intrinsic-dim", "2.06"]
     assert cli.main(argv) == 0
     digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
     assert digest == VQ_3_COLUMN_REPORT_SHA256
@@ -630,6 +633,22 @@ def test_vq_sweep_monotone_mse_and_fit(rng):
     assert all(b <= a + 1e-12 for a, b in zip(curve.recon_mse, curve.recon_mse[1:]))
     assert 0.0 <= curve.fit_r2 <= 1.0
     assert len(curve.rows()) == 4
+
+
+def test_vq_sweep_data_without_intrinsic_dim_exits_2_before_any_fit(tmp_path, monkeypatch,
+                                                                    capsys):
+    fits = []
+    monkeypatch.setattr(quantize, "kmeans_fit", lambda *args, **kwargs: fits.append(args))
+    data = tmp_path / "data.csv"
+    data.write_text("0.5,1.0\n" * 40)
+    run = tmp_path / "run"
+    assert cli.main(["--out-dir", str(run), "vq-sweep", "--data", str(data)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: <cli>: vq.data needs vq.intrinsic_dim (--intrinsic-dim), the d_M of "
+        "its Shannon column\n"
+    )
+    assert fits == []
+    assert not run.exists()
 
 
 def test_vq_sweep_checks_the_largest_k_against_n_before_any_fit(tmp_path, monkeypatch, capsys):

@@ -76,19 +76,12 @@ def test_mutation_walk_hamming_increases_by_one(rng):
         assert int((cur.symbols != prev.symbols).sum()) == 1
 
 
-def test_mutation_walk_deterministic_and_landmark(rng):
+def test_mutation_walk_deterministic(rng):
     wt = wildtype(rng, 1000)
-    lm_pos = 500
-    lm_base = int((wt.symbols[lm_pos] + 1) % 4)
-    w1 = build_mutation_walk(wt, 50, (200, 800), SeedSpec(320), landmark=(lm_pos, lm_base))
-    w2 = build_mutation_walk(wt, 50, (200, 800), SeedSpec(320), landmark=(lm_pos, lm_base))
-    assert w1.landmark_index == w2.landmark_index
-    assert w1.landmark_index is not None
+    w1 = build_mutation_walk(wt, 50, (200, 800), SeedSpec(320))
+    w2 = build_mutation_walk(wt, 50, (200, 800), SeedSpec(320))
+    assert w1.step_meta == w2.step_meta
     assert all((a.symbols == b.symbols).all() for a, b in zip(w1.steps, w2.steps))
-    # landmark applied at the recorded step
-    step = w1.steps[w1.landmark_index]
-    assert step.symbols[lm_pos] == lm_base
-    assert w1.steps[w1.landmark_index - 1].symbols[lm_pos] == wt.symbols[lm_pos]
 
 
 def test_mutation_walk_region_too_small(rng):
