@@ -206,7 +206,8 @@ PIPELINES = {
 def _cmd_pipeline(args) -> int:
     """Copy the global settings and the subcommand's options, stored under
     their config keys, into a config and run the pipeline.  Unset (None)
-    options are left out."""
+    options are left out, and an item the config echo cannot hold is
+    refused before the run starts."""
     values = {"experiment": args.command, "seed": str(args.seed), "threads": str(args.threads),
               "io.csv_header": str(args.csv_header).lower()}
     for key, value in vars(args).items():
@@ -228,6 +229,15 @@ def _cmd_pipeline(args) -> int:
             if f"stability.pert.{name}" in values:
                 raise ConfigError(f"--pert {item!r}: perturbation name {name!r} is repeated")
             values[f"stability.pert.{name}"] = path
+    # report --rerun parses the config echo, which must give back every item
+    for key, value in values.items():
+        try:
+            echoed = Config.parse(f"{key} = {value}\n").values
+        except ConfigError:
+            echoed = None
+        if echoed != {key: value}:
+            raise ConfigError(f"{key!r} = {value!r} would not read back from the config echo; "
+                              "it may hold no '#', line break, or space at either end")
     run_pipeline(Config(values, source="<cli>"), args.out_dir)
     print(f"{PIPELINES[args.command]} {args.out_dir}")
     return EXIT_OK

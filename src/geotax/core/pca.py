@@ -12,16 +12,8 @@ from .embedding import EmbeddingMatrix, as_array
 
 @dataclass(frozen=True)
 class PCAResult:
-    projected: EmbeddingMatrix          # n x k_eff scores
-    components: np.ndarray              # k_eff x d loadings
+    scores: np.ndarray                  # n x k_eff projection
     explained_variance_ratio: np.ndarray
-    singular_values: np.ndarray
-    mean: np.ndarray
-    rank_deficient: bool                # requested k exceeded numerical rank
-
-    @property
-    def k(self) -> int:
-        return self.components.shape[0]
 
 
 def pca_project(x: EmbeddingMatrix | np.ndarray, k: int) -> PCAResult:
@@ -31,14 +23,13 @@ def pca_project(x: EmbeddingMatrix | np.ndarray, k: int) -> PCAResult:
     variance.  Sign convention: the largest-magnitude loading of each
     component is made positive, so the projection is deterministic.
     Requesting k > min(n, d) raises; k exceeding the numerical rank
-    returns the available components with ``rank_deficient`` set.
+    returns the scores of the available components only.
     """
     data = as_array(x)
     n, d = data.shape
     if not 1 <= k <= min(n, d):
         raise DataError(f"k={k} outside 1..min(n,d)={min(n, d)}")
-    mean = data.mean(axis=0)
-    centered = data - mean
+    centered = data - data.mean(axis=0)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     tol = max(n, d) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
     rank = int((s > tol).sum())
@@ -51,12 +42,4 @@ def pca_project(x: EmbeddingMatrix | np.ndarray, k: int) -> PCAResult:
             row *= -1.0
     total = float((s * s).sum())
     evr = (s[:k_eff] * s[:k_eff]) / total if total > 0 else np.zeros(k_eff)
-    labels = x.labels if isinstance(x, EmbeddingMatrix) else None
-    return PCAResult(
-        projected=EmbeddingMatrix(centered @ comps.T, labels),
-        components=comps,
-        explained_variance_ratio=evr,
-        singular_values=s[:k_eff].copy(),
-        mean=mean,
-        rank_deficient=k_eff < k,
-    )
+    return PCAResult(centered @ comps.T, evr)

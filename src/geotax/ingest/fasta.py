@@ -1,5 +1,5 @@
-"""FASTA parsing and writing: multi-record, wrapped or unwrapped lines,
-CRLF tolerated, round-trip preserving headers and sequence bytes."""
+"""FASTA parsing and writing: multi-record, lines of any width read and of
+``LINE_WIDTH`` written, CRLF tolerated, round trips keep headers and sequence bytes."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ from pathlib import Path
 from ..core.io import read_text
 from ..core.sequence import Alphabet, SymbolSequence
 from ..errors import DataError
+
+LINE_WIDTH = 80
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,10 @@ def parse_fasta(path: str | Path) -> list[FastaRecord]:
     return records
 
 
-def write_fasta(records, path: str | Path, width: int = 80) -> None:
+def write_fasta(records, path: str | Path) -> None:
     with open(path, "w") as fh:
         for rec in records:
             fh.write(f">{rec.header}\n")
             seq = rec.sequence
-            if width:
-                for i in range(0, len(seq), width):
-                    fh.write(seq[i : i + width] + "\n")
-            else:
-                fh.write(seq + "\n")
+            for i in range(0, len(seq), LINE_WIDTH):
+                fh.write(seq[i : i + LINE_WIDTH] + "\n")

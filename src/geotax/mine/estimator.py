@@ -55,7 +55,6 @@ def dv_bound(t_joint: np.ndarray, t_marginal: np.ndarray) -> float:
 class MIRun:
     seed: int
     estimate: float            # tail mean of the evaluation trace
-    initial_value: float       # bound at initialization
     trace: tuple = field(repr=False, default=())   # (epoch, value) pairs
 
 
@@ -64,19 +63,17 @@ class MIEstimate:
     runs: tuple
     mean: float
     std: float
-    baseline: float | None = None
-    ceiling: float | None = None
+    baseline: float
+    ceiling: float
 
     @property
-    def excess(self) -> float | None:
-        if self.baseline is None:
-            return None
+    def excess(self) -> float:
         return self.mean - self.baseline
 
     def to_dict(self) -> dict:
         excess = self.excess
-        # None without a baseline, or with a ceiling that is None or 0
-        normalized = excess / self.ceiling if excess is not None and self.ceiling else None
+        # None with a ceiling of 0
+        normalized = excess / self.ceiling if self.ceiling else None
         return {
             "seeds": [r.seed for r in self.runs],
             "per_seed": [r.estimate for r in self.runs],
@@ -101,7 +98,6 @@ class _Network:
         self.eval_input = np.concatenate(
             [np.concatenate([x, z], axis=1), np.concatenate([x, z[eval_perm]], axis=1)]
         )
-        self.initial = self.full_bound()
         self.trace: list[tuple[int, float]] = []
         self.tail_values: list[float] = []
 
@@ -177,20 +173,15 @@ def _train_cohort(tasks: list[tuple], pre_tail_trace: bool = True) -> list[MIRun
             for net in nets:
                 net.record(epoch, tail_start)
     return [
-        MIRun(seed, float(np.mean(net.tail_values)), net.initial, tuple(net.trace))
+        MIRun(seed, float(np.mean(net.tail_values)), tuple(net.trace))
         for net in nets
     ]
 
 
-def _aggregate(runs: list[MIRun]) -> MIEstimate:
-    est = np.array([r.estimate for r in runs])
-    return MIEstimate(tuple(runs), float(est.mean()), float(est.std()))
-
-
 def _estimates(groups: list[list[tuple]], workers: int,
-               pre_tail_trace: bool = True) -> list[MIEstimate]:
+               pre_tail_trace: bool = True) -> list[list[MIRun]]:
     """Train every (x, z, cfg, seed) task of every group in one fan-out;
-    one aggregate estimate per group, in group order.  Every seed is
+    the runs of each group, in group and task order.  Every seed is
     checked before the first network trains, and a seed may occur only
     once per group.  ``pre_tail_trace`` is passed to ``_train_cohort``.
 
@@ -222,7 +213,7 @@ def _estimates(groups: list[list[tuple]], workers: int,
         for i, run in zip(piece, piece_runs):
             runs[i] = run
     runs = iter(runs)
-    return [_aggregate([next(runs) for _ in group]) for group in groups]
+    return [[next(runs) for _ in group] for group in groups]
 
 
 def _prepare(x, z, pca_dim: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +223,7 @@ def _prepare(x, z, pca_dim: int | None) -> tuple[np.ndarray, np.ndarray]:
     if pca_dim is not None:
         k = min(pca_dim, z.shape[0], z.shape[1])
         if k < z.shape[1]:
-            z = pca_project(z, k).projected.data
+            z = pca_project(z, k).scores
     return zscore(x), zscore(z)
 
 
@@ -261,7 +252,7 @@ def excess_mi_report(
     """Model estimate with matched baseline and ceiling attached; the
     model, baseline and ceiling networks share one fan-out."""
     xs, zs = _prepare(x, z, pca_dim)
-    model, base, ceil = _estimates(
+    runs = _estimates(
         [
             [(xs, zs, cfg, s) for s in seeds],
             _baseline_tasks(x, zs.shape[1], cfg, seeds),
@@ -269,7 +260,9 @@ def excess_mi_report(
         ],
         workers,
     )
-    return MIEstimate(model.runs, model.mean, model.std, base.mean, ceil.mean)
+    model, base, ceil = (np.array([r.estimate for r in group]) for group in runs)
+    return MIEstimate(tuple(runs[0]), float(model.mean()), float(model.std()),
+                      float(base.mean()), float(ceil.mean()))
 
 
 # -- estimator validation -----------------------------------------------------
@@ -317,10 +310,10 @@ def sanity_suite(
         groups.append([(xs, ys, cfg, s) for s in seeds])
     cases = []
     # the cases report tail estimates only, so no pre-tail trace is evaluated
-    for rho, est in zip(rhos, _estimates(groups, workers, pre_tail_trace=False)):
+    for rho, runs in zip(rhos, _estimates(groups, workers, pre_tail_trace=False)):
+        est = np.array([r.estimate for r in runs])
+        mean, std = float(est.mean()), float(est.std())
         true = gaussian_mi(rho)
         tol = sanity_tolerance(true)
-        cases.append(
-            SanityCase(rho, true, est.mean, est.std, tol, abs(est.mean - true) < tol)
-        )
+        cases.append(SanityCase(rho, true, mean, std, tol, abs(mean - true) < tol))
     return cases

@@ -30,7 +30,6 @@ class Codebook:
     """K centroids defining a nearest-neighbour (Voronoi) tokenizer."""
 
     centroids: np.ndarray          # K x m
-    inertia: float = 0.0
     inertia_trace: tuple = field(default=(), compare=False)
     # the fitted points' nearest centroids, as ``encode`` gives them
     assignment: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -211,7 +210,7 @@ def kmeans_fit(
         prev_inertia = inertia
     assign = _nearest(points, pp, centroids)
     trace.append(exact_inertia(assign))
-    return Codebook(centroids, trace[-1], tuple(trace), assign)
+    return Codebook(centroids, tuple(trace), assign)
 
 
 def encode(codebook: Codebook, points) -> SymbolSequence:

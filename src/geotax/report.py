@@ -49,6 +49,15 @@ def _split_config(cfg: Config, n_splits: int = 30, n_bootstrap: int = 5):
     )
 
 
+def _csv_cell(cfg: Config, key: str, value: str) -> str:
+    """``value``, refused when a comma or a quote in it would break the
+    columns of its ``report.csv`` row."""
+    if "," in value or '"' in value:
+        raise ConfigError(f"{cfg.source}: key {key!r}: {value!r} holds a ',' or '\"', "
+                          "which would break its report.csv row")
+    return value
+
+
 def _loader(cfg: Config):
     header = cfg.get_bool("io.csv_header")
     return lambda path: load_matrix(path, csv_header=header)
@@ -245,13 +254,16 @@ def _run_perturb(cfg: Config, seed: int, out: Path) -> dict:
 def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
     from .stability import evaluate
 
-    load = _loader(cfg)
-    clean = load(cfg.require("stability.clean"))
+    clean_path = cfg.require("stability.clean")
     pairs = cfg.section("stability.pert")
     if not pairs:
         raise ConfigError(f"{cfg.source}: no stability.pert.<name> entries")
     if "" in pairs:
         raise ConfigError(f"{cfg.source}: key 'stability.pert.' has an empty perturbation name")
+    for name in pairs:
+        _csv_cell(cfg, f"stability.pert.{name}", name)
+    load = _loader(cfg)
+    clean = load(clean_path)
     scfg = _split_config(cfg)
     deltas_path = cfg.get("stability.deltas")
     deltas = None
@@ -319,7 +331,7 @@ def _serialize_walk(walk, out: Path) -> None:
     for i, (step, meta) in enumerate(zip(walk.steps, walk.step_meta)):
         header = f"step={i} pos={-1 if meta is None else meta}"
         records.append(FastaRecord(header, step.to_string()))
-    write_fasta(records, out / "walk.fasta", width=80)
+    write_fasta(records, out / "walk.fasta")
 
 
 def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
@@ -390,6 +402,7 @@ def _run_mine(cfg: Config, seed: int, out: Path) -> dict:
     from .mine.features import features_from_fasta
     from .mine.mlp import MLPConfig
 
+    condition = _csv_cell(cfg, "mine.condition", cfg.get("mine.condition", "model"))
     load = _loader(cfg)
     fasta = cfg.get("mine.features_fasta")
     if fasta:
@@ -405,7 +418,6 @@ def _run_mine(cfg: Config, seed: int, out: Path) -> dict:
     est = excess_mi_report(
         x, z, mlp_cfg, seeds, workers=cfg.get_int("threads", 1, minimum=1)
     )
-    condition = cfg.get("mine.condition", "model")
     (out / "report.csv").write_text(
         "condition,length,mean,std,baseline,ceiling,excess\n"
         f"{condition},{x.shape[0]},{est.mean:.6f},{est.std:.6f},"
@@ -466,9 +478,12 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
 
 
 def _run_probe(cfg: Config, seed: int, out: Path) -> dict:
-    from .mine.probes import mlp_probe_cv
+    from .mine.probes import mlp_probe_cv, probe_config
     from .procrustes import frozen_head_classifier
 
+    arch = cfg.get("probe.arch", "linear")
+    if arch != "linear":
+        probe_config(arch)  # an unknown arch is refused before any input is read
     header = cfg.get_bool("io.csv_header")
     emb = load_matrix(cfg.require("probe.embeddings"), csv_header=header)
     labels_path = cfg.require("probe.labels")
@@ -477,7 +492,6 @@ def _run_probe(cfg: Config, seed: int, out: Path) -> dict:
                             skiprows=int(header))
     except ValueError as exc:
         raise DataError(f"{labels_path}: labels must be integers ({exc})") from None
-    arch = cfg.get("probe.arch", "linear")
     folds = cfg.get_int("probe.folds", 5)
     spec = SeedSpec(seed, "probe")
     if arch == "linear":

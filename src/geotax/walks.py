@@ -186,7 +186,7 @@ def pca_trajectory(embeddings, k: int = 3) -> tuple[PCAResult, str]:
     """
     e = _rows(embeddings)
     result = pca_project(e, k)
-    path = result.projected.data
+    path = result.scores
     svg = render_path_svg(path[:, 0], path[:, 1] if path.shape[1] > 1 else np.zeros(len(path)))
     return result, svg
 

@@ -11,12 +11,19 @@ Every method and property of a source class is referenced in ``src/``,
 underscore (dunders, private helpers, members of private classes) are
 the class's own business and are exempt.
 
+Every annotated field of a public source class is read as an attribute
+in ``src/``, ``scripts/`` or ``bench/``, outside its class or inside a
+public member that is itself read outside the class.  ``WHOLE`` holds
+the classes whose fields are read all at once or by no subcommand, each
+with its reason, and must match exactly too.
+
 Every defaulted parameter of a public function or method is passed, by
 keyword or by position, in some call in ``src/`` or ``scripts/``: a
-default no caller overrides is a path no subcommand reaches.  Calls are
-matched by name alone.  The parameters of the functions on ``ALLOWLIST``
-are skipped; ``SEAMS`` holds the parameters only the tests pass, each
-with its reason, and must match exactly too."""
+default no caller overrides is a path no subcommand reaches.  A call
+that passes the parameter's own default literal again does not count.
+Calls are matched by name alone.  The parameters of the functions on
+``ALLOWLIST`` are skipped; ``SEAMS`` holds the parameters only the tests
+pass, each with its reason, and must match exactly too."""
 
 import ast
 from collections import Counter
@@ -116,19 +123,68 @@ def test_every_public_member_is_read_outside_its_class():
     assert sorted(unreferenced_members()) == [], "unused: move to the tests or delete"
 
 
+WHOLE = {
+    "stability.py:StabilityReport": "report.json holds it whole, through asdict",
+    "dynamics.py:LLEResult": "the result of estimate_lle, on ALLOWLIST",
+    "dynamics.py:ButterflyResult": "the result of butterfly_test, on ALLOWLIST",
+}
+
+
+def attribute_reads(tree: ast.AST) -> Counter:
+    """How often each attribute is read (loaded) in ``tree``."""
+    return Counter(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread_fields() -> set[str]:
+    held = unreferenced_members()
+    everywhere = Counter()
+    for root in (SRC, SCRIPTS, BENCH):
+        for _, tree in parsed(root):
+            everywhere += attribute_reads(tree)
+    found = set()
+    for rel, tree in parsed(SRC):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            inside = attribute_reads(cls)
+            # a read in a public member that is read outside the class counts
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and f"{rel}:{cls.name}.{node.name}" not in held):
+                    inside -= attribute_reads(node)
+            found |= {
+                f"{rel}:{cls.name}.{node.target.id}"
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and everywhere[node.target.id] == inside[node.target.id]
+            }
+    return found
+
+
+def test_every_field_is_read_outside_its_class_or_the_class_is_read_whole():
+    found = unread_fields()
+    classes = {key.rsplit(".", 1)[0] for key in found}
+    assert sorted(key for key in found if key.rsplit(".", 1)[0] not in WHOLE) == [], \
+        "never read: delete the field"
+    assert sorted(WHOLE.keys() - classes) == [], "every field is read now: drop from WHOLE"
+
+
 def defaulted(fn: ast.FunctionDef, bound: bool):
-    """(name, position, keyword) of each defaulted parameter of ``fn``; the
-    position counts from the first argument a call passes, so it skips
-    ``self``, and is None for a keyword-only parameter, as the keyword is
-    for a positional-only one."""
+    """(name, position, keyword, default) of each defaulted parameter of
+    ``fn``; the position counts from the first argument a call passes, so
+    it skips ``self``, and is None for a keyword-only parameter, as the
+    keyword is for a positional-only one."""
     args = fn.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
-    for i, arg in enumerate(positional[first:], start=first):
-        yield arg.arg, i - bound, None if arg in args.posonlyargs else arg.arg
+    for i, (arg, default) in enumerate(zip(positional[first:], args.defaults), start=first):
+        yield arg.arg, i - bound, None if arg in args.posonlyargs else arg.arg, default
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield arg.arg, None, arg.arg
+            yield arg.arg, None, arg.arg, default
 
 
 def public_functions():
@@ -158,15 +214,27 @@ def calls_by_name(*roots: Path) -> dict[str, list[ast.Call]]:
     return calls
 
 
-def passes(call: ast.Call, position: int | None, keyword: str | None) -> bool:
-    keywords = {kw.arg for kw in call.keywords}
+def restates(value: ast.expr, default: ast.expr) -> bool:
+    """Whether ``value`` is the literal ``default`` written out again."""
+    try:
+        ast.literal_eval(default)
+    except ValueError:
+        return False
+    return ast.dump(value) == ast.dump(default)
+
+
+def passes(call: ast.Call, position: int | None, keyword: str | None,
+           default: ast.expr) -> bool:
+    keywords = {kw.arg: kw.value for kw in call.keywords}
     if None in keywords:  # **kwargs may carry any keyword
         return True
     if keyword in keywords:
+        return not restates(keywords[keyword], default)
+    if position is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args[: position + 1]):
         return True
-    return position is not None and (
-        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
-    )
+    return len(call.args) > position and not restates(call.args[position], default)
 
 
 def unpassed_parameters() -> set[str]:
@@ -175,8 +243,8 @@ def unpassed_parameters() -> set[str]:
         f"{key}({param})"
         for key, name, fn, bound in public_functions()
         if key not in ALLOWLIST
-        for param, position, keyword in defaulted(fn, bound)
-        if not any(passes(call, position, keyword) for call in calls.get(name, ()))
+        for param, position, keyword, default in defaulted(fn, bound)
+        if not any(passes(call, position, keyword, default) for call in calls.get(name, ()))
     }
 
 

@@ -915,3 +915,82 @@ def test_config_mine_repeated_seed_exits_2_before_training(experiment, pair, tmp
     )
     assert trained == []
     assert not (run / "report.json").exists()
+
+
+def test_config_probe_unknown_arch_exits_2_before_reading(tmp_path, capsys):
+    code, _, run = _report_from_config(
+        tmp_path, "experiment = probe\nprobe.arch = cnn\nprobe.embeddings = absent.emb1\n"
+                  "probe.labels = absent.csv\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown probe arch 'cnn'; choose from ['linear', 'mlp', 'mlp-wide']\n"
+    )
+    assert not run.exists()
+
+
+UNECHOABLE = {
+    # report --rerun would read "r" for both paths and exit 3
+    "hash-in-paths": (["stability", "--clean", "r#1/clean.emb1", "--pert", "n=r#1/pert.emb1"],
+                      "'stability.clean' = 'r#1/clean.emb1'"),
+    # report --rerun would find a line without '=' and exit 2
+    "newline-in-pert-name": (["stability", "--clean", "clean.emb1", "--pert", "a\nb=pert.emb1"],
+                             "'stability.pert.a\\nb' = 'pert.emb1'"),
+    # report --rerun would run condition "model", not " model "
+    "spaces-around-condition": (["mine", "--features", "clean.emb1", "--embeddings",
+                                 "pert.emb1", "--epochs", "1", "--condition", " model "],
+                                "'mine.condition' = ' model '"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNECHOABLE))
+def test_cli_value_the_config_echo_cannot_hold_exits_2_before_the_run(case, pair, tmp_path,
+                                                                       capsys, monkeypatch):
+    (tmp_path / "r#1").mkdir()
+    for path in pair:
+        (tmp_path / "r#1" / path.name).write_bytes(path.read_bytes())
+    trained = []
+    monkeypatch.setattr(estimator, "_train_cohort", lambda *args: trained.append(args))
+    argv, item = UNECHOABLE[case]
+    assert cli.main(["--out-dir", "run", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {item}")
+    assert "would not read back from the config echo" in err
+    assert trained == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--pert", "lo,hi", "stability.pert.lo,hi"),
+    ("--pert", 'lo"hi', 'stability.pert.lo"hi'),
+    ("--condition", "a,b", "mine.condition"),
+    ("--condition", 'a"b', "mine.condition"),
+])
+def test_cli_csv_breaking_name_exits_2_naming_the_item(flag, value, key, pair, tmp_path, capsys,
+                                                       monkeypatch):
+    trained = []
+    monkeypatch.setattr(estimator, "_train_cohort", lambda *args: trained.append(args))
+    clean, pert = pair
+    if flag == "--pert":
+        argv = ["stability", "--clean", str(clean), "--pert", f"{value}={pert}"]
+    else:
+        argv = ["mine", "--features", str(clean), "--embeddings", str(pert), "--epochs", "1",
+                "--condition", value]
+    assert cli.main(["--out-dir", "run", *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: <cli>: key {key!r}: {value!r} holds a ',' or '\"', which would break "
+        "its report.csv row\n"
+    )
+    assert trained == []
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_csv_breaking_perturbation_name_exits_2_before_reading(tmp_path, capsys):
+    code, config, run = _report_from_config(
+        tmp_path, "experiment = stability\nstability.clean = absent.emb1\n"
+                  "stability.pert.lo,hi = absent.emb1\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: {config}: key 'stability.pert.lo,hi': 'lo,hi' holds a ',' or '\"', "
+        "which would break its report.csv row\n"
+    )
+    assert not run.exists()

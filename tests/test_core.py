@@ -277,27 +277,30 @@ def test_pca_isotropic_gaussian_flat_spectrum():
 
 
 def test_pca_full_rank_reconstruction(rng):
+    # full-rank scores are the centered rows in an orthonormal basis, so
+    # they reconstruct every inner product between rows
     x = rng.standard_normal((40, 6))
-    res = pca_project(x, 6)
-    recon = res.projected.data @ res.components + res.mean
-    rel = np.linalg.norm(recon - x) / np.linalg.norm(x)
-    assert rel < 1e-8
+    centered = x - x.mean(axis=0)
+    scores = pca_project(x, 6).scores
+    gram = centered @ centered.T
+    assert np.linalg.norm(scores @ scores.T - gram) / np.linalg.norm(gram) < 1e-8
 
 
 def test_pca_rotation_preserves_singular_values(rng):
+    # a score column's norm is its component's singular value
     x = rng.standard_normal((50, 8))
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    s1 = pca_project(x, 8).singular_values
-    s2 = pca_project(x @ q, 8).singular_values
+    s1 = np.linalg.norm(pca_project(x, 8).scores, axis=0)
+    s2 = np.linalg.norm(pca_project(x @ q, 8).scores, axis=0)
     assert np.abs(s1 - s2).max() / s1[0] < 1e-9
 
 
-def test_pca_rank_deficient_flag(rng):
+def test_pca_rank_deficient_scores_keep_the_rank(rng):
     t = rng.standard_normal(30)
     x = np.outer(t, np.array([1.0, 1.0, 0.0]))
     res = pca_project(x, 3)
-    assert res.rank_deficient
-    assert res.k < 3
+    assert res.scores.shape == (30, 1)
+    assert res.explained_variance_ratio.shape == (1,)
 
 
 def test_pca_k_out_of_range(rng):
@@ -307,8 +310,9 @@ def test_pca_k_out_of_range(rng):
 
 def test_pca_sign_convention_deterministic(rng):
     x = rng.standard_normal((30, 5))
-    res = pca_project(x, 3)
-    for row in res.components:
+    scores = pca_project(x, 3).scores
+    # each component's loadings, up to a positive scale
+    for row in ((x - x.mean(axis=0)).T @ scores).T:
         assert row[np.argmax(np.abs(row))] > 0
 
 

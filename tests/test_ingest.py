@@ -50,7 +50,7 @@ def test_fasta_wrapped_lines_and_crlf(tmp_path):
 def test_fasta_multi_record_round_trip(tmp_path):
     path = tmp_path / "multi.fasta"
     records = [FastaRecord(f"r{i}", "ACGT" * (i + 30)) for i in range(5)]
-    write_fasta(records, path, width=60)
+    write_fasta(records, path)
     assert parse_fasta(path) == records
 
 

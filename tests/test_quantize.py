@@ -46,7 +46,7 @@ def test_kmeans_recovers_separated_blob_means():
 def test_kmeans_k_equals_n_zero_inertia(rng):
     pts = rng.standard_normal((12, 3))
     cb = kmeans_fit(pts, 12, SeedSpec(1))
-    assert cb.inertia == pytest.approx(0.0, abs=1e-18)
+    assert cb.inertia_trace[-1] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_kmeans_deterministic(rng):
