@@ -232,7 +232,7 @@ def _cmd_pipeline(args) -> int:
     # report --rerun parses the config echo, which must give back every item
     for key, value in values.items():
         try:
-            echoed = Config.parse(f"{key} = {value}\n").values
+            echoed = Config.parse(Config({key: value}).dump()).values
         except ConfigError:
             echoed = None
         if echoed != {key: value}:
