@@ -1,10 +1,10 @@
 """Command-line surface.
 
-Every subcommand but ``fetch`` and ``report`` assembles a flat config
-and hands it to the pipeline runner, so a CLI invocation and a
-config-file run produce identical artifacts.  Each of their options is
-declared once, with its config key as its dest; ``--help`` shows that
-key as the value name of every option that has no fixed choices.
+Every subcommand but ``report`` assembles a flat config and hands it to
+the pipeline runner, so a CLI invocation and a config-file run produce
+identical artifacts.  Each of their options is declared once, with its
+config key as its dest; ``--help`` shows that key as the value name of
+every option that has no fixed choices.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 network error.
 """
 
@@ -25,10 +25,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core.rng import SeedSpec
 from .errors import ConfigError, DataError, GeotaxError, NetworkError
 from .ingest.config import Config
-from .ingest.fasta import FastaRecord, write_fasta
 from .report import rerun_from_provenance, run_pipeline
 
 EXIT_OK = 0
@@ -95,6 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", dest="walk.length", type=int, default=2000)
     p.add_argument("--steps", dest="walk.n_steps", type=int, default=101)
 
+    p = sub.add_parser("walk-profiles",
+                       help="interpolation-walk profiles through two toy encoders")
+    p.add_argument("--steps", dest="walk.n_steps", type=int, default=101)
+
     p = sub.add_parser("lipschitz", help="per-step embedding displacement profile")
     p.add_argument("--embeddings", dest="lipschitz.embeddings", type=Path, required=True)
     p.add_argument("--metric", dest="lipschitz.metric", choices=("cosine", "l2"),
@@ -130,14 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", dest="probe.folds", type=int, default=5)
 
     p = sub.add_parser("fetch", help="fetch a genomic span (cached)")
-    p.add_argument("--source", choices=("genome-rest", "synthetic"), default="genome-rest")
-    p.add_argument("--assembly", default="hg38")
-    p.add_argument("--chrom", default="chr22")
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--end", type=int, default=0)
-    p.add_argument("--n-policy", choices=("reject", "replace"), default="reject")
-    p.add_argument("--output", type=Path, required=True)
-    p.add_argument("--cache-dir", type=Path, help="default: $GEOTAX_CACHE or ~/.cache/geotax")
+    p.add_argument("--source", dest="fetch.source", choices=("genome-rest", "synthetic"),
+                   default="genome-rest")
+    p.add_argument("--assembly", dest="fetch.assembly", default="hg38")
+    p.add_argument("--chrom", dest="fetch.chrom", default="chr22")
+    p.add_argument("--start", dest="fetch.start", type=int, default=0)
+    p.add_argument("--end", dest="fetch.end", type=int, default=0)
+    p.add_argument("--n-policy", dest="fetch.n_policy", choices=("reject", "replace"),
+                   default="reject")
+    p.add_argument("--output", dest="fetch.output", type=Path, required=True)
+    p.add_argument("--cache-dir", dest="fetch.cache_dir", type=Path,
+                   help="default: $GEOTAX_CACHE or ~/.cache/geotax")
 
     p = sub.add_parser("report", help="run a config-declared experiment")
     source = p.add_mutually_exclusive_group(required=True)
@@ -153,28 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 2.06, the Lorenz attractor)")
 
     return parser
-
-
-def _cmd_fetch(args) -> int:
-    # imported here, so the other subcommands never load the network code
-    from .ingest.cache import ResultCache
-    from .ingest.fetch import FetchSpec, fetch_genome
-
-    spec = FetchSpec(
-        source=args.source,
-        assembly=args.assembly,
-        chromosome=args.chrom,
-        start=args.start,
-        end=args.end,
-        n_policy=args.n_policy,
-        seed=SeedSpec(args.seed, "fetch"),
-    )
-    seq = fetch_genome(spec, cache=ResultCache(args.cache_dir))
-    header = f"{args.assembly}:{args.chrom}:{args.start}-{args.end}" \
-        if args.source == "genome-rest" else f"synthetic seed={args.seed}"
-    write_fasta([FastaRecord(header, seq.to_string())], args.output)
-    print(f"wrote {args.output} ({len(seq)} bases)")
-    return EXIT_OK
 
 
 def _cmd_report(args) -> int:
@@ -194,12 +177,14 @@ PIPELINES = {
     "stability": "stability report in",
     "procrustes": "procrustes report in",
     "walk": "walk written to",
+    "walk-profiles": "profiles in",
     "lipschitz": "profile in",
     "mine": "MI report in",
     "mine-sanity": "sanity report in",
     "texture": "texture table in",
     "probe": "probe report in",
     "vq-sweep": "sweep in",
+    "fetch": "fetch report in",
 }
 
 
@@ -243,10 +228,6 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-# the subcommands with their own handler; every other one is a pipeline
-COMMANDS = {"fetch": _cmd_fetch, "report": _cmd_report}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -254,7 +235,7 @@ def main(argv=None) -> int:
     if [] in vars(args).values():
         parser.error("'--' is not an option value")
     try:
-        return COMMANDS.get(args.command, _cmd_pipeline)(args)
+        return (_cmd_report if args.command == "report" else _cmd_pipeline)(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

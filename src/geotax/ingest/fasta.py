@@ -18,9 +18,13 @@ class FastaRecord:
     header: str     # text after '>', without the newline
     sequence: str
 
-    def decode(self, alphabet: Alphabet) -> SymbolSequence:
-        """The sequence, upper-cased, as symbols over ``alphabet``."""
-        return SymbolSequence.from_string(self.sequence.upper(), alphabet)
+    def decode(self, alphabet: Alphabet, path: str | Path) -> SymbolSequence:
+        """The sequence, upper-cased, as symbols over ``alphabet``; an error
+        names ``path``, the record's file, and the record."""
+        try:
+            return SymbolSequence.from_string(self.sequence.upper(), alphabet)
+        except DataError as exc:
+            raise DataError(f"{path}: record {self.header!r}: {exc}") from None
 
 
 def parse_fasta(path: str | Path) -> list[FastaRecord]:
@@ -33,7 +37,7 @@ def parse_fasta(path: str | Path) -> list[FastaRecord]:
             return
         seq = "".join(chunks)
         if not seq:
-            raise DataError(f"record {header!r} has an empty sequence")
+            raise DataError(f"{path}: record {header!r} has an empty sequence")
         records.append(FastaRecord(header, seq))
 
     for lineno, line in enumerate(read_text(path, DataError).split("\n"), start=1):

@@ -44,7 +44,7 @@ def features_from_fasta(path, kind: str = "dna") -> np.ndarray:
     if kind not in extract:
         raise ConfigError(f"mine.feature_kind must be dna or protein, got {kind!r}")
     alphabet, features = extract[kind]
-    return np.vstack([features(r.decode(alphabet)) for r in parse_fasta(path)])
+    return np.vstack([features(r.decode(alphabet, path)) for r in parse_fasta(path)])
 
 
 def protein_features(seq: SymbolSequence | str) -> np.ndarray:

@@ -81,12 +81,14 @@ def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
         "stability": _run_stability,
         "procrustes": _run_procrustes,
         "walk": _run_walk,
+        "walk-profiles": _run_walk_profiles,
         "lipschitz": _run_lipschitz,
         "mine": _run_mine,
         "mine-sanity": _run_mine_sanity,
         "texture": _run_texture,
         "probe": _run_probe,
         "vq-sweep": _run_vq_sweep,
+        "fetch": _run_fetch,
     }
     if experiment not in runners:
         raise ConfigError(
@@ -180,7 +182,10 @@ def _run_discretize(cfg: Config, seed: int, out: Path) -> dict:
         mat = load(range_file)
         if mat.n != 2:
             raise DataError(f"{range_file}: range file must hold exactly 2 rows (min, max)")
-        grange = GlobalRange(mat.data[0], mat.data[1])
+        try:
+            grange = GlobalRange(mat.data[0], mat.data[1])
+        except DataError as exc:
+            raise DataError(f"{range_file}: {exc}") from None
         first, width = f"range file {range_file}", mat.d
     else:
         first, width = inputs[0], trajs[0].channels
@@ -238,7 +243,8 @@ def _run_perturb(cfg: Config, seed: int, out: Path) -> dict:
     for source, spec, target in jobs:
         if source.suffix in (".fa", ".fasta"):
             write_fasta([
-                FastaRecord(rec.header, apply_perturbation(rec.decode(DNA), spec).to_string())
+                FastaRecord(rec.header,
+                            apply_perturbation(rec.decode(DNA, source), spec).to_string())
                 for rec in parse_fasta(source)
             ], target)
         else:
@@ -342,7 +348,7 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
     if mode == "mutation":
         fasta = cfg.get("walk.fasta")
         if fasta:
-            wt = parse_fasta(fasta)[0].decode(DNA)
+            wt = parse_fasta(fasta)[0].decode(DNA, fasta)
         else:
             length = cfg.get_int("walk.length", 2000, minimum=1)
             wt = SymbolSequence(
@@ -352,12 +358,16 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
             cfg.get_int("walk.core_start", len(wt) // 4),
             cfg.get_int("walk.core_end", 3 * len(wt) // 4),
         )
-        walk = build_mutation_walk(
-            wt,
-            cfg.get_int("walk.n_mutations", 120),
-            core,
-            SeedSpec(seed, "walk"),
-        )
+        n_mutations = cfg.get_int("walk.n_mutations", 120)
+        try:
+            walk = build_mutation_walk(wt, n_mutations, core, SeedSpec(seed, "walk"))
+        except DataError as exc:  # the core region does not fit
+            if fasta:
+                raise DataError(f"{fasta}: {exc}") from None
+            raise ConfigError(
+                f"{cfg.source}: {exc}: walk.length = {len(wt)}, walk.n_mutations = "
+                f"{n_mutations}, walk.core_start = {core[0]}, walk.core_end = {core[1]}"
+            ) from None
     elif mode == "interpolation":
         rng = rng_create(SeedSpec(seed, "walk-interp"))
         ta = gen_oscillator(sample_oscillator_params(rng))
@@ -370,6 +380,22 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
         raise ConfigError(f"{cfg.source}: walk.mode must be mutation or interpolation")
     _serialize_walk(walk, out)
     return {"mode": mode, "steps": len(walk)}
+
+
+def _run_walk_profiles(cfg: Config, seed: int, out: Path) -> dict:
+    from .walks import lipschitz_gap, mean_lipschitz, pca_trajectory, walk_profiles
+
+    n_steps = cfg.get_int("walk.n_steps", 101)
+    encoders = {}
+    for name, (profiles, path) in walk_profiles(n_steps, SeedSpec(seed, "pairs")).items():
+        encoders[name] = {"mean_lipschitz": mean_lipschitz(profiles),
+                          "max_spikes_per_pair": max(len(p.spikes) for p in profiles)}
+        (out / f"{name}_path.svg").write_text(pca_trajectory(path)[1])
+    (out / "report.csv").write_text("encoder,mean_L,max_spikes_per_pair\n" + "".join(
+        f"{name},{row['mean_lipschitz']:.10g},{row['max_spikes_per_pair']}\n"
+        for name, row in encoders.items()))
+    means = [row["mean_lipschitz"] for row in encoders.values()]
+    return {"encoders": encoders, "lipschitz_gap": lipschitz_gap(means)}
 
 
 def _run_lipschitz(cfg: Config, seed: int, out: Path) -> dict:
@@ -385,7 +411,7 @@ def _run_lipschitz(cfg: Config, seed: int, out: Path) -> dict:
         raise ConfigError(f"{cfg.source}: lipschitz.metric must be cosine or l2")
     lines = ["step,L"] + [f"{i},{v:.10g}" for i, v in enumerate(profile.values)]
     (out / "profile.csv").write_text("\n".join(lines) + "\n")
-    pca_res, svg = pca_trajectory(emb, k=min(3, emb.d, emb.n))
+    pca_res, svg = pca_trajectory(emb)
     (out / "trajectory.svg").write_text(svg)
     return {
         "metric": metric,
@@ -460,7 +486,7 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
 
     fasta = cfg.get("texture.fasta")
     if fasta:
-        corpus = [rec.decode(DNA) for rec in parse_fasta(fasta)]
+        corpus = [rec.decode(DNA, fasta) for rec in parse_fasta(fasta)]
     else:
         corpus = heterogeneous_corpus(
             cfg.get_int("texture.n", 200, minimum=MIN_CORPUS),
@@ -540,6 +566,23 @@ def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
         "fit": {"a": curve.fit_intercept, "b": curve.fit_slope, "r2": curve.fit_r2},
         "intrinsic_dim": d_m,
     }
+
+
+def _run_fetch(cfg: Config, seed: int, out: Path) -> dict:
+    from .ingest.cache import ResultCache
+    from .ingest.fetch import FetchSpec, fetch_genome
+
+    output = Path(cfg.require("fetch.output"))
+    spec = FetchSpec(cfg.get("fetch.source", "genome-rest"), cfg.get("fetch.assembly", "hg38"),
+                     cfg.get("fetch.chrom", "chr22"), cfg.get_int("fetch.start", 0),
+                     cfg.get_int("fetch.end", 0), cfg.get("fetch.n_policy", "reject"),
+                     SeedSpec(seed, "fetch"))
+    seq = fetch_genome(spec, cache=ResultCache(cfg.get("fetch.cache_dir")))
+    header = f"{spec.assembly}:{spec.chromosome}:{spec.start}-{spec.end}" \
+        if spec.source == "genome-rest" else f"synthetic seed={seed}"
+    write_fasta([FastaRecord(header, seq.to_string())], output)
+    # --output as configured, as single-file perturb names it
+    return {"files": {str(output): _sha256(output)}}
 
 
 def _int_list(cfg: Config, key: str, default: tuple) -> tuple:

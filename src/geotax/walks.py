@@ -4,6 +4,8 @@ Interpolation walks step between two continuous trajectories through the
 shared discretization grid; mutation walks flip one base at a time toward
 a mutant endpoint.  Profiles measure per-step embedding displacement (L2
 or cosine) with spike detection at mean + 2 population standard deviations.
+``walk_profiles`` runs oscillator walks through two toy encoders, a smooth
+one and a token histogram, to show the gap between their profiles.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from .core.embedding import EmbeddingMatrix, as_array, unit_rows
 from .core.pca import PCAResult, pca_project
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
-from .dynamics import GlobalRange, Trajectory, discretize
+from .dynamics import GlobalRange, Trajectory, discretize, fit_global_range, gen_oscillator
+from .dynamics import sample_oscillator_params
 from .errors import ConfigError, DataError
 
 
@@ -171,6 +174,41 @@ def mean_lipschitz(profiles) -> float:
     return float(np.mean([p.mean for p in profiles]))
 
 
+# -- walk profiles through two toy encoders ------------------------------------
+
+PROFILE_PAIRS = 10
+
+
+def _smooth_encoder(step: SymbolSequence) -> np.ndarray:
+    """The means of the step's symbols over 16 windows."""
+    values = step.symbols.astype(float)
+    bounds = np.linspace(0, values.size, 17).astype(int)
+    return np.array([values[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+def _histogram_encoder(step: SymbolSequence) -> np.ndarray:
+    """The count of each symbol of the step's alphabet."""
+    return np.bincount(step.symbols, minlength=step.alphabet.size).astype(float)
+
+
+def walk_profiles(n_steps: int, seed: SeedSpec) -> dict:
+    """Per encoder, smooth and histogram: the L2 profile of each of
+    ``PROFILE_PAIRS`` interpolation walks between damped oscillators, every
+    step embedded by that encoder, and the embedding path of the last walk."""
+    encoders = {"smooth": _smooth_encoder, "histogram": _histogram_encoder}
+    rng = rng_create(seed)
+    profiles = {name: [] for name in encoders}
+    for _ in range(PROFILE_PAIRS):
+        a = gen_oscillator(sample_oscillator_params(rng))
+        b = gen_oscillator(sample_oscillator_params(rng))
+        walk = build_interpolation_walk(a, b, fit_global_range([a, b]), n_steps)
+        paths = {name: np.vstack([encode(step) for step in walk.steps])
+                 for name, encode in encoders.items()}
+        for name, path in paths.items():
+            profiles[name].append(lipschitz_l2(path))
+    return {name: (profiles[name], paths[name]) for name in encoders}
+
+
 # -- PCA trajectory export ----------------------------------------------------
 
 SVG_WIDTH = 640
@@ -178,14 +216,15 @@ SVG_HEIGHT = 480
 SVG_MARGIN = 20
 
 
-def pca_trajectory(embeddings, k: int = 3) -> tuple[PCAResult, str]:
-    """Project an embedding path to k components and render an SVG polyline.
+def pca_trajectory(embeddings) -> tuple[PCAResult, str]:
+    """Project an embedding path onto its first 3 principal components (as
+    many as its rows and columns allow) and render an SVG polyline.
 
     The SVG bytes are deterministic for fixed input (fixed float formatting,
     no timestamps).
     """
     e = _rows(embeddings)
-    result = pca_project(e, k)
+    result = pca_project(e, min(3, *e.shape))
     path = result.scores
     svg = render_path_svg(path[:, 0], path[:, 1] if path.shape[1] > 1 else np.zeros(len(path)))
     return result, svg

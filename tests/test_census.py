@@ -1,25 +1,25 @@
 """The code census: every top-level ``def`` and ``class`` in the source is
-referenced somewhere in ``src/`` or ``scripts/`` outside its own
-definition.  A function only the tests call belongs in the tests.
+referenced somewhere in ``src/`` outside its own definition.  A function
+only the tests call belongs in the tests.
 
 The allowlist holds the library entry points that no subcommand calls
 yet, each with the README feature or acceptance criterion it backs.  It
 must match exactly, so a name leaves it when it gets a caller.
 
-Every method and property of a source class is referenced in ``src/``,
-``scripts/`` or ``bench/`` outside its own class.  Names with a leading
-underscore (dunders, private helpers, members of private classes) are
-the class's own business and are exempt.
+Every method and property of a source class is referenced in ``src/`` or
+``bench/`` outside its own class.  Names with a leading underscore
+(dunders, private helpers, members of private classes) are the class's
+own business and are exempt.
 
 Every annotated field of a public source class is read as an attribute
-in ``src/``, ``scripts/`` or ``bench/``, outside its class or inside a
-public member that is itself read outside the class.  ``WHOLE`` holds
+in ``src/`` or ``bench/``, outside its class or inside a public member
+that is itself read outside the class.  ``WHOLE`` holds
 the classes whose fields are read all at once or by no subcommand, each
 with its reason, and must match exactly too.
 
 Every defaulted parameter of a public function or method is passed, by
-keyword or by position, in some call in ``src/`` or ``scripts/``: a
-default no caller overrides is a path no subcommand reaches.  A call
+keyword or by position, in some call in ``src/``: a default no caller
+overrides is a path no subcommand reaches.  A call
 that passes the parameter's own default literal again does not count.
 Calls are matched by name alone.  The parameters of the functions on
 ``ALLOWLIST`` are skipped; ``SEAMS`` holds the parameters only the tests
@@ -31,7 +31,6 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "geotax"
-SCRIPTS = REPO / "scripts"
 BENCH = REPO / "bench"
 
 ALLOWLIST = {
@@ -86,7 +85,7 @@ def references(*roots: Path) -> Counter:
 
 def unreferenced() -> set[str]:
     sources = list(parsed(SRC))
-    everywhere = references(SRC, SCRIPTS)
+    everywhere = references(SRC)
     return {
         f"{rel}:{node.name}"
         for rel, tree in sources
@@ -105,7 +104,7 @@ def test_every_definition_has_a_caller_or_an_allowlisted_feature():
 
 def unreferenced_members() -> set[str]:
     sources = list(parsed(SRC))
-    everywhere = references(SRC, SCRIPTS, BENCH)
+    everywhere = references(SRC, BENCH)
     return {
         f"{rel}:{cls.name}.{node.name}"
         for rel, tree in sources
@@ -141,7 +140,7 @@ def attribute_reads(tree: ast.AST) -> Counter:
 def unread_fields() -> set[str]:
     held = unreferenced_members()
     everywhere = Counter()
-    for root in (SRC, SCRIPTS, BENCH):
+    for root in (SRC, BENCH):
         for _, tree in parsed(root):
             everywhere += attribute_reads(tree)
     found = set()
@@ -238,7 +237,7 @@ def passes(call: ast.Call, position: int | None, keyword: str | None,
 
 
 def unpassed_parameters() -> set[str]:
-    calls = calls_by_name(SRC, SCRIPTS)
+    calls = calls_by_name(SRC)
     return {
         f"{key}({param})"
         for key, name, fn, bound in public_functions()

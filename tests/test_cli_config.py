@@ -90,6 +90,31 @@ CONFIG_CASES = {
         "walk.mode = mutation\nwalk.n_mutations = 120\nwalk.length = 2000\nwalk.n_steps = 101\n",
         "walk written to",
     ),
+    "walk-profiles": (
+        ["walk-profiles", "--steps", "5"],
+        "experiment = walk-profiles\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "walk.n_steps = 5\n",
+        "profiles in",
+    ),
+    # fetch cases use the synthetic source, so no case could open a connection
+    "fetch": (
+        ["--seed", "9", "fetch", "--source", "synthetic", "--end", "200", "--output",
+         "synth.fasta"],
+        "experiment = fetch\nseed = 9\nthreads = 1\nio.csv_header = false\n"
+        "fetch.source = synthetic\nfetch.assembly = hg38\nfetch.chrom = chr22\n"
+        "fetch.start = 0\nfetch.end = 200\nfetch.n_policy = reject\n"
+        "fetch.output = synth.fasta\n",
+        "fetch report in",
+    ),
+    "fetch-cache-dir": (
+        ["fetch", "--source", "synthetic", "--assembly", "hg19", "--chrom", "chr1", "--start",
+         "5", "--end", "9", "--n-policy", "replace", "--output", "o.fa", "--cache-dir", "cache"],
+        "experiment = fetch\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "fetch.source = synthetic\nfetch.assembly = hg19\nfetch.chrom = chr1\n"
+        "fetch.start = 5\nfetch.end = 9\nfetch.n_policy = replace\nfetch.output = o.fa\n"
+        "fetch.cache_dir = cache\n",
+        "fetch report in",
+    ),
     "walk-fasta": (
         ["--seed", "9", "walk", "--mode", "interpolation", "--fasta", "w.fasta",
          "--n-mutations", "5", "--length", "50", "--steps", "11"],
@@ -197,7 +222,7 @@ def test_pipeline_options_are_stored_under_config_keys():
     so every option of a pipeline subcommand has a dotted dest."""
     parser = cli.build_parser()
     subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(subparsers.choices) - set(cli.PIPELINES) == {"fetch", "report"}
+    assert set(subparsers.choices) - set(cli.PIPELINES) == {"report"}
     for command in cli.PIPELINES:
         dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
         if command == "stability":
@@ -447,7 +472,69 @@ def test_cli_fasta_non_ascii_exit_3(tmp_path, capsys):
     fasta.write_text(">a\nACéGT" + "ACGT" * 600 + "\n", encoding="utf-8")
     argv = ["--out-dir", str(tmp_path / "run"), "walk", "--fasta", str(fasta)]
     assert cli.main(argv) == 3
-    assert capsys.readouterr().err == "data error: symbol 'É' not in alphabet dna\n"
+    assert capsys.readouterr().err == (
+        f"data error: {fasta}: record 'a': symbol 'É' not in alphabet dna\n")
+
+
+def write_named_error_inputs() -> None:
+    """Two 8-record FASTA files, one with an N in record s6 and one with an
+    N in record s0 (walk reads only the first record), a matrix, and a
+    range file whose rows are equal in one column."""
+    rng = rng_create(SeedSpec(320, "cli-named-errors"))
+    for name, bad in (("n.fasta", 6), ("n0.fasta", 0)):
+        records = []
+        for i in range(8):
+            bases = "".join("ACGT"[b] for b in rng.integers(0, 4, size=60))
+            records.append(f">s{i}\n{bases[:10] + 'N' + bases[11:] if i == bad else bases}\n")
+        Path(name).write_text("".join(records))
+    write_embeddings(Path("z.emb1"), EmbeddingMatrix(rng.standard_normal((8, 3))))
+    write_embeddings(Path("t.emb1"), EmbeddingMatrix(rng.standard_normal((10, 2))))
+    write_embeddings(Path("r.emb1"), EmbeddingMatrix(np.array([[0.0, -3.0], [0.0, 3.0]])))
+
+
+N_IN_S6 = "n.fasta: record 's6': symbol 'N' not in alphabet dna"
+NAMED_DATA_ERRORS = {
+    "texture-fasta": (["texture", "--fasta", "n.fasta"], N_IN_S6),
+    "walk-fasta": (["walk", "--fasta", "n0.fasta"],
+                   "n0.fasta: record 's0': symbol 'N' not in alphabet dna"),
+    "mine-features-fasta": (["mine", "--features-fasta", "n.fasta", "--embeddings", "z.emb1"],
+                            N_IN_S6),
+    "perturb-fasta": (["perturb", "--input", "n.fasta", "--kind", "substitute", "--output",
+                       "o.fasta"], N_IN_S6),
+    "discretize-range": (["discretize", "--input", "t.emb1", "--range", "r.emb1"],
+                         "r.emb1: max must exceed min in every channel"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_DATA_ERRORS))
+def test_cli_data_error_names_the_file_and_the_record(case, capsys):
+    write_named_error_inputs()
+    argv, message = NAMED_DATA_ERRORS[case]
+    assert cli.main(["--out-dir", "run", *argv]) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not Path("run").exists() and not Path("o.fasta").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["walk", "--length", "3"], "<cli>: core region holds 2 candidate sites < 120: "
+     "walk.length = 3, walk.n_mutations = 120, walk.core_start = 0, walk.core_end = 2"),
+    (["walk", "--length", "1"], "<cli>: core region outside sequence: walk.length = 1, "
+     "walk.n_mutations = 120, walk.core_start = 0, walk.core_end = 0"),
+    (["report", "--config", "walk.cfg"], "walk.cfg: core region outside sequence: "
+     "walk.length = 2000, walk.n_mutations = 120, walk.core_start = -5, walk.core_end = 1500"),
+], ids=["length-3", "length-1", "config-core-start"])
+def test_cli_walk_core_region_that_does_not_fit_exits_2_naming_the_keys(argv, message, capsys):
+    Path("walk.cfg").write_text("experiment = walk\nwalk.core_start = -5\n")
+    assert cli.main(["--out-dir", "run", *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not Path("run").exists()
+
+
+def test_cli_walk_fasta_core_region_that_does_not_fit_exits_3_naming_the_file(capsys):
+    Path("w.fasta").write_text(">w\nACGT\n")
+    assert cli.main(["--out-dir", "run", "walk", "--fasta", "w.fasta"]) == 3
+    assert capsys.readouterr().err == (
+        "data error: w.fasta: core region holds 2 candidate sites < 120\n")
 
 
 UNTRAINABLE = {
@@ -458,6 +545,7 @@ UNTRAINABLE = {
     "walk-interpolation-one-step": ["walk", "--mode", "interpolation", "--steps", "1"],
     "walk-interpolation-no-steps": ["walk", "--mode", "interpolation", "--steps", "0"],
     "walk-interpolation-negative-steps": ["walk", "--mode", "interpolation", "--steps", "-4"],
+    "walk-profiles-one-step": ["walk-profiles", "--steps", "1"],
 }
 
 
@@ -509,12 +597,13 @@ def test_cli_mine_repeated_seed_exits_2_before_training(experiment, pair, tmp_pa
 @pytest.mark.parametrize("span", [("60", "50"), ("0", "0")], ids=["reversed", "empty"])
 def test_cli_fetch_synthetic_empty_or_reversed_span_exit_2(span, tmp_path, capsys):
     start, end = span
-    output = tmp_path / "o.fa"
-    argv = ["fetch", "--source", "synthetic", "--start", start, "--end", end,
-            "--output", str(output)]
+    output, run = tmp_path / "o.fa", tmp_path / "run"
+    argv = ["--out-dir", str(run), "fetch", "--source", "synthetic", "--start", start,
+            "--end", end, "--output", str(output)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not output.exists()
+    assert not run.exists()
 
 
 def _refused(url):
@@ -526,12 +615,14 @@ def _refused(url):
 def test_cli_fetch_network_failure_exit_4(transport, tmp_path, capsys, monkeypatch):
     # the stand-in transport is the only one reachable, so no connection is opened
     monkeypatch.setattr("geotax.ingest.fetch.default_transport", transport)
-    output = tmp_path / "o.fa"
-    argv = ["fetch", "--source", "genome-rest", "--start", "0", "--end", "10",
-            "--cache-dir", str(tmp_path / "cache"), "--output", str(output)]
+    output, run = tmp_path / "o.fa", tmp_path / "run" / "fetch"
+    argv = ["--out-dir", str(run), "fetch", "--source", "genome-rest", "--start", "0",
+            "--end", "10", "--cache-dir", str(tmp_path / "cache"), "--output", str(output)]
     assert cli.main(argv) == 4
     assert capsys.readouterr().err.startswith("network error:")
     assert not output.exists()
+    # the run removes the directories it created
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_fasta_not_utf8_exit_3(tmp_path, capsys):
@@ -796,7 +887,7 @@ def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI\n\n```bash\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("geotax ")]
-    assert len(lines) == 15
+    assert len(lines) == 16
     parser = cli.build_parser()
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]

@@ -180,6 +180,7 @@ FLAG_BASES = {
                   "--max-samples", "20", "--bootstrap", "1"],
     "walk": ["walk", "--n-mutations", "4", "--length", "60"],
     "walk-interpolation": ["walk", "--mode", "interpolation", "--steps", "5"],
+    "walk-profiles": ["walk-profiles", "--steps", "5"],
     "mine": ["mine", "--features", "f.emb1", "--embeddings", "z.emb1", "--seeds", "1",
              "--epochs", "2"],
     "mine-sanity": ["mine-sanity", "--n", "32", "--seeds", "1"],
@@ -229,6 +230,7 @@ FLAG_CASES = {
     ("walk", "--n-mutations"): below(0),
     ("walk", "--length"): below(1),
     ("walk-interpolation", "--steps"): below(2),
+    ("walk-profiles", "--steps"): below(2),
     ("mine", "--epochs"): below(1),
     ("mine", "--seeds"): int_list(
         st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))),

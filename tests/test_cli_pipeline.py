@@ -390,12 +390,46 @@ def test_cli_walk_and_lipschitz(tmp_path):
     assert (lip_dir / "trajectory.svg").exists()
 
 
+def test_cli_walk_profiles_reproduces_the_two_encoder_script_at_seed_320(tmp_path):
+    """The numbers and SVG bytes of the two-encoder walk-profile script at
+    its defaults: 10 pairs, 101 steps, seed 320."""
+    run = tmp_path / "profiles"
+    assert main(["--out-dir", str(run), "walk-profiles"]) == 0
+    results = json.loads((run / "report.json").read_text())["results"]
+    assert results["encoders"] == {
+        "smooth": {"mean_lipschitz": 1.398378346969584, "max_spikes_per_pair": 4},
+        "histogram": {"mean_lipschitz": 17.10165095289998, "max_spikes_per_pair": 5},
+    }
+    assert results["lipschitz_gap"] == 12.22963083629037
+    assert {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+            for name in ("smooth_path.svg", "histogram_path.svg")} == {
+        "smooth_path.svg": "1061c6d3dd0cbe933091c5077eabe41b029f982566f72ba99369771cb2eceffd",
+        "histogram_path.svg": "469bdb37aad9e9c7892dbd590ae1084e30438745629eea4e58c6c92a3c035055",
+    }
+
+
+def test_cli_walk_profiles_of_two_steps_draw_both_paths(tmp_path):
+    run = tmp_path / "profiles"
+    assert main(["--out-dir", str(run), "walk-profiles", "--steps", "2"]) == 0
+    for name in ("smooth", "histogram"):
+        assert (run / f"{name}_path.svg").read_text().startswith("<svg")
+
+
 def test_cli_fetch_synthetic_and_report_rerun(tmp_path):
     fasta = tmp_path / "synth.fasta"
-    assert main(["--seed", "9", "fetch", "--source", "synthetic",
+    run = tmp_path / "fetch"
+    assert main(["--seed", "9", "--out-dir", str(run), "fetch", "--source", "synthetic",
                  "--end", "200", "--output", str(fasta)]) == 0
     text = fasta.read_text()
-    assert text.startswith(">synthetic")
+    assert text.startswith(">synthetic seed=9\n")
+    digest = hashlib.sha256(fasta.read_bytes()).hexdigest()
+    report = json.loads((run / "report.json").read_text())
+    assert report["results"] == {"files": {str(fasta): digest}}
+    fasta.unlink()
+    rerun = tmp_path / "fetch-rerun"
+    assert main(["--out-dir", str(rerun), "report", "--rerun", str(run / "report.json")]) == 0
+    assert fasta.read_text() == text
+    assert read_all_bytes(rerun) == read_all_bytes(run)
 
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(

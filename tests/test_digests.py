@@ -81,6 +81,9 @@ CASES = {
     "walk-mutation": [["--out-dir", "run", "walk", "--length", "200", "--n-mutations", "4"]],
     "walk-interpolation": [["--out-dir", "run", "walk", "--mode", "interpolation", "--steps",
                             "4"]],
+    "walk-profiles": [["--out-dir", "run", "walk-profiles"]],
+    "fetch-synthetic": [["--seed", "9", "--out-dir", "run", "fetch", "--source", "synthetic",
+                         "--end", "200", "--output", "synth.fasta"]],
     "lipschitz-cosine": [["--out-dir", "run", "lipschitz", "--embeddings", "traj_a.emb1"]],
     "lipschitz-l2": [["--out-dir", "run", "lipschitz", "--embeddings", "traj_a.emb1",
                       "--metric", "l2"]],
@@ -100,6 +103,10 @@ DIGESTS = {
         "run/report.json": "8a190905b44ae23896ab56763184f6b9ae5223b72aa50ea389a65c36724908f3",
         "run/traj_a.sym.csv": "02cd046dac4d5fe142033213e511966d565b26abb7fc10d2a8e5fdf26e7e46e4",
         "run/traj_b.sym.csv": "4e17a3131c49ad4025d5a91e98e8f7da3b2bf85ddc105a3f222c7a79c51d4845",
+    },
+    "fetch-synthetic": {
+        "run/report.json": "e6982ae81f84d596b438fa65e127f774d0d26eaa0e30f64e7274a847da08f74e",
+        "synth.fasta": "427a0b94838e649145160c093da65c2c3d764fb600e870b34606db5c737ed297",
     },
     "gen-lorenz": {
         "run/range.emb1": "2671ddc077be716a86fa02d0b53730eeee5437fcac0095cf668081c50bbf6bd5",
@@ -195,6 +202,13 @@ DIGESTS = {
     "walk-mutation": {
         "run/report.json": "9327a8677180ee4ee1197bb2a071ffc3bbf1245dbef4800e9d64958024f12565",
         "run/walk.fasta": "826cfbf03a355fecca96e8527c7916047c58e0fa272daa4d2f8e5fbc1a1c9a4b",
+    },
+    "walk-profiles": {
+        "run/histogram_path.svg":
+            "469bdb37aad9e9c7892dbd590ae1084e30438745629eea4e58c6c92a3c035055",
+        "run/report.csv": "adf59dd6ad451dbad8131c81df3ab0de757d86e4e9de2aece43223f2a12dad84",
+        "run/report.json": "5218763b3b45f8cd0e7f70709834a22256d256596931148496208289e4b99780",
+        "run/smooth_path.svg": "1061c6d3dd0cbe933091c5077eabe41b029f982566f72ba99369771cb2eceffd",
     },
 }
 

@@ -57,7 +57,7 @@ def test_fasta_multi_record_round_trip(tmp_path):
 def test_fasta_empty_record_rejected(tmp_path):
     path = tmp_path / "bad.fasta"
     path.write_text(">only-header\n>another\nACGT\n")
-    with pytest.raises(DataError, match="record 'only-header' has an empty sequence"):
+    with pytest.raises(DataError, match=f"{path}: record 'only-header' has an empty sequence"):
         parse_fasta(path)
 
 
@@ -77,10 +77,10 @@ def test_fasta_non_utf8_names_the_file(tmp_path):
 
 def test_fasta_record_decode_upper_cases():
     rec = FastaRecord("r", "acgT")
-    assert rec.decode(DNA).to_string() == "ACGT"
-    assert FastaRecord("p", "mkwv").decode(PROTEIN).to_string() == "MKWV"
-    with pytest.raises(DataError, match="symbol 'N' not in alphabet dna"):
-        FastaRecord("r", "acgtn").decode(DNA)
+    assert rec.decode(DNA, "r.fasta").to_string() == "ACGT"
+    assert FastaRecord("p", "mkwv").decode(PROTEIN, "p.fasta").to_string() == "MKWV"
+    with pytest.raises(DataError, match="r.fasta: record 'r': symbol 'N' not in alphabet dna"):
+        FastaRecord("r", "acgtn").decode(DNA, "r.fasta")
 
 
 # -- cache --------------------------------------------------------------------

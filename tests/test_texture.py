@@ -53,7 +53,7 @@ def dna_sequences(draw, min_size=1):
     if route == "array":
         return SymbolSequence(np.array(["ACGT".index(c) for c in text], dtype=np.int64), DNA)
     cut = draw(st.integers(0, len(text)))
-    return FastaRecord("rec", text[:cut].lower() + text[cut:]).decode(DNA)
+    return FastaRecord("rec", text[:cut].lower() + text[cut:]).decode(DNA, "rec.fasta")
 
 
 # -- loop oracles: the per-base loops the vectorised texture code replaced --------
@@ -160,7 +160,7 @@ def test_texture_loops_bytes_equal_oracles_on_wrapped_fasta(tmp_path):
         text = text[: n // 3].lower() + text[n // 3 :]
         lines += [f">rec{r}"] + [text[i : i + 60] for i in range(0, n, 60)]
     path.write_text("\n".join(lines) + "\n")
-    corpus = [rec.decode(DNA) for rec in parse_fasta(path)]
+    corpus = [rec.decode(DNA, path) for rec in parse_fasta(path)]
     model = fit_markov(corpus)
     for i, seq in enumerate(corpus):
         spec = SeedSpec(i, "fasta")

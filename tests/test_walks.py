@@ -178,18 +178,21 @@ def test_pca_trajectory_planar_arc(rng):
     thetas = np.linspace(0, np.pi, 40)
     arc = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     e = np.concatenate([arc, 1e-6 * rng.standard_normal((40, 6))], axis=1)
-    res, svg = pca_trajectory(e, k=3)
+    res, svg = pca_trajectory(e)
     assert res.explained_variance_ratio[:2].sum() > 0.99
     assert svg.startswith("<svg") and "polyline" in svg
 
 
 def test_pca_trajectory_deterministic_svg(rng):
     e = rng.standard_normal((20, 5))
-    _, svg1 = pca_trajectory(e, k=2)
-    _, svg2 = pca_trajectory(e, k=2)
+    _, svg1 = pca_trajectory(e)
+    _, svg2 = pca_trajectory(e)
     assert svg1 == svg2
 
 
-def test_pca_trajectory_k_exceeds_dims(rng):
-    with pytest.raises(DataError, match=r"k=3 outside 1\.\.min\(n,d\)=2"):
-        pca_trajectory(rng.standard_normal((10, 2)), k=3)
+# two centred rows span one direction, so that path keeps one component
+@pytest.mark.parametrize("shape, k", [((10, 5), 3), ((10, 2), 2), ((2, 16), 1)])
+def test_pca_trajectory_takes_at_most_three_components(shape, k, rng):
+    res, svg = pca_trajectory(rng.standard_normal(shape))
+    assert res.scores.shape == (shape[0], k)
+    assert svg.startswith("<svg")
