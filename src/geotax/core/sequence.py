@@ -1,5 +1,5 @@
-"""Discrete sequences over declared alphabets (DNA, protein, integer bins)
-and their exact sliding-window k-mer counts."""
+"""Discrete sequences over declared alphabets (DNA, protein, integer bins),
+their exact sliding-window k-mer counts and the DNA reverse complement."""
 
 from __future__ import annotations
 
@@ -81,6 +81,15 @@ class SymbolSequence:
 
     def replace(self, symbols: np.ndarray) -> "SymbolSequence":
         return SymbolSequence(symbols, self.alphabet)
+
+
+_DNA_COMPLEMENT = np.array([3, 2, 1, 0], dtype=np.int64)  # A<->T, C<->G
+
+
+def reverse_complement(seq: SymbolSequence) -> SymbolSequence:
+    """Reverse order then complement each base; an involution."""
+    seq.require(DNA, "reverse complement defined for the DNA alphabet only")
+    return seq.replace(_DNA_COMPLEMENT[seq.symbols[::-1]])
 
 
 def kmer_ranks(seq: SymbolSequence, k: int) -> np.ndarray:

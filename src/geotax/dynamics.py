@@ -200,6 +200,9 @@ def fit_global_range(dataset: Sequence[Trajectory]) -> GlobalRange:
         raise DataError(f"trajectories differ in channel count: {counts}")
     lo = np.min([t.values.min(axis=0) for t in dataset], axis=0)
     hi = np.max([t.values.max(axis=0) for t in dataset], axis=0)
+    flat = np.flatnonzero(hi == lo)
+    if flat.size:
+        raise DataError(f"max must exceed min in every channel, but channel {flat[0]} is constant")
     return GlobalRange(lo, hi)
 
 

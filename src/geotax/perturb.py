@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core.rng import SeedSpec, rng_create
-from .core.sequence import DNA, SymbolSequence
+from .core.sequence import SymbolSequence, reverse_complement
 from .dynamics import Trajectory
 from .errors import ConfigError, DataError
 
@@ -80,15 +80,6 @@ def substitute(seq: SymbolSequence, spec: PerturbationSpec) -> SymbolSequence:
     draw = rng.integers(0, seq.alphabet.size - 1, size=count)
     out[pos] = np.where(draw >= out[pos], draw + 1, draw)
     return seq.replace(out)
-
-
-_DNA_COMPLEMENT = np.array([3, 2, 1, 0], dtype=np.int64)  # A<->T, C<->G
-
-
-def reverse_complement(seq: SymbolSequence) -> SymbolSequence:
-    """Reverse order then complement each base; an involution."""
-    seq.require(DNA, "reverse complement defined for the DNA alphabet only")
-    return seq.replace(_DNA_COMPLEMENT[seq.symbols[::-1]])
 
 
 def time_reverse(x: Trajectory | SymbolSequence):

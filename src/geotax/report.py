@@ -193,7 +193,10 @@ def _run_discretize(cfg: Config, seed: int, out: Path) -> dict:
         if traj.channels != width:
             raise DataError(f"{path} has {traj.channels} channels but {first} has {width}")
     if not range_file:
-        grange = fit_global_range(trajs)
+        try:
+            grange = fit_global_range(trajs)
+        except DataError as exc:
+            raise DataError(f"{', '.join(inputs)}: {exc}") from None
     for name, traj in zip(names, trajs):
         seq = discretize(traj, grange, bins)
         (out / name).write_text(",".join(str(s) for s in seq.symbols) + "\n")
@@ -374,7 +377,7 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
         tb = gen_oscillator(sample_oscillator_params(rng))
         grange = fit_global_range([ta, tb])
         walk = build_interpolation_walk(
-            ta, tb, grange, cfg.get_int("walk.n_steps", 101)
+            ta, tb, grange, cfg.get_int("walk.n_steps", 101, minimum=2)
         )
     else:
         raise ConfigError(f"{cfg.source}: walk.mode must be mutation or interpolation")
@@ -385,7 +388,7 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
 def _run_walk_profiles(cfg: Config, seed: int, out: Path) -> dict:
     from .walks import lipschitz_gap, mean_lipschitz, pca_trajectory, walk_profiles
 
-    n_steps = cfg.get_int("walk.n_steps", 101)
+    n_steps = cfg.get_int("walk.n_steps", 101, minimum=2)
     encoders = {}
     for name, (profiles, path) in walk_profiles(n_steps, SeedSpec(seed, "pairs")).items():
         encoders[name] = {"mean_lipschitz": mean_lipschitz(profiles),

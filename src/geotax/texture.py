@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core.rng import SeedSpec, rng_create
-from .core.sequence import DNA, SymbolSequence, kmer_histogram
+from .core.sequence import DNA, SymbolSequence, kmer_histogram, reverse_complement
 from .errors import DataError
-from .perturb import reverse_complement
 
 
 def rc_permutation(k: int) -> np.ndarray:
@@ -32,36 +31,67 @@ def rc_permutation(k: int) -> np.ndarray:
     return out
 
 
-def dinucleotide_shuffle(seq: SymbolSequence, seed: SeedSpec | int = SeedSpec()) -> SymbolSequence:
-    """Altschul-Erickson shuffle: permute the sequence while preserving the
-    exact dinucleotide (and hence base) counts and the first and last base.
+def _length_groups(lengths) -> list[list[int]]:
+    """The corpus positions of each distinct length, in corpus order."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(lengths):
+        groups.setdefault(n, []).append(i)
+    return list(groups.values())
+
+
+def _blocks(corpus):
+    """Per distinct length: the corpus positions of its sequences and their
+    symbols stacked as one int8 array, a row per sequence."""
+    for rows in _length_groups([len(s) for s in corpus]):
+        yield rows, np.array([corpus[i].symbols for i in rows], dtype=np.int8)
+
+
+def dinucleotide_shuffle(corpus, seeds) -> list[SymbolSequence]:
+    """Altschul-Erickson shuffle of each sequence, the i-th under its own
+    stream ``seeds[i]``: permute it while preserving the exact dinucleotide
+    (and hence base) counts and the first and last base.
 
     Uses the last-edge-tree construction: for each base, the final outgoing
     edge of the original sequence stays last while the remaining edges are
     shuffled, which guarantees the Eulerian walk completes (the input
-    itself is a witness that a path exists).
+    itself is a witness that a path exists).  The sequences of one length
+    walk together, one numpy step per position.
     """
-    seq.require(DNA, "dinucleotide shuffle is defined over the DNA alphabet")
-    n = len(seq)
-    if n < 2:
-        raise DataError("need length >= 2")
-    rng = rng_create(seed)
-    idx = seq.symbols
-    src, dst = idx[:-1], idx[1:]
-    # each base's successors in sequence order, reversed so pop() walks
-    # them; the walk takes all n - 1 edges, so it ends with every stack empty
-    stacks: list[list[int]] = []
-    for base in range(4):
-        succ = dst[src == base]
-        if succ.size > 1:
-            rng.shuffle(succ[:-1])
-        stacks.append(succ.tolist()[::-1])
-    cur = int(idx[0])
-    out = [cur]
-    for _ in range(n - 1):
-        cur = stacks[cur].pop()
-        out.append(cur)
-    return SymbolSequence(out, DNA)
+    corpus = list(corpus)
+    for seq in corpus:
+        seq.require(DNA, "dinucleotide shuffle is defined over the DNA alphabet")
+        if len(seq) < 2:
+            raise DataError("need length >= 2")
+    out = [None] * len(corpus)
+    for rows, codes in _blocks(corpus):
+        n, length = codes.shape
+        src, dst = codes[:, :-1], codes[:, 1:]
+        # every successor of base 0, row by row in sequence order, then of
+        # base 1, and so on: row r's run for base b starts at first[r, b]
+        masks = [src == base for base in range(4)]
+        edges = np.concatenate([dst[mask] for mask in masks])
+        runs = np.concatenate([mask.sum(axis=1) for mask in masks])
+        first = (np.cumsum(runs) - runs).reshape(4, n).T
+        counts = runs.reshape(4, n).T
+        for r, i in enumerate(rows):
+            rng = rng_create(seeds[i])
+            for start, count in zip(first[r].tolist(), counts[r].tolist()):
+                if count > 1:
+                    rng.shuffle(edges[start : start + count - 1])
+        # the walk takes all length - 1 edges of each row, each base's in run
+        # order, through one cursor per (row, base)
+        row_base = 4 * np.arange(n)
+        cursor = first.ravel()
+        walk = np.empty((length, n), dtype=np.int8)
+        cur = walk[0] = codes[:, 0]
+        for step in walk[1:]:
+            key = row_base + cur
+            at = cursor[key]
+            cursor[key] += 1
+            cur = step[:] = edges[at]
+        for i, symbols in zip(rows, walk.T):
+            out[i] = SymbolSequence(symbols, DNA)
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,26 +140,41 @@ def fit_markov(sequences) -> MarkovModel:
     return MarkovModel(initial, transitions)
 
 
-def gen_markov(model: MarkovModel, length: int, seed: SeedSpec | int = SeedSpec()) -> SymbolSequence:
-    """Sample a sequence from the chain, one uniform draw per base.
+def _pick(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The base each uniform draw picks from nondecreasing cumulative totals
+    ``cum``: how many of the first three totals lie below it.  A draw above
+    the last total (rows may sum to 1 - 1e-12) picks base 3."""
+    return (draws > cum[0]).astype(np.int8) + (draws > cum[1]) + (draws > cum[2])
 
-    A draw above a row's cumulative total (rows may sum to 1 - 1e-12)
-    picks base 3, at every position.
+
+def gen_markov(model: MarkovModel, lengths, seeds) -> list[SymbolSequence]:
+    """Sample one sequence per entry of ``lengths``, the i-th from its own
+    stream ``seeds[i]``, one uniform draw per base.
+
+    The sequences of one length walk the chain together, one numpy step per
+    position.
     """
-    if length < 1:
+    lengths = list(lengths)
+    if any(n < 1 for n in lengths):
         raise DataError("length must be >= 1")
-    rng = rng_create(seed)
-    draws = rng.random(length)
-    cur = min(int(np.searchsorted(np.cumsum(model.initial), draws[0])), 3)
-    # successor[i][b]: the base after b at position i + 1
     cum_trans = np.cumsum(model.transitions, axis=1)
-    successor = np.minimum(
-        [np.searchsorted(row, draws[1:]) for row in cum_trans], 3).T.tolist()
-    out = [cur]
-    for row in successor:
-        cur = row[cur]
-        out.append(cur)
-    return SymbolSequence(out, DNA)
+    out = [None] * len(lengths)
+    for rows in _length_groups(lengths):
+        # draws[i, r]: row r's draw for position i
+        draws = np.empty((len(rows), lengths[rows[0]]))
+        for r, i in enumerate(rows):
+            rng_create(seeds[i]).random(out=draws[r])
+        draws = draws.T
+        # successor[i, b, r]: the base after b at position i + 1 of row r
+        successor = np.stack([_pick(cum, draws[1:]) for cum in cum_trans], axis=1)
+        ar = np.arange(len(rows))
+        walk = np.empty(draws.shape, dtype=np.int8)
+        cur = walk[0] = _pick(np.cumsum(model.initial), draws[0])
+        for step, table in zip(walk[1:], successor):
+            cur = step[:] = table[cur, ar]
+        for i, symbols in zip(rows, walk.T):
+            out[i] = SymbolSequence(symbols, DNA)
+    return out
 
 
 def rc_kmer_cosine(seq: SymbolSequence, k: int) -> float:
@@ -152,21 +197,30 @@ def recovery_fraction(real: float, condition: float, random: float) -> float:
     return (condition - random) / gap
 
 
-def composition_profile_embedding(seq: SymbolSequence, n_windows: int = 8) -> np.ndarray:
-    """Desk-scale proxy embedder: per-window base composition, concatenated.
+def composition_profile_embedding(corpus, n_windows: int) -> np.ndarray:
+    """Desk-scale proxy embedder: per-window base composition, concatenated,
+    one row per sequence.
 
     Captures per-sequence compositional fingerprints the way a
     histogram-dominated encoder does, while retaining enough positional
-    signal that reverse complement is not a trivial invariance.
+    signal that reverse complement is not a trivial invariance.  The
+    sequences of one length are counted with one ``bincount``.
     """
-    seq.require(DNA, "composition profile is defined over the DNA alphabet")
-    idx = seq.symbols
-    if idx.size < n_windows:
-        raise DataError("sequence shorter than the window count")
-    sizes = np.diff(np.linspace(0, idx.size, n_windows + 1).astype(np.int64))
-    window = np.repeat(np.arange(n_windows), sizes)
-    counts = np.bincount(window * 4 + idx, minlength=4 * n_windows).reshape(n_windows, 4)
-    return (counts / sizes[:, None]).reshape(-1)
+    corpus = list(corpus)
+    for seq in corpus:
+        seq.require(DNA, "composition profile is defined over the DNA alphabet")
+    out = np.empty((len(corpus), 4 * n_windows))
+    for rows, codes in _blocks(corpus):
+        n, length = codes.shape
+        if length < n_windows:
+            raise DataError("sequence shorter than the window count")
+        sizes = np.diff(np.linspace(0, length, n_windows + 1).astype(np.int64))
+        window = np.repeat(np.arange(n_windows), sizes)
+        cells = np.arange(n)[:, None] * (4 * n_windows) + 4 * window
+        cells += codes
+        counts = np.bincount(cells.ravel(), minlength=n * 4 * n_windows)
+        out[rows] = (counts.reshape(n, n_windows, 4) / sizes[:, None]).reshape(n, -1)
+    return out
 
 
 # Frozen encoder shape: composition windows, random ReLU features, output width.
@@ -194,9 +248,13 @@ def make_frozen_encoder(seed: SeedSpec | int = SeedSpec()):
     b1 = 0.1 * rng.standard_normal(ENCODER_HIDDEN)
     w2 = rng.standard_normal((ENCODER_HIDDEN, ENCODER_DIM)) / np.sqrt(ENCODER_HIDDEN)
 
-    def encode(seq: SymbolSequence) -> np.ndarray:
-        profile = composition_profile_embedding(seq, ENCODER_WINDOWS)
-        return np.maximum(profile @ w1 + b1, 0.0) @ w2
+    def encode(corpus) -> np.ndarray:
+        """One embedding row per sequence of ``corpus``."""
+        profiles = composition_profile_embedding(corpus, ENCODER_WINDOWS)[:, None, :]
+        # (N, 1, 32) @ (32, 64): one vector-matrix product per row, the bytes
+        # of encoding each sequence alone; an (N, 32) @ (32, 64) product
+        # sums in another order
+        return (np.maximum(profiles @ w1 + b1, 0.0) @ w2)[:, 0, :]
 
     return encode
 
@@ -246,31 +304,25 @@ def four_condition_experiment(
                 f"texture corpus record {i} has {len(s)} bases, needs at least {ENCODER_WINDOWS}"
             )
     spec = SeedSpec.coerce(seed)
-    embedder = make_frozen_encoder(spec.derive("encoder"))
+    encode = make_frozen_encoder(spec.derive("encoder"))
     cfg = split_config or SplitConfig()
-    rng = rng_create(spec.derive("conditions"))
     lengths = [len(s) for s in corpus]
 
-    random_cond = [SymbolSequence(rng.integers(0, 4, size=ln), DNA) for ln in lengths]
-    model = fit_markov(corpus)
-    markov_cond = [gen_markov(model, ln, spec.derive(f"markov/{i}")) for i, ln in enumerate(lengths)]
-    shuffled_cond = [
-        dinucleotide_shuffle(s, spec.derive(f"shuffle/{i}")) for i, s in enumerate(corpus)
-    ]
-
     def score(seqs) -> tuple[float, float]:
-        fwd = np.vstack([embedder(s) for s in seqs])
-        rc = np.vstack([embedder(reverse_complement(s)) for s in seqs])
+        fwd = encode(seqs)
+        rc = encode([reverse_complement(s) for s in seqs])
         rdm = rdm_similarity(fwd, rc)
         report = evaluate(fwd, [("rc", rc)], cfg=cfg, seed=spec.derive("harness"))["rc"]
         return rdm, report.composite
 
-    scores = {
-        "real": score(corpus),
-        "dinuc_shuffled": score(shuffled_cond),
-        "markov": score(markov_cond),
-        "random": score(random_cond),
-    }
+    # each condition is built just before it is scored and dropped after
+    scores = {"real": score(corpus)}
+    scores["dinuc_shuffled"] = score(dinucleotide_shuffle(
+        corpus, [spec.derive(f"shuffle/{i}") for i in range(len(corpus))]))
+    scores["markov"] = score(gen_markov(
+        fit_markov(corpus), lengths, [spec.derive(f"markov/{i}") for i in range(len(corpus))]))
+    rng = rng_create(spec.derive("conditions"))
+    scores["random"] = score([SymbolSequence(rng.integers(0, 4, size=n), DNA) for n in lengths])
     real_rdm = scores["real"][0]
     random_rdm = scores["random"][0]
     rows = []

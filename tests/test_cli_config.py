@@ -478,8 +478,9 @@ def test_cli_fasta_non_ascii_exit_3(tmp_path, capsys):
 
 def write_named_error_inputs() -> None:
     """Two 8-record FASTA files, one with an N in record s6 and one with an
-    N in record s0 (walk reads only the first record), a matrix, and a
-    range file whose rows are equal in one column."""
+    N in record s0 (walk reads only the first record), a matrix, a range
+    file whose rows are equal in one column, and two matrices that share a
+    constant column."""
     rng = rng_create(SeedSpec(320, "cli-named-errors"))
     for name, bad in (("n.fasta", 6), ("n0.fasta", 0)):
         records = []
@@ -490,6 +491,9 @@ def write_named_error_inputs() -> None:
     write_embeddings(Path("z.emb1"), EmbeddingMatrix(rng.standard_normal((8, 3))))
     write_embeddings(Path("t.emb1"), EmbeddingMatrix(rng.standard_normal((10, 2))))
     write_embeddings(Path("r.emb1"), EmbeddingMatrix(np.array([[0.0, -3.0], [0.0, 3.0]])))
+    # channel 1 holds 1.0 in every row of both files
+    write_embeddings(Path("c.emb1"), EmbeddingMatrix(np.array([[0.0, 1.0], [2.0, 1.0]])))
+    write_embeddings(Path("d.emb1"), EmbeddingMatrix(np.array([[1.0, 1.0], [3.0, 1.0]])))
 
 
 N_IN_S6 = "n.fasta: record 's6': symbol 'N' not in alphabet dna"
@@ -503,6 +507,9 @@ NAMED_DATA_ERRORS = {
                        "o.fasta"], N_IN_S6),
     "discretize-range": (["discretize", "--input", "t.emb1", "--range", "r.emb1"],
                          "r.emb1: max must exceed min in every channel"),
+    "discretize-constant-channel": (["discretize", "--input", "c.emb1", "d.emb1"],
+                                    "c.emb1, d.emb1: max must exceed min in every channel, "
+                                    "but channel 1 is constant"),
 }
 
 
@@ -527,6 +534,17 @@ def test_cli_walk_core_region_that_does_not_fit_exits_2_naming_the_keys(argv, me
     Path("walk.cfg").write_text("experiment = walk\nwalk.core_start = -5\n")
     assert cli.main(["--out-dir", "run", *argv]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not Path("run").exists()
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (["walk", "--mode", "interpolation", "--steps", "1"], 1),
+    (["walk-profiles", "--steps", "0"], 0),
+], ids=["walk-interpolation", "walk-profiles"])
+def test_cli_walk_steps_below_two_exit_2_naming_the_key(argv, steps, capsys):
+    assert cli.main(["--out-dir", "run", *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: <cli>: key 'walk.n_steps': {steps} is below 2\n")
     assert not Path("run").exists()
 
 
@@ -623,6 +641,17 @@ def test_cli_fetch_network_failure_exit_4(transport, tmp_path, capsys, monkeypat
     assert not output.exists()
     # the run removes the directories it created
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_stray_genome_fetch_exits_4_without_a_connection(tmp_path, capsys):
+    # conftest's stand-in default transport refuses every URL
+    output = tmp_path / "o.fa"
+    argv = ["--out-dir", str(tmp_path / "run"), "fetch", "--source", "genome-rest", "--start",
+            "0", "--end", "10", "--cache-dir", str(tmp_path / "cache"), "--output", str(output)]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err.startswith(
+        "network error: fetch failed: tests open no connection: ")
+    assert not output.exists()
 
 
 def test_cli_fasta_not_utf8_exit_3(tmp_path, capsys):

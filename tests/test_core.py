@@ -417,6 +417,23 @@ def test_cli_import_leaves_experiment_modules_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_texture_run_leaves_perturb_and_dynamics_unloaded(tmp_path):
+    # texture reaches reverse complement in core.sequence, not in perturb
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    names = ["geotax.texture", "geotax.perturb", "geotax.dynamics"]
+    argv = ["--out-dir", str(tmp_path / "run"), "texture", "--n", "8", "--length", "24",
+            "--splits", "2"]
+    code = (f"import sys, geotax.cli; code = geotax.cli.main({argv!r}); "
+            f"print(code, [n for n in {names!r} if n in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (
+        0, "0 ['geotax.texture']", "")
+
+
 # -- I/O -----------------------------------------------------------------
 
 

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geotax.core.rng import SeedSpec, rng_create
-from geotax.core.sequence import DNA, SymbolSequence, Alphabet, bins_alphabet
+from geotax.core.sequence import DNA, SymbolSequence, Alphabet, bins_alphabet, reverse_complement
 from geotax.dynamics import Trajectory
 from geotax.errors import DataError
 from geotax.perturb import (
     PerturbationSpec,
     n_positions,
-    reverse_complement,
     substitute,
     time_reverse,
     value_noise,

@@ -4,11 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geotax.core.rng import SeedSpec, rng_create
-from geotax.core.sequence import DNA, SymbolSequence, bins_alphabet
+from geotax.core.sequence import DNA, SymbolSequence, bins_alphabet, reverse_complement
 from geotax.errors import DataError
 from geotax.ingest.fasta import FastaRecord, parse_fasta
-from geotax.perturb import reverse_complement
 from geotax.texture import (
+    ENCODER_DIM,
+    ENCODER_HIDDEN,
+    ENCODER_WINDOWS,
     MarkovModel,
     composition_profile_embedding,
     dinucleotide_shuffle,
@@ -108,6 +110,20 @@ def composition_profile_loop_oracle(seq, n_windows):
     return feats.reshape(-1)
 
 
+def frozen_encoder_loop_oracle(seed):
+    """The frozen encoder one sequence at a time, from the same weight draws."""
+    rng = rng_create(seed)
+    d_in = 4 * ENCODER_WINDOWS
+    w1 = rng.standard_normal((d_in, ENCODER_HIDDEN)) / np.sqrt(d_in)
+    b1 = 0.1 * rng.standard_normal(ENCODER_HIDDEN)
+    w2 = rng.standard_normal((ENCODER_HIDDEN, ENCODER_DIM)) / np.sqrt(ENCODER_HIDDEN)
+
+    def encode(seq):
+        return np.maximum(composition_profile_loop_oracle(seq, ENCODER_WINDOWS) @ w1 + b1, 0.0) @ w2
+
+    return encode
+
+
 def assert_same_bytes(got, want):
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -119,7 +135,7 @@ def assert_same_bytes(got, want):
 @example(dna("A" * 500), 1)
 @example(dna("AC" * 300), 2)
 def test_shuffle_bytes_equal_loop_oracle(seq, seed):
-    assert_same_bytes(dinucleotide_shuffle(seq, SeedSpec(seed)).symbols,
+    assert_same_bytes(dinucleotide_shuffle([seq], [SeedSpec(seed)])[0].symbols,
                       dinucleotide_shuffle_loop_oracle(seq, SeedSpec(seed)))
 
 
@@ -137,7 +153,7 @@ MARKOV_LENGTHS = st.one_of(st.sampled_from([1, 2]), st.integers(1, 2000))
 @example(["ACAC", "G"], 2, 2)
 def test_gen_markov_bytes_equal_loop_oracle(texts, length, seed):
     model = fit_markov([dna(t) for t in texts])
-    assert_same_bytes(gen_markov(model, length, SeedSpec(seed)).symbols,
+    assert_same_bytes(gen_markov(model, [length], [SeedSpec(seed)])[0].symbols,
                       gen_markov_loop_oracle(model, length, SeedSpec(seed)))
 
 
@@ -147,8 +163,58 @@ def test_gen_markov_bytes_equal_loop_oracle(texts, length, seed):
 @example((dna("AC" * 50), 8))
 def test_composition_profile_bytes_equal_loop_oracle(case):
     seq, n_windows = case
-    assert_same_bytes(composition_profile_embedding(seq, n_windows),
+    assert_same_bytes(composition_profile_embedding([seq], n_windows)[0],
                       composition_profile_loop_oracle(seq, n_windows))
+
+
+# mixed-length corpora: short lengths repeat, so several sequences share a
+# length and walk together, and length-2 records are common
+def mixed_texts(min_size, max_size):
+    return st.lists(st.one_of(st.text("ACGT", min_size=min_size, max_size=max_size),
+                              MOTIF_TEXT.map(lambda t: t[:max_size]).filter(
+                                  lambda t: len(t) >= min_size)),
+                    min_size=1, max_size=16)
+
+
+@ORACLE
+@given(mixed_texts(2, 12), st.integers(0, 2**32))
+@example(["AC", "GT", "AAAA", "ACGT", "AC", "A" * 12], 0)
+def test_corpus_shuffle_bytes_equal_loop_oracle_per_sequence(texts, seed):
+    corpus = [dna(t) for t in texts]
+    specs = [SeedSpec(seed).derive(f"shuffle/{i}") for i in range(len(corpus))]
+    shuffled = dinucleotide_shuffle(corpus, specs)
+    assert len(shuffled) == len(corpus)
+    for seq, spec, out in zip(corpus, specs, shuffled):
+        assert_same_bytes(out.symbols, dinucleotide_shuffle_loop_oracle(seq, spec))
+
+
+@ORACLE
+@given(MARKOV_CORPORA, st.lists(st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)),
+                                min_size=1, max_size=16), st.integers(0, 2**32))
+@example(["A"], [2, 1, 2, 30, 30, 1], 0)     # every row unseen
+@example(["ACAC", "G"], [2, 2, 5, 1, 5], 1)  # rows 2 and 3 unseen
+def test_corpus_gen_markov_bytes_equal_loop_oracle_per_sequence(texts, lengths, seed):
+    model = fit_markov([dna(t) for t in texts])
+    specs = [SeedSpec(seed).derive(f"markov/{i}") for i in range(len(lengths))]
+    generated = gen_markov(model, lengths, specs)
+    assert len(generated) == len(lengths)
+    for length, spec, out in zip(lengths, specs, generated):
+        assert_same_bytes(out.symbols, gen_markov_loop_oracle(model, length, spec))
+
+
+@ORACLE
+@given(mixed_texts(ENCODER_WINDOWS, 30), st.integers(0, 2**32))
+@example(["ACGTACGT", "A" * 9, "ACGTACGT", "GGGGCGGGGC" * 3], 0)
+def test_corpus_encoder_rows_bytes_equal_loop_oracle(texts, seed):
+    corpus = [dna(t) for t in texts]
+    corpus += [reverse_complement(s) for s in corpus]
+    profiles = composition_profile_embedding(corpus, ENCODER_WINDOWS)
+    rows = make_frozen_encoder(SeedSpec(seed))(corpus)
+    assert rows.shape == (len(corpus), ENCODER_DIM)
+    oracle = frozen_encoder_loop_oracle(SeedSpec(seed))
+    for i, seq in enumerate(corpus):
+        assert_same_bytes(profiles[i], composition_profile_loop_oracle(seq, ENCODER_WINDOWS))
+        assert_same_bytes(rows[i], oracle(seq))
 
 
 def test_texture_loops_bytes_equal_oracles_on_wrapped_fasta(tmp_path):
@@ -162,15 +228,15 @@ def test_texture_loops_bytes_equal_oracles_on_wrapped_fasta(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     corpus = [rec.decode(DNA, path) for rec in parse_fasta(path)]
     model = fit_markov(corpus)
-    for i, seq in enumerate(corpus):
-        spec = SeedSpec(i, "fasta")
-        assert_same_bytes(dinucleotide_shuffle(seq, spec).symbols,
-                          dinucleotide_shuffle_loop_oracle(seq, spec))
-        assert_same_bytes(gen_markov(model, len(seq), spec).symbols,
-                          gen_markov_loop_oracle(model, len(seq), spec))
-        if len(seq) >= 8:
-            assert_same_bytes(composition_profile_embedding(seq, 8),
-                              composition_profile_loop_oracle(seq, 8))
+    specs = [SeedSpec(i, "fasta") for i in range(len(corpus))]
+    shuffled = dinucleotide_shuffle(corpus, specs)
+    markov = gen_markov(model, [len(seq) for seq in corpus], specs)
+    profiles = composition_profile_embedding(corpus[1:], 8)  # record 0 holds 2 bases
+    for i, (seq, spec) in enumerate(zip(corpus, specs)):
+        assert_same_bytes(shuffled[i].symbols, dinucleotide_shuffle_loop_oracle(seq, spec))
+        assert_same_bytes(markov[i].symbols, gen_markov_loop_oracle(model, len(seq), spec))
+        if i:
+            assert_same_bytes(profiles[i - 1], composition_profile_loop_oracle(seq, 8))
 
 
 # -- k-mer histograms ---------------------------------------------------------
@@ -196,38 +262,35 @@ def test_kmer_histogram_window_count(rng):
 
 def test_shuffle_preserves_k12_counts_thousand_random():
     rng = rng_create(SeedSpec(320, "shuffle-k"))
-    for trial in range(1000):
-        seq = random_dna(rng, 1000)
-        out = dinucleotide_shuffle(seq, SeedSpec(trial, "sh"))
+    corpus = [random_dna(rng, 1000) for _ in range(1000)]
+    shuffled = dinucleotide_shuffle(corpus, [SeedSpec(trial, "sh") for trial in range(1000)])
+    for seq, out in zip(corpus, shuffled):
         assert (kmer_histogram(out, 1) == kmer_histogram(seq, 1)).all()
         assert (kmer_histogram(out, 2) == kmer_histogram(seq, 2)).all()
 
 
 def test_shuffle_two_bases_unique_arrangement():
-    assert dinucleotide_shuffle(dna("AC"), SeedSpec(5)).to_string() == "AC"
+    assert dinucleotide_shuffle([dna("AC")], [SeedSpec(5)])[0].to_string() == "AC"
 
 
 def test_shuffle_destroys_positional_structure():
     rng = rng_create(SeedSpec(320, "shuffle-pos"))
-    fracs = []
-    for trial in range(20):
-        seq = random_dna(rng, 1000)
-        out = dinucleotide_shuffle(seq, SeedSpec(trial, "pos"))
-        fracs.append(float((out.symbols != seq.symbols).mean()))
+    corpus = [random_dna(rng, 1000) for _ in range(20)]
+    shuffled = dinucleotide_shuffle(corpus, [SeedSpec(trial, "pos") for trial in range(20)])
+    fracs = [float((out.symbols != seq.symbols).mean()) for seq, out in zip(corpus, shuffled)]
     assert min(fracs) > 0.3
 
 
 def test_shuffle_deterministic(rng):
     seq = random_dna(rng, 500)
-    a = dinucleotide_shuffle(seq, SeedSpec(11))
-    b = dinucleotide_shuffle(seq, SeedSpec(11))
+    a, b = dinucleotide_shuffle([seq, seq], [SeedSpec(11), SeedSpec(11)])
     assert (a.symbols == b.symbols).all()
 
 
 def test_shuffle_keeps_endpoints(rng):
-    for trial in range(50):
-        seq = random_dna(rng, 64)
-        out = dinucleotide_shuffle(seq, SeedSpec(trial, "ends"))
+    corpus = [random_dna(rng, 64) for _ in range(50)]
+    shuffled = dinucleotide_shuffle(corpus, [SeedSpec(trial, "ends") for trial in range(50)])
+    for seq, out in zip(corpus, shuffled):
         assert out.symbols[0] == seq.symbols[0]
         assert out.symbols[-1] == seq.symbols[-1]
 
@@ -259,7 +322,7 @@ def test_markov_refit_recovers_transitions():
     # generating transition matrix entrywise
     corpus = heterogeneous_corpus(30, 2000, SeedSpec(320, "mk-corpus"))
     model = fit_markov(corpus)
-    gen = [gen_markov(model, 1000, SeedSpec(i, "mk-gen")) for i in range(100)]
+    gen = gen_markov(model, [1000] * 100, [SeedSpec(i, "mk-gen") for i in range(100)])
     fitted = fit_markov(gen)
     assert np.abs(fitted.transitions - model.transitions).max() < 0.02
 
@@ -274,7 +337,7 @@ def test_markov_collapses_per_sequence_variance():
     # the collapse mechanism: markov sequences lose per-sequence fingerprints
     corpus = heterogeneous_corpus(60, 800, SeedSpec(320, "collapse"))
     model = fit_markov(corpus)
-    markov = [gen_markov(model, 800, SeedSpec(i, "collapse-gen")) for i in range(60)]
+    markov = gen_markov(model, [800] * 60, [SeedSpec(i, "collapse-gen") for i in range(60)])
 
     def per_sequence_dinuc_variance(seqs):
         vecs = np.array([kmer_histogram(s, 2) / (len(s) - 1) for s in seqs])
@@ -287,9 +350,9 @@ class FixedDraws:
     def __init__(self, draws):
         self.draws = np.array(draws)
 
-    def random(self, size):
-        assert size == self.draws.size
-        return self.draws.copy()
+    def random(self, out):
+        assert out.shape == self.draws.shape
+        out[:] = self.draws
 
 
 def test_gen_markov_draw_above_cumulative_total_is_base_3(monkeypatch):
@@ -301,11 +364,11 @@ def test_gen_markov_draw_above_cumulative_total_is_base_3(monkeypatch):
     assert np.cumsum(short)[-1] < top
     monkeypatch.setattr("geotax.texture.rng_create", lambda seed: FixedDraws(
         [0.1, top, 0.1, 0.6, top]))
-    assert gen_markov(model, 5).symbols.tolist() == [0, 3, 0, 2, 3]
+    assert gen_markov(model, [5], [0])[0].symbols.tolist() == [0, 3, 0, 2, 3]
     monkeypatch.setattr("geotax.texture.rng_create", lambda seed: FixedDraws([top, top, 0.3]))
-    assert gen_markov(model, 3).symbols.tolist() == [3, 3, 1]
+    assert gen_markov(model, [3], [0])[0].symbols.tolist() == [3, 3, 1]
     monkeypatch.setattr("geotax.texture.rng_create", lambda seed: FixedDraws([top]))
-    assert gen_markov(model, 1).symbols.tolist() == [3]
+    assert gen_markov(model, [1], [0])[0].symbols.tolist() == [3]
 
 
 def test_markov_model_validation():
@@ -400,8 +463,8 @@ def test_rc_rdm_is_the_full_corpus_rdm_similarity_under_bootstrap():
     cfg = SplitConfig(n_splits=2, n_bootstrap=2)
     real = four_condition_experiment(corpus, SeedSpec(320), split_config=cfg)[0]
     embed = make_frozen_encoder(SeedSpec(320).derive("encoder"))
-    fwd = np.vstack([embed(s) for s in corpus])
-    rc = np.vstack([embed(reverse_complement(s)) for s in corpus])
+    fwd = embed(corpus)
+    rc = embed([reverse_complement(s) for s in corpus])
     assert real.condition == "real"
     assert real.rc_rdm == rdm_similarity(fwd, rc)
     harness = evaluate(fwd, [("rc", rc)], cfg=cfg, seed=SeedSpec(320).derive("harness"))["rc"]
@@ -410,13 +473,13 @@ def test_rc_rdm_is_the_full_corpus_rdm_similarity_under_bootstrap():
 
 def test_composition_profile_shapes(rng):
     seq = random_dna(rng, 256)
-    emb = composition_profile_embedding(seq, n_windows=8)
-    assert emb.shape == (32,)
+    emb = composition_profile_embedding([seq], n_windows=8)
+    assert emb.shape == (1, 32)
     assert np.allclose(emb.reshape(8, 4).sum(axis=1), 1.0)
 
 
 def test_composition_profile_rejects_short_and_non_dna():
     with pytest.raises(DataError, match="shorter than the window count"):
-        composition_profile_embedding(dna("ACGTACG"), n_windows=8)
+        composition_profile_embedding([dna("ACGTACGT"), dna("ACGTACG")], n_windows=8)
     with pytest.raises(DataError, match="DNA alphabet"):
-        composition_profile_embedding(SymbolSequence(np.arange(16) % 3, bins_alphabet(3)), 4)
+        composition_profile_embedding([SymbolSequence(np.arange(16) % 3, bins_alphabet(3))], 4)
