@@ -1,10 +1,12 @@
 """Command-line surface.
 
-Every subcommand but ``report`` assembles a flat config and hands it to
-the pipeline runner, so a CLI invocation and a config-file run produce
-identical artifacts.  Each of their options is declared once, with its
-config key as its dest; ``--help`` shows that key as the value name of
-every option that has no fixed choices.
+Every subcommand but ``report`` maps its flags to a flat config and hands
+it to the pipeline runner, so a CLI invocation and a config-file run
+produce identical artifacts.  The CLI checks only that each ``--pert``
+is a NAME=PATH pair under a new name; every other check is the runner's.
+Each option is declared once, with its config key as its dest; ``--help``
+shows that key as the value name of every option that has no fixed
+choices.  A run that succeeds prints ``report in <out-dir>``.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 network error.
 """
 
@@ -160,39 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_report(args) -> int:
-    if args.rerun:
-        run_dir = rerun_from_provenance(args.rerun, args.out_dir)
-    else:
-        run_dir = run_pipeline(args.config, args.out_dir)
-    print(f"report in {run_dir}")
-    return EXIT_OK
-
-
-# each pipeline subcommand's closing message
-PIPELINES = {
-    "gen": "trajectories in",
-    "discretize": "symbols in",
-    "perturb": "perturbation report in",
-    "stability": "stability report in",
-    "procrustes": "procrustes report in",
-    "walk": "walk written to",
-    "walk-profiles": "profiles in",
-    "lipschitz": "profile in",
-    "mine": "MI report in",
-    "mine-sanity": "sanity report in",
-    "texture": "texture table in",
-    "probe": "probe report in",
-    "vq-sweep": "sweep in",
-    "fetch": "fetch report in",
-}
-
-
-def _cmd_pipeline(args) -> int:
-    """Copy the global settings and the subcommand's options, stored under
-    their config keys, into a config and run the pipeline.  Unset (None)
-    options are left out, and an item the config echo cannot hold is
-    refused before the run starts."""
+def _config(args) -> Config:
+    """The global settings and the subcommand's options, stored under their
+    config keys; unset (None) options are left out."""
     values = {"experiment": args.command, "seed": str(args.seed), "threads": str(args.threads),
               "io.csv_header": str(args.csv_header).lower()}
     for key, value in vars(args).items():
@@ -201,31 +173,14 @@ def _cmd_pipeline(args) -> int:
                 values.update((f"{key}.{i}", str(item)) for i, item in enumerate(value))
             else:
                 values[key] = str(value).lower() if isinstance(value, bool) else str(value)
-    if args.command == "mine" and not ("mine.features" in values
-                                       or "mine.features_fasta" in values):
-        raise ConfigError("mine needs --features or --features-fasta")
-    if args.command == "stability":
-        for item in args.pert:
-            if "=" not in item:
-                raise ConfigError(f"--pert expects NAME=PATH, got {item!r}")
-            name, path = item.split("=", 1)
-            if not name:
-                raise ConfigError(f"--pert {item!r}: empty perturbation name")
-            if f"stability.pert.{name}" in values:
-                raise ConfigError(f"--pert {item!r}: perturbation name {name!r} is repeated")
-            values[f"stability.pert.{name}"] = path
-    # report --rerun parses the config echo, which must give back every item
-    for key, value in values.items():
-        try:
-            echoed = Config.parse(Config({key: value}).dump()).values
-        except ConfigError:
-            echoed = None
-        if echoed != {key: value}:
-            raise ConfigError(f"{key!r} = {value!r} would not read back from the config echo; "
-                              "it may hold no '#', line break, or space at either end")
-    run_pipeline(Config(values, source="<cli>"), args.out_dir)
-    print(f"{PIPELINES[args.command]} {args.out_dir}")
-    return EXIT_OK
+    for item in getattr(args, "pert", None) or ():
+        name, sep, path = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--pert expects NAME=PATH, got {item!r}")
+        if f"stability.pert.{name}" in values:
+            raise ConfigError(f"--pert {item!r}: perturbation name {name!r} is repeated")
+        values[f"stability.pert.{name}"] = path
+    return Config(values, source="<cli>")
 
 
 def main(argv=None) -> int:
@@ -235,7 +190,12 @@ def main(argv=None) -> int:
     if [] in vars(args).values():
         parser.error("'--' is not an option value")
     try:
-        return (_cmd_report if args.command == "report" else _cmd_pipeline)(args)
+        if args.command != "report":
+            run_pipeline(_config(args), args.out_dir)
+        elif args.rerun:
+            rerun_from_provenance(args.rerun, args.out_dir)
+        else:
+            run_pipeline(args.config, args.out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -245,6 +205,8 @@ def main(argv=None) -> int:
     except (DataError, GeotaxError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    print(f"report in {args.out_dir}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -44,7 +44,21 @@ class Config:
         return cls.parse(read_text(path, ConfigError), str(path))
 
     def dump(self) -> str:
-        return "".join(f"{k} = {self.values[k]}\n" for k in self.values)
+        """The config echo, one ``key = value`` line per item in order.  An
+        item that ``parse`` would not read back is refused, so a report's
+        echo always reruns the config that made it."""
+        lines = []
+        for key, value in self.values.items():
+            line = f"{key} = {value}\n"
+            try:
+                echoed = Config.parse(line).values
+            except ConfigError:
+                echoed = None
+            if echoed != {key: value}:
+                raise ConfigError(f"{key!r} = {value!r} would not read back from the config "
+                                  "echo; it may hold no '#', line break, or space at either end")
+            lines.append(line)
+        return "".join(lines)
 
     # typed getters -------------------------------------------------------
 

@@ -1,7 +1,7 @@
-"""Genome sequence acquisition with caching and an injectable transport.
+"""Genome sequence acquisition with caching and a replaceable transport.
 
-The HTTP layer is a plain callable ``transport(url) -> (status, bytes)``
-so tests run against recorded responses; no live network is touched in
+The HTTP layer is the module's ``default_transport(url) -> (status, bytes)``,
+which tests replace with recorded responses; no live network is touched in
 CI.  Fetched spans are cached on disk keyed by the canonical parameter
 hash, and a synthetic source provides deterministic sequences offline.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..core.rng import SeedSpec, rng_create
 from ..core.sequence import DNA, SymbolSequence
@@ -19,8 +18,6 @@ from .cache import ResultCache, cache_key
 
 GENOME_API = "https://api.genome.ucsc.edu/getData/sequence"
 MAX_N_FRACTION = 0.05
-
-Transport = Callable[[str], tuple[int, bytes]]
 
 
 @dataclass(frozen=True)
@@ -77,11 +74,7 @@ def synthetic_sequence(length: int, seed: SeedSpec) -> SymbolSequence:
     return SymbolSequence(rng.integers(0, 4, size=length), DNA)
 
 
-def fetch_genome(
-    spec: FetchSpec,
-    transport: Transport | None = None,
-    cache: ResultCache | None = None,
-) -> SymbolSequence:
+def fetch_genome(spec: FetchSpec, cache: ResultCache) -> SymbolSequence:
     """Fetch a genomic span, serving repeats from the on-disk cache.
 
     The raw remote payload is cached before the N policy applies, so policy
@@ -98,24 +91,20 @@ def fetch_genome(
         start=spec.start,
         end=spec.end,
     )
-    raw: bytes | None = None
-    if cache is not None:
-        raw = cache.get(key)
+    raw = cache.get(key)
     if raw is None:
-        transport = transport or default_transport
         url = (
             f"{GENOME_API}?genome={spec.assembly}"
             f";chrom={spec.chromosome};start={spec.start};end={spec.end}"
         )
         try:
-            status, body = transport(url)
+            status, body = default_transport(url)
         except OSError as exc:  # requests errors subclass IOError
             raise NetworkError(f"fetch failed: {exc}") from exc
         if status != 200:
             raise NetworkError(f"genome endpoint returned {status}")
         raw = body
-        if cache is not None:
-            cache.put(key, raw)
+        cache.put(key, raw)
     try:
         payload = json.loads(raw.decode("utf-8"))
         text = payload["dna"]

@@ -22,7 +22,7 @@ from ..core.parallel import ordered_map
 from ..core.pca import pca_project
 from ..core.rng import SeedSpec, rng_create
 from ..errors import ConfigError, DataError
-from .mlp import BATCH_SIZE, CLIP_INF, MLP, Adam, MLPConfig, Workspace, clip_gradient
+from .mlp import BATCH_SIZE, MLP, Adam, MLPConfig, Workspace, clip_gradient
 
 DEFAULT_SEEDS = (320, 420, 520, 620, 720)
 SANITY_CONFIG = MLPConfig(hidden=(128, 64), epochs=300)
@@ -122,7 +122,7 @@ class _Network:
         gout[:b, 0] = -1.0 / b
         gout[b:, 0] = w / w.sum()
         self.net.backward(cache, gout)
-        self.opt.step(self.net.theta, clip_gradient(self.net.grad, CLIP_INF))
+        self.opt.step(self.net.theta, clip_gradient(self.net.grad))
 
     def record(self, epoch: int, tail_start: int) -> None:
         value = self.full_bound()

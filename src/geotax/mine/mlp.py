@@ -180,12 +180,11 @@ class MLP:
         self.theta[...] = theta
 
 
-def clip_gradient(grad: np.ndarray, bound: float) -> np.ndarray:
-    """Rescale in place so the infinity norm does not exceed ``bound``."""
-    if np.isfinite(bound) and bound > 0:
-        peak = np.abs(grad).max() if grad.size else 0.0
-        if peak > bound:
-            grad *= bound / peak
+def clip_gradient(grad: np.ndarray) -> np.ndarray:
+    """Rescale in place so the infinity norm does not exceed ``CLIP_INF``."""
+    peak = np.abs(grad).max()
+    if peak > CLIP_INF:
+        grad *= CLIP_INF / peak
     return grad
 
 
@@ -238,7 +237,7 @@ def train_binary_classifier(
             idx = order[start : start + BATCH_SIZE]
             out, cache = net.forward(x[idx], net.dropout_mask(idx.size, cfg.dropout, rng))
             net.backward(cache, (sigmoid(out) - y[idx]) / idx.size)
-            opt.step(net.theta, clip_gradient(net.grad, CLIP_INF))
+            opt.step(net.theta, clip_gradient(net.grad))
         val_loss = float(np.logaddexp(0.0, -y_val_pm * net.predict(x[val_idx])).mean())
         if not np.isfinite(val_loss):
             raise DataError("classifier: loss left the finite range")

@@ -40,9 +40,9 @@ def _split_config(cfg: Config, n_splits: int = 30, n_bootstrap: int = 5):
     from .stability import SplitConfig
 
     return SplitConfig(
-        n_splits=cfg.get_int("stability.n_splits", n_splits),
-        max_samples=cfg.get_int("stability.max_samples", 2500),
-        n_bootstrap=cfg.get_int("stability.n_bootstrap", n_bootstrap),
+        n_splits=cfg.get_int("stability.n_splits", n_splits, minimum=1),
+        max_samples=cfg.get_int("stability.max_samples", 2500, minimum=10),
+        n_bootstrap=cfg.get_int("stability.n_bootstrap", n_bootstrap, minimum=1),
         anchor_count=cfg.get_int("stability.anchor_count", None, minimum=1),
         rank_normalize_anchors=cfg.get_bool("stability.rank_normalize_anchors"),
         composite_variant=cfg.get("stability.composite_variant", "anchor"),
@@ -55,6 +55,16 @@ def _csv_cell(cfg: Config, key: str, value: str) -> str:
     if "," in value or '"' in value:
         raise ConfigError(f"{cfg.source}: key {key!r}: {value!r} holds a ',' or '\"', "
                           "which would break its report.csv row")
+    return value
+
+
+def _alone(cfg: Config, key: str, *others: str) -> str | None:
+    """``key``'s value, refused when one of ``others``, keys for the same
+    input, is set with it and would go unread."""
+    value = cfg.get(key)
+    for other in others:
+        if value is not None and other in cfg.values:
+            raise ConfigError(f"{cfg.source}: key {other!r} goes unread with {key} = {value}")
     return value
 
 
@@ -74,37 +84,22 @@ def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
     cfg = config if isinstance(config, Config) else Config.load(config)
     experiment = cfg.require("experiment")
     seed = cfg.get_int("seed", 320)
-    runners = {
-        "gen": _run_gen,
-        "discretize": _run_discretize,
-        "perturb": _run_perturb,
-        "stability": _run_stability,
-        "procrustes": _run_procrustes,
-        "walk": _run_walk,
-        "walk-profiles": _run_walk_profiles,
-        "lipschitz": _run_lipschitz,
-        "mine": _run_mine,
-        "mine-sanity": _run_mine_sanity,
-        "texture": _run_texture,
-        "probe": _run_probe,
-        "vq-sweep": _run_vq_sweep,
-        "fetch": _run_fetch,
-    }
-    if experiment not in runners:
+    if experiment not in RUNNERS:
         raise ConfigError(
-            f"{cfg.source}: unknown experiment {experiment!r}; choose from {sorted(runners)}"
+            f"{cfg.source}: unknown experiment {experiment!r}; choose from {sorted(RUNNERS)}"
         )
+    echo = cfg.dump()  # refuses an item the echo cannot hold, before the run starts
     out = Path(out_dir)
     # the outermost directory this run creates, None when out_dir exists
     created = next((d for d in reversed([out, *out.parents]) if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     try:
         with single_thread_blas():
-            results = runners[experiment](cfg, seed, out)
+            results = RUNNERS[experiment](cfg, seed, out)
         report = {
             "experiment": experiment,
             "results": results,
-            "provenance": {"version": __version__, "seed": seed, "config_echo": cfg.dump()},
+            "provenance": {"version": __version__, "seed": seed, "config_echo": echo},
         }
         (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     except BaseException:
@@ -234,7 +229,7 @@ def _run_perturb(cfg: Config, seed: int, out: Path) -> dict:
     from .perturb import PerturbationSpec, apply_perturbation
 
     magnitude = cfg.get_float("perturb.magnitude", 1.0)
-    manifest = cfg.get("perturb.manifest")
+    manifest = _alone(cfg, "perturb.manifest", "perturb.input", "perturb.kind", "perturb.output")
     if manifest:
         jobs = _manifest_jobs(manifest, magnitude, out)
     else:
@@ -271,9 +266,9 @@ def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
         raise ConfigError(f"{cfg.source}: key 'stability.pert.' has an empty perturbation name")
     for name in pairs:
         _csv_cell(cfg, f"stability.pert.{name}", name)
+    scfg = _split_config(cfg)
     load = _loader(cfg)
     clean = load(clean_path)
-    scfg = _split_config(cfg)
     deltas_path = cfg.get("stability.deltas")
     deltas = None
     if deltas_path:
@@ -372,6 +367,7 @@ def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
                 f"{n_mutations}, walk.core_start = {core[0]}, walk.core_end = {core[1]}"
             ) from None
     elif mode == "interpolation":
+        _alone(cfg, "walk.mode", "walk.fasta")
         rng = rng_create(SeedSpec(seed, "walk-interp"))
         ta = gen_oscillator(sample_oscillator_params(rng))
         tb = gen_oscillator(sample_oscillator_params(rng))
@@ -432,18 +428,19 @@ def _run_mine(cfg: Config, seed: int, out: Path) -> dict:
     from .mine.mlp import MLPConfig
 
     condition = _csv_cell(cfg, "mine.condition", cfg.get("mine.condition", "model"))
+    seeds = _int_list(cfg, "mine.seeds", DEFAULT_SEEDS)
+    mlp_cfg = MLPConfig(
+        epochs=cfg.get_int("mine.epochs", 500, minimum=1),
+        lr=cfg.get_float("mine.lr", 1e-4),
+    )
     load = _loader(cfg)
-    fasta = cfg.get("mine.features_fasta")
+    fasta = _alone(cfg, "mine.features_fasta", "mine.features")
+    embeddings = cfg.require("mine.embeddings")
     if fasta:
         x = features_from_fasta(fasta, cfg.get("mine.feature_kind", "dna"))
     else:
         x = load(cfg.require("mine.features")).data
-    z = load(cfg.require("mine.embeddings")).data
-    seeds = _int_list(cfg, "mine.seeds", DEFAULT_SEEDS)
-    mlp_cfg = MLPConfig(
-        epochs=cfg.get_int("mine.epochs", 500),
-        lr=cfg.get_float("mine.lr", 1e-4),
-    )
+    z = load(embeddings).data
     est = excess_mi_report(
         x, z, mlp_cfg, seeds, workers=cfg.get_int("threads", 1, minimum=1)
     )
@@ -487,6 +484,8 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
         heterogeneous_corpus,
     )
 
+    # the texture subcommand's defaults, so a config file runs what the CLI runs
+    split_config = _split_config(cfg, n_splits=10, n_bootstrap=1)
     fasta = cfg.get("texture.fasta")
     if fasta:
         corpus = [rec.decode(DNA, fasta) for rec in parse_fasta(fasta)]
@@ -496,8 +495,6 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
             cfg.get_int("texture.length", 400, minimum=ENCODER_WINDOWS),
             SeedSpec(seed, "texture-corpus"),
         )
-    # the texture subcommand's defaults, so a config file runs what the CLI runs
-    split_config = _split_config(cfg, n_splits=10, n_bootstrap=1)
     rows = four_condition_experiment(corpus, SeedSpec(seed, "texture"), split_config=split_config)
     csv_lines = ["Condition,RC RDM,RC Composite,Recovery"]
     for r in rows:
@@ -513,6 +510,7 @@ def _run_probe(cfg: Config, seed: int, out: Path) -> dict:
     arch = cfg.get("probe.arch", "linear")
     if arch != "linear":
         probe_config(arch)  # an unknown arch is refused before any input is read
+    folds = cfg.get_int("probe.folds", 5, minimum=2)
     header = cfg.get_bool("io.csv_header")
     emb = load_matrix(cfg.require("probe.embeddings"), csv_header=header)
     labels_path = cfg.require("probe.labels")
@@ -521,7 +519,6 @@ def _run_probe(cfg: Config, seed: int, out: Path) -> dict:
                             skiprows=int(header))
     except ValueError as exc:
         raise DataError(f"{labels_path}: labels must be integers ({exc})") from None
-    folds = cfg.get_int("probe.folds", 5)
     spec = SeedSpec(seed, "probe")
     if arch == "linear":
         mean, std = frozen_head_classifier(emb, labels, folds, spec)
@@ -536,7 +533,7 @@ def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
     from .dynamics import gen_lorenz
     from .quantize import rd_bound_codebook, vq_double_bind_sweep
 
-    source = cfg.get("vq.data")
+    source = _alone(cfg, "vq.data", "vq.n")
     if source and cfg.get("vq.intrinsic_dim") is None:
         raise ConfigError(
             f"{cfg.source}: vq.data needs vq.intrinsic_dim (--intrinsic-dim), the d_M of "
@@ -586,6 +583,25 @@ def _run_fetch(cfg: Config, seed: int, out: Path) -> dict:
     write_fasta([FastaRecord(header, seq.to_string())], output)
     # --output as configured, as single-file perturb names it
     return {"files": {str(output): _sha256(output)}}
+
+
+# the experiments, each by its name in a config and on the command line
+RUNNERS = {
+    "gen": _run_gen,
+    "discretize": _run_discretize,
+    "perturb": _run_perturb,
+    "stability": _run_stability,
+    "procrustes": _run_procrustes,
+    "walk": _run_walk,
+    "walk-profiles": _run_walk_profiles,
+    "lipschitz": _run_lipschitz,
+    "mine": _run_mine,
+    "mine-sanity": _run_mine_sanity,
+    "texture": _run_texture,
+    "probe": _run_probe,
+    "vq-sweep": _run_vq_sweep,
+    "fetch": _run_fetch,
+}
 
 
 def _int_list(cfg: Config, key: str, default: tuple) -> tuple:

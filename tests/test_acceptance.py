@@ -14,7 +14,7 @@ import pytest
 
 from test_core import spearman_oracle
 from test_quantize import voronoi_crossing_oracle
-from test_ingest import RecordingTransport
+from test_ingest import RecordingTransport, fetch_served
 
 from geotax.core.embedding import EmbeddingMatrix
 from geotax.core.io import write_embeddings
@@ -23,7 +23,7 @@ from geotax.core.stats import spearman_checked
 from geotax.dynamics import butterfly_test, estimate_lle, gen_lorenz, lorenz_twins
 from geotax.ingest.cache import ResultCache
 from geotax.ingest.config import Config
-from geotax.ingest.fetch import FetchSpec, fetch_genome
+from geotax.ingest.fetch import FetchSpec
 from geotax.mine.estimator import sanity_suite
 from geotax.mine.mlp import MLP
 from geotax.mine.probes import mlp_probe_cv
@@ -265,7 +265,7 @@ def test_acceptance_9_probe_diagnostics():
 # 10 --------------------------------------------------------------------------
 
 
-def test_acceptance_10_end_to_end_determinism(tmp_path):
+def test_acceptance_10_end_to_end_determinism(tmp_path, monkeypatch):
     rng = rng_create(SeedSpec(320, "acc-e2e"))
     x = rng.standard_normal((100, 10))
     clean = tmp_path / "clean.emb1"
@@ -286,11 +286,12 @@ def test_acceptance_10_end_to_end_determinism(tmp_path):
     dna = "ACGTTGCAGG" * 40
     spec = FetchSpec(chromosome="chr9", start=0, end=400)
     response = (200, json.dumps({"dna": dna}).encode())
-    cold = fetch_genome(spec, RecordingTransport(default=response), None)
+    cold = fetch_served(monkeypatch, spec, RecordingTransport(default=response),
+                        ResultCache(tmp_path / "cold"))
     cache = ResultCache(tmp_path / "cache")
-    fetch_genome(spec, RecordingTransport(default=response), cache)
+    fetch_served(monkeypatch, spec, RecordingTransport(default=response), cache)
     offline = RecordingTransport(default=(500, b""))
-    warm = fetch_genome(spec, offline, cache)
+    warm = fetch_served(monkeypatch, spec, offline, cache)
     assert (warm.symbols == cold.symbols).all()
     assert offline.calls == []
     announce(10, "provenance rerun + cache hits byte-identical")

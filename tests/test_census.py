@@ -48,7 +48,6 @@ SEAMS = {
     "stability.py:sample_split(forced_splits)": FORCED_SPLITS,
     "stability.py:feature_split(forced_splits)": FORCED_SPLITS,
     "stability.py:anchor_stability(forced_splits)": FORCED_SPLITS,
-    "ingest/fetch.py:fetch_genome(transport)": "tests serve recorded responses, never the network",
     "cli.py:main(argv)": "tests run the CLI in-process; the program passes none, so argparse "
                          "reads sys.argv",
     "mine/estimator.py:excess_mi_report(pca_dim)": "tests pass None to score the embeddings "

@@ -21,13 +21,15 @@ import geotax.mine.estimator as estimator
 from geotax.core.embedding import EmbeddingMatrix
 from geotax.core.io import write_embeddings
 from geotax.core.rng import SeedSpec, rng_create
+from geotax.errors import ConfigError
+from geotax.ingest.config import Config
+from geotax.report import RUNNERS, run_pipeline
 
 CONFIG_CASES = {
     "gen": (
         ["--seed", "5", "gen", "--system", "lorenz", "--n", "3"],
         "experiment = gen\nseed = 5\nthreads = 1\nio.csv_header = false\n"
         "gen.system = lorenz\ngen.n = 3\ngen.length = 512\ngen.components = 3\n",
-        "trajectories in",
     ),
     "discretize": (
         ["--csv-header", "discretize", "--input", "a.csv", "b.emb1", "--range", "r.csv",
@@ -35,7 +37,6 @@ CONFIG_CASES = {
         "experiment = discretize\nseed = 320\nthreads = 1\nio.csv_header = true\n"
         "discretize.input.0 = a.csv\ndiscretize.input.1 = b.emb1\ndiscretize.range = r.csv\n"
         "discretize.bins = 64\n",
-        "symbols in",
     ),
     "perturb": (
         ["perturb", "--input", "in.fasta", "--kind", "substitute", "--rate", "0.05",
@@ -43,13 +44,11 @@ CONFIG_CASES = {
         "experiment = perturb\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "perturb.input = in.fasta\nperturb.kind = substitute\nperturb.rate = 0.05\n"
         "perturb.magnitude = 1.0\nperturb.output = snp.fasta\n",
-        "perturbation report in",
     ),
     "perturb-manifest": (
         ["perturb", "--manifest", "man.csv", "--magnitude", "2"],
         "experiment = perturb\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "perturb.rate = 0.01\nperturb.magnitude = 2.0\nperturb.manifest = man.csv\n",
-        "perturbation report in",
     ),
     "stability": (
         ["--seed", "7", "--threads", "2", "stability", "--clean", "c.emb1",
@@ -58,7 +57,6 @@ CONFIG_CASES = {
         "stability.clean = c.emb1\nstability.n_splits = 4\nstability.max_samples = 2500\n"
         "stability.n_bootstrap = 5\nstability.composite_variant = anchor\n"
         "stability.pert.b = p2.emb1\nstability.pert.a = p1.emb1\n",
-        "stability report in",
     ),
     "stability-deltas": (
         ["--csv-header", "stability", "--clean", "c.csv", "--pert", "x=p.csv",
@@ -68,33 +66,28 @@ CONFIG_CASES = {
         "stability.clean = c.csv\nstability.deltas = d.csv\nstability.n_splits = 30\n"
         "stability.max_samples = 100\nstability.n_bootstrap = 1\n"
         "stability.composite_variant = perturbation\nstability.pert.x = p.csv\n",
-        "stability report in",
     ),
     "procrustes": (
         ["procrustes", "--clean", "c.emb1", "--pert", "p.emb1"],
         "experiment = procrustes\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "procrustes.clean = c.emb1\nprocrustes.pert = p.emb1\n"
         "procrustes.export_rotation = false\n",
-        "procrustes report in",
     ),
     "procrustes-export": (
         ["--csv-header", "procrustes", "--clean", "c.csv", "--pert", "p.csv",
          "--export-rotation"],
         "experiment = procrustes\nseed = 320\nthreads = 1\nio.csv_header = true\n"
         "procrustes.clean = c.csv\nprocrustes.pert = p.csv\nprocrustes.export_rotation = true\n",
-        "procrustes report in",
     ),
     "walk": (
         ["walk"],
         "experiment = walk\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "walk.mode = mutation\nwalk.n_mutations = 120\nwalk.length = 2000\nwalk.n_steps = 101\n",
-        "walk written to",
     ),
     "walk-profiles": (
         ["walk-profiles", "--steps", "5"],
         "experiment = walk-profiles\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "walk.n_steps = 5\n",
-        "profiles in",
     ),
     # fetch cases use the synthetic source, so no case could open a connection
     "fetch": (
@@ -104,7 +97,6 @@ CONFIG_CASES = {
         "fetch.source = synthetic\nfetch.assembly = hg38\nfetch.chrom = chr22\n"
         "fetch.start = 0\nfetch.end = 200\nfetch.n_policy = reject\n"
         "fetch.output = synth.fasta\n",
-        "fetch report in",
     ),
     "fetch-cache-dir": (
         ["fetch", "--source", "synthetic", "--assembly", "hg19", "--chrom", "chr1", "--start",
@@ -113,28 +105,24 @@ CONFIG_CASES = {
         "fetch.source = synthetic\nfetch.assembly = hg19\nfetch.chrom = chr1\n"
         "fetch.start = 5\nfetch.end = 9\nfetch.n_policy = replace\nfetch.output = o.fa\n"
         "fetch.cache_dir = cache\n",
-        "fetch report in",
     ),
     "walk-fasta": (
-        ["--seed", "9", "walk", "--mode", "interpolation", "--fasta", "w.fasta",
+        ["--seed", "9", "walk", "--mode", "mutation", "--fasta", "w.fasta",
          "--n-mutations", "5", "--length", "50", "--steps", "11"],
         "experiment = walk\nseed = 9\nthreads = 1\nio.csv_header = false\n"
-        "walk.mode = interpolation\nwalk.fasta = w.fasta\nwalk.n_mutations = 5\n"
+        "walk.mode = mutation\nwalk.fasta = w.fasta\nwalk.n_mutations = 5\n"
         "walk.length = 50\nwalk.n_steps = 11\n",
-        "walk written to",
     ),
     "lipschitz": (
         ["lipschitz", "--embeddings", "e.emb1", "--metric", "l2"],
         "experiment = lipschitz\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "lipschitz.embeddings = e.emb1\nlipschitz.metric = l2\n",
-        "profile in",
     ),
     "mine": (
         ["mine", "--features", "x.emb1", "--embeddings", "z.emb1"],
         "experiment = mine\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "mine.features = x.emb1\nmine.feature_kind = dna\nmine.embeddings = z.emb1\n"
         "mine.epochs = 500\nmine.condition = model\n",
-        "MI report in",
     ),
     "mine-fasta": (
         ["--threads", "3", "mine", "--features-fasta", "f.fasta", "--feature-kind",
@@ -143,26 +131,22 @@ CONFIG_CASES = {
         "experiment = mine\nseed = 320\nthreads = 3\nio.csv_header = false\n"
         "mine.features_fasta = f.fasta\nmine.feature_kind = protein\nmine.embeddings = z.emb1\n"
         "mine.seeds = 1,2\nmine.epochs = 7\nmine.condition = Shuffled\n",
-        "MI report in",
     ),
     "mine-sanity": (
         ["mine-sanity"],
         "experiment = mine-sanity\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "mine.n = 2000\n",
-        "sanity report in",
     ),
     "mine-sanity-seeds": (
         ["mine-sanity", "--n", "64", "--seeds", "320,420"],
         "experiment = mine-sanity\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "mine.n = 64\nmine.seeds = 320,420\n",
-        "sanity report in",
     ),
     "texture": (
         ["texture"],
         "experiment = texture\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "texture.n = 200\ntexture.length = 400\nstability.n_splits = 10\n"
         "stability.n_bootstrap = 1\n",
-        "texture table in",
     ),
     "texture-fasta": (
         ["texture", "--fasta", "t.fasta", "--n", "10", "--length", "40",
@@ -170,14 +154,12 @@ CONFIG_CASES = {
         "experiment = texture\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "texture.fasta = t.fasta\ntexture.n = 10\ntexture.length = 40\n"
         "stability.n_splits = 2\nstability.n_bootstrap = 3\n",
-        "texture table in",
     ),
     "probe": (
         ["probe", "--embeddings", "e.emb1", "--labels", "l.csv"],
         "experiment = probe\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "probe.embeddings = e.emb1\nprobe.labels = l.csv\nprobe.arch = linear\n"
         "probe.folds = 5\n",
-        "probe report in",
     ),
     "probe-mlp": (
         ["--csv-header", "probe", "--embeddings", "e.csv", "--labels", "l.csv",
@@ -185,27 +167,24 @@ CONFIG_CASES = {
         "experiment = probe\nseed = 320\nthreads = 1\nio.csv_header = true\n"
         "probe.embeddings = e.csv\nprobe.labels = l.csv\nprobe.arch = mlp\n"
         "probe.folds = 3\n",
-        "probe report in",
     ),
     "vq-sweep": (
         ["vq-sweep"],
         "experiment = vq-sweep\nseed = 320\nthreads = 1\nio.csv_header = false\n"
         "vq.k_values = 32,64,128,256,512,1024\nvq.sigma = 0.05\n",
-        "sweep in",
     ),
     "vq-sweep-data": (
         ["--seed", "0", "vq-sweep", "--data", "v.emb1", "--k-values", "4,8,16",
          "--sigma", "0.5"],
         "experiment = vq-sweep\nseed = 0\nthreads = 1\nio.csv_header = false\n"
         "vq.data = v.emb1\nvq.k_values = 4,8,16\nvq.sigma = 0.5\n",
-        "sweep in",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
 def test_cli_pipeline_config_echo(case, tmp_path, monkeypatch, capsys):
-    argv, expected, message = CONFIG_CASES[case]
+    argv, expected = CONFIG_CASES[case]
     calls = []
     monkeypatch.setattr(cli, "run_pipeline", lambda cfg, out: calls.append((cfg, out)))
     out_dir = tmp_path / "run"
@@ -214,16 +193,17 @@ def test_cli_pipeline_config_echo(case, tmp_path, monkeypatch, capsys):
     assert cfg.dump() == expected
     assert cfg.source == "<cli>"
     assert out == out_dir
-    assert capsys.readouterr().out == f"{message} {out_dir}\n"
+    assert capsys.readouterr().out == f"report in {out_dir}\n"
 
 
 def test_pipeline_options_are_stored_under_config_keys():
-    """An option stored under any other dest would never reach the config,
-    so every option of a pipeline subcommand has a dotted dest."""
+    """The subcommands are the experiments of ``report.RUNNERS`` and
+    ``report``.  An option stored under any other dest would never reach the
+    config, so every option of a pipeline subcommand has a dotted dest."""
     parser = cli.build_parser()
     subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(subparsers.choices) - set(cli.PIPELINES) == {"report"}
-    for command in cli.PIPELINES:
+    assert set(subparsers.choices) == set(RUNNERS) | {"report"}
+    for command in RUNNERS:
         dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
         if command == "stability":
             dests.remove("pert")  # NAME=PATH pairs become stability.pert.<name> keys
@@ -248,9 +228,11 @@ def test_cli_report_source_and_removed_global_flags_exit_2(argv, monkeypatch, ca
     assert "usage: geotax" in capsys.readouterr().err
 
 
-def test_cli_mine_without_features_is_config_error(monkeypatch):
-    monkeypatch.setattr(cli, "run_pipeline", lambda cfg, out: pytest.fail("must not run"))
-    assert cli.main(["mine", "--embeddings", "z.emb1"]) == 2
+def test_cli_mine_without_features_is_config_error(capsys):
+    # z.emb1 does not exist: the key is missed before any input is read
+    assert cli.main(["--out-dir", "run", "mine", "--embeddings", "z.emb1"]) == 2
+    assert capsys.readouterr().err == "config error: <cli>: missing required key 'mine.features'\n"
+    assert not Path("run").exists()
 
 
 @pytest.fixture
@@ -1077,6 +1059,98 @@ def test_cli_value_the_config_echo_cannot_hold_exits_2_before_the_run(case, pair
     assert "would not read back from the config echo" in err
     assert trained == []
     assert not (tmp_path / "run").exists()
+
+
+def test_run_pipeline_refuses_an_item_the_echo_cannot_hold_before_creating_the_run(tmp_path):
+    """A library caller's config meets the same echo check as the CLI's."""
+    out = tmp_path / "d"
+    cfg = Config({"experiment": "gen", "gen.system": "lorenz #1", "gen.n": "1"})
+    with pytest.raises(ConfigError, match="^'gen.system' = 'lorenz #1' would not read back "):
+        run_pipeline(cfg, out)
+    assert not out.exists()
+
+
+def write_slot_inputs() -> None:
+    """Readable inputs: a 40-row matrix, 40 labels, a 40-record FASTA file and
+    a one-row perturb manifest."""
+    rng = rng_create(SeedSpec(320, "cli-slots"))
+    write_embeddings(Path("c.emb1"), EmbeddingMatrix(rng.standard_normal((40, 3))))
+    Path("l.csv").write_text("0\n1\n" * 20)
+    Path("w.fasta").write_text("".join(
+        f">s{i}\n" + "".join(rng.choice(list("ACGT"), size=60)) + "\n" for i in range(40)))
+    Path("m.csv").write_text("c.emb1,value_noise,0.1,1\n")
+
+
+# A setting below its minimum next to the input ``in.*``, which is missing or
+# a copy of a readable one: either way the setting is refused first, by key.
+CONFIG_NEXT_TO_AN_INPUT = {
+    "stability-splits": (["stability", "--clean", "in.emb1", "--pert", "a=c.emb1",
+                          "--splits", "0"], "key 'stability.n_splits': 0 is below 1"),
+    "stability-max-samples": (["stability", "--clean", "in.emb1", "--pert", "a=c.emb1",
+                               "--max-samples", "9"], "key 'stability.max_samples': 9 is below 10"),
+    "stability-bootstrap": (["stability", "--clean", "in.emb1", "--pert", "a=c.emb1",
+                             "--bootstrap", "0"], "key 'stability.n_bootstrap': 0 is below 1"),
+    "probe-folds": (["probe", "--embeddings", "in.emb1", "--labels", "l.csv", "--folds", "1"],
+                    "key 'probe.folds': 1 is below 2"),
+    "mine-epochs": (["mine", "--features", "in.emb1", "--embeddings", "c.emb1", "--epochs", "0"],
+                    "key 'mine.epochs': 0 is below 1"),
+    "texture-splits": (["texture", "--fasta", "in.fasta", "--splits", "0"],
+                       "key 'stability.n_splits': 0 is below 1"),
+    "texture-bootstrap": (["texture", "--fasta", "in.fasta", "--bootstrap", "0"],
+                          "key 'stability.n_bootstrap': 0 is below 1"),
+}
+
+
+@pytest.mark.parametrize("readable", [False, True], ids=["missing", "readable"])
+@pytest.mark.parametrize("case", sorted(CONFIG_NEXT_TO_AN_INPUT))
+def test_cli_setting_is_checked_before_any_input_is_read(case, readable, capsys):
+    write_slot_inputs()
+    if readable:
+        Path("in.emb1").write_bytes(Path("c.emb1").read_bytes())
+        Path("in.fasta").write_bytes(Path("w.fasta").read_bytes())
+    argv, message = CONFIG_NEXT_TO_AN_INPUT[case]
+    assert cli.main(["--out-dir", "run", *argv]) == 2
+    assert capsys.readouterr().err == f"config error: <cli>: {message}\n"
+    assert not Path("run").exists()
+
+
+# Two keys set for one input: the run would read one and ignore the other.
+TWO_INPUTS_FOR_ONE_SLOT = {
+    "perturb-manifest-input": (["perturb", "--manifest", "m.csv", "--input", "c.emb1", "--kind",
+                                "time_reverse", "--output", "never.emb1"],
+                               "<cli>: key 'perturb.input' goes unread with "
+                               "perturb.manifest = m.csv"),
+    "perturb-manifest-kind": (["perturb", "--manifest", "m.csv", "--kind", "time_reverse"],
+                              "<cli>: key 'perturb.kind' goes unread with "
+                              "perturb.manifest = m.csv"),
+    "perturb-manifest-output": (["perturb", "--manifest", "m.csv", "--output", "never.emb1"],
+                                "<cli>: key 'perturb.output' goes unread with "
+                                "perturb.manifest = m.csv"),
+    "mine-features-and-fasta": (["mine", "--features", "c.emb1", "--features-fasta", "w.fasta",
+                                 "--embeddings", "c.emb1", "--seeds", "1", "--epochs", "1"],
+                                "<cli>: key 'mine.features' goes unread with "
+                                "mine.features_fasta = w.fasta"),
+    "walk-interpolation-fasta": (["walk", "--mode", "interpolation", "--fasta", "w.fasta",
+                                  "--steps", "3"],
+                                 "<cli>: key 'walk.fasta' goes unread with "
+                                 "walk.mode = interpolation"),
+    "vq-data-and-n": (["report", "--config", "vq.cfg"],
+                      "vq.cfg: key 'vq.n' goes unread with vq.data = c.emb1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_INPUTS_FOR_ONE_SLOT))
+def test_cli_two_inputs_for_one_slot_exit_2_naming_both_keys(case, capsys, monkeypatch):
+    write_slot_inputs()
+    Path("vq.cfg").write_text("experiment = vq-sweep\nvq.data = c.emb1\nvq.intrinsic_dim = 2\n"
+                              "vq.k_values = 2,4,8\nvq.n = 50\n")
+    trained = []
+    monkeypatch.setattr(estimator, "_train_cohort", lambda *args: trained.append(args))
+    argv, message = TWO_INPUTS_FOR_ONE_SLOT[case]
+    assert cli.main(["--out-dir", "run", *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert trained == []
+    assert not Path("run").exists() and not Path("never.emb1").exists()
 
 
 @pytest.mark.parametrize("flag, value, key", [

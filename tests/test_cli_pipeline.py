@@ -322,7 +322,7 @@ def test_cli_stability_rejects_a_repeated_or_empty_perturbation_name(tmp_path, e
     assert main([*argv, "--pert", f"a={pert}", "--pert", f"a={clean}"]) == 2
     assert f"--pert 'a={clean}': perturbation name 'a' is repeated" in capsys.readouterr().err
     assert main([*argv, "--pert", f"={pert}"]) == 2
-    assert f"--pert '={pert}': empty perturbation name" in capsys.readouterr().err
+    assert "key 'stability.pert.' has an empty perturbation name" in capsys.readouterr().err
     cfg = tmp_path / "empty-name.cfg"
     cfg.write_text(f"experiment = stability\nstability.clean = {clean}\n"
                    f"stability.pert. = {pert}\n")
@@ -492,7 +492,7 @@ def test_cli_probe(tmp_path, capsys):
     out = tmp_path / "probe"
     assert main(["--out-dir", str(out), "probe", "--embeddings", str(emb),
                  "--labels", str(labels), "--arch", "linear"]) == 0
-    assert capsys.readouterr().out == f"probe report in {out}\n"
+    assert capsys.readouterr().out == f"report in {out}\n"
     report = json.loads((out / "report.json").read_text())
     results = report["results"]
     assert report["experiment"] == "probe"

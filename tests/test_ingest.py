@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -143,70 +144,90 @@ def test_config_round_trip():
     assert Config.parse(text).dump() == text
 
 
+
+@pytest.mark.parametrize("key, value", [
+    ("path", "r#1/a.emb1"), ("name", "a\nb"), ("condition", " model"), ("condition", "model "),
+    ("a\rb", "x"), ("path", "a\0b"),
+], ids=["hash", "newline", "leading-space", "trailing-space", "return-in-key", "nul"])
+def test_config_dump_refuses_an_item_parse_would_not_read_back(key, value):
+    with pytest.raises(ConfigError, match=f"^{re.escape(repr(key))} = .* would not read back "):
+        Config({"a": "1", key: value}).dump()
+
 # -- fetch ---------------------------------------------------------------------
 
 
-def test_fetch_serves_repeats_from_cache(tmp_path):
+def fetch_served(monkeypatch, spec, transport, cache):
+    """``fetch_genome(spec, cache)`` with ``transport`` standing in for the
+    network, as the module's default transport."""
+    monkeypatch.setattr("geotax.ingest.fetch.default_transport", transport)
+    return fetch_genome(spec, cache)
+
+
+def test_fetch_serves_repeats_from_cache(tmp_path, monkeypatch):
     dna = "ACGT" * 25
     spec = FetchSpec(chromosome="chr17", start=100, end=200)
     transport = RecordingTransport(default=genome_response(dna))
     cache = ResultCache(tmp_path / "c")
-    first = fetch_genome(spec, transport, cache)
+    first = fetch_served(monkeypatch, spec, transport, cache)
     assert len(transport.calls) == 1
-    second = fetch_genome(spec, transport, cache)
+    second = fetch_served(monkeypatch, spec, transport, cache)
     assert len(transport.calls) == 1  # zero new network calls
     assert (first.symbols == second.symbols).all()
 
 
-def test_fetch_cache_hit_equals_cold_run(tmp_path):
+def test_fetch_cache_hit_equals_cold_run(tmp_path, monkeypatch):
     dna = "ACGTTGCA" * 25
     spec = FetchSpec(chromosome="chr1", start=0, end=200)
-    cold = fetch_genome(spec, RecordingTransport(default=genome_response(dna)), None)
+    cold = fetch_served(monkeypatch, spec, RecordingTransport(default=genome_response(dna)),
+                        ResultCache(tmp_path / "cold"))
     cache = ResultCache(tmp_path / "c")
-    fetch_genome(spec, RecordingTransport(default=genome_response(dna)), cache)
-    warm = fetch_genome(spec, RecordingTransport(default=(500, b"")), cache)
+    fetch_served(monkeypatch, spec, RecordingTransport(default=genome_response(dna)), cache)
+    warm = fetch_served(monkeypatch, spec, RecordingTransport(default=(500, b"")), cache)
     assert (warm.symbols == cold.symbols).all()
 
 
-def test_fetch_rejects_too_many_ambiguous():
+def test_fetch_rejects_too_many_ambiguous(tmp_path, monkeypatch):
     dna = "N" * 10 + "ACGT" * 25  # ~9% N
     spec = FetchSpec(chromosome="chr2", start=0, end=110)
     with pytest.raises(DataError, match="9.1% ambiguous bases exceeds the 5% budget"):
-        fetch_genome(spec, RecordingTransport(default=genome_response(dna)))
+        fetch_served(monkeypatch, spec, RecordingTransport(default=genome_response(dna)),
+                     ResultCache(tmp_path / "c"))
 
 
-def test_fetch_replace_policy_is_seeded():
+def test_fetch_replace_policy_is_seeded(tmp_path, monkeypatch):
     dna = "N" * 10 + "ACGT" * 25
     spec = FetchSpec(
         chromosome="chr2", start=0, end=110, n_policy="replace", seed=SeedSpec(320)
     )
-    a = fetch_genome(spec, RecordingTransport(default=genome_response(dna)))
-    b = fetch_genome(spec, RecordingTransport(default=genome_response(dna)))
+    a, b = (fetch_served(monkeypatch, spec, RecordingTransport(default=genome_response(dna)),
+                         ResultCache(tmp_path / name)) for name in ("a", "b"))
     assert (a.symbols == b.symbols).all()
     assert len(a) == 110
 
 
-def test_fetch_http_error():
+def test_fetch_http_error(tmp_path, monkeypatch):
     spec = FetchSpec(chromosome="chr3", start=0, end=10)
     with pytest.raises(NetworkError, match="genome endpoint returned 503"):
-        fetch_genome(spec, RecordingTransport(default=(503, b"")))
+        fetch_served(monkeypatch, spec, RecordingTransport(default=(503, b"")),
+                     ResultCache(tmp_path / "c"))
 
 
-def test_fetch_connection_failure_maps_to_network_error():
+def test_fetch_connection_failure_maps_to_network_error(tmp_path, monkeypatch):
     def broken_transport(url):
         raise ConnectionError("refused")
 
     spec = FetchSpec(chromosome="chr3", start=0, end=10)
     with pytest.raises(NetworkError, match="fetch failed: refused"):
-        fetch_genome(spec, broken_transport)
+        fetch_served(monkeypatch, spec, broken_transport, ResultCache(tmp_path / "c"))
 
 
-def test_synthetic_fetch_deterministic():
+def test_synthetic_fetch_deterministic(tmp_path):
     spec = FetchSpec(source="synthetic", start=0, end=500, seed=SeedSpec(7))
-    a = fetch_genome(spec)
-    b = fetch_genome(spec)
+    a = fetch_genome(spec, ResultCache(tmp_path / "c"))
+    b = fetch_genome(spec, ResultCache(tmp_path / "c"))
     assert (a.symbols == b.symbols).all()
     assert len(a) == 500
+    assert not (tmp_path / "c").exists()  # a synthetic span is never cached
 
 
 def test_synthetic_sequence_matches_seed():

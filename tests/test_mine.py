@@ -152,11 +152,11 @@ def test_training_deterministic_weights():
 
 def test_clip_gradient_infinity_norm():
     g = np.array([1.0, -10.0, 3.0])
-    clipped = clip_gradient(g.copy(), 5.0)
-    assert np.abs(clipped).max() == pytest.approx(5.0)
+    clipped = clip_gradient(g.copy())
+    assert np.abs(clipped).max() == pytest.approx(CLIP_INF)
     assert clipped[0] == pytest.approx(0.5)  # rescaled, not clamped
     small = np.array([0.5, -0.25])
-    assert (clip_gradient(small.copy(), 5.0) == small).all()
+    assert (clip_gradient(small.copy()) == small).all()
 
 
 def test_dropout_off_at_eval():
@@ -452,7 +452,7 @@ def oracle_run(x, z, cfg, seed):
             gout[:b, 0] = -1.0 / b
             gout[b:, 0] = w / w.sum()
             net.backward(cache, gout)
-            opt.step(net.theta, clip_gradient(net.grad, CLIP_INF))
+            opt.step(net.theta, clip_gradient(net.grad))
         if epoch >= tail_start:
             value = full_bound()
             tail_values.append(value)
