@@ -302,6 +302,22 @@ class RDCurve:
         return list(zip(self.k_values, self.recon_mse, self.procrustes_d))
 
 
+def check_sweep(k_values, sigma: float) -> list:
+    """The K values of a sweep, sorted.  A sigma that is not finite and
+    positive, a repeated K, fewer than 3 K values (the 1/ln K fit needs 3)
+    or a K below 2 is a ``ConfigError``."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"vq.sigma must be finite and > 0, got {sigma}")
+    ks = sorted(k_values)
+    if len(set(ks)) != len(ks):
+        raise ConfigError(f"vq.k_values must be distinct, got {list(k_values)}")
+    if len(ks) < 3:
+        raise ConfigError(f"the 1/ln K fit needs >= 3 vq.k_values, got {len(ks)}")
+    if ks[0] < 2:
+        raise ConfigError(f"every K of vq.k_values must be >= 2, got {ks[0]}")
+    return ks
+
+
 def vq_double_bind_sweep(
     data,
     k_values=(32, 64, 128, 256, 512, 1024),
@@ -315,20 +331,11 @@ def vq_double_bind_sweep(
     reconstruction error is monotone in K.  Perturbations are applied in
     continuous input space and re-encoded (never in symbol index space);
     distortion is the Procrustes residual between the decoded clean and
-    decoded perturbed point sets.  A sigma that is not finite and positive,
-    a repeated K, fewer than 3 K values (the 1/ln K fit needs 3) or a K
-    below 2 is a ``ConfigError``, and fewer points than the largest K a
+    decoded perturbed point sets.  The settings are checked by
+    ``check_sweep``, and fewer points than the largest K is a
     ``DataError``, each raised before any codebook is fit.
     """
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ConfigError(f"sigma must be finite and > 0, got {sigma}")
-    ks = sorted(k_values)
-    if len(set(ks)) != len(ks):
-        raise ConfigError(f"K values must be distinct, got {list(k_values)}")
-    if len(ks) < 3:
-        raise ConfigError(f"the 1/ln K fit needs >= 3 K values, got {len(ks)}")
-    if ks[0] < 2:
-        raise ConfigError(f"every K must be >= 2, got {ks[0]}")
+    ks = check_sweep(k_values, sigma)
     pts = as_columns(data)
     if pts.shape[0] < ks[-1]:
         raise DataError(f"n={pts.shape[0]} < K={ks[-1]}")

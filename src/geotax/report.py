@@ -25,7 +25,7 @@ from .core.parallel import single_thread_blas
 from .core.rng import SeedSpec, rng_create
 from .core.sequence import DNA, SymbolSequence
 from .errors import ConfigError, DataError
-from .ingest.config import Config
+from .ingest.config import Config, Key, Settings, boolean, int_list
 from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
 
 # Each runner imports its experiment's modules, so a process loads (and,
@@ -34,72 +34,64 @@ from .ingest.fasta import FastaRecord, parse_fasta, write_fasta
 STABILITY_CSV_HEADER = "Perturbation,RDM Sim.,Pert. Stab.,Pert. Mag.,Composite"
 
 
-def _split_config(cfg: Config, n_splits: int = 30, n_bootstrap: int = 5):
-    """The harness settings a config declares; ``n_splits`` and
-    ``n_bootstrap`` are the experiment's defaults for keys it leaves out."""
+def _split_config(s: Settings, **variant):
+    """The harness settings; ``variant``, the composite variant where read."""
     from .stability import SplitConfig
 
     return SplitConfig(
-        n_splits=cfg.get_int("stability.n_splits", n_splits, minimum=1),
-        max_samples=cfg.get_int("stability.max_samples", 2500, minimum=10),
-        n_bootstrap=cfg.get_int("stability.n_bootstrap", n_bootstrap, minimum=1),
-        anchor_count=cfg.get_int("stability.anchor_count", None, minimum=1),
-        rank_normalize_anchors=cfg.get_bool("stability.rank_normalize_anchors"),
-        composite_variant=cfg.get("stability.composite_variant", "anchor"),
+        n_splits=s["stability.n_splits"],
+        max_samples=s["stability.max_samples"],
+        n_bootstrap=s["stability.n_bootstrap"],
+        anchor_count=s["stability.anchor_count"],
+        rank_normalize_anchors=s["stability.rank_normalize_anchors"],
+        **variant,
     )
 
 
-def _csv_cell(cfg: Config, key: str, value: str) -> str:
+def _csv_cell(s: Settings, key: str, value: str) -> str:
     """``value``, refused when a comma or a quote in it would break the
     columns of its ``report.csv`` row."""
     if "," in value or '"' in value:
-        raise ConfigError(f"{cfg.source}: key {key!r}: {value!r} holds a ',' or '\"', "
+        raise ConfigError(f"{s.source}: key {key!r}: {value!r} holds a ',' or '\"', "
                           "which would break its report.csv row")
     return value
 
 
-def _alone(cfg: Config, key: str, *others: str) -> str | None:
-    """``key``'s value, refused when one of ``others``, keys for the same
-    input, is set with it and would go unread."""
-    value = cfg.get(key)
-    for other in others:
-        if value is not None and other in cfg.values:
-            raise ConfigError(f"{cfg.source}: key {other!r} goes unread with {key} = {value}")
-    return value
-
-
-def _loader(cfg: Config):
-    header = cfg.get_bool("io.csv_header")
+def _loader(s: Settings):
+    header = s["io.csv_header"]
     return lambda path: load_matrix(path, csv_header=header)
 
 
 def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
     """Execute the experiment a config declares; returns the run directory.
 
-    The experiment runs on one OpenBLAS thread, so its sums come out in the
-    same order, and its report in the same bytes, on any core count; the
-    caller's thread count is restored when the run returns or raises.  A
-    run that raises removes the directories it created; an ``out_dir``
-    that already existed stays."""
+    The whole config is checked against ``KEYS`` before any input is read
+    or any directory is made.  The experiment runs on one OpenBLAS thread,
+    so its sums come out in the same order, and its report in the same
+    bytes, on any core count; the caller's thread count is restored when
+    the run returns or raises.  A run that raises removes the directories
+    it created; an ``out_dir`` that already existed stays."""
     cfg = config if isinstance(config, Config) else Config.load(config)
-    experiment = cfg.require("experiment")
-    seed = cfg.get_int("seed", 320)
+    experiment = cfg.values.get("experiment")
+    if experiment is None:
+        raise ConfigError(f"{cfg.source}: missing required key 'experiment'")
     if experiment not in RUNNERS:
         raise ConfigError(
             f"{cfg.source}: unknown experiment {experiment!r}; choose from {sorted(RUNNERS)}"
         )
     echo = cfg.dump()  # refuses an item the echo cannot hold, before the run starts
+    s = cfg.check(KEYS, experiment)
     out = Path(out_dir)
     # the outermost directory this run creates, None when out_dir exists
     created = next((d for d in reversed([out, *out.parents]) if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     try:
         with single_thread_blas():
-            results = RUNNERS[experiment](cfg, seed, out)
+            results = RUNNERS[experiment](s, out)
         report = {
             "experiment": experiment,
             "results": results,
-            "provenance": {"version": __version__, "seed": seed, "config_echo": echo},
+            "provenance": {"version": __version__, "seed": s["seed"], "config_echo": echo},
         }
         (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     except BaseException:
@@ -128,22 +120,19 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _run_gen(cfg: Config, seed: int, out: Path) -> dict:
+def _run_gen(s: Settings, out: Path) -> dict:
+    """generate synthetic dynamical-system datasets"""
     from .dynamics import fit_global_range, gen_lorenz, gen_oscillator, gen_waveform
     from .dynamics import sample_oscillator_params
 
-    system = cfg.require("gen.system")
-    n = cfg.get_int("gen.n", 10, minimum=1)
-    length = cfg.get_int("gen.length", 512, minimum=2)
-    components = cfg.get_int("gen.components", 3, minimum=1)
+    seed, system, n, length = s["seed"], s["gen.system"], s["gen.n"], s["gen.length"]
     rng = rng_create(SeedSpec(seed, "gen"))
     systems = {
-        "waveform": lambda i: gen_waveform(SeedSpec(seed, f"gen/{i}"), components, length),
+        "waveform": lambda i: gen_waveform(SeedSpec(seed, f"gen/{i}"), s["gen.components"],
+                                           length),
         "oscillator": lambda i: gen_oscillator(sample_oscillator_params(rng), length),
         "lorenz": lambda i: gen_lorenz(SeedSpec(seed, f"gen/{i}"), length),
     }
-    if system not in systems:
-        raise ConfigError(f"{cfg.source}: gen.system must be waveform, oscillator or lorenz")
     trajs = [systems[system](i) for i in range(n)]
     grange = fit_global_range(trajs)
     files = {f"traj_{i:04d}.emb1": traj.values for i, traj in enumerate(trajs)}
@@ -154,25 +143,24 @@ def _run_gen(cfg: Config, seed: int, out: Path) -> dict:
     return {"system": system, "n": n, "length": length, "dt": trajs[0].dt, "files": digests}
 
 
-def _run_discretize(cfg: Config, seed: int, out: Path) -> dict:
+def _run_discretize(s: Settings, out: Path) -> dict:
+    """two-pass global discretization"""
     from .dynamics import MAX_BINS, GlobalRange, Trajectory, discretize, fit_global_range
 
-    bins = cfg.get_int("discretize.bins", 256, minimum=1)
+    bins = s["discretize.bins"]
     if bins > MAX_BINS:
-        raise ConfigError(f"{cfg.source}: key 'discretize.bins': {bins} is above 2**53")
-    inputs = list(cfg.section("discretize.input").values())
-    if not inputs:
-        raise ConfigError(f"{cfg.source}: no discretize.input.<i> entries")
+        raise ConfigError(f"{s.source}: key 'discretize.bins': {bins} is above 2**53")
+    inputs = list(s["discretize.input.<i>"].values())
     names = [Path(path).stem + ".sym.csv" for path in inputs]
     writer = {}
     for path, name in zip(inputs, names):
         if name in writer:
-            raise ConfigError(f"{cfg.source}: discretize inputs {writer[name]} and {path} "
+            raise ConfigError(f"{s.source}: discretize inputs {writer[name]} and {path} "
                               f"would both write {name}")
         writer[name] = path
-    load = _loader(cfg)
+    load = _loader(s)
     trajs = [Trajectory(load(path).data, 1.0) for path in inputs]
-    range_file = cfg.get("discretize.range")
+    range_file = s["discretize.range"]
     if range_file:
         mat = load(range_file)
         if mat.n != 2:
@@ -194,7 +182,7 @@ def _run_discretize(cfg: Config, seed: int, out: Path) -> dict:
             raise DataError(f"{', '.join(inputs)}: {exc}") from None
     for name, traj in zip(names, trajs):
         seq = discretize(traj, grange, bins)
-        (out / name).write_text(",".join(str(s) for s in seq.symbols) + "\n")
+        (out / name).write_text(",".join(str(v) for v in seq.symbols) + "\n")
     return {"files": {name: _sha256(out / name) for name in names}}
 
 
@@ -224,20 +212,21 @@ def _manifest_jobs(manifest: str, magnitude: float, out: Path) -> list:
     return jobs
 
 
-def _run_perturb(cfg: Config, seed: int, out: Path) -> dict:
+def _run_perturb(s: Settings, out: Path) -> dict:
+    """apply a perturbation to a trajectory or sequence"""
     from .dynamics import Trajectory
     from .perturb import PerturbationSpec, apply_perturbation
 
-    magnitude = cfg.get_float("perturb.magnitude", 1.0)
-    manifest = _alone(cfg, "perturb.manifest", "perturb.input", "perturb.kind", "perturb.output")
+    magnitude = s["perturb.magnitude"]
+    manifest = s["perturb.manifest"]
     if manifest:
         jobs = _manifest_jobs(manifest, magnitude, out)
     else:
-        source, kind, output = (cfg.require(f"perturb.{k}") for k in ("input", "kind", "output"))
-        spec = PerturbationSpec(kind, cfg.get_float("perturb.rate", 0.01), magnitude,
-                                SeedSpec(seed, f"perturb/{kind}"))
-        jobs = [(Path(source), spec, Path(output))]
-    load = _loader(cfg)
+        kind = s["perturb.kind"]
+        spec = PerturbationSpec(kind, s["perturb.rate"], magnitude,
+                                SeedSpec(s["seed"], f"perturb/{kind}"))
+        jobs = [(Path(s["perturb.input"]), spec, Path(s["perturb.output"]))]
+    load = _loader(s)
     for source, spec, target in jobs:
         if source.suffix in (".fa", ".fasta"):
             write_fasta([
@@ -255,21 +244,19 @@ def _run_perturb(cfg: Config, seed: int, out: Path) -> dict:
     }}
 
 
-def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
+def _run_stability(s: Settings, out: Path) -> dict:
+    """run the stability harness"""
     from .stability import evaluate
 
-    clean_path = cfg.require("stability.clean")
-    pairs = cfg.section("stability.pert")
-    if not pairs:
-        raise ConfigError(f"{cfg.source}: no stability.pert.<name> entries")
+    pairs = s["stability.pert.<name>"]
     if "" in pairs:
-        raise ConfigError(f"{cfg.source}: key 'stability.pert.' has an empty perturbation name")
+        raise ConfigError(f"{s.source}: key 'stability.pert.' has an empty perturbation name")
     for name in pairs:
-        _csv_cell(cfg, f"stability.pert.{name}", name)
-    scfg = _split_config(cfg)
-    load = _loader(cfg)
-    clean = load(clean_path)
-    deltas_path = cfg.get("stability.deltas")
+        _csv_cell(s, f"stability.pert.{name}", name)
+    scfg = _split_config(s, composite_variant=s["stability.composite_variant"])
+    load = _loader(s)
+    clean = load(s["stability.clean"])
+    deltas_path = s["stability.deltas"]
     deltas = None
     if deltas_path:
         column = load(deltas_path)
@@ -284,7 +271,7 @@ def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
         deltas = column.data[:, 0]
     # a generator, so each perturbed file is loaded only when its turn comes
     perturbed = ((name, load(pairs[name])) for name in sorted(pairs))
-    reports = evaluate(clean, perturbed, deltas, scfg, SeedSpec(seed, "stability"))
+    reports = evaluate(clean, perturbed, deltas, scfg, SeedSpec(s["seed"], "stability"))
     rows = {}
     ndjson_lines = []
     csv_lines = [STABILITY_CSV_HEADER]
@@ -302,14 +289,15 @@ def _run_stability(cfg: Config, seed: int, out: Path) -> dict:
     return rows
 
 
-def _run_procrustes(cfg: Config, seed: int, out: Path) -> dict:
+def _run_procrustes(s: Settings, out: Path) -> dict:
+    """spin test: optimal rotation + scale"""
     from .procrustes import classify_regime, procrustes_align
 
-    load = _loader(cfg)
-    clean = load(cfg.require("procrustes.clean"))
-    pert = load(cfg.require("procrustes.pert"))
+    load = _loader(s)
+    clean = load(s["procrustes.clean"])
+    pert = load(s["procrustes.pert"])
     res = procrustes_align(clean, pert)
-    if cfg.get_bool("procrustes.export_rotation"):
+    if s["procrustes.export_rotation"]:
         write_embeddings(out / "rotation.emb1", EmbeddingMatrix(res.rotation))
     return {
         "raw_error": res.raw_error,
@@ -338,55 +326,49 @@ def _serialize_walk(walk, out: Path) -> None:
     write_fasta(records, out / "walk.fasta")
 
 
-def _run_walk(cfg: Config, seed: int, out: Path) -> dict:
+def _run_walk(s: Settings, out: Path) -> dict:
+    """build an interpolation or mutation walk"""
     from .dynamics import fit_global_range, gen_oscillator, sample_oscillator_params
     from .walks import build_interpolation_walk, build_mutation_walk
 
-    mode = cfg.get("walk.mode", "mutation")
+    seed, mode = s["seed"], s["walk.mode"]
     if mode == "mutation":
-        fasta = cfg.get("walk.fasta")
+        fasta = s["walk.fasta"]
         if fasta:
             wt = parse_fasta(fasta)[0].decode(DNA, fasta)
         else:
-            length = cfg.get_int("walk.length", 2000, minimum=1)
             wt = SymbolSequence(
-                rng_create(SeedSpec(seed, "walk-wt")).integers(0, 4, size=length), DNA
+                rng_create(SeedSpec(seed, "walk-wt")).integers(0, 4, size=s["walk.length"]), DNA
             )
-        core = (
-            cfg.get_int("walk.core_start", len(wt) // 4),
-            cfg.get_int("walk.core_end", 3 * len(wt) // 4),
-        )
-        n_mutations = cfg.get_int("walk.n_mutations", 120)
+        start, end = s["walk.core_start"], s["walk.core_end"]  # None: the middle half
+        core = (len(wt) // 4 if start is None else start, 3 * len(wt) // 4 if end is None else end)
+        n_mutations = s["walk.n_mutations"]
         try:
             walk = build_mutation_walk(wt, n_mutations, core, SeedSpec(seed, "walk"))
         except DataError as exc:  # the core region does not fit
             if fasta:
                 raise DataError(f"{fasta}: {exc}") from None
             raise ConfigError(
-                f"{cfg.source}: {exc}: walk.length = {len(wt)}, walk.n_mutations = "
+                f"{s.source}: {exc}: walk.length = {len(wt)}, walk.n_mutations = "
                 f"{n_mutations}, walk.core_start = {core[0]}, walk.core_end = {core[1]}"
             ) from None
-    elif mode == "interpolation":
-        _alone(cfg, "walk.mode", "walk.fasta")
+    else:
         rng = rng_create(SeedSpec(seed, "walk-interp"))
         ta = gen_oscillator(sample_oscillator_params(rng))
         tb = gen_oscillator(sample_oscillator_params(rng))
         grange = fit_global_range([ta, tb])
-        walk = build_interpolation_walk(
-            ta, tb, grange, cfg.get_int("walk.n_steps", 101, minimum=2)
-        )
-    else:
-        raise ConfigError(f"{cfg.source}: walk.mode must be mutation or interpolation")
+        walk = build_interpolation_walk(ta, tb, grange, s["walk.n_steps"])
     _serialize_walk(walk, out)
     return {"mode": mode, "steps": len(walk)}
 
 
-def _run_walk_profiles(cfg: Config, seed: int, out: Path) -> dict:
+def _run_walk_profiles(s: Settings, out: Path) -> dict:
+    """interpolation-walk profiles through two toy encoders"""
     from .walks import lipschitz_gap, mean_lipschitz, pca_trajectory, walk_profiles
 
-    n_steps = cfg.get_int("walk.n_steps", 101, minimum=2)
     encoders = {}
-    for name, (profiles, path) in walk_profiles(n_steps, SeedSpec(seed, "pairs")).items():
+    for name, (profiles, path) in walk_profiles(s["walk.n_steps"],
+                                                SeedSpec(s["seed"], "pairs")).items():
         encoders[name] = {"mean_lipschitz": mean_lipschitz(profiles),
                           "max_spikes_per_pair": max(len(p.spikes) for p in profiles)}
         (out / f"{name}_path.svg").write_text(pca_trajectory(path)[1])
@@ -397,17 +379,13 @@ def _run_walk_profiles(cfg: Config, seed: int, out: Path) -> dict:
     return {"encoders": encoders, "lipschitz_gap": lipschitz_gap(means)}
 
 
-def _run_lipschitz(cfg: Config, seed: int, out: Path) -> dict:
+def _run_lipschitz(s: Settings, out: Path) -> dict:
+    """per-step embedding displacement profile"""
     from .walks import lipschitz_cosine, lipschitz_l2, pca_trajectory
 
-    emb = _loader(cfg)(cfg.require("lipschitz.embeddings"))
-    metric = cfg.get("lipschitz.metric", "cosine")
-    if metric == "cosine":
-        profile = lipschitz_cosine(emb)
-    elif metric == "l2":
-        profile = lipschitz_l2(emb)
-    else:
-        raise ConfigError(f"{cfg.source}: lipschitz.metric must be cosine or l2")
+    metric = s["lipschitz.metric"]
+    emb = _loader(s)(s["lipschitz.embeddings"])
+    profile = {"cosine": lipschitz_cosine, "l2": lipschitz_l2}[metric](emb)
     lines = ["step,L"] + [f"{i},{v:.10g}" for i, v in enumerate(profile.values)]
     (out / "profile.csv").write_text("\n".join(lines) + "\n")
     pca_res, svg = pca_trajectory(emb)
@@ -422,28 +400,22 @@ def _run_lipschitz(cfg: Config, seed: int, out: Path) -> dict:
     }
 
 
-def _run_mine(cfg: Config, seed: int, out: Path) -> dict:
-    from .mine.estimator import DEFAULT_SEEDS, excess_mi_report
+def _run_mine(s: Settings, out: Path) -> dict:
+    """excess mutual information estimate"""
+    from .mine.estimator import excess_mi_report
     from .mine.features import features_from_fasta
     from .mine.mlp import MLPConfig
 
-    condition = _csv_cell(cfg, "mine.condition", cfg.get("mine.condition", "model"))
-    seeds = _int_list(cfg, "mine.seeds", DEFAULT_SEEDS)
-    mlp_cfg = MLPConfig(
-        epochs=cfg.get_int("mine.epochs", 500, minimum=1),
-        lr=cfg.get_float("mine.lr", 1e-4),
-    )
-    load = _loader(cfg)
-    fasta = _alone(cfg, "mine.features_fasta", "mine.features")
-    embeddings = cfg.require("mine.embeddings")
+    condition = _csv_cell(s, "mine.condition", s["mine.condition"])
+    mlp_cfg = MLPConfig(epochs=s["mine.epochs"], lr=s["mine.lr"])
+    load = _loader(s)
+    fasta = s["mine.features_fasta"]
     if fasta:
-        x = features_from_fasta(fasta, cfg.get("mine.feature_kind", "dna"))
+        x = features_from_fasta(fasta, s["mine.feature_kind"])
     else:
-        x = load(cfg.require("mine.features")).data
-    z = load(embeddings).data
-    est = excess_mi_report(
-        x, z, mlp_cfg, seeds, workers=cfg.get_int("threads", 1, minimum=1)
-    )
+        x = load(s["mine.features"]).data
+    z = load(s["mine.embeddings"]).data
+    est = excess_mi_report(x, z, mlp_cfg, s["mine.seeds"], workers=s["threads"])
     (out / "report.csv").write_text(
         "condition,length,mean,std,baseline,ceiling,excess\n"
         f"{condition},{x.shape[0]},{est.mean:.6f},{est.std:.6f},"
@@ -454,16 +426,12 @@ def _run_mine(cfg: Config, seed: int, out: Path) -> dict:
     return payload
 
 
-def _run_mine_sanity(cfg: Config, seed: int, out: Path) -> dict:
-    from .mine.estimator import DEFAULT_SEEDS, sanity_suite
+def _run_mine_sanity(s: Settings, out: Path) -> dict:
+    """estimator check on known-MI Gaussians"""
+    from .mine.estimator import sanity_suite
 
-    seeds = _int_list(cfg, "mine.seeds", DEFAULT_SEEDS)
-    cases = sanity_suite(
-        n=cfg.get_int("mine.n", 2000),
-        seeds=seeds,
-        data_seed=seed,
-        workers=cfg.get_int("threads", 1, minimum=1),
-    )
+    cases = sanity_suite(n=s["mine.n"], seeds=s["mine.seeds"], data_seed=s["seed"],
+                         workers=s["threads"])
     csv_lines = ["rho,true_mi,estimate,std,tolerance,passed"]
     for c in cases:
         csv_lines.append(
@@ -476,26 +444,23 @@ def _run_mine_sanity(cfg: Config, seed: int, out: Path) -> dict:
     }
 
 
-def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
-    from .texture import (
-        ENCODER_WINDOWS,
-        MIN_CORPUS,
-        four_condition_experiment,
-        heterogeneous_corpus,
-    )
+def _run_texture(s: Settings, out: Path) -> dict:
+    """four-condition RC texture test"""
+    from .texture import ENCODER_WINDOWS, MIN_CORPUS, four_condition_experiment
+    from .texture import heterogeneous_corpus
 
-    # the texture subcommand's defaults, so a config file runs what the CLI runs
-    split_config = _split_config(cfg, n_splits=10, n_bootstrap=1)
-    fasta = cfg.get("texture.fasta")
+    split_config = _split_config(s)
+    fasta = s["texture.fasta"]
     if fasta:
         corpus = [rec.decode(DNA, fasta) for rec in parse_fasta(fasta)]
     else:
-        corpus = heterogeneous_corpus(
-            cfg.get_int("texture.n", 200, minimum=MIN_CORPUS),
-            cfg.get_int("texture.length", 400, minimum=ENCODER_WINDOWS),
-            SeedSpec(seed, "texture-corpus"),
-        )
-    rows = four_condition_experiment(corpus, SeedSpec(seed, "texture"), split_config=split_config)
+        for key, minimum in (("texture.n", MIN_CORPUS), ("texture.length", ENCODER_WINDOWS)):
+            if s[key] < minimum:
+                raise ConfigError(f"{s.source}: key {key!r}: {s[key]} is below {minimum}")
+        corpus = heterogeneous_corpus(s["texture.n"], s["texture.length"],
+                                      SeedSpec(s["seed"], "texture-corpus"))
+    rows = four_condition_experiment(corpus, SeedSpec(s["seed"], "texture"),
+                                     split_config=split_config)
     csv_lines = ["Condition,RC RDM,RC Composite,Recovery"]
     for r in rows:
         csv_lines.append(f"{r.condition},{r.rc_rdm:.6f},{r.rc_composite:.6f},{r.recovery:.6f}")
@@ -503,23 +468,20 @@ def _run_texture(cfg: Config, seed: int, out: Path) -> dict:
     return {"conditions": [asdict(r) for r in rows]}
 
 
-def _run_probe(cfg: Config, seed: int, out: Path) -> dict:
-    from .mine.probes import mlp_probe_cv, probe_config
+def _run_probe(s: Settings, out: Path) -> dict:
+    """frozen linear / MLP probes with stratified CV"""
+    from .mine.probes import mlp_probe_cv
     from .procrustes import frozen_head_classifier
 
-    arch = cfg.get("probe.arch", "linear")
-    if arch != "linear":
-        probe_config(arch)  # an unknown arch is refused before any input is read
-    folds = cfg.get_int("probe.folds", 5, minimum=2)
-    header = cfg.get_bool("io.csv_header")
-    emb = load_matrix(cfg.require("probe.embeddings"), csv_header=header)
-    labels_path = cfg.require("probe.labels")
+    arch, folds, header = s["probe.arch"], s["probe.folds"], s["io.csv_header"]
+    emb = load_matrix(s["probe.embeddings"], csv_header=header)
+    labels_path = s["probe.labels"]
     try:
         labels = np.loadtxt(labels_path, delimiter=",", dtype=np.int64, ndmin=1,
                             skiprows=int(header))
     except ValueError as exc:
         raise DataError(f"{labels_path}: labels must be integers ({exc})") from None
-    spec = SeedSpec(seed, "probe")
+    spec = SeedSpec(s["seed"], "probe")
     if arch == "linear":
         mean, std = frozen_head_classifier(emb, labels, folds, spec)
     else:
@@ -529,32 +491,26 @@ def _run_probe(cfg: Config, seed: int, out: Path) -> dict:
     return {"arch": arch, "folds": folds, "accuracy": mean, "std": std}
 
 
-def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
+def _run_vq_sweep(s: Settings, out: Path) -> dict:
+    """codebook size sweep: reconstruction vs geometry"""
     from .dynamics import gen_lorenz
-    from .quantize import rd_bound_codebook, vq_double_bind_sweep
+    from .quantize import check_sweep, rd_bound_codebook, vq_double_bind_sweep
 
-    source = _alone(cfg, "vq.data", "vq.n")
-    if source and cfg.get("vq.intrinsic_dim") is None:
-        raise ConfigError(
-            f"{cfg.source}: vq.data needs vq.intrinsic_dim (--intrinsic-dim), the d_M of "
-            "its Shannon column"
-        )
-    # d_M of the Shannon reference; 2.06 is the Lorenz attractor's dimension
-    d_m = cfg.get_float("vq.intrinsic_dim", 2.06)
+    source, d_m = s["vq.data"], s["vq.intrinsic_dim"]
+    if d_m is None:
+        if source:
+            raise ConfigError(f"{s.source}: vq.data needs vq.intrinsic_dim (--intrinsic-dim), "
+                              "the d_M of its Shannon column")
+        d_m = 2.06  # the Lorenz attractor's dimension, d_M of the Shannon reference
     if not (math.isfinite(d_m) and d_m > 0):
-        raise ConfigError(f"{cfg.source}: vq.intrinsic_dim must be finite and > 0, got {d_m}")
+        raise ConfigError(f"{s.source}: vq.intrinsic_dim must be finite and > 0, got {d_m}")
+    check_sweep(s["vq.k_values"], s["vq.sigma"])
     if source:
-        data = _loader(cfg)(source).data
+        data = _loader(s)(source).data
     else:
-        traj = gen_lorenz(SeedSpec(seed, "vq-lorenz"), cfg.get_int("vq.n", 2000, minimum=2))
-        data = traj.values
-    k_values = _int_list(cfg, "vq.k_values", (32, 64, 128, 256, 512, 1024))
-    curve = vq_double_bind_sweep(
-        data,
-        k_values,
-        sigma=cfg.get_float("vq.sigma", 0.05),
-        seed=SeedSpec(seed, "vq"),
-    )
+        data = gen_lorenz(SeedSpec(s["seed"], "vq-lorenz"), s["vq.n"]).values
+    curve = vq_double_bind_sweep(data, s["vq.k_values"], sigma=s["vq.sigma"],
+                                 seed=SeedSpec(s["seed"], "vq"))
     var = float(data.var())
     rows = [[k, mse, d, rd_bound_codebook(var, d_m, k)] for k, mse, d in curve.rows()]
     csv_lines = ["K,recon_mse,procrustes_D,shannon_D"]
@@ -568,16 +524,15 @@ def _run_vq_sweep(cfg: Config, seed: int, out: Path) -> dict:
     }
 
 
-def _run_fetch(cfg: Config, seed: int, out: Path) -> dict:
+def _run_fetch(s: Settings, out: Path) -> dict:
+    """fetch a genomic span (cached)"""
     from .ingest.cache import ResultCache
     from .ingest.fetch import FetchSpec, fetch_genome
 
-    output = Path(cfg.require("fetch.output"))
-    spec = FetchSpec(cfg.get("fetch.source", "genome-rest"), cfg.get("fetch.assembly", "hg38"),
-                     cfg.get("fetch.chrom", "chr22"), cfg.get_int("fetch.start", 0),
-                     cfg.get_int("fetch.end", 0), cfg.get("fetch.n_policy", "reject"),
-                     SeedSpec(seed, "fetch"))
-    seq = fetch_genome(spec, cache=ResultCache(cfg.get("fetch.cache_dir")))
+    seed, output = s["seed"], Path(s["fetch.output"])
+    spec = FetchSpec(s["fetch.source"], s["fetch.assembly"], s["fetch.chrom"], s["fetch.start"],
+                     s["fetch.end"], s["fetch.n_policy"], SeedSpec(seed, "fetch"))
+    seq = fetch_genome(spec, cache=ResultCache(s["fetch.cache_dir"]))
     header = f"{spec.assembly}:{spec.chromosome}:{spec.start}-{spec.end}" \
         if spec.source == "genome-rest" else f"synthetic seed={seed}"
     write_fasta([FastaRecord(header, seq.to_string())], output)
@@ -585,7 +540,8 @@ def _run_fetch(cfg: Config, seed: int, out: Path) -> dict:
     return {"files": {str(output): _sha256(output)}}
 
 
-# the experiments, each by its name in a config and on the command line
+# the experiments, each by its name in a config and on the command line; each
+# runner's docstring is its subcommand's help line
 RUNNERS = {
     "gen": _run_gen,
     "discretize": _run_discretize,
@@ -603,14 +559,93 @@ RUNNERS = {
     "fetch": _run_fetch,
 }
 
+MANIFEST = ("perturb.manifest",)
+INTERPOLATION = ("walk.mode=interpolation",)
+SPLITS = ("stability", "texture")
 
-def _int_list(cfg: Config, key: str, default: tuple) -> tuple:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    try:
-        return tuple(int(s) for s in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(
-            f"{cfg.source}: key {key!r}: {raw!r} is not a comma-separated integer list"
-        ) from exc
+# every config key, in the order of the config echo and of each subcommand's
+# flags; a key every experiment reads has a global flag
+KEYS = (
+    Key("seed", "--seed", dict.fromkeys(RUNNERS, 320), int),
+    Key("threads", "--threads", dict.fromkeys(RUNNERS, 1), int, minimum=1),
+    Key("io.csv_header", "--csv-header", dict.fromkeys(RUNNERS, False), boolean,
+        help="CSV inputs carry one header line to skip"),
+    Key("gen.system", "--system", {"gen": None}, choices=("waveform", "oscillator", "lorenz"),
+        required=True),
+    Key("gen.n", "--n", {"gen": 10}, int, minimum=1),
+    Key("gen.length", "--length", {"gen": 512}, int, minimum=2),
+    Key("gen.components", "--components", {"gen": 3}, int, minimum=1),
+    Key("discretize.input.<i>", "--input", {"discretize": {}}, required=True,
+        help="each path becomes a discretize.input.<i> key"),
+    Key("discretize.range", "--range", {"discretize": None}),
+    Key("discretize.bins", "--bins", {"discretize": 256}, int, minimum=1),
+    Key("perturb.input", "--input", {"perturb": None}, required=True, unread_with=MANIFEST),
+    Key("perturb.kind", "--kind", {"perturb": None}, required=True, unread_with=MANIFEST),
+    Key("perturb.rate", "--rate", {"perturb": 0.01}, float, unread_with=MANIFEST),
+    Key("perturb.magnitude", "--magnitude", {"perturb": 1.0}, float),
+    Key("perturb.output", "--output", {"perturb": None}, required=True, unread_with=MANIFEST),
+    Key("perturb.manifest", "--manifest", {"perturb": None},
+        help="CSV of input,kind,rate,seed rows"),
+    Key("stability.clean", "--clean", {"stability": None}, required=True),
+    Key("stability.pert.<name>", "--pert", {"stability": {}}, required=True,
+        help="repeatable perturbed matrix"),
+    Key("stability.deltas", "--deltas", {"stability": None}),
+    Key("stability.n_splits", "--splits", {"stability": 30, "texture": 10}, int, minimum=1),
+    Key("stability.max_samples", "--max-samples", dict.fromkeys(SPLITS, 2500), int, minimum=10),
+    Key("stability.n_bootstrap", "--bootstrap", {"stability": 5, "texture": 1}, int, minimum=1),
+    Key("stability.anchor_count", None, dict.fromkeys(SPLITS), int, minimum=1),
+    Key("stability.rank_normalize_anchors", None, dict.fromkeys(SPLITS, False), boolean),
+    Key("stability.composite_variant", "--composite-variant", {"stability": "anchor"},
+        choices=("anchor", "perturbation")),
+    Key("procrustes.clean", "--clean", {"procrustes": None}, required=True),
+    Key("procrustes.pert", "--pert", {"procrustes": None}, required=True),
+    Key("procrustes.export_rotation", "--export-rotation", {"procrustes": False}, boolean),
+    Key("walk.mode", "--mode", {"walk": "mutation"}, choices=("mutation", "interpolation")),
+    Key("walk.fasta", "--fasta", {"walk": None}, unread_with=INTERPOLATION),
+    Key("walk.n_mutations", "--n-mutations", {"walk": 120}, int, minimum=0,
+        unread_with=INTERPOLATION),
+    Key("walk.length", "--length", {"walk": 2000}, int, minimum=1,
+        unread_with=("walk.fasta", *INTERPOLATION)),
+    Key("walk.n_steps", "--steps", {"walk": 101, "walk-profiles": 101}, int, minimum=2,
+        unread_with=("walk.mode=mutation",)),
+    Key("walk.core_start", None, {"walk": None}, int, unread_with=INTERPOLATION),
+    Key("walk.core_end", None, {"walk": None}, int, unread_with=INTERPOLATION),
+    Key("lipschitz.embeddings", "--embeddings", {"lipschitz": None}, required=True),
+    Key("lipschitz.metric", "--metric", {"lipschitz": "cosine"}, choices=("cosine", "l2")),
+    Key("mine.features", "--features", {"mine": None}, required=True,
+        unread_with=("mine.features_fasta",)),
+    Key("mine.features_fasta", "--features-fasta", {"mine": None},
+        help="extract compositional features from FASTA instead"),
+    Key("mine.feature_kind", "--feature-kind", {"mine": "dna"}, choices=("dna", "protein"),
+        unread_with=("mine.features",)),
+    Key("mine.embeddings", "--embeddings", {"mine": None}, required=True),
+    Key("mine.n", "--n", {"mine-sanity": 2000}, int, minimum=2),
+    Key("mine.seeds", "--seeds", dict.fromkeys(("mine", "mine-sanity"), (320, 420, 520, 620, 720)),
+        int_list),
+    Key("mine.epochs", "--epochs", {"mine": 500}, int, minimum=1),
+    Key("mine.lr", None, {"mine": 1e-4}, float),
+    Key("mine.condition", "--condition", {"mine": "model"}),
+    Key("texture.fasta", "--fasta", {"texture": None}),
+    Key("texture.n", "--n", {"texture": 200}, int, unread_with=("texture.fasta",)),
+    Key("texture.length", "--length", {"texture": 400}, int, unread_with=("texture.fasta",)),
+    Key("probe.embeddings", "--embeddings", {"probe": None}, required=True),
+    Key("probe.labels", "--labels", {"probe": None}, required=True),
+    Key("probe.arch", "--arch", {"probe": "linear"}, choices=("linear", "mlp", "mlp-wide")),
+    Key("probe.folds", "--folds", {"probe": 5}, int, minimum=2),
+    Key("vq.data", "--data", {"vq-sweep": None}),
+    Key("vq.k_values", "--k-values", {"vq-sweep": (32, 64, 128, 256, 512, 1024)}, int_list),
+    Key("vq.sigma", "--sigma", {"vq-sweep": 0.05}, float),
+    Key("vq.intrinsic_dim", "--intrinsic-dim", {"vq-sweep": None}, float,
+        help="d_M of the Shannon D(R) column; required with --data "
+             "(default 2.06, the Lorenz attractor)"),
+    Key("vq.n", None, {"vq-sweep": 2000}, int, minimum=2, unread_with=("vq.data",)),
+    Key("fetch.source", "--source", {"fetch": "genome-rest"}, choices=("genome-rest", "synthetic")),
+    Key("fetch.assembly", "--assembly", {"fetch": "hg38"}),
+    Key("fetch.chrom", "--chrom", {"fetch": "chr22"}),
+    Key("fetch.start", "--start", {"fetch": 0}, int),
+    Key("fetch.end", "--end", {"fetch": 0}, int),
+    Key("fetch.n_policy", "--n-policy", {"fetch": "reject"}, choices=("reject", "replace")),
+    Key("fetch.output", "--output", {"fetch": None}, required=True),
+    Key("fetch.cache_dir", "--cache-dir", {"fetch": None},
+        help="default: $GEOTAX_CACHE or ~/.cache/geotax"),
+)

@@ -1,12 +1,14 @@
 """The config each pipeline subcommand hands to ``run_pipeline``, and the
 exit code of bad seeds and settings.
 
-``Config.dump()`` keeps insertion order and is written into ``report.json``
-as ``provenance.config_echo``, so the key order below is part of the
-report bytes.
+The CLI config holds the keys of the flags given, in the order of
+``report.KEYS``.  ``Config.dump()`` keeps that order and is written into
+``report.json`` as ``provenance.config_echo``, so the key order below is
+part of the report bytes.
 """
 
 import argparse
+import ast
 import json
 import shlex
 import struct
@@ -23,160 +25,140 @@ from geotax.core.io import write_embeddings
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.errors import ConfigError
 from geotax.ingest.config import Config
-from geotax.report import RUNNERS, run_pipeline
+from geotax.report import KEYS, RUNNERS, run_pipeline
 
 CONFIG_CASES = {
     "gen": (
         ["--seed", "5", "gen", "--system", "lorenz", "--n", "3"],
-        "experiment = gen\nseed = 5\nthreads = 1\nio.csv_header = false\n"
-        "gen.system = lorenz\ngen.n = 3\ngen.length = 512\ngen.components = 3\n",
+        "experiment = gen\nseed = 5\ngen.system = lorenz\ngen.n = 3\n",
     ),
     "discretize": (
         ["--csv-header", "discretize", "--input", "a.csv", "b.emb1", "--range", "r.csv",
          "--bins", "64"],
-        "experiment = discretize\nseed = 320\nthreads = 1\nio.csv_header = true\n"
+        "experiment = discretize\nio.csv_header = true\n"
         "discretize.input.0 = a.csv\ndiscretize.input.1 = b.emb1\ndiscretize.range = r.csv\n"
         "discretize.bins = 64\n",
     ),
     "perturb": (
         ["perturb", "--input", "in.fasta", "--kind", "substitute", "--rate", "0.05",
          "--output", "snp.fasta"],
-        "experiment = perturb\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "experiment = perturb\n"
         "perturb.input = in.fasta\nperturb.kind = substitute\nperturb.rate = 0.05\n"
-        "perturb.magnitude = 1.0\nperturb.output = snp.fasta\n",
+        "perturb.output = snp.fasta\n",
     ),
     "perturb-manifest": (
         ["perturb", "--manifest", "man.csv", "--magnitude", "2"],
-        "experiment = perturb\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "perturb.rate = 0.01\nperturb.magnitude = 2.0\nperturb.manifest = man.csv\n",
+        "experiment = perturb\nperturb.magnitude = 2\nperturb.manifest = man.csv\n",
     ),
     "stability": (
         ["--seed", "7", "--threads", "2", "stability", "--clean", "c.emb1",
          "--pert", "b=p2.emb1", "--pert", "a=p1.emb1", "--splits", "4"],
-        "experiment = stability\nseed = 7\nthreads = 2\nio.csv_header = false\n"
-        "stability.clean = c.emb1\nstability.n_splits = 4\nstability.max_samples = 2500\n"
-        "stability.n_bootstrap = 5\nstability.composite_variant = anchor\n"
-        "stability.pert.b = p2.emb1\nstability.pert.a = p1.emb1\n",
+        "experiment = stability\nseed = 7\nthreads = 2\n"
+        "stability.clean = c.emb1\nstability.pert.b = p2.emb1\nstability.pert.a = p1.emb1\n"
+        "stability.n_splits = 4\n",
     ),
     "stability-deltas": (
         ["--csv-header", "stability", "--clean", "c.csv", "--pert", "x=p.csv",
          "--deltas", "d.csv", "--max-samples", "100", "--bootstrap", "1",
          "--composite-variant", "perturbation"],
-        "experiment = stability\nseed = 320\nthreads = 1\nio.csv_header = true\n"
-        "stability.clean = c.csv\nstability.deltas = d.csv\nstability.n_splits = 30\n"
+        "experiment = stability\nio.csv_header = true\n"
+        "stability.clean = c.csv\nstability.pert.x = p.csv\nstability.deltas = d.csv\n"
         "stability.max_samples = 100\nstability.n_bootstrap = 1\n"
-        "stability.composite_variant = perturbation\nstability.pert.x = p.csv\n",
+        "stability.composite_variant = perturbation\n",
     ),
     "procrustes": (
         ["procrustes", "--clean", "c.emb1", "--pert", "p.emb1"],
-        "experiment = procrustes\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "procrustes.clean = c.emb1\nprocrustes.pert = p.emb1\n"
-        "procrustes.export_rotation = false\n",
+        "experiment = procrustes\nprocrustes.clean = c.emb1\nprocrustes.pert = p.emb1\n",
     ),
     "procrustes-export": (
         ["--csv-header", "procrustes", "--clean", "c.csv", "--pert", "p.csv",
          "--export-rotation"],
-        "experiment = procrustes\nseed = 320\nthreads = 1\nio.csv_header = true\n"
+        "experiment = procrustes\nio.csv_header = true\n"
         "procrustes.clean = c.csv\nprocrustes.pert = p.csv\nprocrustes.export_rotation = true\n",
     ),
     "walk": (
         ["walk"],
-        "experiment = walk\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "walk.mode = mutation\nwalk.n_mutations = 120\nwalk.length = 2000\nwalk.n_steps = 101\n",
+        "experiment = walk\n",
     ),
     "walk-profiles": (
         ["walk-profiles", "--steps", "5"],
-        "experiment = walk-profiles\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "walk.n_steps = 5\n",
+        "experiment = walk-profiles\nwalk.n_steps = 5\n",
     ),
     # fetch cases use the synthetic source, so no case could open a connection
     "fetch": (
         ["--seed", "9", "fetch", "--source", "synthetic", "--end", "200", "--output",
          "synth.fasta"],
-        "experiment = fetch\nseed = 9\nthreads = 1\nio.csv_header = false\n"
-        "fetch.source = synthetic\nfetch.assembly = hg38\nfetch.chrom = chr22\n"
-        "fetch.start = 0\nfetch.end = 200\nfetch.n_policy = reject\n"
-        "fetch.output = synth.fasta\n",
+        "experiment = fetch\nseed = 9\n"
+        "fetch.source = synthetic\nfetch.end = 200\nfetch.output = synth.fasta\n",
     ),
     "fetch-cache-dir": (
         ["fetch", "--source", "synthetic", "--assembly", "hg19", "--chrom", "chr1", "--start",
          "5", "--end", "9", "--n-policy", "replace", "--output", "o.fa", "--cache-dir", "cache"],
-        "experiment = fetch\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+        "experiment = fetch\n"
         "fetch.source = synthetic\nfetch.assembly = hg19\nfetch.chrom = chr1\n"
         "fetch.start = 5\nfetch.end = 9\nfetch.n_policy = replace\nfetch.output = o.fa\n"
         "fetch.cache_dir = cache\n",
     ),
     "walk-fasta": (
         ["--seed", "9", "walk", "--mode", "mutation", "--fasta", "w.fasta",
-         "--n-mutations", "5", "--length", "50", "--steps", "11"],
-        "experiment = walk\nseed = 9\nthreads = 1\nio.csv_header = false\n"
-        "walk.mode = mutation\nwalk.fasta = w.fasta\nwalk.n_mutations = 5\n"
-        "walk.length = 50\nwalk.n_steps = 11\n",
+         "--n-mutations", "5"],
+        "experiment = walk\nseed = 9\n"
+        "walk.mode = mutation\nwalk.fasta = w.fasta\nwalk.n_mutations = 5\n",
     ),
     "lipschitz": (
         ["lipschitz", "--embeddings", "e.emb1", "--metric", "l2"],
-        "experiment = lipschitz\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "lipschitz.embeddings = e.emb1\nlipschitz.metric = l2\n",
+        "experiment = lipschitz\nlipschitz.embeddings = e.emb1\nlipschitz.metric = l2\n",
     ),
     "mine": (
         ["mine", "--features", "x.emb1", "--embeddings", "z.emb1"],
-        "experiment = mine\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "mine.features = x.emb1\nmine.feature_kind = dna\nmine.embeddings = z.emb1\n"
-        "mine.epochs = 500\nmine.condition = model\n",
+        "experiment = mine\nmine.features = x.emb1\nmine.embeddings = z.emb1\n",
     ),
     "mine-fasta": (
         ["--threads", "3", "mine", "--features-fasta", "f.fasta", "--feature-kind",
          "protein", "--embeddings", "z.emb1", "--seeds", "1,2", "--epochs", "7",
          "--condition", "Shuffled"],
-        "experiment = mine\nseed = 320\nthreads = 3\nio.csv_header = false\n"
+        "experiment = mine\nthreads = 3\n"
         "mine.features_fasta = f.fasta\nmine.feature_kind = protein\nmine.embeddings = z.emb1\n"
         "mine.seeds = 1,2\nmine.epochs = 7\nmine.condition = Shuffled\n",
     ),
     "mine-sanity": (
         ["mine-sanity"],
-        "experiment = mine-sanity\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "mine.n = 2000\n",
+        "experiment = mine-sanity\n",
     ),
     "mine-sanity-seeds": (
         ["mine-sanity", "--n", "64", "--seeds", "320,420"],
-        "experiment = mine-sanity\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "mine.n = 64\nmine.seeds = 320,420\n",
+        "experiment = mine-sanity\nmine.n = 64\nmine.seeds = 320,420\n",
     ),
     "texture": (
         ["texture"],
-        "experiment = texture\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "texture.n = 200\ntexture.length = 400\nstability.n_splits = 10\n"
-        "stability.n_bootstrap = 1\n",
+        "experiment = texture\n",
     ),
     "texture-fasta": (
-        ["texture", "--fasta", "t.fasta", "--n", "10", "--length", "40",
-         "--splits", "2", "--bootstrap", "3"],
-        "experiment = texture\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "texture.fasta = t.fasta\ntexture.n = 10\ntexture.length = 40\n"
-        "stability.n_splits = 2\nstability.n_bootstrap = 3\n",
+        ["texture", "--fasta", "t.fasta", "--splits", "2", "--max-samples", "100",
+         "--bootstrap", "3"],
+        "experiment = texture\n"
+        "stability.n_splits = 2\nstability.max_samples = 100\nstability.n_bootstrap = 3\n"
+        "texture.fasta = t.fasta\n",
     ),
     "probe": (
         ["probe", "--embeddings", "e.emb1", "--labels", "l.csv"],
-        "experiment = probe\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "probe.embeddings = e.emb1\nprobe.labels = l.csv\nprobe.arch = linear\n"
-        "probe.folds = 5\n",
+        "experiment = probe\nprobe.embeddings = e.emb1\nprobe.labels = l.csv\n",
     ),
     "probe-mlp": (
         ["--csv-header", "probe", "--embeddings", "e.csv", "--labels", "l.csv",
          "--arch", "mlp", "--folds", "3"],
-        "experiment = probe\nseed = 320\nthreads = 1\nio.csv_header = true\n"
+        "experiment = probe\nio.csv_header = true\n"
         "probe.embeddings = e.csv\nprobe.labels = l.csv\nprobe.arch = mlp\n"
         "probe.folds = 3\n",
     ),
     "vq-sweep": (
         ["vq-sweep"],
-        "experiment = vq-sweep\nseed = 320\nthreads = 1\nio.csv_header = false\n"
-        "vq.k_values = 32,64,128,256,512,1024\nvq.sigma = 0.05\n",
+        "experiment = vq-sweep\n",
     ),
     "vq-sweep-data": (
         ["--seed", "0", "vq-sweep", "--data", "v.emb1", "--k-values", "4,8,16",
          "--sigma", "0.5"],
-        "experiment = vq-sweep\nseed = 0\nthreads = 1\nio.csv_header = false\n"
+        "experiment = vq-sweep\nseed = 0\n"
         "vq.data = v.emb1\nvq.k_values = 4,8,16\nvq.sigma = 0.5\n",
     ),
 }
@@ -196,18 +178,43 @@ def test_cli_pipeline_config_echo(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == f"report in {out_dir}\n"
 
 
-def test_pipeline_options_are_stored_under_config_keys():
-    """The subcommands are the experiments of ``report.RUNNERS`` and
-    ``report``.  An option stored under any other dest would never reach the
-    config, so every option of a pipeline subcommand has a dotted dest."""
+def keys_read_in_source() -> set[str]:
+    """Every key literal read from a runner's settings, ``s["..."]``, in
+    the source."""
+    return {
+        node.slice.value
+        for path in Path(cli.__file__).parent.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+        and node.value.id == "s" and isinstance(node.slice, ast.Constant)
+        and isinstance(node.slice.value, str)
+    }
+
+
+def test_key_table_census():
+    """``report.KEYS`` holds one row per key a runner reads and nothing
+    else, every row names experiments of ``report.RUNNERS``, and each
+    subcommand's options are exactly the flags of the rows its experiment
+    reads, stored under their keys; a row every experiment reads is a
+    global option."""
+    rows = [row.key for row in KEYS]
+    assert len(rows) == len(set(rows))
+    assert sorted(keys_read_in_source()) == sorted(rows)
+    assert all(row.reads and set(row.reads) <= set(RUNNERS) for row in KEYS)
     parser = cli.build_parser()
     subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert set(subparsers.choices) == set(RUNNERS) | {"report"}
+
+    def options(p):
+        return {(a.option_strings[0], a.dest) for a in p._actions if a.option_strings} - {
+            ("-h", "help"), ("--version", "version"), ("--out-dir", "out_dir")}
+
+    every = [row for row in KEYS if set(row.reads) == set(RUNNERS)]
+    assert options(parser) == {(row.flag, row.dest) for row in every}
     for command in RUNNERS:
-        dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
-        if command == "stability":
-            dests.remove("pert")  # NAME=PATH pairs become stability.pert.<name> keys
-        assert dests and all("." in dest for dest in dests), command
+        flagged = {(row.flag, row.dest) for row in KEYS
+                   if command in row.reads and row.flag and row not in every}
+        assert options(subparsers.choices[command]) == flagged, command
 
 
 @pytest.mark.parametrize("argv", [
@@ -944,9 +951,10 @@ def test_config_key_below_minimum_exit_2(experiment, key, value, minimum, pair, 
 
 @pytest.mark.parametrize("text, err", [
     ("experiment = gen\ngen.system = bogus\n",
-     "gen.system must be waveform, oscillator or lorenz"),
+     "key 'gen.system': 'bogus' is not one of waveform, oscillator, lorenz"),
     ("experiment = gen\ngen.system = lorenz\ngen.length = 1\n", "key 'gen.length': 1 is below 2"),
-    ("experiment = discretize\ndiscretize.bins = 8\n", "no discretize.input.<i> entries"),
+    ("experiment = discretize\ndiscretize.bins = 8\n",
+     "missing required key 'discretize.input.<i>'"),
     ("experiment = perturb\nperturb.input = a.emb1\nperturb.output = b.emb1\n",
      "missing required key 'perturb.kind'"),
 ], ids=["gen-system", "gen-length", "discretize-no-input", "perturb-no-kind"])
@@ -990,12 +998,12 @@ def test_config_mine_unknown_feature_kind_exits_2_before_reading(pair, tmp_path,
     _, pert = pair
     fasta = tmp_path / "f.fasta"
     fasta.write_text(">a\nACGTACGT\n")
-    code, _, run = _report_from_config(
+    code, config, run = _report_from_config(
         tmp_path, f"experiment = mine\nmine.features_fasta = {fasta}\n"
                   f"mine.feature_kind = rna\nmine.embeddings = {pert}\n")
     assert code == 2
     assert capsys.readouterr().err == (
-        "config error: mine.feature_kind must be dna or protein, got 'rna'\n"
+        f"config error: {config}: key 'mine.feature_kind': 'rna' is not one of dna, protein\n"
     )
     assert trained == []
     assert not (run / "report.json").exists()
@@ -1020,12 +1028,12 @@ def test_config_mine_repeated_seed_exits_2_before_training(experiment, pair, tmp
 
 
 def test_config_probe_unknown_arch_exits_2_before_reading(tmp_path, capsys):
-    code, _, run = _report_from_config(
+    code, config, run = _report_from_config(
         tmp_path, "experiment = probe\nprobe.arch = cnn\nprobe.embeddings = absent.emb1\n"
                   "probe.labels = absent.csv\n")
     assert code == 2
     assert capsys.readouterr().err == (
-        "config error: unknown probe arch 'cnn'; choose from ['linear', 'mlp', 'mlp-wide']\n"
+        f"config error: {config}: key 'probe.arch': 'cnn' is not one of linear, mlp, mlp-wide\n"
     )
     assert not run.exists()
 
@@ -1187,4 +1195,140 @@ def test_config_csv_breaking_perturbation_name_exits_2_before_reading(tmp_path, 
         f"config error: {config}: key 'stability.pert.lo,hi': 'lo,hi' holds a ',' or '\"', "
         "which would break its report.csv row\n"
     )
+    assert not run.exists()
+
+
+# Each runner's config next to the input files it would read, none of which
+# exists; the runners without an input file run on tiny settings.
+ABSENT_INPUTS = {
+    "gen": "gen.system = lorenz\ngen.n = 1\ngen.length = 8\n",
+    "discretize": "discretize.input.0 = absent.emb1\n",
+    "perturb": "perturb.input = absent.emb1\nperturb.kind = value_noise\n"
+               "perturb.output = o.emb1\n",
+    "stability": "stability.clean = absent.emb1\nstability.pert.a = absent.emb1\n",
+    "procrustes": "procrustes.clean = absent.emb1\nprocrustes.pert = absent.emb1\n",
+    "walk": "walk.fasta = absent.fasta\n",
+    "walk-profiles": "",
+    "lipschitz": "lipschitz.embeddings = absent.emb1\n",
+    "mine": "mine.features = absent.emb1\nmine.embeddings = absent.emb1\n",
+    "mine-sanity": "mine.n = 8\n",
+    "texture": "texture.fasta = absent.fasta\n",
+    "probe": "probe.embeddings = absent.emb1\nprobe.labels = absent.csv\n",
+    "vq-sweep": "vq.data = absent.emb1\nvq.intrinsic_dim = 2\nvq.k_values = 2,4,8\n",
+    "fetch": "fetch.source = synthetic\nfetch.end = 10\nfetch.output = o.fa\n",
+}
+
+# Per runner: a one-letter typo of one of its keys, a value out of range or
+# outside its choices, and a key that goes unread where the runner has one;
+# each exits 2 naming the key, with "{config}" standing for the config file.
+# Before the key table, every typo ran the defaults (exit 0) or reached the
+# absent input (exit 3).
+REFUSED = {
+    ("gen", "typo"): ("gen.component = 2", "{config}: unknown key 'gen.component' for "
+                      "experiment gen"),
+    ("gen", "value"): ("gen.components = 0", "{config}: key 'gen.components': 0 is below 1"),
+    ("discretize", "typo"): ("discretize.bin = 8", "{config}: unknown key 'discretize.bin' for "
+                             "experiment discretize"),
+    ("discretize", "value"): ("discretize.bins = 0",
+                              "{config}: key 'discretize.bins': 0 is below 1"),
+    ("perturb", "typo"): ("perturb.rat = 0.1", "{config}: unknown key 'perturb.rat' for "
+                          "experiment perturb"),
+    ("perturb", "value"): ("perturb.magnitude = big",
+                           "{config}: key 'perturb.magnitude': 'big' is not a number"),
+    ("perturb", "unread"): ("perturb.manifest = absent.csv",
+                            "{config}: key 'perturb.input' goes unread with "
+                            "perturb.manifest = absent.csv"),
+    ("stability", "typo"): ("stability.n_split = 3", "{config}: unknown key 'stability.n_split' "
+                            "for experiment stability"),
+    ("stability", "value"): ("stability.composite_variant = median",
+                             "{config}: key 'stability.composite_variant': 'median' is not one "
+                             "of anchor, perturbation"),
+    ("procrustes", "typo"): ("procrustes.export_rotatio = true", "{config}: unknown key "
+                             "'procrustes.export_rotatio' for experiment procrustes"),
+    ("procrustes", "value"): ("procrustes.export_rotation = maybe", "{config}: key "
+                              "'procrustes.export_rotation': 'maybe' is not a boolean"),
+    ("walk", "typo"): ("walk.n_mutation = 5", "{config}: unknown key 'walk.n_mutation' for "
+                       "experiment walk"),
+    ("walk", "value"): ("walk.n_mutations = -1",
+                        "{config}: key 'walk.n_mutations': -1 is below 0"),
+    ("walk", "unread"): ("walk.n_steps = 11", "{config}: key 'walk.n_steps' goes unread with "
+                         "walk.mode = mutation"),
+    ("walk-profiles", "typo"): ("walk.n_step = 5", "{config}: unknown key 'walk.n_step' for "
+                                "experiment walk-profiles"),
+    ("walk-profiles", "value"): ("walk.n_steps = 1",
+                                 "{config}: key 'walk.n_steps': 1 is below 2"),
+    ("lipschitz", "typo"): ("lipschitz.metrics = l2", "{config}: unknown key "
+                            "'lipschitz.metrics' for experiment lipschitz"),
+    ("lipschitz", "value"): ("lipschitz.metric = x",
+                             "{config}: key 'lipschitz.metric': 'x' is not one of cosine, l2"),
+    ("mine", "typo"): ("mine.epoch = 1", "{config}: unknown key 'mine.epoch' for experiment "
+                       "mine"),
+    ("mine", "value"): ("mine.epochs = 0", "{config}: key 'mine.epochs': 0 is below 1"),
+    ("mine", "unread"): ("mine.feature_kind = protein", "{config}: key 'mine.feature_kind' goes "
+                         "unread with mine.features = absent.emb1"),
+    ("mine-sanity", "typo"): ("mine.epoch = 1", "{config}: unknown key 'mine.epoch' for "
+                              "experiment mine-sanity"),
+    ("mine-sanity", "value"): ("mine.seeds = 1;2", "{config}: key 'mine.seeds': '1;2' is not a "
+                               "comma-separated integer list"),
+    ("texture", "typo"): ("texture.lengt = 40", "{config}: unknown key 'texture.lengt' for "
+                          "experiment texture"),
+    ("texture", "value"): ("stability.n_bootstrap = 0",
+                           "{config}: key 'stability.n_bootstrap': 0 is below 1"),
+    ("texture", "unread"): ("texture.n = 5", "{config}: key 'texture.n' goes unread with "
+                            "texture.fasta = absent.fasta"),
+    ("probe", "typo"): ("probe.fold = 3", "{config}: unknown key 'probe.fold' for experiment "
+                        "probe"),
+    ("probe", "value"): ("probe.arch = cnn",
+                         "{config}: key 'probe.arch': 'cnn' is not one of linear, mlp, mlp-wide"),
+    ("vq-sweep", "typo"): ("vq.sigm = 0.1", "{config}: unknown key 'vq.sigm' for experiment "
+                           "vq-sweep"),
+    ("vq-sweep", "value"): ("vq.sigma = 0", "vq.sigma must be finite and > 0, got 0.0"),
+    ("vq-sweep", "unread"): ("vq.n = 50",
+                             "{config}: key 'vq.n' goes unread with vq.data = absent.emb1"),
+    ("fetch", "typo"): ("fetch.chom = chr1", "{config}: unknown key 'fetch.chom' for experiment "
+                        "fetch"),
+    ("fetch", "value"): ("fetch.n_policy = keep",
+                         "{config}: key 'fetch.n_policy': 'keep' is not one of reject, replace"),
+}
+
+
+def test_every_runner_has_its_refused_config_faults():
+    assert {experiment for experiment, _ in REFUSED} == set(RUNNERS)
+
+
+@pytest.mark.parametrize("experiment, case", sorted(REFUSED),
+                         ids=[f"{experiment}-{case}" for experiment, case in sorted(REFUSED)])
+def test_config_fault_exits_2_naming_the_key_before_any_input_is_read(experiment, case,
+                                                                      tmp_path, capsys):
+    line, message = REFUSED[experiment, case]
+    code, config, run = _report_from_config(
+        tmp_path, f"experiment = {experiment}\n{ABSENT_INPUTS[experiment]}{line}\n")
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message.format(config=config)}\n"
+    assert not run.exists()
+
+
+# the report a `walk --length 200 --n-mutations 4` run wrote before the
+# config echo held only the keys given: it echoes every walk flag's default
+PRE_KEY_TABLE_WALK_REPORT = {
+    "experiment": "walk",
+    "provenance": {
+        "config_echo": "experiment = walk\nseed = 320\nthreads = 1\nio.csv_header = false\n"
+                       "walk.mode = mutation\nwalk.n_mutations = 4\nwalk.length = 200\n"
+                       "walk.n_steps = 101\n",
+        "seed": 320,
+        "version": "0.1.0",
+    },
+    "results": {"mode": "mutation", "steps": 5},
+}
+
+
+def test_rerun_of_a_report_that_echoes_an_unread_default_exits_2(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(PRE_KEY_TABLE_WALK_REPORT, sort_keys=True, indent=2) + "\n")
+    run = tmp_path / "rerun"
+    assert cli.main(["--out-dir", str(run), "report", "--rerun", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {report}#provenance: key 'walk.n_steps' goes unread with "
+        "walk.mode = mutation\n")
     assert not run.exists()

@@ -100,60 +100,60 @@ CASES = {
 
 DIGESTS = {
     "discretize": {
-        "run/report.json": "8a190905b44ae23896ab56763184f6b9ae5223b72aa50ea389a65c36724908f3",
+        "run/report.json": "edc73a44a7e907337042c721042929e5c2f6de7c05e55476c3c99c2404796588",
         "run/traj_a.sym.csv": "02cd046dac4d5fe142033213e511966d565b26abb7fc10d2a8e5fdf26e7e46e4",
         "run/traj_b.sym.csv": "4e17a3131c49ad4025d5a91e98e8f7da3b2bf85ddc105a3f222c7a79c51d4845",
     },
     "fetch-synthetic": {
-        "run/report.json": "e6982ae81f84d596b438fa65e127f774d0d26eaa0e30f64e7274a847da08f74e",
+        "run/report.json": "11885a46013a43bf4856fe20fc1f405704870673c482061d3e6f0f3d55473eea",
         "synth.fasta": "427a0b94838e649145160c093da65c2c3d764fb600e870b34606db5c737ed297",
     },
     "gen-lorenz": {
         "run/range.emb1": "2671ddc077be716a86fa02d0b53730eeee5437fcac0095cf668081c50bbf6bd5",
-        "run/report.json": "54ab580db1f17b53fcb7bfc3e896885871c5089301940cbd58da47b0c6e6fb65",
+        "run/report.json": "b5132864f8386dcda3813377605e1e8895de1a131a8b408aa5575320d023ac95",
         "run/traj_0000.emb1": "c25c4dc044e0c402b55534e1a47501db52a6a28edf7d114d2076e8e9c11141ac",
         "run/traj_0001.emb1": "966e163298c5ab3913c7d65df56801d67e22ef28686703431a31a51bbb72aeae",
     },
     "gen-oscillator": {
         "run/range.emb1": "a0ca88ec034dae8181fc248f6d0f5fa38e30aef2c52a7c57fd87b47b74c133b4",
-        "run/report.json": "7a5e1e1bff98760cde91c66a0c8337877e601e81e4845924fb883761592209e7",
+        "run/report.json": "d0f005d270900a565bee1e77698b40f5119c0ee2db49cf004dd025671dd0304a",
         "run/traj_0000.emb1": "a5479cb513c6c9e25a90597646924b16fe34eb8c56eeb0f59ef21405eac33bd7",
         "run/traj_0001.emb1": "f906f7e4bfb6d1f8ba02f6f9b60ebfe543ee26132ea0c1b3fe01e5582a2a111d",
     },
     "gen-waveform": {
         "run/range.emb1": "e4597ef5e03ce82b8877efacbd82e7769707648ba6420b4deee045e8bc882f60",
-        "run/report.json": "ebdf5e4ca6de3005baa674744338d370c7f9c125babde36c21cd27122bb3cc27",
+        "run/report.json": "f71017002b9a75cf4da075a19df75e6555ac6ad276617133ce0bc3186b54b70c",
         "run/traj_0000.emb1": "530151a8bfa75ab16640e2e7b312312168da632328cacdedca0a72883d6e8cfc",
         "run/traj_0001.emb1": "f79c63872dba219f73a179eaa6d77bf63ce184e740a0c2df1a93fd69577e8202",
     },
     "lipschitz-cosine": {
         "run/profile.csv": "fa5e4e11dd5c98ee33135679abb71714bc34ef7d79ad26086ff91db23d7b8242",
-        "run/report.json": "838159507e786556344078624ebe3d2bc9072c18803b196993750ad72de0f0b8",
+        "run/report.json": "ffd290cb6ee269f88e87b500a6c59840f0f1574536c3824f99ec24c93296eacc",
         "run/trajectory.svg": "cd666bce361aaca8dd36d4cf149875f7a4017821d4e0d306333fec29b3e0d819",
     },
     "lipschitz-l2": {
         "run/profile.csv": "6e67b19fa01d6061eb9d6c904b0e4664caea1884605d895eabad4d683609688e",
-        "run/report.json": "6086c206284cd58834fba2ad470ccfb81a3d22cb698cc8729641b4098d372488",
+        "run/report.json": "90155b8a28a1df107fb1ad8e4cb086934c5978cc0620835112539103274ffde2",
         "run/trajectory.svg": "cd666bce361aaca8dd36d4cf149875f7a4017821d4e0d306333fec29b3e0d819",
     },
     "mine-1-thread": {
         "run/report.csv": "1f148287e573e0622e50a88f6e272fe63b325bc436c861ac47d05e3ef152269b",
-        "run/report.json": "bbf652b731fa1565c36bf2b871f535751a453eb33d0da77fb63e135e628ac14b",
+        "run/report.json": "014f44ae6707a9681a26c34a0158812f3b8f57f5167249994c3deac778b337aa",
     },
     "mine-2-threads": {
         "run/report.csv": "1f148287e573e0622e50a88f6e272fe63b325bc436c861ac47d05e3ef152269b",
-        "run/report.json": "d2086ba6164adaa553a9737d66baaa78dee1b737945e09765f483b862fee1390",
+        "run/report.json": "bcb887f6da0aa08e65e3651dd4ee7a66d160cd09108e3fc70584ffb6bfe91080",
     },
     "mine-sanity": {
         "run/report.csv": "abff22db8156dfa3a706895e768f3eb6828fdf2dff5043f2fd801366ef662146",
-        "run/report.json": "8a1a3f24845ea4ac7f278f43f2b3ad194394ed07cc2919e85c6502521578c85f",
+        "run/report.json": "d44fdfa0df24b818b01b738f133d9e6c092d8462f57105a28d74721ad437bd06",
     },
     "perturb-file": {
         "noisy.emb1": "874601dc0c57ec10933d08a4f8113765ff63ab46e9ad946a517d141d2ca17b33",
-        "run/report.json": "7023f5c8ca27fadc7fd7bd5b080ec100abb53d6bb6211320d125b04264031e48",
+        "run/report.json": "cf566ed006d8a3ee8f489aeb7efd168d0e9486ad4aa54a85a08ea8f65084e4e8",
     },
     "perturb-manifest": {
-        "run/report.json": "fb0036d79ee6e030e4391c9d6bcacc2716c4024b7cd7dd75cb9cafcdc5c5fb7f",
+        "run/report.json": "33738e5f7b7ab429c20b3f0f67492e1dc20caae6994d341a482142065cb094e7",
         "run/seq.substitute.2.fasta":
             "742f34a92605697bf47494e80a6d597d95ab48ebdf1777c363f4b3c6e54a225e",
         "run/traj_a.value_noise.0.emb1":
@@ -163,51 +163,51 @@ DIGESTS = {
     },
     "probe-linear": {
         "run/report.csv": "f77d0c334bd2f7bb7e2abcd30f0d0628501fe0587843eae4a1709dae0e308257",
-        "run/report.json": "17470d8f9c93e1368cdba606ea9f5e0159619049fd16b27d3a7a875d3dc02323",
+        "run/report.json": "b8df0a981751453ebe26a689d884c630888a7640dcf224fa203b6bd0653bbed1",
     },
     "probe-mlp": {
         "run/report.csv": "1567550f51aa1af94e94b27fb26724ad450840e3beca262223adb99d7706b4ef",
-        "run/report.json": "f3046c5fc0e04b58fff44ad4d9c7c5e59e53130096e65897dd2dac5d96c96763",
+        "run/report.json": "5da73314657d22c93730644cb938d60f2b2e507484342ac7766e420b8dabc360",
     },
     "procrustes": {
-        "run/report.json": "250b1ac918065ad08243552fab7010cd46a1dc9f96b90ae9d6ab19a6e2ccbb44",
+        "run/report.json": "4222cd5e13c63d7f7f07280714a5b79d2a885062f8df87a762b3e7383495a87b",
         "run/rotation.emb1": "578805b998a1d465c82084f41336acdf3f9117f1ead12351871c2b091b8d50d7",
     },
     "report-rerun": {
         "rerun/report.csv": "8db9afab630a3a6350e0cb7f536d19d24a1840a06d3c45671b8344f5bfaefdef",
-        "rerun/report.json": "e7420ea95c1832f17a6e4a66448fca1726af01a64383a66ef1c5016414badc9f",
+        "rerun/report.json": "a7ff4720921ac3f1d04844729e5bc86910e5b8214d4463b73c32774e6666ac76",
         "rerun/report.ndjson": "6e26b2fc824d23c702981baf885f25b0e0e4a47a9dd4e320706c90531e6f9fe0",
         "run/report.csv": "8db9afab630a3a6350e0cb7f536d19d24a1840a06d3c45671b8344f5bfaefdef",
-        "run/report.json": "e7420ea95c1832f17a6e4a66448fca1726af01a64383a66ef1c5016414badc9f",
+        "run/report.json": "a7ff4720921ac3f1d04844729e5bc86910e5b8214d4463b73c32774e6666ac76",
         "run/report.ndjson": "6e26b2fc824d23c702981baf885f25b0e0e4a47a9dd4e320706c90531e6f9fe0",
     },
     "stability": {
         "run/report.csv": "8db9afab630a3a6350e0cb7f536d19d24a1840a06d3c45671b8344f5bfaefdef",
-        "run/report.json": "e7420ea95c1832f17a6e4a66448fca1726af01a64383a66ef1c5016414badc9f",
+        "run/report.json": "a7ff4720921ac3f1d04844729e5bc86910e5b8214d4463b73c32774e6666ac76",
         "run/report.ndjson": "6e26b2fc824d23c702981baf885f25b0e0e4a47a9dd4e320706c90531e6f9fe0",
     },
     "texture": {
         "run/report.csv": "72a1aa5a4e41d4c589d30c20c727155c726538897087fec2cc8b0ac3430fb952",
-        "run/report.json": "9358fbb566cc97d0e695f8df03186bd293e9e5ede17f227edb928377bc3e267a",
+        "run/report.json": "373fd1192c243960977434fcc31be6b12830a145ea2437a2810f68e9d339da16",
     },
     "vq-sweep": {
         "run/report.csv": "f37a28b69eade3dc9be8fb3d9be9bba4f19fbf7ee0ca0bcc0da4ff7215431fd8",
-        "run/report.json": "f252655621e1558cf2f45dd9aa587b19063661797fdb620322a30e8a1e379f90",
+        "run/report.json": "5a6717646b1d3ab1656d52cf3769089303d65b1872b85fcb927eafad40270a9a",
     },
     "walk-interpolation": {
-        "run/report.json": "6a3d9647fe8660f1ee052422f7aa71abfa111fd7513d42060c287583bc455ad1",
+        "run/report.json": "62af949a687a1fabdfabe5c7390fe8acf2c32355bea365ec876ec49e4852c6e0",
         "run/walk.emb1": "8f0663fc19dd7f7e363a38af7be737216591b4403c0bc50234ab0c2c6a56985f",
         "run/walk_steps.csv": "7e94fcd88e5411d5f98b34695d2ceb6f36c851a7967baa593d5b0c203266a41c",
     },
     "walk-mutation": {
-        "run/report.json": "9327a8677180ee4ee1197bb2a071ffc3bbf1245dbef4800e9d64958024f12565",
+        "run/report.json": "e80934e14dcfe7fd90a864e01e3471af5b0c6a49863b27a6b8ac07719519cb0f",
         "run/walk.fasta": "826cfbf03a355fecca96e8527c7916047c58e0fa272daa4d2f8e5fbc1a1c9a4b",
     },
     "walk-profiles": {
         "run/histogram_path.svg":
             "469bdb37aad9e9c7892dbd590ae1084e30438745629eea4e58c6c92a3c035055",
         "run/report.csv": "adf59dd6ad451dbad8131c81df3ab0de757d86e4e9de2aece43223f2a12dad84",
-        "run/report.json": "5218763b3b45f8cd0e7f70709834a22256d256596931148496208289e4b99780",
+        "run/report.json": "8a54f20035fb04794552e91e77951bae2be62ba336ab04edddeb2f679c0bdd31",
         "run/smooth_path.svg": "1061c6d3dd0cbe933091c5077eabe41b029f982566f72ba99369771cb2eceffd",
     },
 }

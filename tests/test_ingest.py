@@ -8,7 +8,7 @@ from geotax.core.rng import SeedSpec
 from geotax.core.sequence import DNA, PROTEIN
 from geotax.errors import ConfigError, DataError, NetworkError
 from geotax.ingest.cache import ResultCache, cache_key, canonical_key_string
-from geotax.ingest.config import Config
+from geotax.ingest.config import Config, Key, boolean, int_list
 from geotax.ingest.fasta import FastaRecord, parse_fasta, write_fasta
 from geotax.ingest.fetch import FetchSpec, fetch_genome, synthetic_sequence
 
@@ -105,20 +105,37 @@ def test_cache_round_trip(tmp_path):
 # -- config ---------------------------------------------------------------------
 
 
+# a key table for one experiment, "x": every parser, a bound, choices, a
+# family, a required key and the two forms of an unread condition
+TABLE = (
+    Key("n", "--n", {"x": 30}, int, minimum=1),
+    Key("rate", None, {"x": 0.5}, float),
+    Key("flag", None, {"x": False}, boolean),
+    Key("seeds", None, {"x": (1, 2)}, int_list),
+    Key("mode", None, {"x": "a"}, choices=("a", "b")),
+    Key("pert.<name>", None, {"x": {}}),
+    Key("path", None, {"x": None}, required=True, unread_with=("mode=b",)),
+    Key("length", None, {"x": 100}, int, unread_with=("path",)),
+    Key("other", None, {"y": 1}, int),
+)
+
+
 def test_config_parse_sections_and_types():
     cfg = Config.parse(
-        "experiment = stability\n"
+        "experiment = x\n"
         "# comment\n"
-        "stability.n_splits = 30\n"
-        "stability.pert.snp = data/snp.emb1\n"
+        "n = 30\n"
+        "pert.snp = data/snp.emb1\n"
         "flag = true\n"
         "rate = 0.05\n"
+        "path = a.emb1\n"
     )
-    assert cfg.require("experiment") == "stability"
-    assert cfg.get_int("stability.n_splits") == 30
-    assert cfg.get_bool("flag") is True
-    assert cfg.get_float("rate") == 0.05
-    assert cfg.section("stability.pert") == {"snp": "data/snp.emb1"}
+    settings = cfg.check(TABLE, "x")
+    assert settings == {"n": 30, "rate": 0.05, "flag": True, "seeds": (1, 2), "mode": "a",
+                        "pert.<name>": {"snp": "data/snp.emb1"}, "path": "a.emb1",
+                        "length": 100}
+    assert settings.source == "<string>"
+    assert TABLE[5].reads == {"x": {}}  # a family's items do not leak into its default
 
 
 def test_config_errors_carry_line_numbers():
@@ -128,10 +145,34 @@ def test_config_errors_carry_line_numbers():
 
 
 def test_config_missing_key_named():
-    cfg = Config.parse("a = 1\n", source="t.cfg")
+    cfg = Config.parse("experiment = x\n", source="t.cfg")
     with pytest.raises(ConfigError) as err:
-        cfg.require("experiment")
-    assert "experiment" in str(err.value)
+        cfg.check(TABLE, "x")
+    assert "'path'" in str(err.value)
+
+
+@pytest.mark.parametrize("text, err", [
+    ("n = 3.5", "key 'n': '3.5' is not an integer"),
+    ("rate = fast", "key 'rate': 'fast' is not a number"),
+    ("flag = maybe", "key 'flag': 'maybe' is not a boolean"),
+    ("seeds = 1,,2", "key 'seeds': '1,,2' is not a comma-separated integer list"),
+    ("n = 0", "key 'n': 0 is below 1"),
+    ("mode = c", "key 'mode': 'c' is not one of a, b"),
+    ("nn = 3", "unknown key 'nn' for experiment x"),
+    ("other = 3", "unknown key 'other' for experiment x"),
+    ("path = a.emb1\nlength = 5", "key 'length' goes unread with path = a.emb1"),
+    ("mode = b\npath = a.emb1", "key 'path' goes unread with mode = b"),
+    ("n = 3", "missing required key 'path'"),
+], ids=["int", "float", "bool", "int-list", "minimum", "choices", "typo", "other-experiment",
+        "unread-with-key", "unread-with-value", "required"])
+def test_config_check_refuses_a_key_naming_it(text, err):
+    cfg = Config.parse(f"experiment = x\n{text}\n", source="t.cfg")
+    with pytest.raises(ConfigError, match=f"^t.cfg: {re.escape(err)}$"):
+        cfg.check(TABLE, "x")
+
+
+def test_config_check_waives_a_required_key_where_it_goes_unread():
+    assert Config.parse("mode = b\n").check(TABLE, "x")["path"] is None
 
 
 def test_config_duplicate_key():

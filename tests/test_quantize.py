@@ -382,10 +382,11 @@ def test_kmeans_fit_holds_no_n_by_k_matrix(monkeypatch):
 
 
 # report.json of the sweep below, taken before the update was vectorised
-# and re-pinned when --data began to require --intrinsic-dim (only its
-# config echo changed); 11 of its 54 Lloyd iterations start with an empty
+# and re-pinned when --data began to require --intrinsic-dim and when the
+# config echo came to hold only the keys given (only its config echo
+# changed, each time); 11 of its 54 Lloyd iterations start with an empty
 # cluster
-VQ_3_COLUMN_REPORT_SHA256 = "c4f61a184057f47f9aa6a889f6957f837630f7431e76913ebb9f5e98c7b54cdf"
+VQ_3_COLUMN_REPORT_SHA256 = "6a6e946b94bfc8b97961379330255d851ede648f2126c8753dd4cc02a0b0c9ef"
 
 
 def test_vq_sweep_report_from_3_column_file_unchanged(tmp_path, monkeypatch):
@@ -401,9 +402,10 @@ def test_vq_sweep_report_from_3_column_file_unchanged(tmp_path, monkeypatch):
 
 
 # reports of the default sweep on 2000 Lorenz points, taken before the
-# Lorenz steps and the nearest-centroid search were rewritten
+# Lorenz steps and the nearest-centroid search were rewritten; report.json
+# re-pinned when the config echo came to hold only the keys given
 VQ_LORENZ_REPORT_SHA256 = {
-    "report.json": "ce63ff50ff39c3ac2e63866adeefe3af478a25c6525a0c818bf7ee54476405db",
+    "report.json": "6ebef0790853ce5b49ba250db44bc9170cd6169b0deca78ebf713b46e84ebf5b",
     "report.csv": "5f17eb8b315752af876a13c20e3d3033db8606b87d12a1b5f8bc13045131079d",
 }
 
