@@ -8,7 +8,7 @@ each ``--pert`` is a NAME=PATH pair under a new name; every other check
 is the table's or the runner's.  ``--help`` shows each flag's config key
 as its value name, unless the flag has fixed choices.  A run that
 succeeds prints ``report in <out-dir>``.
-Exit codes: 0 ok, 2 config error, 3 data error, 4 network error.
+Exit codes: 0 ok, 2 config error, 3 data error.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, DataError, GeotaxError, NetworkError
+from .errors import ConfigError, DataError
 from .ingest.config import Config, boolean
 from .report import KEYS, RUNNERS, rerun_from_provenance, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_NETWORK = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,10 +106,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NetworkError as exc:
-        print(f"network error: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
-    except (DataError, GeotaxError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     print(f"report in {args.out_dir}")

@@ -72,11 +72,14 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
 
 
 def read_text(path: str | Path, error: type[Exception]) -> str:
-    """The text of a UTF-8 file; other bytes raise ``error`` naming the file."""
+    """The text of a UTF-8 file; other bytes raise ``error`` naming the
+    file, and a file that cannot be read raises ``DataError``."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def read_embeddings_csv(path: str | Path, header: bool = False) -> EmbeddingMatrix:

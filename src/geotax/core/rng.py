@@ -23,7 +23,7 @@ DEFAULT_SEED = 320
 
 
 def fnv1a64(data: bytes | str) -> int:
-    """64-bit FNV-1a hash; used for stream keys and cache keys."""
+    """64-bit FNV-1a hash; used for stream keys."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     h = FNV_OFFSET

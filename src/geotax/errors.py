@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-Every failure is one of three families, and each maps onto a CLI exit
-code: ``ConfigError`` -> 2, ``DataError`` -> 3, ``NetworkError`` -> 4.
-The message names the cause (file and line, row, or the bad value); no
-caller tells causes apart by type.
+Every failure is one of two families, and each maps onto a CLI exit
+code: ``ConfigError`` -> 2, ``DataError`` -> 3.  The message names the
+cause (file and line, row, or the bad value); no caller tells causes
+apart by type.
 """
 
 
@@ -16,8 +16,4 @@ class ConfigError(GeotaxError):
 
 
 class DataError(GeotaxError):
-    """Invalid or inconsistent input data."""
-
-
-class NetworkError(GeotaxError):
-    """Remote fetch failed and no cache entry was available."""
+    """Invalid or inconsistent input data, or an input that cannot be read."""

@@ -1,2 +1,2 @@
-"""Data ingestion: FASTA parsing, genome REST client with caching,
-flat key=value configuration, and the deterministic result cache."""
+"""Data ingestion: FASTA parsing and writing, and flat key=value
+configuration checked against a key table."""

@@ -476,9 +476,9 @@ def _run_probe(s: Settings, out: Path) -> dict:
     arch, folds, header = s["probe.arch"], s["probe.folds"], s["io.csv_header"]
     emb = load_matrix(s["probe.embeddings"], csv_header=header)
     labels_path = s["probe.labels"]
+    lines = read_text(labels_path, DataError).split("\n")
     try:
-        labels = np.loadtxt(labels_path, delimiter=",", dtype=np.int64, ndmin=1,
-                            skiprows=int(header))
+        labels = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=1, skiprows=int(header))
     except ValueError as exc:
         raise DataError(f"{labels_path}: labels must be integers ({exc})") from None
     spec = SeedSpec(s["seed"], "probe")
@@ -524,22 +524,6 @@ def _run_vq_sweep(s: Settings, out: Path) -> dict:
     }
 
 
-def _run_fetch(s: Settings, out: Path) -> dict:
-    """fetch a genomic span (cached)"""
-    from .ingest.cache import ResultCache
-    from .ingest.fetch import FetchSpec, fetch_genome
-
-    seed, output = s["seed"], Path(s["fetch.output"])
-    spec = FetchSpec(s["fetch.source"], s["fetch.assembly"], s["fetch.chrom"], s["fetch.start"],
-                     s["fetch.end"], s["fetch.n_policy"], SeedSpec(seed, "fetch"))
-    seq = fetch_genome(spec, cache=ResultCache(s["fetch.cache_dir"]))
-    header = f"{spec.assembly}:{spec.chromosome}:{spec.start}-{spec.end}" \
-        if spec.source == "genome-rest" else f"synthetic seed={seed}"
-    write_fasta([FastaRecord(header, seq.to_string())], output)
-    # --output as configured, as single-file perturb names it
-    return {"files": {str(output): _sha256(output)}}
-
-
 # the experiments, each by its name in a config and on the command line; each
 # runner's docstring is its subcommand's help line
 RUNNERS = {
@@ -556,7 +540,6 @@ RUNNERS = {
     "texture": _run_texture,
     "probe": _run_probe,
     "vq-sweep": _run_vq_sweep,
-    "fetch": _run_fetch,
 }
 
 MANIFEST = ("perturb.manifest",)
@@ -639,13 +622,4 @@ KEYS = (
         help="d_M of the Shannon D(R) column; required with --data "
              "(default 2.06, the Lorenz attractor)"),
     Key("vq.n", None, {"vq-sweep": 2000}, int, minimum=2, unread_with=("vq.data",)),
-    Key("fetch.source", "--source", {"fetch": "genome-rest"}, choices=("genome-rest", "synthetic")),
-    Key("fetch.assembly", "--assembly", {"fetch": "hg38"}),
-    Key("fetch.chrom", "--chrom", {"fetch": "chr22"}),
-    Key("fetch.start", "--start", {"fetch": 0}, int),
-    Key("fetch.end", "--end", {"fetch": 0}, int),
-    Key("fetch.n_policy", "--n-policy", {"fetch": "reject"}, choices=("reject", "replace")),
-    Key("fetch.output", "--output", {"fetch": None}, required=True),
-    Key("fetch.cache_dir", "--cache-dir", {"fetch": None},
-        help="default: $GEOTAX_CACHE or ~/.cache/geotax"),
 )

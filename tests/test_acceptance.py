@@ -14,16 +14,13 @@ import pytest
 
 from test_core import spearman_oracle
 from test_quantize import voronoi_crossing_oracle
-from test_ingest import RecordingTransport, fetch_served
 
 from geotax.core.embedding import EmbeddingMatrix
 from geotax.core.io import write_embeddings
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.stats import spearman_checked
 from geotax.dynamics import butterfly_test, estimate_lle, gen_lorenz, lorenz_twins
-from geotax.ingest.cache import ResultCache
 from geotax.ingest.config import Config
-from geotax.ingest.fetch import FetchSpec
 from geotax.mine.estimator import sanity_suite
 from geotax.mine.mlp import MLP
 from geotax.mine.probes import mlp_probe_cv
@@ -265,7 +262,7 @@ def test_acceptance_9_probe_diagnostics():
 # 10 --------------------------------------------------------------------------
 
 
-def test_acceptance_10_end_to_end_determinism(tmp_path, monkeypatch):
+def test_acceptance_10_end_to_end_determinism(tmp_path):
     rng = rng_create(SeedSpec(320, "acc-e2e"))
     x = rng.standard_normal((100, 10))
     clean = tmp_path / "clean.emb1"
@@ -282,19 +279,7 @@ def test_acceptance_10_end_to_end_determinism(tmp_path, monkeypatch):
     files1 = {p.name: p.read_bytes() for p in sorted(run1.iterdir())}
     files2 = {p.name: p.read_bytes() for p in sorted(run2.iterdir())}
     assert files1 == files2
-    # cache hits byte-equal cold runs
-    dna = "ACGTTGCAGG" * 40
-    spec = FetchSpec(chromosome="chr9", start=0, end=400)
-    response = (200, json.dumps({"dna": dna}).encode())
-    cold = fetch_served(monkeypatch, spec, RecordingTransport(default=response),
-                        ResultCache(tmp_path / "cold"))
-    cache = ResultCache(tmp_path / "cache")
-    fetch_served(monkeypatch, spec, RecordingTransport(default=response), cache)
-    offline = RecordingTransport(default=(500, b""))
-    warm = fetch_served(monkeypatch, spec, offline, cache)
-    assert (warm.symbols == cold.symbols).all()
-    assert offline.calls == []
-    announce(10, "provenance rerun + cache hits byte-identical")
+    announce(10, "provenance rerun byte-identical")
 
 
 # 11 --------------------------------------------------------------------------

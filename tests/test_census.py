@@ -23,9 +23,16 @@ overrides is a path no subcommand reaches.  A call
 that passes the parameter's own default literal again does not count.
 Calls are matched by name alone.  The parameters of the functions on
 ``ALLOWLIST`` are skipped; ``SEAMS`` holds the parameters only the tests
-pass, each with its reason, and must match exactly too."""
+pass, each with its reason, and must match exactly too.
+
+Every module an ``import`` in ``src/`` names, at any depth, is in the
+standard library, is ``geotax``, or is a declared dependency of
+``pyproject.toml``, and every declared dependency is imported."""
 
 import ast
+import re
+import sys
+import tomllib
 from collections import Counter
 from pathlib import Path
 
@@ -250,3 +257,24 @@ def test_every_defaulted_parameter_is_passed_by_a_caller_or_is_a_seam():
     found = unpassed_parameters()
     assert sorted(found - SEAMS.keys()) == [], "never passed: delete the parameter's path"
     assert sorted(SEAMS.keys() - found) == [], "passed by a caller now: drop from SEAMS"
+
+
+def imported_packages() -> set[str]:
+    """The top-level package of every absolute import in the source."""
+    names = set()
+    for _, tree in parsed(SRC):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_import_is_stdlib_geotax_or_a_declared_dependency():
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[\s\[<>=!~;]", dep, maxsplit=1)[0].lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    third_party = imported_packages() - set(sys.stdlib_module_names) - {"geotax"}
+    assert sorted(third_party - declared) == [], "imported but not a declared dependency"
+    assert sorted(declared - third_party) == [], "declared but never imported"

@@ -84,21 +84,6 @@ CONFIG_CASES = {
         ["walk-profiles", "--steps", "5"],
         "experiment = walk-profiles\nwalk.n_steps = 5\n",
     ),
-    # fetch cases use the synthetic source, so no case could open a connection
-    "fetch": (
-        ["--seed", "9", "fetch", "--source", "synthetic", "--end", "200", "--output",
-         "synth.fasta"],
-        "experiment = fetch\nseed = 9\n"
-        "fetch.source = synthetic\nfetch.end = 200\nfetch.output = synth.fasta\n",
-    ),
-    "fetch-cache-dir": (
-        ["fetch", "--source", "synthetic", "--assembly", "hg19", "--chrom", "chr1", "--start",
-         "5", "--end", "9", "--n-policy", "replace", "--output", "o.fa", "--cache-dir", "cache"],
-        "experiment = fetch\n"
-        "fetch.source = synthetic\nfetch.assembly = hg19\nfetch.chrom = chr1\n"
-        "fetch.start = 5\nfetch.end = 9\nfetch.n_policy = replace\nfetch.output = o.fa\n"
-        "fetch.cache_dir = cache\n",
-    ),
     "walk-fasta": (
         ["--seed", "9", "walk", "--mode", "mutation", "--fasta", "w.fasta",
          "--n-mutations", "5"],
@@ -222,13 +207,12 @@ def test_key_table_census():
     ["report", "--config", "a.cfg", "--rerun", "r.json"],
     ["--config", "x.cfg", "report"],
     ["--format", "csv", "probe", "--embeddings", "e.emb1", "--labels", "l.csv"],
-    ["--cache-dir", "d", "fetch", "--source", "synthetic", "--end", "10", "--output", "o.fa"],
+    ["--cache-dir", "d", "walk"],
+    ["fetch", "--source", "synthetic", "--end", "10", "--output", "o.fa"],
 ], ids=["report-bare", "report-config-and-rerun", "global-config", "global-format",
-        "global-cache-dir"])
+        "global-cache-dir", "removed-fetch"])
 def test_cli_report_source_and_removed_global_flags_exit_2(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_pipeline", lambda cfg, out: pytest.fail("must not run"))
-    monkeypatch.setattr("geotax.ingest.fetch.fetch_genome",
-                        lambda *a, **k: pytest.fail("must not fetch"))
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -599,48 +583,6 @@ def test_cli_mine_repeated_seed_exits_2_before_training(experiment, pair, tmp_pa
     )
     assert trained == []
     assert not (run / "report.json").exists()
-
-
-@pytest.mark.parametrize("span", [("60", "50"), ("0", "0")], ids=["reversed", "empty"])
-def test_cli_fetch_synthetic_empty_or_reversed_span_exit_2(span, tmp_path, capsys):
-    start, end = span
-    output, run = tmp_path / "o.fa", tmp_path / "run"
-    argv = ["--out-dir", str(run), "fetch", "--source", "synthetic", "--start", start,
-            "--end", end, "--output", str(output)]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
-    assert not output.exists()
-    assert not run.exists()
-
-
-def _refused(url):
-    raise OSError("connection refused")
-
-
-@pytest.mark.parametrize("transport", [_refused, lambda url: (503, b"")],
-                         ids=["os-error", "status-503"])
-def test_cli_fetch_network_failure_exit_4(transport, tmp_path, capsys, monkeypatch):
-    # the stand-in transport is the only one reachable, so no connection is opened
-    monkeypatch.setattr("geotax.ingest.fetch.default_transport", transport)
-    output, run = tmp_path / "o.fa", tmp_path / "run" / "fetch"
-    argv = ["--out-dir", str(run), "fetch", "--source", "genome-rest", "--start", "0",
-            "--end", "10", "--cache-dir", str(tmp_path / "cache"), "--output", str(output)]
-    assert cli.main(argv) == 4
-    assert capsys.readouterr().err.startswith("network error:")
-    assert not output.exists()
-    # the run removes the directories it created
-    assert not (tmp_path / "run").exists()
-
-
-def test_cli_stray_genome_fetch_exits_4_without_a_connection(tmp_path, capsys):
-    # conftest's stand-in default transport refuses every URL
-    output = tmp_path / "o.fa"
-    argv = ["--out-dir", str(tmp_path / "run"), "fetch", "--source", "genome-rest", "--start",
-            "0", "--end", "10", "--cache-dir", str(tmp_path / "cache"), "--output", str(output)]
-    assert cli.main(argv) == 4
-    assert capsys.readouterr().err.startswith(
-        "network error: fetch failed: tests open no connection: ")
-    assert not output.exists()
 
 
 def test_cli_fasta_not_utf8_exit_3(tmp_path, capsys):
@@ -1215,7 +1157,6 @@ ABSENT_INPUTS = {
     "texture": "texture.fasta = absent.fasta\n",
     "probe": "probe.embeddings = absent.emb1\nprobe.labels = absent.csv\n",
     "vq-sweep": "vq.data = absent.emb1\nvq.intrinsic_dim = 2\nvq.k_values = 2,4,8\n",
-    "fetch": "fetch.source = synthetic\nfetch.end = 10\nfetch.output = o.fa\n",
 }
 
 # Per runner: a one-letter typo of one of its keys, a value out of range or
@@ -1285,10 +1226,6 @@ REFUSED = {
     ("vq-sweep", "value"): ("vq.sigma = 0", "vq.sigma must be finite and > 0, got 0.0"),
     ("vq-sweep", "unread"): ("vq.n = 50",
                              "{config}: key 'vq.n' goes unread with vq.data = absent.emb1"),
-    ("fetch", "typo"): ("fetch.chom = chr1", "{config}: unknown key 'fetch.chom' for experiment "
-                        "fetch"),
-    ("fetch", "value"): ("fetch.n_policy = keep",
-                         "{config}: key 'fetch.n_policy': 'keep' is not one of reject, replace"),
 }
 
 
@@ -1305,6 +1242,39 @@ def test_config_fault_exits_2_naming_the_key_before_any_input_is_read(experiment
         tmp_path, f"experiment = {experiment}\n{ABSENT_INPUTS[experiment]}{line}\n")
     assert code == 2
     assert capsys.readouterr().err == f"config error: {message.format(config=config)}\n"
+    assert not run.exists()
+
+
+# Every config of ABSENT_INPUTS that names an absent file, and the inputs
+# read after the first one or in place of it; probe's embeddings exist, so
+# that its labels are read.
+ABSENT_FILE_CONFIGS = {
+    **{experiment: f"experiment = {experiment}\n{text}"
+       for experiment, text in ABSENT_INPUTS.items() if "absent." in text},
+    "perturb-fasta": "experiment = perturb\nperturb.input = absent.fasta\n"
+                     "perturb.kind = substitute\nperturb.output = o.fasta\n",
+    "perturb-manifest": "experiment = perturb\nperturb.manifest = absent.csv\n",
+    "mine-features-fasta": "experiment = mine\nmine.features_fasta = absent.fasta\n"
+                           "mine.embeddings = absent.emb1\n",
+    "probe-labels": "experiment = probe\nprobe.embeddings = present.emb1\n"
+                    "probe.labels = absent.csv\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ABSENT_FILE_CONFIGS))
+def test_absent_input_exits_3_naming_the_file(case, tmp_path, capsys):
+    write_embeddings(tmp_path / "present.emb1", EmbeddingMatrix(np.eye(4)))
+    code, _, run = _report_from_config(tmp_path, ABSENT_FILE_CONFIGS[case])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error: cannot read absent.")
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("source", ["--config", "--rerun"])
+def test_absent_report_source_exits_3_naming_the_file(source, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert cli.main(["--out-dir", str(run), "report", source, "absent.cfg"]) == 3
+    assert capsys.readouterr().err.startswith("data error: cannot read absent.cfg: ")
     assert not run.exists()
 
 
@@ -1331,4 +1301,30 @@ def test_rerun_of_a_report_that_echoes_an_unread_default_exits_2(tmp_path, capsy
     assert capsys.readouterr().err == (
         f"config error: {report}#provenance: key 'walk.n_steps' goes unread with "
         "walk.mode = mutation\n")
+    assert not run.exists()
+
+
+# the report of a `--seed 9 fetch --source synthetic --end 200 --output
+# synth.fasta` run, written while geotax had a fetch subcommand
+FETCH_REPORT = {
+    "experiment": "fetch",
+    "provenance": {
+        "config_echo": "experiment = fetch\nseed = 9\nfetch.source = synthetic\n"
+                       "fetch.end = 200\nfetch.output = synth.fasta\n",
+        "seed": 9,
+        "version": "0.1.0",
+    },
+    "results": {"files": {
+        "synth.fasta": "427a0b94838e649145160c093da65c2c3d764fb600e870b34606db5c737ed297"}},
+}
+
+
+def test_rerun_of_a_fetch_report_exits_2(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(FETCH_REPORT, sort_keys=True, indent=2) + "\n")
+    run = tmp_path / "rerun"
+    assert cli.main(["--out-dir", str(run), "report", "--rerun", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {report}#provenance: unknown experiment 'fetch'; "
+        f"choose from {sorted(RUNNERS)}\n")
     assert not run.exists()

@@ -186,8 +186,6 @@ FLAG_BASES = {
     "mine-sanity": ["mine-sanity", "--n", "32", "--seeds", "1"],
     "texture": ["texture", "--n", "10", "--length", "40", "--splits", "2"],
     "probe": ["probe", "--embeddings", "c.emb1", "--labels", "labels.csv"],
-    # the synthetic source never opens a connection
-    "fetch": ["fetch", "--source", "synthetic", "--output", "o.fa", "--end", "50"],
     "vq-sweep": ["vq-sweep", "--data", "v.emb1", "--k-values", "2,4,8", "--sigma", "0.5",
                  "--intrinsic-dim", "2"],
 }
@@ -244,9 +242,6 @@ FLAG_CASES = {
     ("texture", "--splits"): below(1),
     ("texture", "--bootstrap"): below(1),
     ("probe", "--folds"): st.one_of(below(2), st.integers(41, 2**40).map(str)),
-    # small, so that without the span check the sequence stays small too
-    ("fetch", "--start"): st.one_of(st.integers(-1000, -1).map(str), NOT_AN_INT),
-    ("fetch", "--end"): below(0),
     ("vq-sweep", "--k-values"): int_list(st.integers(max_value=1)),
     ("vq-sweep", "--sigma"): NOT_POSITIVE,
     ("vq-sweep", "--intrinsic-dim"): NOT_POSITIVE,

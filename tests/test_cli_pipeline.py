@@ -415,22 +415,7 @@ def test_cli_walk_profiles_of_two_steps_draw_both_paths(tmp_path):
         assert (run / f"{name}_path.svg").read_text().startswith("<svg")
 
 
-def test_cli_fetch_synthetic_and_report_rerun(tmp_path):
-    fasta = tmp_path / "synth.fasta"
-    run = tmp_path / "fetch"
-    assert main(["--seed", "9", "--out-dir", str(run), "fetch", "--source", "synthetic",
-                 "--end", "200", "--output", str(fasta)]) == 0
-    text = fasta.read_text()
-    assert text.startswith(">synthetic seed=9\n")
-    digest = hashlib.sha256(fasta.read_bytes()).hexdigest()
-    report = json.loads((run / "report.json").read_text())
-    assert report["results"] == {"files": {str(fasta): digest}}
-    fasta.unlink()
-    rerun = tmp_path / "fetch-rerun"
-    assert main(["--out-dir", str(rerun), "report", "--rerun", str(run / "report.json")]) == 0
-    assert fasta.read_text() == text
-    assert read_all_bytes(rerun) == read_all_bytes(run)
-
+def test_cli_report_config_and_rerun(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
         "experiment = texture\nseed = 320\ntexture.n = 40\ntexture.length = 120\n"

@@ -409,8 +409,7 @@ def test_cli_import_leaves_experiment_modules_unloaded():
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
     )
     names = ["geotax.mine", "geotax.quantize", "geotax.procrustes", "geotax.texture",
-             "geotax.walks", "geotax.stability", "geotax.ingest.fetch", "geotax.ingest.cache",
-             "geotax.dynamics", "geotax.perturb"]
+             "geotax.walks", "geotax.stability", "geotax.dynamics", "geotax.perturb"]
     code = f"import sys, geotax.cli; print([n for n in {names!r} if n in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)

@@ -82,8 +82,6 @@ CASES = {
     "walk-interpolation": [["--out-dir", "run", "walk", "--mode", "interpolation", "--steps",
                             "4"]],
     "walk-profiles": [["--out-dir", "run", "walk-profiles"]],
-    "fetch-synthetic": [["--seed", "9", "--out-dir", "run", "fetch", "--source", "synthetic",
-                         "--end", "200", "--output", "synth.fasta"]],
     "lipschitz-cosine": [["--out-dir", "run", "lipschitz", "--embeddings", "traj_a.emb1"]],
     "lipschitz-l2": [["--out-dir", "run", "lipschitz", "--embeddings", "traj_a.emb1",
                       "--metric", "l2"]],
@@ -103,10 +101,6 @@ DIGESTS = {
         "run/report.json": "edc73a44a7e907337042c721042929e5c2f6de7c05e55476c3c99c2404796588",
         "run/traj_a.sym.csv": "02cd046dac4d5fe142033213e511966d565b26abb7fc10d2a8e5fdf26e7e46e4",
         "run/traj_b.sym.csv": "4e17a3131c49ad4025d5a91e98e8f7da3b2bf85ddc105a3f222c7a79c51d4845",
-    },
-    "fetch-synthetic": {
-        "run/report.json": "11885a46013a43bf4856fe20fc1f405704870673c482061d3e6f0f3d55473eea",
-        "synth.fasta": "427a0b94838e649145160c093da65c2c3d764fb600e870b34606db5c737ed297",
     },
     "gen-lorenz": {
         "run/range.emb1": "2671ddc077be716a86fa02d0b53730eeee5437fcac0095cf668081c50bbf6bd5",
