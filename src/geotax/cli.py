@@ -99,6 +99,9 @@ def main(argv=None) -> int:
     try:
         if args.command != "report":
             run_pipeline(_config(args), args.out_dir)
+        elif flagged := [row for row in KEYS if getattr(args, row.dest, None) is not None]:
+            raise ConfigError(f"report does not read {flagged[0].flag}; the config key "
+                              f"{flagged[0].key!r} sets it")
         elif args.rerun:
             rerun_from_provenance(args.rerun, args.out_dir)
         else:

@@ -1,4 +1,4 @@
-"""Embedding interchange formats.
+"""File access, all of it through ``read_bytes`` and ``write_file``, and the embedding formats.
 
 Binary "EMB1": magic bytes ``EMB1``, u32 little-endian n, u32 little-endian
 d, then n*d little-endian f32 values row-major, then a u8 label flag and,
@@ -10,6 +10,7 @@ precision, with no header by default.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from pathlib import Path
 
@@ -21,26 +22,49 @@ from .embedding import EmbeddingMatrix
 MAGIC = b"EMB1"
 
 
-def write_embeddings(path: str | Path, x: EmbeddingMatrix) -> None:
-    data32 = x.data.astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", x.n, x.d))
-        fh.write(data32.tobytes(order="C"))
-        if x.labels is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            fh.write(x.labels.astype("<u4").tobytes())
-
-
-def read_embeddings(path: str | Path) -> EmbeddingMatrix:
+def read_bytes(path: str | Path) -> bytes:
     try:
-        raw = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(raw) < 4 or raw[:4] != MAGIC:
-        raise DataError(f"{path}: expected magic {MAGIC!r}")
+
+
+def write_file(path: str | Path, content: str | bytes) -> str:
+    """Write ``content``, a ``str`` as UTF-8; returns the SHA-256 hex digest of its bytes."""
+    data = content.encode("utf-8") if isinstance(content, str) else content
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    return hashlib.sha256(data).hexdigest()
+
+
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file, newlines translated; other bytes raise ``error``."""
+    return _decode(path, read_bytes(path), error)
+
+
+def _decode(path: str | Path, raw: bytes, error: type[Exception]) -> str:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def write_embeddings(path: str | Path, x: EmbeddingMatrix) -> str:
+    """Write ``x`` as EMB1; returns the file's SHA-256 hex digest."""
+    flag = 12 + 4 * x.n * x.d
+    buf = bytearray(flag + 1 + (0 if x.labels is None else 4 * x.n))
+    struct.pack_into("<4sII", buf, 0, MAGIC, x.n, x.d)
+    np.frombuffer(buf, "<f4", x.n * x.d, 12).reshape(x.n, x.d)[:] = x.data  # no second copy
+    if x.labels is not None:
+        buf[flag] = 1
+        np.frombuffer(buf, "<u4", x.n, flag + 1)[:] = x.labels
+    return write_file(path, buf)
+
+
+def _parse_emb1(path: str | Path, raw: bytes) -> EmbeddingMatrix:
     if len(raw) < 12:
         raise DataError(f"{path}: header truncated")
     n, d = struct.unpack_from("<II", raw, 4)
@@ -71,22 +95,10 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
     return _matrix(path, data, labels)
 
 
-def read_text(path: str | Path, error: type[Exception]) -> str:
-    """The text of a UTF-8 file; other bytes raise ``error`` naming the
-    file, and a file that cannot be read raises ``DataError``."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def read_embeddings_csv(path: str | Path, header: bool = False) -> EmbeddingMatrix:
+def _parse_csv(path: str | Path, text: str, header: bool) -> EmbeddingMatrix:
     rows = []
     d = None
-    # read_text translates \r\n and \r, so "\n" splits the lines a text file yields
-    for lineno, line in enumerate(read_text(path, DataError).split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if header and lineno == 1:
             continue
         line = line.strip()
@@ -117,11 +129,7 @@ def _matrix(path: str | Path, data: np.ndarray, labels=None) -> EmbeddingMatrix:
 
 def load_matrix(path: str | Path, csv_header: bool = False) -> EmbeddingMatrix:
     """Read either format, sniffing EMB1 by magic, CSV otherwise."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if head == MAGIC:
-        return read_embeddings(path)
-    return read_embeddings_csv(path, header=csv_header)
+    raw = read_bytes(path)
+    if raw[:4] == MAGIC:
+        return _parse_emb1(path, raw)
+    return _parse_csv(path, _decode(path, raw, DataError), csv_header)

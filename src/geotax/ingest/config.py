@@ -94,18 +94,21 @@ class Config:
 
     def dump(self) -> str:
         """The config echo, one ``key = value`` line per item in order.  An
-        item that ``parse`` would not read back is refused, so a report's
+        item that ``parse`` would not read back, or that is not UTF-8 text
+        (a CLI argument in a non-UTF-8 locale), is refused, so a report's
         echo always reruns the config that made it."""
         lines = []
         for key, value in self.values.items():
             line = f"{key} = {value}\n"
             try:
+                line.encode("utf-8")
                 echoed = Config.parse(line).values
-            except ConfigError:
+            except (ConfigError, UnicodeEncodeError):
                 echoed = None
             if echoed != {key: value}:
                 raise ConfigError(f"{key!r} = {value!r} would not read back from the config "
-                                  "echo; it may hold no '#', line break, or space at either end")
+                                  "echo; it may hold no '#', line break, space at either end, "
+                                  "or text that is not UTF-8")
             lines.append(line)
         return "".join(lines)
 

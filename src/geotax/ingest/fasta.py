@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.io import read_text
+from ..core.io import read_text, write_file
 from ..core.sequence import Alphabet, SymbolSequence
 from ..errors import DataError
 
@@ -59,10 +59,9 @@ def parse_fasta(path: str | Path) -> list[FastaRecord]:
     return records
 
 
-def write_fasta(records, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(f">{rec.header}\n")
-            seq = rec.sequence
-            for i in range(0, len(seq), LINE_WIDTH):
-                fh.write(seq[i : i + LINE_WIDTH] + "\n")
+def write_fasta(records, path: str | Path) -> str:
+    """Write ``records``; returns the file's SHA-256 hex digest."""
+    return write_file(path, "".join(
+        f">{rec.header}\n" + "".join(rec.sequence[i : i + LINE_WIDTH] + "\n"
+                                    for i in range(0, len(rec.sequence), LINE_WIDTH))
+        for rec in records))

@@ -9,17 +9,17 @@ timestamps for exactly that reason.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import shutil
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core.io import load_matrix, read_text, write_embeddings
+from .core.io import load_matrix, read_text, write_embeddings, write_file
 from .core.embedding import EmbeddingMatrix
 from .core.parallel import single_thread_blas
 from .core.rng import SeedSpec, rng_create
@@ -84,7 +84,10 @@ def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     # the outermost directory this run creates, None when out_dir exists
     created = next((d for d in reversed([out, *out.parents]) if not d.exists()), None)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc}") from exc
     try:
         with single_thread_blas():
             results = RUNNERS[experiment](s, out)
@@ -93,7 +96,7 @@ def run_pipeline(config: Config | str | Path, out_dir: str | Path) -> Path:
             "results": results,
             "provenance": {"version": __version__, "seed": s["seed"], "config_echo": echo},
         }
-        (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        write_file(out / "report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
     except BaseException:
         if created is not None:
             shutil.rmtree(created)
@@ -116,10 +119,6 @@ def rerun_from_provenance(report_path: str | Path, out_dir: str | Path) -> Path:
 # -- experiment runners -------------------------------------------------------
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _run_gen(s: Settings, out: Path) -> dict:
     """generate synthetic dynamical-system datasets"""
     from .dynamics import fit_global_range, gen_lorenz, gen_oscillator, gen_waveform
@@ -137,9 +136,8 @@ def _run_gen(s: Settings, out: Path) -> dict:
     grange = fit_global_range(trajs)
     files = {f"traj_{i:04d}.emb1": traj.values for i, traj in enumerate(trajs)}
     files["range.emb1"] = np.vstack([grange.minimum, grange.maximum])
-    for name, values in files.items():
-        write_embeddings(out / name, EmbeddingMatrix(values))
-    digests = {name: _sha256(out / name) for name in files}
+    digests = {name: write_embeddings(out / name, EmbeddingMatrix(values))
+               for name, values in files.items()}
     return {"system": system, "n": n, "length": length, "dt": trajs[0].dt, "files": digests}
 
 
@@ -180,10 +178,9 @@ def _run_discretize(s: Settings, out: Path) -> dict:
             grange = fit_global_range(trajs)
         except DataError as exc:
             raise DataError(f"{', '.join(inputs)}: {exc}") from None
-    for name, traj in zip(names, trajs):
-        seq = discretize(traj, grange, bins)
-        (out / name).write_text(",".join(str(v) for v in seq.symbols) + "\n")
-    return {"files": {name: _sha256(out / name) for name in names}}
+    symbols = {name: discretize(traj, grange, bins).symbols for name, traj in zip(names, trajs)}
+    return {"files": {name: write_file(out / name, ",".join(map(str, seq)) + "\n")
+                      for name, seq in symbols.items()}}
 
 
 def _manifest_jobs(manifest: str, magnitude: float, out: Path) -> list:
@@ -225,23 +222,26 @@ def _run_perturb(s: Settings, out: Path) -> dict:
         kind = s["perturb.kind"]
         spec = PerturbationSpec(kind, s["perturb.rate"], magnitude,
                                 SeedSpec(s["seed"], f"perturb/{kind}"))
-        jobs = [(Path(s["perturb.input"]), spec, Path(s["perturb.output"]))]
+        target = Path(s["perturb.output"])
+        if not target.parent.is_dir():
+            raise ConfigError(f"{s.source}: key 'perturb.output': {target.parent} is not an "
+                              "existing directory")
+        jobs = [(Path(s["perturb.input"]), spec, target)]
     load = _loader(s)
+    digests = {}
     for source, spec, target in jobs:
         if source.suffix in (".fa", ".fasta"):
-            write_fasta([
+            digest = write_fasta([
                 FastaRecord(rec.header,
                             apply_perturbation(rec.decode(DNA, source), spec).to_string())
                 for rec in parse_fasta(source)
             ], target)
         else:
             traj = apply_perturbation(Trajectory(load(source).data, 1.0), spec)
-            write_embeddings(target, EmbeddingMatrix(traj.values))
-    # a file in the run directory by its name, --output as configured
-    return {"files": {
-        target.name if manifest else str(target): _sha256(target)
-        for _, _, target in jobs
-    }}
+            digest = write_embeddings(target, EmbeddingMatrix(traj.values))
+        # a file in the run directory by its name, --output as configured
+        digests[target.name if manifest else str(target)] = digest
+    return {"files": digests}
 
 
 def _run_stability(s: Settings, out: Path) -> dict:
@@ -284,8 +284,8 @@ def _run_stability(s: Settings, out: Path) -> dict:
             f"{m.get('perturbation_stability', float('nan')):.6f},"
             f"{m['perturbation_magnitude']:.6f},{report.composite:.6f}"
         )
-    (out / "report.ndjson").write_text("\n".join(ndjson_lines) + "\n")
-    (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
+    write_file(out / "report.ndjson", "\n".join(ndjson_lines) + "\n")
+    write_file(out / "report.csv", "\n".join(csv_lines) + "\n")
     return rows
 
 
@@ -317,7 +317,7 @@ def _serialize_walk(walk, out: Path) -> None:
         # discretized continuous steps travel as an EMB1 matrix + alpha list
         write_embeddings(out / "walk.emb1", walk_to_matrix(walk))
         lines = ["step,alpha"] + [f"{i},{a:.6f}" for i, a in enumerate(walk.step_meta)]
-        (out / "walk_steps.csv").write_text("\n".join(lines) + "\n")
+        write_file(out / "walk_steps.csv", "\n".join(lines) + "\n")
         return
     records = []
     for i, (step, meta) in enumerate(zip(walk.steps, walk.step_meta)):
@@ -371,8 +371,8 @@ def _run_walk_profiles(s: Settings, out: Path) -> dict:
                                                 SeedSpec(s["seed"], "pairs")).items():
         encoders[name] = {"mean_lipschitz": mean_lipschitz(profiles),
                           "max_spikes_per_pair": max(len(p.spikes) for p in profiles)}
-        (out / f"{name}_path.svg").write_text(pca_trajectory(path)[1])
-    (out / "report.csv").write_text("encoder,mean_L,max_spikes_per_pair\n" + "".join(
+        write_file(out / f"{name}_path.svg", pca_trajectory(path)[1])
+    write_file(out / "report.csv", "encoder,mean_L,max_spikes_per_pair\n" + "".join(
         f"{name},{row['mean_lipschitz']:.10g},{row['max_spikes_per_pair']}\n"
         for name, row in encoders.items()))
     means = [row["mean_lipschitz"] for row in encoders.values()]
@@ -387,9 +387,9 @@ def _run_lipschitz(s: Settings, out: Path) -> dict:
     emb = _loader(s)(s["lipschitz.embeddings"])
     profile = {"cosine": lipschitz_cosine, "l2": lipschitz_l2}[metric](emb)
     lines = ["step,L"] + [f"{i},{v:.10g}" for i, v in enumerate(profile.values)]
-    (out / "profile.csv").write_text("\n".join(lines) + "\n")
+    write_file(out / "profile.csv", "\n".join(lines) + "\n")
     pca_res, svg = pca_trajectory(emb)
-    (out / "trajectory.svg").write_text(svg)
+    write_file(out / "trajectory.svg", svg)
     return {
         "metric": metric,
         "mean": profile.mean,
@@ -416,11 +416,9 @@ def _run_mine(s: Settings, out: Path) -> dict:
         x = load(s["mine.features"]).data
     z = load(s["mine.embeddings"]).data
     est = excess_mi_report(x, z, mlp_cfg, s["mine.seeds"], workers=s["threads"])
-    (out / "report.csv").write_text(
-        "condition,length,mean,std,baseline,ceiling,excess\n"
-        f"{condition},{x.shape[0]},{est.mean:.6f},{est.std:.6f},"
-        f"{est.baseline:.6f},{est.ceiling:.6f},{est.excess:.6f}\n"
-    )
+    write_file(out / "report.csv", "condition,length,mean,std,baseline,ceiling,excess\n"
+               f"{condition},{x.shape[0]},{est.mean:.6f},{est.std:.6f},"
+               f"{est.baseline:.6f},{est.ceiling:.6f},{est.excess:.6f}\n")
     payload = est.to_dict()
     payload["traces"] = {str(r.seed): [list(p) for p in r.trace] for r in est.runs}
     return payload
@@ -437,7 +435,7 @@ def _run_mine_sanity(s: Settings, out: Path) -> dict:
         csv_lines.append(
             f"{c.rho},{c.true_mi:.6f},{c.estimate:.6f},{c.std:.6f},{c.tolerance:.6f},{int(c.passed)}"
         )
-    (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
+    write_file(out / "report.csv", "\n".join(csv_lines) + "\n")
     return {
         "cases": [asdict(c) for c in cases],
         "all_passed": all(c.passed for c in cases),
@@ -464,7 +462,7 @@ def _run_texture(s: Settings, out: Path) -> dict:
     csv_lines = ["Condition,RC RDM,RC Composite,Recovery"]
     for r in rows:
         csv_lines.append(f"{r.condition},{r.rc_rdm:.6f},{r.rc_composite:.6f},{r.recovery:.6f}")
-    (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
+    write_file(out / "report.csv", "\n".join(csv_lines) + "\n")
     return {"conditions": [asdict(r) for r in rows]}
 
 
@@ -478,16 +476,22 @@ def _run_probe(s: Settings, out: Path) -> dict:
     labels_path = s["probe.labels"]
     lines = read_text(labels_path, DataError).split("\n")
     try:
-        labels = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=1, skiprows=int(header))
+        with warnings.catch_warnings():  # an empty file: the count check below names it
+            warnings.simplefilter("ignore", UserWarning)
+            labels = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=1,
+                                skiprows=int(header))
     except ValueError as exc:
         raise DataError(f"{labels_path}: labels must be integers ({exc})") from None
+    if labels.size != emb.n:
+        raise DataError(f"{labels_path}: {labels.size} labels for the {emb.n} rows of "
+                        f"{s['probe.embeddings']}")
     spec = SeedSpec(s["seed"], "probe")
     if arch == "linear":
         mean, std = frozen_head_classifier(emb, labels, folds, spec)
     else:
         mean, std = mlp_probe_cv(emb, labels, arch, folds, spec)
     row = f"{arch},{folds},{mean:.6f},{std:.6f}"
-    (out / "report.csv").write_text(f"arch,folds,accuracy,std\n{row}\n")
+    write_file(out / "report.csv", f"arch,folds,accuracy,std\n{row}\n")
     return {"arch": arch, "folds": folds, "accuracy": mean, "std": std}
 
 
@@ -516,7 +520,7 @@ def _run_vq_sweep(s: Settings, out: Path) -> dict:
     csv_lines = ["K,recon_mse,procrustes_D,shannon_D"]
     for k, mse, d, shannon in rows:
         csv_lines.append(f"{k},{mse:.10g},{d:.10g},{shannon:.10g}")
-    (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
+    write_file(out / "report.csv", "\n".join(csv_lines) + "\n")
     return {
         "rows": rows,
         "fit": {"a": curve.fit_intercept, "b": curve.fit_slope, "r2": curve.fit_r2},

@@ -27,7 +27,12 @@ pass, each with its reason, and must match exactly too.
 
 Every module an ``import`` in ``src/`` names, at any depth, is in the
 standard library, is ``geotax``, or is a declared dependency of
-``pyproject.toml``, and every declared dependency is imported."""
+``pyproject.toml``, and every declared dependency is imported.
+
+No code in ``src/`` outside ``core/io.py`` opens, reads or writes a file
+itself: every access goes through ``core.io.read_bytes`` and
+``core.io.write_file``, so one module decides how a file is encoded and
+how a failed access is reported."""
 
 import ast
 import re
@@ -278,3 +283,18 @@ def test_every_import_is_stdlib_geotax_or_a_declared_dependency():
     third_party = imported_packages() - set(sys.stdlib_module_names) - {"geotax"}
     assert sorted(third_party - declared) == [], "imported but not a declared dependency"
     assert sorted(declared - third_party) == [], "declared but never imported"
+
+
+FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_every_file_access_goes_through_core_io():
+    found = [
+        f"{rel}:{node.lineno}: {ast.unparse(node.func)}"
+        for rel, tree in parsed(SRC) if rel != "core/io.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute) and node.func.attr in FILE_METHODS)
+    ]
+    assert found == [], "read through core.io.read_bytes, write through core.io.write_file"

@@ -219,6 +219,20 @@ def test_cli_report_source_and_removed_global_flags_exit_2(argv, monkeypatch, ca
     assert "usage: geotax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--seed", "5", "seed"), ("--threads", "2", "threads"), ("--csv-header", None, "io.csv_header"),
+])
+@pytest.mark.parametrize("source", ["--config", "--rerun"])
+def test_cli_report_refuses_a_global_flag_it_would_ignore(flag, value, key, source, capsys):
+    # before, report ran its config's value (seed 320) and exited 0
+    Path("s.cfg").write_text("experiment = walk\nwalk.length = 40\nwalk.n_mutations = 2\n")
+    argv = ["--out-dir", "run", flag, *([value] if value else []), "report", source, "s.cfg"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: report does not read {flag}; the config key {key!r} sets it\n")
+    assert not Path("run").exists()
+
+
 def test_cli_mine_without_features_is_config_error(capsys):
     # z.emb1 does not exist: the key is missed before any input is read
     assert cli.main(["--out-dir", "run", "mine", "--embeddings", "z.emb1"]) == 2
@@ -304,10 +318,16 @@ def test_cli_probe_non_integer_label_exit_3(probe_inputs, capsys):
 
 
 def test_cli_probe_label_count_mismatch_exit_3(probe_inputs, capsys):
+    # before, an empty file printed numpy's "input contained no data" warning
+    # first, and no message named the labels file
     emb, labels = probe_inputs
-    labels.write_text("0\n1\n" * 5)
-    assert cli.main(["probe", "--embeddings", str(emb), "--labels", str(labels)]) == 3
-    assert capsys.readouterr().err == "data error: 10 labels for 20 samples\n"
+    for text, count in (("", 0), ("0\n1\n" * 5, 10), ("0\n1\n" * 11, 22)):
+        labels.write_text(text)
+        assert cli.main(["--out-dir", "run", "probe", "--embeddings", str(emb),
+                         "--labels", str(labels)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {labels}: {count} labels for the 20 rows of {emb}\n")
+        assert not Path("run").exists()
 
 
 def test_cli_perturb_manifest_bad_rate_exit_2(pair, tmp_path, capsys):
@@ -358,6 +378,30 @@ def test_cli_perturb_manifest_nul_path_exit_2(pair, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: {manifest}:2: NUL byte in 'a\\x00.emb1,value_noise,0.1,1'\n"
     )
+
+
+def test_cli_perturb_output_in_a_missing_directory_exits_2_before_reading(capsys):
+    # before, the input was read and the write failed: "data error: [Errno 2] ..."
+    argv = ["--out-dir", "run", "perturb", "--input", "absent.emb1", "--kind", "value_noise",
+            "--output", "missing/o.emb1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: <cli>: key 'perturb.output': missing is not an existing directory\n")
+    assert not Path("run").exists()
+
+
+def test_cli_write_that_fails_exits_3_naming_the_path(pair, capsys):
+    clean, _ = pair
+    Path("taken").mkdir()
+    argv = ["--out-dir", "run", "perturb", "--input", str(clean), "--kind", "value_noise",
+            "--output", "taken"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("data error: cannot write taken: [Errno 21] ")
+    assert not Path("run").exists()
+    # an --out-dir that is a file; before, the message named no path
+    assert cli.main(["--out-dir", str(clean), "walk", "--length", "40"]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: cannot write {clean}: [Errno 17] File exists: '{clean}'\n")
 
 
 def test_cli_perturb_manifest_unknown_kind_exit_2(pair, tmp_path, capsys):
@@ -987,6 +1031,11 @@ UNECHOABLE = {
     # report --rerun would find a line without '=' and exit 2
     "newline-in-pert-name": (["stability", "--clean", "clean.emb1", "--pert", "a\nb=pert.emb1"],
                              "'stability.pert.a\\nb' = 'pert.emb1'"),
+    # a non-UTF-8 locale decodes the argument "α" to lone surrogates, which
+    # report.json cannot hold as UTF-8
+    "surrogates-in-pert-name": (["stability", "--clean", "clean.emb1",
+                                 "--pert", "\udcce\udcb1=pert.emb1"],
+                                "'stability.pert.\\udcce\\udcb1' = 'pert.emb1'"),
     # report --rerun would run condition "model", not " model "
     "spaces-around-condition": (["mine", "--features", "clean.emb1", "--embeddings",
                                  "pert.emb1", "--epochs", "1", "--condition", " model "],

@@ -12,7 +12,7 @@ from test_core import openblas_threads
 
 from geotax.cli import main
 from geotax.core.embedding import EmbeddingMatrix
-from geotax.core.io import read_embeddings, write_embeddings
+from geotax.core.io import load_matrix, write_embeddings
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.dynamics import gen_lorenz
 from geotax.errors import ConfigError
@@ -289,7 +289,7 @@ def test_cli_stability_and_exit_codes(tmp_path, embedding_pair):
 
 
 def three_perturbations(tmp_path, clean_path):
-    x = read_embeddings(clean_path).data
+    x = load_matrix(clean_path).data
     rng = rng_create(SeedSpec(320, "cli-three"))
     argv = []
     for name, sigma in (("a", 0.05), ("b", 0.3), ("c", 1.0)):

@@ -12,11 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geotax.core.embedding import EmbeddingMatrix, cosine_rdm, cross_distance_block, unit_rows
-from geotax.core.io import (
-    read_embeddings,
-    read_embeddings_csv,
-    write_embeddings,
-)
+from geotax.core.io import load_matrix, write_embeddings
 from geotax.core.parallel import ordered_map
 from geotax.core.pca import pca_project
 from geotax.core.rng import SeedSpec, rng_create
@@ -390,44 +386,42 @@ def test_ordered_map_inline_restores_blas_threads_when_fn_raises():
     assert openblas_threads() == before
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    # the pool machinery is imported by the fan-out that uses it, not at start-up
-    env = dict(os.environ)
+def src_env(**overrides) -> dict:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``,
+    for a subprocess that imports geotax, plus ``overrides``."""
+    env = {**os.environ, **overrides}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # the pool machinery is imported by the fan-out that uses it, not at start-up
     code = "import sys, geotax.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_cli_import_leaves_experiment_modules_unloaded():
     # each experiment's modules load when its runner or command runs
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
-    )
     names = ["geotax.mine", "geotax.quantize", "geotax.procrustes", "geotax.texture",
              "geotax.walks", "geotax.stability", "geotax.dynamics", "geotax.perturb"]
     code = f"import sys, geotax.cli; print([n for n in {names!r} if n in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_texture_run_leaves_perturb_and_dynamics_unloaded(tmp_path):
     # texture reaches reverse complement in core.sequence, not in perturb
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
-    )
     names = ["geotax.texture", "geotax.perturb", "geotax.dynamics"]
     argv = ["--out-dir", str(tmp_path / "run"), "texture", "--n", "8", "--length", "24",
             "--splits", "2"]
     code = (f"import sys, geotax.cli; code = geotax.cli.main({argv!r}); "
             f"print(code, [n for n in {names!r} if n in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (
         0, "0 ['geotax.texture']", "")
@@ -443,7 +437,7 @@ def test_emb1_round_trip(tmp_path, rng):
     )
     path = tmp_path / "m.emb1"
     write_embeddings(path, x)
-    back = read_embeddings(path)
+    back = load_matrix(path)
     assert (back.data == x.data).all()
     assert (back.labels == x.labels).all()
     # byte-exact file round trip
@@ -457,7 +451,7 @@ def test_emb1_truncated(tmp_path, rng):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataError, match="payload truncated"):
-        read_embeddings(path)
+        load_matrix(path)
 
 
 @pytest.mark.parametrize("labels", [None, np.array([0, 1, 1])])
@@ -466,7 +460,7 @@ def test_emb1_trailing_bytes_rejected(tmp_path, rng, labels):
     write_embeddings(path, EmbeddingMatrix(rng.standard_normal((3, 2)), labels))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(DataError, match="1 trailing bytes after the label block"):
-        read_embeddings(path)
+        load_matrix(path)
 
 
 def test_emb1_without_label_flag_accepted(tmp_path, rng):
@@ -474,31 +468,63 @@ def test_emb1_without_label_flag_accepted(tmp_path, rng):
     path = tmp_path / "m.emb1"
     write_embeddings(path, x)
     path.write_bytes(path.read_bytes()[:-1])  # drop the label flag
-    back = read_embeddings(path)
+    back = load_matrix(path)
     assert (back.data == x.data).all() and back.labels is None
-
-
-def test_emb1_bad_magic(tmp_path):
-    path = tmp_path / "m.emb1"
-    path.write_bytes(b"NOPE" + b"\0" * 16)
-    with pytest.raises(DataError, match="expected magic b'EMB1'"):
-        read_embeddings(path)
 
 
 def test_csv_round_trip_17_digits(tmp_path, rng):
     x = rng.standard_normal((5, 3))
     path = tmp_path / "m.csv"
     np.savetxt(path, x, fmt="%.17g", delimiter=",")
-    back = read_embeddings_csv(path)
+    back = load_matrix(path)
     assert (back.data == x).all()  # 17 significant digits is exact for f64
 
 
 def test_csv_header_skip(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
-    back = read_embeddings_csv(path, header=True)
+    back = load_matrix(path, csv_header=True)
     assert back.n == 2 and back.d == 2
     assert back.data[1, 1] == 4.0
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_cli(argv, **overrides) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "geotax.cli", *argv], env=src_env(**overrides),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_writes_utf8_whatever_the_locale(rng):
+    """An ASCII locale writes the bytes a UTF-8 one does, and a CLI argument
+    it decodes to lone surrogates is refused before any directory is made."""
+    x = rng.standard_normal((40, 6))
+    write_embeddings(Path("c.emb1"), EmbeddingMatrix(x))
+    write_embeddings(Path("p.emb1"), EmbeddingMatrix(x + 0.05 * rng.standard_normal(x.shape)))
+    Path("s.cfg").write_bytes("experiment = stability\nstability.clean = c.emb1\n"
+                              "stability.pert.α = p.emb1\nstability.n_splits = 2\n"
+                              "stability.n_bootstrap = 1\n".encode())
+    Path("f.fasta").write_bytes(">sé\n".encode() + b"ACGT" * 30 + b"\n")
+    written = {}
+    for name, overrides in (("default", {}), ("ascii", ASCII_LOCALE)):
+        for argv in (["--out-dir", f"{name}-cfg", "report", "--config", "s.cfg"],
+                     ["--out-dir", f"{name}-fasta", "perturb", "--input", "f.fasta",
+                      "--kind", "substitute", "--rate", "0.1", "--output", f"{name}.fasta"]):
+            proc = run_cli(argv, **overrides)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+        written[name] = [(Path(f"{name}-cfg") / f).read_bytes()
+                         for f in ("report.json", "report.csv", "report.ndjson")]
+        written[name].append(Path(f"{name}.fasta").read_bytes())
+    assert written["ascii"] == written["default"]
+    assert "\nα,".encode() in written["ascii"][1]
+    assert written["ascii"][3].startswith(">sé\n".encode())
+    proc = run_cli(["--out-dir", "refused", "stability", "--clean", "c.emb1",
+                    "--pert", "α=p.emb1"], **ASCII_LOCALE)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "config error: 'stability.pert.\\udcce\\udcb1' = 'p.emb1' would not read back")
+    assert not Path("refused").exists()
 
 
 # -- sequences -----------------------------------------------------------

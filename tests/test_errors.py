@@ -29,12 +29,13 @@ def test_errors_module_defines_only_the_families():
 def test_every_raise_names_a_family_or_reraises():
     bad = []
     for rel, tree in parsed_sources():
-        # read_text raises the family its caller passes in as ``error``
+        # _decode, the UTF-8 check of read_text, raises the family its
+        # caller passes in as ``error``
         passed_in = set()
         if rel == "core/io.py":
-            read_text, = (n for n in tree.body
-                          if isinstance(n, ast.FunctionDef) and n.name == "read_text")
-            passed_in = {id(n) for n in ast.walk(read_text)
+            decode, = (n for n in tree.body
+                       if isinstance(n, ast.FunctionDef) and n.name == "_decode")
+            passed_in = {id(n) for n in ast.walk(decode)
                          if isinstance(n, ast.Raise) and raised_name(n) == "error"}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Raise) or node.exc is None or id(node) in passed_in:

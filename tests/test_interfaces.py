@@ -6,7 +6,7 @@ import json
 import numpy as np
 
 from geotax.cli import main
-from geotax.core.io import read_embeddings, write_embeddings
+from geotax.core.io import load_matrix, write_embeddings
 from geotax.core.embedding import EmbeddingMatrix
 from geotax.core.rng import SeedSpec, rng_create
 from geotax.core.sequence import DNA, SymbolSequence
@@ -24,7 +24,7 @@ def test_walk_matrix_export(tmp_path, rng):
     mat = walk_to_matrix(walk)
     assert mat.n == 7 and mat.d == 64
     write_embeddings(tmp_path / "walk.emb1", mat)
-    assert read_embeddings(tmp_path / "walk.emb1").n == 7
+    assert load_matrix(tmp_path / "walk.emb1").n == 7
 
 
 def test_features_from_fasta(tmp_path):
